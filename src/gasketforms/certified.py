@@ -91,13 +91,16 @@ class CertifiedValue:
         if self.exact:
             v = self.value
             return {"value": f"{v.numerator}/{v.denominator}", "radius": 0.0, "exact": True}
-        return {"value": float(self.value), "radius": float(self.radius), "exact": False}
+        r = float(self.radius)
+        if r < self.radius:  # round the radius up so a round trip never shrinks it
+            r = math.nextafter(r, math.inf)
+        return {"value": float(self.value), "radius": r, "exact": False}
 
     @staticmethod
     def from_json(data: dict) -> "CertifiedValue":
         if data.get("exact"):
             return CertifiedValue.from_exact(Fraction(data["value"]))
-        return CertifiedValue(float(data["value"]), Fraction(data["radius"]).limit_denominator(10**15))
+        return CertifiedValue(float(data["value"]), Fraction(float(data["radius"])))
 
 
 def _float_slop(cv: CertifiedValue) -> Fraction:

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -123,7 +123,10 @@ class Expr:
         return None
 
     def as_vf(self) -> Optional[VertexFunction]:
-        """Reduce to a single piecewise-harmonic function if possible."""
+        """Reduce to a single piecewise-harmonic function if possible.
+
+        Sum and Product reduce once and keep the result: expressions and
+        the functions in them are never mutated."""
         return None
 
     def energy_ub(self) -> Fraction:
@@ -239,6 +242,10 @@ class Sum(Expr):
         return max(t.max_level() for t in self.terms)
 
     def as_vf(self):
+        return self._vf
+
+    @cached_property
+    def _vf(self) -> Optional[VertexFunction]:
         parts = [t.as_vf() for t in self.terms]
         if any(p is None for p in parts):
             return None
@@ -314,6 +321,10 @@ class Product(Expr):
         return out
 
     def as_vf(self):
+        return self._vf
+
+    @cached_property
+    def _vf(self) -> Optional[VertexFunction]:
         c = F1
         nonconst: list[VertexFunction] = []
         for t in self.terms:
@@ -764,8 +775,14 @@ def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
     for sigma, k in form.harmonic.items():
         if k != 0:
             total += k * dz_integral_edge(sigma, e)
-    if form.exact is not None:
-        total += form.exact(e.target) - form.exact(e.source)
+    U = form.exact
+    if U is not None:
+        if e.level >= U.level:
+            t = U.triple(e.cell)
+            total += e.sign * (t[(e.side + 1) % 3] - t[(e.side + 2) % 3])
+        else:
+            # both endpoints lie in V_{e.level}, a subset of V_{U.level}
+            total += U.values[e.target] - U.values[e.source]
     return total
 
 
@@ -792,10 +809,10 @@ def _certified_universal(form: SmoothForm, e: OrientedEdge, tol: Fraction) -> Ce
         key: np.array([[float(x) for x in vf.triple(s.cell)] for s in subs])
         for key, vf in atoms.items()
     }
+    # the Riemann sums run along the canonical orientation; a reversed edge
+    # negates them, as the exact route does
     side, sign = e.side, e.sign
     tcol, scol = (side + 1) % 3, (side + 2) % 3
-    if sign == -1:
-        tcol, scol = scol, tcol
     a_letter, b_letter = _side_letters(side)
 
     def riemann(arr_map):
@@ -1263,7 +1280,7 @@ def q_inner_certified(
             f"certified Q radius {float(rad):.3g} exceeds the tolerance at level {n}"
         )
     value = _extrapolate(vals) if len(vals) >= 3 else vals[-1]
-    correction = Fraction(abs(value - vals[-1])).limit_denominator(10**15)
+    correction = Fraction(abs(value - vals[-1]))
     slop = Fraction(1, 10**9) * (1 + Fraction(math.ceil(abs(value))))
     if correction > 4 * rad + slop:
         raise NonConvergentError("extrapolation disagrees with the tail bound")

@@ -109,24 +109,25 @@ def in_hull(p: Point) -> bool:
     return all(l >= 0 for l in barycentric(p))
 
 
-def locate(p: Point, level: int) -> Word:
-    """A word of the given length whose cell contains p.
+def locate_vertex(p: Point, level: int) -> tuple[Word, int]:
+    """(word, j): a cell of length >= level that has p as its corner j.
 
-    At ramification vertices two cells qualify; the smallest letter wins, which
-    keeps the result deterministic.
+    One pass down the cell tree, carrying p in the coordinates of the current
+    cell.  Where two cells qualify the smallest letter wins, which keeps the
+    result deterministic.
     """
-    word = []
-    for _ in range(level):
-        for i in range(3):
-            c = CORNERS[i]
-            q = Point(2 * p.x - c.x, 2 * p.y - c.y)
-            if in_hull(q):
-                word.append(_LETTERS[i])
-                p = q
+    word, q = "", p
+    while len(word) <= level + 64:
+        if len(word) >= level and q in CORNERS:
+            return word, CORNERS.index(q)
+        for i, c in enumerate(CORNERS):
+            r = Point(2 * q.x - c.x, 2 * q.y - c.y)
+            if in_hull(r):
+                word, q = word + _LETTERS[i], r
                 break
         else:
-            raise GasketError(f"point {p} is not in the gasket hull chain")
-    return "".join(word)
+            break
+    raise GasketError(f"{p} is not a vertex of the gasket")
 
 
 @dataclass(frozen=True)

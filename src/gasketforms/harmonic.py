@@ -6,7 +6,9 @@ extension, computed cell by cell with the 3x3 matrices H_i that map the corner
 values of a cell to the corner values of its sub-cell i.  The matrices encode
 the classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
 preserved, and all entries are nonnegative, so the maximum principle holds
-exactly on rational data.
+exactly on rational data.  Scaled by 5 the matrices have integer entries, so
+descent runs on integer triples over one common denominator D and converts
+back once, as values over D·5^k after k letters.
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
@@ -15,17 +17,18 @@ n >= m, which is what makes every quantity in this module an exact rational.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import GasketError
 from .geometry import (
     Point,
     Word,
     cell_corners,
-    locate,
+    locate_vertex,
     vertex_id,
     parse_vertex_id,
     vertices_at_level,
@@ -56,15 +59,32 @@ H_MATRICES = tuple(tuple(_h_row(i, j) for j in range(3)) for i in range(3))
 Triple = tuple[Fraction, Fraction, Fraction]
 
 
-def apply_h(i: int, t: Triple) -> Triple:
-    h = H_MATRICES[i]
-    return tuple(h[j][0] * t[0] + h[j][1] * t[1] + h[j][2] * t[2] for j in range(3))  # type: ignore[return-value]
+def _integers(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D·v for v in vals]) over the least common denominator D."""
+    D = math.lcm(*(v.denominator for v in vals))
+    return D, [v.numerator * (D // v.denominator) for v in vals]
+
+
+def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """5·H_i on an integer triple: row i is 5 t_i, row j != i is
+    2 t_i + 2 t_j + t_k = s + t_i + t_j with s = a + b + c."""
+    s = a + b + c
+    if letter == "0":
+        return 5 * a, s + a + b, s + a + c
+    if letter == "1":
+        return s + a + b, 5 * b, s + b + c
+    return s + a + c, s + b + c, 5 * c
 
 
 def descend(t: Triple, word: Word) -> Triple:
-    for c in word:
-        t = apply_h(int(c), t)
-    return t
+    """Corner values on the sub-cell ``word`` of a cell with corner values t."""
+    if not word:
+        return tuple(t)  # type: ignore[return-value]
+    D, (a, b, c) = _integers(t)
+    for letter in word:
+        a, b, c = _step5(letter, a, b, c)
+    den = D * 5 ** len(word)
+    return Fraction(a, den), Fraction(b, den), Fraction(c, den)
 
 
 def graph_energy(u: Triple, v: Triple) -> Fraction:
@@ -119,36 +139,38 @@ class VertexFunction:
     def __call__(self, p: Point) -> Fraction:
         if p in self.values:
             return self.values[p]
-        word = locate(p, self.level)
-        t = self.triple(word)
-        corners = cell_corners(word)
-        for _ in range(64):
-            if p in corners:
-                return t[corners.index(p)]
-            nxt = locate(p, len(word) + 1)
-            i = int(nxt[-1])
-            word = nxt
-            t = apply_h(i, t)
-            corners = cell_corners(word)
-        raise GasketError(f"{p} is not a vertex of the gasket")
+        word, j = locate_vertex(p, self.level)
+        return self.triple(word)[j]
 
     # -- extension and energy ----------------------------------------------
+    def _integer_cells(self) -> tuple[int, list[tuple[Word, int, int, int]]]:
+        """D and the level-m cells with corner values scaled to integers by D."""
+        D, scaled = _integers(list(self.values.values()))
+        ints = dict(zip(self.values, scaled))
+        cells = []
+        for letters in itertools.product("012", repeat=self.level):
+            word = "".join(letters)
+            cells.append((word, *(ints[p] for p in cell_corners(word))))
+        return D, cells
+
     def extend(self, n: int) -> "VertexFunction":
         if n < self.level:
             raise GasketError("target level below stored level")
+        D, cells = self._integer_cells()
+        den = D * 5 ** (n - self.level)
         vals: dict[Point, Fraction] = {}
-        for letters in itertools.product("012", repeat=self.level):
-            word = "".join(letters)
-            self._fill(word, self.triple(word), n, vals)
+        for word, a, b, c in cells:
+            self._fill(word, a, b, c, n, den, vals)
         return VertexFunction(n, vals)
 
-    def _fill(self, word: Word, t: Triple, n: int, out: dict[Point, Fraction]):
+    def _fill(self, word: Word, a: int, b: int, c: int, n: int, den: int, out: dict[Point, Fraction]):
         if len(word) == n:
-            for p, v in zip(cell_corners(word), t):
-                out[p] = v
+            for p, x in zip(cell_corners(word), (a, b, c)):
+                if p not in out:
+                    out[p] = Fraction(x, den)
             return
-        for i in range(3):
-            self._fill(word + "012"[i], apply_h(i, t), n, out)
+        for letter in "012":
+            self._fill(word + letter, *_step5(letter, a, b, c), n, den, out)
 
     def energy_at_level(self, n: int) -> Fraction:
         """(5/3)^n sum over E_n of |du|^2; equal to energy() for all n >= level."""
@@ -169,20 +191,24 @@ class VertexFunction:
         return self._energy_cache
 
     def energy_levels(self, n_max: int) -> list[Fraction]:
-        """[E_m, ..., E_{n_max}] in one descent over the cell tree."""
+        """[E_m, ..., E_{n_max}] in one integer descent over the cell tree."""
         if n_max < self.level:
             raise GasketError("target level below stored level")
-        acc = [F0] * (n_max - self.level + 1)
+        acc = [0] * (n_max - self.level + 1)
 
-        def rec(t: Triple, depth: int):
-            acc[depth] += graph_energy(t, t)
+        def rec(a: int, b: int, c: int, depth: int):
+            acc[depth] += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
             if depth + self.level < n_max:
-                for i in range(3):
-                    rec(apply_h(i, t), depth + 1)
+                for letter in "012":
+                    rec(*_step5(letter, a, b, c), depth + 1)
 
-        for letters in itertools.product("012", repeat=self.level):
-            rec(self.triple("".join(letters)), 0)
-        return [Fraction(5, 3) ** (self.level + d) * s for d, s in enumerate(acc)]
+        D, cells = self._integer_cells()
+        for _, a, b, c in cells:
+            rec(a, b, c, 0)
+        return [
+            Fraction(5, 3) ** (self.level + d) * Fraction(s, (D * 5**d) ** 2)
+            for d, s in enumerate(acc)
+        ]
 
     def energy_with(self, other: "VertexFunction") -> Fraction:
         m = max(self.level, other.level)

@@ -1,8 +1,11 @@
 """Certified-value arithmetic and soundness helpers."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gasketforms.certified import CertifiedValue, sqrt_upper
 
@@ -53,3 +56,14 @@ def test_json_roundtrip():
     b = CertifiedValue(0.125, F(1, 1000))
     back = CertifiedValue.from_json(b.to_json())
     assert back.value == 0.125 and abs(back.radius - F(1, 1000)) < F(1, 10**12)
+
+
+@given(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.fractions(min_value=0, max_value=10, max_denominator=10**18),
+)
+def test_json_roundtrip_never_shrinks_radius(value, radius):
+    cv = CertifiedValue(value, radius)
+    back = CertifiedValue.from_json(json.loads(json.dumps(cv.to_json())))
+    assert back.value == value
+    assert back.radius >= radius

@@ -1,0 +1,80 @@
+"""Property tests of the integer harmonic descent against a Fraction oracle."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gasketforms import forms as fm
+from gasketforms.geometry import OrientedEdge, cell_corners, vertices_at_level
+from gasketforms.harmonic import H_MATRICES, VertexFunction, descend
+
+values = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+triples = st.tuples(values, values, values)
+
+
+def words(min_size: int, max_size: int):
+    return st.text(alphabet="012", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def vertex_functions(draw, max_level: int = 3) -> VertexFunction:
+    level = draw(st.integers(0, max_level))
+    points = vertices_at_level(level)
+    vals = draw(st.lists(values, min_size=len(points), max_size=len(points)))
+    return VertexFunction(level, dict(zip(points, vals)))
+
+
+def reference_descend(t, word):
+    """Letter-by-letter descent in Fraction arithmetic with the H_i matrices."""
+    for letter in word:
+        H = H_MATRICES[int(letter)]
+        t = tuple(H[j][0] * t[0] + H[j][1] * t[1] + H[j][2] * t[2] for j in range(3))
+    return tuple(t)
+
+
+@given(triples, words(0, 8))
+def test_descend_matches_fraction_reference(t, word):
+    assert descend(t, word) == reference_descend(t, word)
+
+
+@given(vertex_functions(), words(0, 4), st.data())
+def test_triple_matches_fraction_reference(u, rest, data):
+    prefix = data.draw(words(u.level, u.level))
+    corners = tuple(u.values[p] for p in cell_corners(prefix))
+    assert u.triple(prefix + rest) == reference_descend(corners, rest)
+
+
+@given(vertex_functions(), st.integers(1, 2), st.data())
+def test_evaluation_matches_extension(u, gap, data):
+    ext = u.extend(u.level + gap)
+    points = [p for p in ext.values if p not in u.values]
+    for p in data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=5)):
+        assert u(p) == ext.values[p]
+
+
+@given(vertex_functions(), st.integers(0, 3))
+def test_energy_levels_equal_energy(u, above):
+    levels = u.energy_levels(u.level + above)
+    assert len(levels) == above + 1
+    assert all(e == u.energy() for e in levels)
+
+
+@given(vertex_functions(), st.integers(0, 5), st.sampled_from([1, -1]), st.data())
+def test_exact_part_telescopes(u, level, sign, data):
+    # edges both coarser and finer than the stored level of U
+    e = OrientedEdge(data.draw(words(level, level)), data.draw(st.integers(0, 2)), sign)
+    ext = u.extend(max(u.level, level)).values
+    assert fm.integrate_edge(fm.d(u), e).value == ext[e.target] - ext[e.source]
+
+
+@given(vertex_functions(), vertex_functions(), vertex_functions(), st.data())
+def test_sum_left_factor_is_stable(u, w, g, data):
+    e = OrientedEdge(data.draw(words(0, 3)), data.draw(st.integers(0, 2)), data.draw(st.sampled_from([1, -1])))
+    form = fm.fdg(fm.Sum([fm.Atom(u), fm.Atom(w)]), g)
+    first = fm.integrate_edge(form, e).value
+    assert fm.integrate_edge(form, e).value == first
+    assert fm.integrate_edge(form, e).value == first
+    assert fm.integrate_edge(fm.fdg(u + w, g), e).value == first

@@ -149,6 +149,22 @@ def test_certified_contains_exact_integral():
         assert abs(float(cert.value) - float(exact)) <= 1e-6
 
 
+@pytest.mark.parametrize("cell", ["", "1", "20"])
+@pytest.mark.parametrize("side", [0, 1, 2])
+def test_certified_reversed_edges(cell, side):
+    """Certified integrals enclose the exact one in both orientations, and
+    reversing the edge negates the certified value."""
+    w = fm.fdg(f0, f1)
+    fwd = OrientedEdge(cell, side)
+    back = fwd.reversed()
+    tol = F(1, 10**4)
+    cf = fm.integrate_edge(w, fwd, mode="certified", tolerance=tol)
+    cb = fm.integrate_edge(w, back, mode="certified", tolerance=tol)
+    assert cf.contains(fm.integrate_edge(w, fwd).value)
+    assert cb.contains(fm.integrate_edge(w, back).value)
+    assert cb.value == -cf.value and cb.radius == cf.radius
+
+
 def test_trace_property_certified():
     w = fm.fdg(f0, f2)
     left = fm.multiply_form(f1, w, side="left")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasketforms.errors import NonConsecutiveError
+from gasketforms.errors import GasketError, NonConsecutiveError
 from gasketforms.geometry import (
     CORNERS,
     OrientedEdge,
@@ -20,6 +20,7 @@ from gasketforms.geometry import (
     cell_geometry,
     edges_at_level,
     lacuna_path,
+    locate_vertex,
     midpoint,
     perimeter_path,
     refine_edge,
@@ -141,3 +142,16 @@ def test_serialization_roundtrips():
     assert path_from_json(path_to_json(p)) == p
     for q in vertices_at_level(2):
         assert parse_vertex_id(vertex_id(q)) == q
+
+
+def test_locate_vertex():
+    for n in range(4):
+        for p in vertices_at_level(n):
+            for level in range(4):
+                word, j = locate_vertex(p, level)
+                assert len(word) >= level and cell_corners(word)[j] == p
+    # the junction of cells 0 and 1 resolves to the smaller letter
+    assert locate_vertex(midpoint(P0, P1), 1) == ("0", 1)
+    for q in (Point(Fraction(1, 3), Fraction(0)), Point(Fraction(2), Fraction(0))):
+        with pytest.raises(GasketError):
+            locate_vertex(q, 0)
