@@ -54,7 +54,6 @@ from .forms import (
     Sum,
     counterexample_form,
     d,
-    dgf,
     dz_form,
     dz_integral_edge,
     dz_integral_path,
@@ -82,6 +81,7 @@ from .geometry import (
     subdivide,
     validate_path,
     vertices_at_level,
+    words,
 )
 from .harmonic import VertexFunction, harmonic_basis, random_harmonic
 from .render import render_svg

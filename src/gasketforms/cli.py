@@ -17,7 +17,7 @@ from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
 from .errors import GasketError
-from .geometry import ElementaryPath, path_from_json
+from .geometry import ElementaryPath, edges_at_level, path_from_json
 from .harmonic import VertexFunction
 from .render import render_svg
 from .verify import run_suite
@@ -183,15 +183,9 @@ def _dispatch(args) -> int:
         magnitudes = None
         if args.form:
             form = _load_form(args.form)
-            magnitudes = {}
-            import itertools as _it
-
-            from .geometry import OrientedEdge
-            for letters in _it.product("012", repeat=args.level):
-                word = "".join(letters)
-                for side in range(3):
-                    e = OrientedEdge(word, side)
-                    magnitudes[e] = abs(float(fm.integrate_edge(form, e).value))
+            magnitudes = {
+                e: abs(float(fm.integrate_edge(form, e).value)) for e in edges_at_level(args.level)
+            }
         svg = render_svg(args.level, size=args.size, highlight_cells=args.highlight_cell,
                          path=path, lacunas=args.lacuna, edge_magnitudes=magnitudes)
         if args.out:

@@ -15,7 +15,6 @@ residual exact part anchored at the corner p_0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +28,8 @@ from .errors import (
 )
 from .forms import (
     SmoothForm,
+    _normalized_terms,
+    dz_form,
     dz_integral_edge,
     dz_integral_path,
     integrate_edge,
@@ -40,10 +41,12 @@ from .geometry import (
     OrientedEdge,
     Point,
     Word,
+    edges_at_level,
     is_prefix,
     lacuna_path,
     perimeter_path,
     vertex_id,
+    words,
 )
 
 F0 = Fraction(0)
@@ -133,8 +136,6 @@ def winding_number(path: ElementaryPath, sigma: Word) -> int:
 def universal_energy_bound(form: SmoothForm) -> Fraction:
     """sum over non-exact universal terms of |c| (E[F] + E[g]); the constant
     in the lacuna-period level-sum decay (5/4)(3/5)^(n+1) * bound."""
-    from .forms import _normalized_terms
-
     total = F0
     for c, Fvf, g in _normalized_terms(form):
         if Fvf is None or Fvf.is_constant():
@@ -171,8 +172,7 @@ def periods_up_to(form: SmoothForm, depth: int, mode: str = "exact") -> PeriodVe
     harmonic_depth = max([len(w) for w in form.harmonic], default=-1)
     entries: dict[Word, CertifiedValue] = {}
     for n in range(depth + 1):
-        for letters in itertools.product("012", repeat=n):
-            w = "".join(letters)
+        for w in words(n):
             cv = integrate_path(form, lacuna_path(w), mode=mode)
             # dz parts contribute B entries; they are already inside integrate
             entries[w] = cv
@@ -270,12 +270,9 @@ def hodge_decompose(
 
     # deterministic BFS over the level-depth skeleton
     adjacency: dict[Point, list[tuple[Point, OrientedEdge]]] = {}
-    for letters in itertools.product("012", repeat=depth):
-        w = "".join(letters)
-        for side in range(3):
-            e = OrientedEdge(w, side)
-            adjacency.setdefault(e.source, []).append((e.target, e))
-            adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
+    for e in edges_at_level(depth):
+        adjacency.setdefault(e.source, []).append((e.target, e))
+        adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
     anchor = Point(F0, F0)
     potential: dict[Point, CertifiedValue] = {anchor: CertifiedValue.from_exact(0)}
     frontier = [anchor]
@@ -294,8 +291,6 @@ def hodge_decompose(
 
 def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> CertifiedValue:
     """Projection-route coefficient Q(dz_sigma, omega) / Q[dz_sigma]."""
-    from .forms import dz_form
-
     z = dz_form(sigma)
     num = q_inner(z, form, mode=mode) if mode == "exact" else q_inner(
         z, form, mode="certified", strict=False
@@ -311,9 +306,8 @@ def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int, mode: st
         raise DepthTooSmallError("depth must reach the cell level")
     total = integrate_path(form, perimeter_path(sigma), mode=mode)
     for n in range(len(sigma), depth + 1):
-        for letters in itertools.product("012", repeat=n - len(sigma)):
-            tau = sigma + "".join(letters)
-            total = total + integrate_path(form, lacuna_path(tau), mode=mode)
+        for w in words(n - len(sigma)):
+            total = total + integrate_path(form, lacuna_path(sigma + w), mode=mode)
     tail = Fraction(3, 4) * R35**depth * universal_energy_bound(form)
     value = abs(total.value) if total.exact else abs(float(total.value))
     return CertifiedValue(value, total.radius + tail)

@@ -27,6 +27,7 @@ from .cohomology import (
     b_rule,
     hodge_decompose,
     k_level_sum_bound,
+    universal_energy_bound,
     winding_number,
 )
 from .errors import (
@@ -34,8 +35,8 @@ from .errors import (
     GasketError,
     UnboundedTailError,
 )
-from .forms import SmoothForm, dz_integral_path
-from .geometry import ElementaryPath, OrientedEdge, Word, is_prefix
+from .forms import SmoothForm, dz_integral_edge, dz_integral_path
+from .geometry import ElementaryPath, OrientedEdge, Word, is_prefix, words
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -132,8 +133,6 @@ def dz_sequence_edge(e: OrientedEdge) -> LevelSequence:
     """
     n = e.level
     values: dict[Word, Fraction] = {}
-    from .forms import dz_integral_edge
-
     for k in range(n):
         w = e.cell[:k]
         v = dz_integral_edge(w, e)
@@ -154,8 +153,6 @@ def effective_length(path: ElementaryPath, depth: int = 8) -> CertifiedValue:
     if len(edges) == 1:
         e = edges[0]
         n = e.level
-        from .forms import dz_integral_edge
-
         finite = sum((R35**k * abs(dz_integral_edge(e.cell[:k], e)) for k in range(n)), F0)
         tail = Fraction(1, 3) * R35**n * Fraction(5, 2)
         return CertifiedValue.from_exact(finite + tail)
@@ -196,8 +193,6 @@ def hnorm_divergence(e: OrientedEdge, levels: int, check_to: int = 10) -> list[F
     above the edge and continued with the verified branching count
     2^(n - level) / 9 (one word per avoid-letter string, each integral 1/3).
     """
-    from .forms import dz_integral_edge
-
     n0 = e.level
     sums: list[Fraction] = []
     partial = F0
@@ -262,8 +257,7 @@ def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
     """Coordinates of a closed path: winding numbers around each lacuna."""
     coords: dict[Word, int] = {}
     for n in range(depth):
-        for letters in itertools.product("012", repeat=n):
-            w = "".join(letters)
+        for w in words(n):
             v = winding_number(path, w)
             if v != 0:
                 coords[w] = v
@@ -286,8 +280,8 @@ def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
 def _phi_sup_at_level(g: HomologyElement, k: int) -> Fraction:
     return max(
         (abs(phi_sigma) for phi_sigma in (
-            sum((c * b_rule("".join(w), tau) for tau, c in g.coords.items()), F0)
-            for w in itertools.product("012", repeat=k)
+            sum((c * b_rule(w, tau) for tau, c in g.coords.items()), F0)
+            for w in words(k)
         )),
         default=F0,
     )
@@ -313,8 +307,7 @@ def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedVa
     # prefix chain; which subsets survive depends only on the length-(L+1)
     # prefix and the set of letters used by the remaining tail
     prefix_data: list[list[tuple[Word, str]]] = []
-    for w in itertools.product("012", repeat=L + 1):
-        pi = "".join(w)
+    for pi in words(L + 1):
         alive: list[tuple[Word, str]] = []
         for tau, c in g.coords.items():
             if c == 0 or not is_prefix(tau, pi):
@@ -367,8 +360,6 @@ def potential_difference(
         if w != 0:
             total = total + kcv.scaled(w)
     # dropped dz terms pair against the per-level sup of the path integrals
-    from .cohomology import universal_energy_bound
-
     cbound = universal_energy_bound(form)
     per_level_sup = len(path.edges) * Fraction(1, 3)
     tail = F0

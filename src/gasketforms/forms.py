@@ -48,8 +48,10 @@ from .geometry import (
     Word,
     cell_corners,
     check_word,
+    edges_at_level,
     is_prefix,
     subdivide,
+    words,
 )
 from .harmonic import (
     H_MATRICES,
@@ -462,10 +464,6 @@ class FormTerm:
     g: VertexFunction
     right: Expr = ONE
 
-    def edge_value(self, e: OrientedEdge) -> Fraction:
-        s, t = e.source, e.target
-        return self.left(t) * (self.g(t) - self.g(s)) * self.right(s)
-
     def left_total(self) -> Expr:
         """The smooth-form equivalent single left factor a·b."""
         if self.right.as_const() == 1:
@@ -539,11 +537,6 @@ def d(u: VertexFunction) -> SmoothForm:
 def fdg(f: VertexFunction | Expr, g: VertexFunction) -> SmoothForm:
     left = f if isinstance(f, Expr) else Atom(f)
     return SmoothForm(terms=(FormTerm(left, g),))
-
-
-def dgf(g: VertexFunction, f: VertexFunction | Expr) -> SmoothForm:
-    right = f if isinstance(f, Expr) else Atom(f)
-    return SmoothForm(terms=(FormTerm(ONE, g, right),))
 
 
 def dz_form(sigma: Word) -> SmoothForm:
@@ -1013,25 +1006,26 @@ def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction |
     return [_normalize_term(t) for t in form.terms]
 
 
-def _pieces_on_cell(
-    norm_terms, form: SmoothForm, word: Word
-) -> list[Piece]:
-    pieces: list[Piece] = []
-    for c, Fvf, g in norm_terms:
+def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
+    """The form's pieces on every level-m cell, in word order."""
+    cells: list[list[Piece]] = [[] for _ in range(3**m)]
+    for c, Fvf, g in _normalized_terms(form):
         if c == 0:
             continue
-        tf = Fvf.triple(word) if Fvf is not None else None
-        pieces.append((c, tf, g.triple(word)))
+        tfs = Fvf.triples(m) if Fvf is not None else [None] * len(cells)
+        for pieces, tf, tg in zip(cells, tfs, g.triples(m)):
+            pieces.append((c, tf, tg))
     for sigma, k in form.harmonic.items():
         if k == 0:
             continue
-        if len(word) > len(sigma) and is_prefix(sigma, word):
-            sub = int(word[len(sigma)])
-            t = descend(dz_cell_triple(sub), word[len(sigma) + 1:])
-            pieces.append((k, None, t))
+        for pieces, word in zip(cells, words(m)):
+            if len(word) > len(sigma) and is_prefix(sigma, word):
+                sub = int(word[len(sigma)])
+                pieces.append((k, None, descend(dz_cell_triple(sub), word[len(sigma) + 1:])))
     if form.exact is not None:
-        pieces.append((F1, None, form.exact.triple(word)))
-    return pieces
+        for pieces, t in zip(cells, form.exact.triples(m)):
+            pieces.append((F1, None, t))
+    return cells
 
 
 def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
@@ -1042,15 +1036,10 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     pairings (one constant left slot) or the quadrilinear kernel (both left
     slots occupied)."""
     m = max(_form_data_level(omega), _form_data_level(eta))
-    n1 = _normalized_terms(omega)
-    n2 = _normalized_terms(eta) if eta is not omega else n1
+    cells1 = _cell_pieces(omega, m)
+    cells2 = cells1 if eta is omega else _cell_pieces(eta, m)
     total = F0
-    for letters in itertools.product("012", repeat=m):
-        word = "".join(letters)
-        p1 = _pieces_on_cell(n1, omega, word)
-        if not p1:
-            continue
-        p2 = p1 if eta is omega else _pieces_on_cell(n2, eta, word)
+    for p1, p2 in zip(cells1, cells2):
         for c1, f1, g1 in p1:
             for c2, f2, g2 in p2:
                 if f1 is None and f2 is None:
@@ -1115,9 +1104,8 @@ class _GSide:
                 raise GasketError("block too shallow for the data level")
             out = np.empty((3**depth, 3))
             step = 3 ** (depth - gap)
-            for i, letters in enumerate(itertools.product("012", repeat=gap)):
-                tail = "".join(letters)
-                t = np.array([float(x) for x in vf.triple(word + tail)])
+            for i, tail in enumerate(words(gap)):
+                t = np.array([float(vf.values[p]) for p in cell_corners(word + tail)])
                 out[i * step : (i + 1) * step] = _grow(t, depth - gap)
             return out
         # dz potential: zero off C_sigma, local harmonic triples below sigma+i
@@ -1308,14 +1296,11 @@ def q_level(form: SmoothForm, n: int) -> Fraction:
     """Q_n[form] = (5/3)^n sum over E_n of the exact edge integrals squared."""
     total = F0
     norm = _normalized_terms(form)
-    for letters in itertools.product("012", repeat=n):
-        word = "".join(letters)
-        for side in range(3):
-            e = OrientedEdge(word, side)
-            v = _integrate_fixed_parts(form, e)
-            for c, Fvf, g in norm:
-                v += integrate_term_exact(c, Fvf, g, e)
-            total += v * v
+    for e in edges_at_level(n):
+        v = _integrate_fixed_parts(form, e)
+        for c, Fvf, g in norm:
+            v += integrate_term_exact(c, Fvf, g, e)
+        total += v * v
     return R53**n * total
 
 
@@ -1346,8 +1331,7 @@ def counterexample_form(n: int) -> SmoothForm:
         corner_vals = {p: scale * v for p, v in zip(corners, (Fraction(-1, 2), F0, Fraction(1, 2)))}
         chi_vals: dict = {}
         pot_vals: dict = {}
-        for letters in itertools.product("012", repeat=level):
-            word = "".join(letters)
+        for word in words(level):
             cs = cell_corners(word)
             if is_prefix(sigma, word):
                 t = descend(tuple(scale * v for v in (Fraction(-1, 2), F0, Fraction(1, 2))), word[n:])
@@ -1359,8 +1343,8 @@ def counterexample_form(n: int) -> SmoothForm:
             if len(shared) == 1:
                 for p in cs:
                     pot_vals.setdefault(p, corner_vals[shared[0]])
-        for letters in itertools.product("012", repeat=level):
-            for p in cell_corners("".join(letters)):
+        for word in words(level):
+            for p in cell_corners(word):
                 chi_vals.setdefault(p, F0)
                 pot_vals.setdefault(p, F0)
         chi = VertexFunction(level, chi_vals)
@@ -1404,11 +1388,9 @@ def nonorm_q_level(n: int, k: int) -> Fraction:
         g = _slope_function()
         return Fraction(2, 4) ** n * R53**n * g.energy_at_level(k - n)
     total = F0
-    for letters in itertools.product("012", repeat=k):
-        word = "".join(letters)
-        for side in range(3):
-            v = counterexample_integral(n, OrientedEdge(word, side))
-            total += v * v
+    for e in edges_at_level(k):
+        v = counterexample_integral(n, e)
+        total += v * v
     return R53**k * total
 
 
@@ -1418,9 +1400,7 @@ def _qdiff_relative(m: int) -> Fraction:
     pulled-back level sum shared by every support cell."""
     g = _slope_function()
     total = F0
-    for letters in itertools.product("012", repeat=m):
-        word = "".join(letters)
-        t = g.triple(word)
+    for word, t in zip(words(m), g.triples(m)):
         for side in range(3):
             e = OrientedEdge(word, side)
             dv = t[(side + 1) % 3] - t[(side + 2) % 3]
@@ -1432,14 +1412,7 @@ def _qdiff_relative(m: int) -> Fraction:
 def nonorm_q_level_diff(n: int, k: int) -> Fraction:
     """Q_k[limit - omega_n], exactly."""
     if k < n:
-        total = F0
-        for letters in itertools.product("012", repeat=k):
-            word = "".join(letters)
-            for side in range(3):
-                e = OrientedEdge(word, side)
-                v = limit_assignment_integral(e) - counterexample_integral(n, e)
-                total += v * v
-        return R53**k * total
+        return nonorm_qdiff_brute(n, k)
     # both objects restrict to the support cells with identical pulled data
     return Fraction(5, 6) ** n * _qdiff_relative(k - n)
 
@@ -1447,10 +1420,7 @@ def nonorm_q_level_diff(n: int, k: int) -> Fraction:
 def nonorm_qdiff_brute(n: int, k: int) -> Fraction:
     """Brute-force Q_k[limit - omega_n] over all of E_k (for cross-checks)."""
     total = F0
-    for letters in itertools.product("012", repeat=k):
-        word = "".join(letters)
-        for side in range(3):
-            e = OrientedEdge(word, side)
-            v = limit_assignment_integral(e) - counterexample_integral(n, e)
-            total += v * v
+    for e in edges_at_level(k):
+        v = limit_assignment_integral(e) - counterexample_integral(n, e)
+        total += v * v
     return R53**k * total

@@ -205,10 +205,15 @@ def subdivide(e: OrientedEdge, level: int) -> list[OrientedEdge]:
     return edges
 
 
+def words(n: int) -> Iterator[Word]:
+    """The 3^n words of length n in lexicographic order: the cell order of
+    every per-cell table in the package."""
+    return map("".join, itertools.product(_LETTERS, repeat=n))
+
+
 def edges_at_level(n: int) -> Iterator[OrientedEdge]:
-    """All edges of E_n with canonical orientation, in word-lexicographic order."""
-    for letters in itertools.product(_LETTERS, repeat=n):
-        word = "".join(letters)
+    """All edges of E_n with canonical orientation, word-lexicographic, then by side."""
+    for word in words(n):
         for side in range(3):
             yield OrientedEdge(word, side)
 
@@ -216,8 +221,8 @@ def edges_at_level(n: int) -> Iterator[OrientedEdge]:
 def vertices_at_level(n: int) -> list[Point]:
     """V_n, sorted by coordinates."""
     seen = set()
-    for letters in itertools.product(_LETTERS, repeat=n):
-        seen.update(cell_corners("".join(letters)))
+    for word in words(n):
+        seen.update(cell_corners(word))
     return sorted(seen, key=lambda p: (p.x, p.y))
 
 

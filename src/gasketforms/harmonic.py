@@ -8,7 +8,9 @@ the classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
 preserved, and all entries are nonnegative, so the maximum principle holds
 exactly on rational data.  Scaled by 5 the matrices have integer entries, so
 descent runs on integer triples over one common denominator D and converts
-back once, as values over D·5^k after k letters.
+back once, as values over D·5^k after k letters.  One depth-first walk over
+the cell tree in word order (``VertexFunction._walk``) drives extension,
+energies and the per-cell triple tables.
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
@@ -16,12 +18,11 @@ n >= m, which is what makes every quantity in this module an exact rational.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import GasketError
 from .geometry import (
@@ -32,6 +33,7 @@ from .geometry import (
     vertex_id,
     parse_vertex_id,
     vertices_at_level,
+    words,
 )
 
 F0 = Fraction(0)
@@ -142,35 +144,47 @@ class VertexFunction:
         word, j = locate_vertex(p, self.level)
         return self.triple(word)[j]
 
-    # -- extension and energy ----------------------------------------------
-    def _integer_cells(self) -> tuple[int, list[tuple[Word, int, int, int]]]:
-        """D and the level-m cells with corner values scaled to integers by D."""
-        D, scaled = _integers(list(self.values.values()))
-        ints = dict(zip(self.values, scaled))
-        cells = []
-        for letters in itertools.product("012", repeat=self.level):
-            word = "".join(letters)
-            cells.append((word, *(ints[p] for p in cell_corners(word))))
-        return D, cells
-
-    def extend(self, n: int) -> "VertexFunction":
+    # -- the cell walk, extension and energy ----------------------------------
+    def _walk(self, n: int) -> tuple[int, Iterator[tuple[Word, int, int, int]]]:
+        """(D, cells): every cell of levels m..n, depth first in word order,
+        as (word, a, b, c) with corner values a/den, b/den, c/den where
+        den = D·5^(len(word) - m)."""
         if n < self.level:
             raise GasketError("target level below stored level")
-        D, cells = self._integer_cells()
+        D, scaled = _integers(list(self.values.values()))
+        ints = dict(zip(self.values, scaled))
+
+        def cells():
+            stack = [(w, *(ints[p] for p in cell_corners(w))) for w in words(self.level)]
+            stack.reverse()
+            while stack:
+                cell = word, a, b, c = stack.pop()
+                yield cell
+                if len(word) < n:
+                    stack.extend((word + letter, *_step5(letter, a, b, c)) for letter in "210")
+
+        return D, cells()
+
+    def triples(self, n: int) -> list[Triple]:
+        """Corner values of the level-n cells, in word order."""
+        D, cells = self._walk(n)
+        den = D * 5 ** (n - self.level)
+        return [
+            (Fraction(a, den), Fraction(b, den), Fraction(c, den))
+            for word, a, b, c in cells
+            if len(word) == n
+        ]
+
+    def extend(self, n: int) -> "VertexFunction":
+        D, cells = self._walk(n)
         den = D * 5 ** (n - self.level)
         vals: dict[Point, Fraction] = {}
         for word, a, b, c in cells:
-            self._fill(word, a, b, c, n, den, vals)
+            if len(word) == n:
+                for p, x in zip(cell_corners(word), (a, b, c)):
+                    if p not in vals:
+                        vals[p] = Fraction(x, den)
         return VertexFunction(n, vals)
-
-    def _fill(self, word: Word, a: int, b: int, c: int, n: int, den: int, out: dict[Point, Fraction]):
-        if len(word) == n:
-            for p, x in zip(cell_corners(word), (a, b, c)):
-                if p not in out:
-                    out[p] = Fraction(x, den)
-            return
-        for letter in "012":
-            self._fill(word + letter, *_step5(letter, a, b, c), n, den, out)
 
     def energy_at_level(self, n: int) -> Fraction:
         """(5/3)^n sum over E_n of |du|^2; equal to energy() for all n >= level."""
@@ -179,11 +193,8 @@ class VertexFunction:
     def energy_with_at_level(self, other: "VertexFunction", n: int) -> Fraction:
         if n < max(self.level, other.level):
             raise GasketError("level too coarse for both functions")
-        total = F0
-        for letters in itertools.product("012", repeat=n):
-            word = "".join(letters)
-            total += graph_energy(self.triple(word), other.triple(word))
-        return Fraction(5, 3) ** n * total
+        pairs = zip(self.triples(n), other.triples(n))
+        return Fraction(5, 3) ** n * sum((graph_energy(u, v) for u, v in pairs), F0)
 
     def energy(self) -> Fraction:
         if self._energy_cache is None:
@@ -191,20 +202,11 @@ class VertexFunction:
         return self._energy_cache
 
     def energy_levels(self, n_max: int) -> list[Fraction]:
-        """[E_m, ..., E_{n_max}] in one integer descent over the cell tree."""
-        if n_max < self.level:
-            raise GasketError("target level below stored level")
+        """[E_m, ..., E_{n_max}] in one integer walk over the cell tree."""
+        D, cells = self._walk(n_max)
         acc = [0] * (n_max - self.level + 1)
-
-        def rec(a: int, b: int, c: int, depth: int):
-            acc[depth] += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
-            if depth + self.level < n_max:
-                for letter in "012":
-                    rec(*_step5(letter, a, b, c), depth + 1)
-
-        D, cells = self._integer_cells()
-        for _, a, b, c in cells:
-            rec(a, b, c, 0)
+        for word, a, b, c in cells:
+            acc[len(word) - self.level] += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
         return [
             Fraction(5, 3) ** (self.level + d) * Fraction(s, (D * 5**d) ** 2)
             for d, s in enumerate(acc)
@@ -226,16 +228,14 @@ class VertexFunction:
         if len(word) >= self.level:
             t = self.triple(word)
             return max(t) - min(t)
-        vals = []
-        for letters in itertools.product("012", repeat=self.level - len(word)):
-            vals.extend(self.triple(word + "".join(letters)))
+        vals = [self.values[p] for w in words(self.level - len(word)) for p in cell_corners(word + w)]
         return max(vals) - min(vals)
 
     def laplacian_weights(self) -> dict[Point, Fraction]:
         """Vertex weights (5/3)^m sum_{y ~ x} (u(x) - u(y)) on V_m."""
         acc: dict[Point, Fraction] = {p: F0 for p in self.values}
-        for letters in itertools.product("012", repeat=self.level):
-            corners = cell_corners("".join(letters))
+        for word in words(self.level):
+            corners = cell_corners(word)
             t = [self.values[p] for p in corners]
             for j in range(3):
                 for l in range(j + 1, 3):
@@ -272,18 +272,10 @@ class VertexFunction:
         c = Fraction(c)
         return VertexFunction(self.level, {p: c * v for p, v in self.values.items()})
 
-    def shift(self, c) -> "VertexFunction":
-        c = Fraction(c)
-        return VertexFunction(self.level, {p: v + c for p, v in self.values.items()})
-
     def is_constant(self) -> bool:
         vals = iter(self.values.values())
         first = next(vals)
         return all(v == first for v in vals)
-
-    def agrees_with(self, other: "VertexFunction") -> bool:
-        a, b = self._align(other)
-        return a.values == b.values
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:

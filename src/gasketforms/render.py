@@ -8,11 +8,10 @@ single sqrt(3) inside the top-level transform.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Optional
 
-from .geometry import ElementaryPath, OrientedEdge, Word, cell_corners, lacuna_path
+from .geometry import ElementaryPath, OrientedEdge, Word, cell_corners, lacuna_path, words
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -52,8 +51,7 @@ def render_svg(
         f'viewBox="0 0 {size} {height}">',
         f'<g transform="translate(0,{height - 1}) scale({sx:.10g},{-sy:.10g})">',
     ]
-    for letters in itertools.product("012", repeat=level):
-        word = "".join(letters)
+    for word in words(level):
         pts = _poly(cell_corners(word), scale)
         parts.append(f'<polygon class="cell" points="{pts}" fill="#d8d8d8" stroke="none"/>')
     for word in highlight_cells:

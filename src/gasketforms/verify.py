@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
-from .geometry import OrientedEdge, lacuna_path, validate_path
+from .geometry import OrientedEdge, edges_at_level, lacuna_path, validate_path, words
 from .harmonic import harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
@@ -90,8 +90,7 @@ def check_dz_norms() -> list[dict]:
     bad = 0
     count = 0
     for n in range(4):
-        for letters in itertools.product("012", repeat=n):
-            s = "".join(letters)
+        for s in words(n):
             v = fm.q_inner_exact(fm.dz_form(s), fm.dz_form(s))
             count += 1
             if v != Fraction(5, 6) * Fraction(5, 3) ** n:
@@ -100,7 +99,7 @@ def check_dz_norms() -> list[dict]:
 
 
 def check_period_matrices() -> list[dict]:
-    words4 = [""] + ["".join(w) for n in range(1, 5) for w in itertools.product("012", repeat=n)]
+    words4 = [w for n in range(5) for w in words(n)]
     ok_b = True
     for rho in words4:
         for tau in words4:
@@ -114,8 +113,7 @@ def check_period_matrices() -> list[dict]:
     ok_a = True
     ok_ab = True
     kern = coh.TriangularKernel()
-    for letters in itertools.product("012", repeat=5):
-        sigma = "".join(letters)
+    for sigma in words(5):
         chain, B, A = kern.chain_matrices(sigma)
         for r in range(len(chain)):
             for c in range(len(chain)):
@@ -131,7 +129,7 @@ def check_period_matrices() -> list[dict]:
 
 
 def check_winding_delta() -> list[dict]:
-    words3 = [""] + ["".join(w) for n in range(1, 4) for w in itertools.product("012", repeat=n)]
+    words3 = [w for n in range(4) for w in words(n)]
     ok = True
     for sigma in words3:
         for tau in words3:
@@ -143,7 +141,7 @@ def check_winding_delta() -> list[dict]:
 
 def check_orthogonality() -> list[dict]:
     rng = random.Random(20240901)
-    words2 = [""] + ["".join(w) for n in range(1, 3) for w in itertools.product("012", repeat=n)]
+    words2 = [w for n in range(3) for w in words(n)]
     ok_exact_part = True
     for _ in range(20):
         u = random_harmonic(rng.randint(0, 3), rng)
@@ -169,8 +167,7 @@ def check_hodge_consistency(depth: int) -> list[dict]:
     hd = coh.hodge_decompose(w, depth)
     ok_agree = True
     ok_nonzero = True
-    for letters in [()] + [t for n in range(1, depth + 1) for t in itertools.product("012", repeat=n)]:
-        s = "".join(letters)
+    for s in (w for n in range(depth + 1) for w in words(n)):
         proj = coh.harmonic_coefficient(w, s)
         if not hd.k[s].overlaps(proj):
             ok_agree = False
@@ -219,12 +216,9 @@ def _random_paths(rng: random.Random, count: int):
     while len(out) < count:
         level = rng.randint(1, 3)
         adjacency: dict = {}
-        for letters in itertools.product("012", repeat=level):
-            word = "".join(letters)
-            for side in range(3):
-                e = OrientedEdge(word, side)
-                adjacency.setdefault(e.source, []).append(e)
-                adjacency.setdefault(e.target, []).append(e.reversed())
+        for e in edges_at_level(level):
+            adjacency.setdefault(e.source, []).append(e)
+            adjacency.setdefault(e.target, []).append(e.reversed())
 
         def walk(start, steps):
             edges = []
@@ -246,12 +240,10 @@ def check_effective_length() -> list[dict]:
     ok_bound = True
     for n in range(5):
         bound = R35 ** (n - 1) * Fraction(3 + 2 * n, 6)
-        for letters in itertools.product("012", repeat=n):
-            word = "".join(letters)
-            for side in range(3):
-                lv = cov.effective_length(validate_path([OrientedEdge(word, side)]))
-                if lv.value > bound:
-                    ok_bound = False
+        for e in edges_at_level(n):
+            lv = cov.effective_length(validate_path([e]))
+            if lv.value > bound:
+                ok_bound = False
     lam = cov.effective_length(validate_path([OrientedEdge("", 1)]))
     ok_e1 = lam.exact and abs(lam.value - Fraction(5, 6)) <= Fraction(1, 10**12)
     rng = random.Random(555)
@@ -322,8 +314,7 @@ def check_harmonic_module() -> list[dict]:
     for _ in range(20):
         u = random_harmonic(0, rng)
         for n in range(3):
-            for letters in itertools.product("012", repeat=n):
-                w = "".join(letters)
+            for w in words(n):
                 parent = u.oscillation(w)
                 for i in "012":
                     if u.oscillation(w + i) > R35 * parent:

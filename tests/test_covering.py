@@ -131,14 +131,19 @@ def test_group_length_matches_direct_enumeration():
     for _ in range(5):
         g = cov.HomologyElement(2, {w: rng.randint(-2, 2) for w in words})
         expected = cov.group_length(g).value
+
+        def phi3(s):
+            # b_rule is 1, -1/3 or 0, so 3·phi_s(g) is an integer
+            total = 0
+            for tau, c in g.coords.items():
+                b = coh.b_rule(s, tau)
+                total += c * (3 * b.numerator // b.denominator)
+            return total
+
         brute = F(0)
         for k in range(12):
-            sup = max(
-                (abs(sum((c * coh.b_rule("".join(s), tau) for tau, c in g.coords.items()), F(0)))
-                 for s in itertools.product("012", repeat=k)),
-                default=F(0),
-            )
-            brute += F(3, 5) ** k * sup
+            sup3 = max(abs(phi3("".join(s))) for s in itertools.product("012", repeat=k))
+            brute += F(3, 5) ** k * F(sup3, 3)
         # the remaining tail is at most (max|coords| sum) * (3/5)^12 * 5/2
         slack = F(3, 5) ** 12 * F(5, 2) * sum(abs(c) for c in g.coords.values())
         assert brute <= expected <= brute + slack

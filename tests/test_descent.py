@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
+from gasketforms import geometry as geo
 from gasketforms.geometry import OrientedEdge, cell_corners, vertices_at_level
 from gasketforms.harmonic import H_MATRICES, VertexFunction, descend
 
@@ -78,3 +80,37 @@ def test_sum_left_factor_is_stable(u, w, g, data):
     assert fm.integrate_edge(form, e).value == first
     assert fm.integrate_edge(form, e).value == first
     assert fm.integrate_edge(fm.fdg(u + w, g), e).value == first
+
+
+@given(st.integers(0, 3))
+def test_words_are_lexicographic(n):
+    assert list(geo.words(n)) == ["".join(t) for t in itertools.product("012", repeat=n)]
+
+
+@given(vertex_functions(), st.integers(0, 3))
+def test_triples_match_triple(u, above):
+    n = u.level + above
+    assert u.triples(n) == [u.triple(w) for w in geo.words(n)]
+
+
+@given(vertex_functions(), st.integers(0, 2))
+def test_extension_matches_triples(u, above):
+    n = u.level + above
+    ext = u.extend(n).values
+    for w, t in zip(geo.words(n), u.triples(n)):
+        assert tuple(ext[p] for p in cell_corners(w)) == t
+
+
+@given(vertex_functions(), vertex_functions(), st.integers(0, 2))
+def test_energy_pairing_symmetric_and_level_free(u, v, above):
+    m = max(u.level, v.level)
+    value = u.energy_with_at_level(v, m)
+    assert v.energy_with_at_level(u, m) == value
+    assert u.energy_with_at_level(v, m + above) == value
+
+
+@given(vertex_functions(), st.data())
+def test_oscillation_of_coarse_cell(u, data):
+    word = data.draw(words(0, u.level))
+    vals = [x for w in geo.words(u.level - len(word)) for x in u.triple(word + w)]
+    assert u.oscillation(word) == max(vals) - min(vals)

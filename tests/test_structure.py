@@ -1,0 +1,59 @@
+"""Design guards on the library source, read with ``ast``.
+
+* Imports sit at module level: a function-local import would hide an import
+  cycle between the library modules.
+* The cell order lives in one place: ``itertools.product`` over the letters
+  "012" appears only inside ``geometry.words``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gasketforms"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _is_letter_product(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and node.args):
+        return False
+    f = node.func
+    named = (isinstance(f, ast.Attribute) and f.attr == "product") or (
+        isinstance(f, ast.Name) and f.id == "product"
+    )
+    first = node.args[0]
+    letters = (isinstance(first, ast.Constant) and first.value == "012") or (
+        isinstance(first, ast.Name) and first.id == "_LETTERS"
+    )
+    return named and letters
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"geometry.py", "harmonic.py", "forms.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text())
+    nested = [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_letter_products_only_in_words(path):
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    if path.name == "geometry.py":
+        words = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "words")
+        allowed = {id(n) for n in ast.walk(words)}
+    stray = [n.lineno for n in ast.walk(tree) if _is_letter_product(n) and id(n) not in allowed]
+    assert stray == []
