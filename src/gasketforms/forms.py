@@ -74,34 +74,52 @@ _H_FLOAT = np.array([[[float(x) for x in row] for row in H] for H in H_MATRICES]
 # rational linear solve
 # ---------------------------------------------------------------------------
 
+def _primitive(row: list[int]) -> list[int]:
+    """Divide an integer row by its content (the gcd of its entries)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve an overdetermined consistent system with a unique solution."""
+    """Solve an overdetermined consistent system with a unique solution.
+
+    Fraction-free elimination: each augmented row is scaled once to coprime
+    integers, rows below the pivot are replaced by p·row − f·pivot_row divided
+    by their content, and the pivot of each column is the candidate of least
+    magnitude, which keeps the integers short.  Fractions appear only in back
+    substitution, so the solution is the same rationals as exact Gauss–Jordan.
+    """
+    if not rows or len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
+        raise GasketError("linear system is empty or ragged")
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: dict[int, int] = {}
+    aug = []
+    for coeffs, b in zip(rows, rhs):
+        row = list(coeffs) + [b]
+        den = math.lcm(*(x.denominator for x in row))
+        aug.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     r = 0
     for c in range(n):
-        piv = next((k for k in range(r, len(aug)) if aug[k][c] != 0), None)
-        if piv is None:
+        live = [k for k in range(r, len(aug)) if aug[k][c]]
+        if not live:
             continue
+        piv = min(live, key=lambda k: abs(aug[k][c]))
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        row_r = aug[r]
-        for k in range(len(aug)):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [x - f * y for x, y in zip(aug[k], row_r)]
-        pivots[c] = r
+        tail = aug[r][c:]
+        p = tail[0]
+        for k in range(r + 1, len(aug)):
+            f = aug[k][c]
+            if f:
+                # columns before c are zero in both rows
+                aug[k] = [0] * c + _primitive([p * x - f * y for x, y in zip(aug[k][c:], tail)])
         r += 1
-    for k in range(r, len(aug)):
-        if aug[k][n] != 0:
-            raise GasketError("inconsistent linear system")
-    if len(pivots) < n:
+    if any(aug[k][n] for k in range(r, len(aug))):
+        raise GasketError("inconsistent linear system")
+    if r < n:
         raise GasketError("linear system does not pin a unique solution")
     out = [F0] * n
-    for c, rr in pivots.items():
-        out[c] = aug[rr][n]
+    for c in reversed(range(n)):
+        row = aug[c]
+        out[c] = (row[n] - sum(row[j] * out[j] for j in range(c + 1, n))) / Fraction(row[c])
     return out
 
 

@@ -58,6 +58,7 @@ def check_product_table(tolerance: Fraction) -> list[dict]:
         if v != _aijk_expected(i, j, k):
             bad.append((i, j, k, v))
     worst = 0.0
+    radius = F0
     encl = True
     for i, j, k in itertools.product(range(3), repeat=3):
         cv = fm.q_inner_certified(
@@ -65,12 +66,13 @@ def check_product_table(tolerance: Fraction) -> list[dict]:
         )
         exact = _aijk_expected(i, j, k)
         worst = max(worst, abs(float(cv.value) - float(exact)))
+        radius = max(radius, cv.radius)
         encl = encl and cv.contains(exact)
     return [
         _item("product-table-exact-27", not bad, "all in {1, +-1/2, 0}",
               "all match" if not bad else f"{len(bad)} mismatches"),
         _item("product-table-certified-n12", worst <= 1e-6 and encl,
-              "agreement within 1e-6", worst, radius=Fraction(1, 10**6)),
+              "agreement within 1e-6", worst, radius=radius),
     ]
 
 

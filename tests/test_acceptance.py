@@ -3,8 +3,12 @@ depth and tolerance; each test prints its pass/fail line (visible with -s)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from gasketforms import forms as fm
+from gasketforms.harmonic import harmonic_basis
 from gasketforms.verify import run_suite
 
 
@@ -25,6 +29,16 @@ def _criterion(report, num: str):
 
 def test_criterion_01_product_table(report):
     _criterion(report, "1")
+
+
+def test_product_table_radius_covers_certified_radii(report):
+    """The reported radius is the worst of the 27 certified radii, so it is at
+    least the radius of any one of them."""
+    item = next(s for s in report["suite"] if s["name"] == "product-table-certified-n12")
+    f = harmonic_basis()
+    cv = fm.q_inner_certified(fm.d(f[0]), fm.fdg(f[1], f[2]), tolerance=Fraction(1, 10**9),
+                              max_level=12, strict=False)
+    assert float(item["radius"]) >= float(f"{float(cv.radius):.6g}")
 
 
 def test_criterion_02_lacuna_pairing(report):

@@ -1,0 +1,175 @@
+"""The kernel solves: `solve_unique` against a Fraction Gauss–Jordan oracle,
+and the kernels it produces pinned by their defining identities."""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gasketforms import forms as fm
+from gasketforms.errors import GasketError
+from gasketforms.harmonic import H_MATRICES
+
+F = Fraction
+Q_KERNEL_SHA256 = "f71fb451928625ad48873b831f278e429b8d02f41b291c7d6256df531d3bcdaa"
+
+
+def reference_solve(rows, rhs):
+    """Fraction Gauss–Jordan with first-nonzero pivots (test oracle only)."""
+    n = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        piv = next((k for k in range(r, len(aug)) if aug[k][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        row_r = aug[r]
+        for k in range(len(aug)):
+            if k != r and aug[k][c] != 0:
+                f = aug[k][c]
+                aug[k] = [x - f * y for x, y in zip(aug[k], row_r)]
+        pivots[c] = r
+        r += 1
+    for k in range(r, len(aug)):
+        if aug[k][n] != 0:
+            raise GasketError("inconsistent linear system")
+    if len(pivots) < n:
+        raise GasketError("linear system does not pin a unique solution")
+    out = [F(0)] * n
+    for c, rr in pivots.items():
+        out[c] = aug[rr][n]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# solve_unique
+# ---------------------------------------------------------------------------
+
+@st.composite
+def systems(draw, min_n: int = 1, drop_core_row: bool = False, min_extra: int = 0):
+    """A consistent system (rows, rhs, x, extra) in shuffled row order.
+
+    The core is L·U with L unit lower and U upper triangular with a nonzero
+    diagonal, so it is invertible; its entries are integers or rationals.
+    The extra rows (flagged in `extra`) are rational combinations of the core
+    rows, or zero rows.  With `drop_core_row` the last core row is left out
+    before the extra rows are formed, so the system has rank n - 1.
+    """
+    n = draw(st.integers(min_n, 4))
+    vals = st.fractions(min_value=-6, max_value=6, max_denominator=draw(st.sampled_from([1, 6])))
+    U = [[draw(vals.filter(bool)) if j == i else (draw(vals) if j > i else F(0))
+          for j in range(n)] for i in range(n)]
+    L = [[F(1) if j == i else (draw(vals) if j < i else F(0)) for j in range(n)] for i in range(n)]
+    core = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if drop_core_row:
+        core = core[:-1]
+    x = draw(st.lists(vals, min_size=n, max_size=n))
+    eqs = [(row, sum(a * xi for a, xi in zip(row, x)), False) for row in core]
+    for _ in range(draw(st.integers(min_extra, 3))):
+        coeffs = draw(st.lists(vals, min_size=len(core), max_size=len(core)))
+        row = [sum(c * r[j] for c, r in zip(coeffs, core)) for j in range(n)]
+        eqs.append((row, sum(a * xi for a, xi in zip(row, x)), True))
+    eqs += [([F(0)] * n, F(0), True)] * draw(st.integers(0, 2))
+    eqs = draw(st.permutations(eqs))
+    return [e[0] for e in eqs], [e[1] for e in eqs], x, [e[2] for e in eqs]
+
+
+@given(systems())
+def test_solve_matches_reference(system):
+    rows, rhs, x, _ = system
+    assert fm.solve_unique(rows, rhs) == reference_solve(rows, rhs) == x
+
+
+@given(systems(min_extra=1), st.data())
+def test_perturbed_rhs_is_inconsistent(system, data):
+    rows, rhs, _, extra = system
+    k = data.draw(st.sampled_from([i for i, e in enumerate(extra) if e]))
+    rhs = list(rhs)
+    rhs[k] += data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    for solve in (fm.solve_unique, reference_solve):
+        with pytest.raises(GasketError, match="inconsistent"):
+            solve(rows, rhs)
+
+
+@given(systems(min_n=2, drop_core_row=True))
+def test_rank_deficient_is_not_unique(system):
+    rows, rhs, _, _ = system
+    for solve in (fm.solve_unique, reference_solve):
+        with pytest.raises(GasketError, match="does not pin a unique solution"):
+            solve(rows, rhs)
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([], []),
+    ([[F(1), F(2)], [F(3)]], [F(1), F(2)]),
+    ([[F(1)]], [F(1), F(2)]),
+])
+def test_empty_or_ragged_system_is_refused(rows, rhs):
+    with pytest.raises(GasketError, match="empty or ragged"):
+        fm.solve_unique(rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the kernels
+# ---------------------------------------------------------------------------
+
+def _w(W, a, b, c, d):
+    return W[((a * 3 + b) * 3 + c) * 3 + d]
+
+
+def test_q_kernel_pinned():
+    text = ",".join(f"{x.numerator}/{x.denominator}" for x in fm.q_kernel())
+    assert hashlib.sha256(text.encode()).hexdigest() == Q_KERNEL_SHA256
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_q_kernel_corner_relabelling(perm):
+    W = fm.q_kernel()
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        assert _w(W, perm[a], perm[b], perm[c], perm[d]) == _w(W, a, b, c, d)
+
+
+def test_q_kernel_transpose_symmetry():
+    W = fm.q_kernel()
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        assert _w(W, a, b, c, d) == _w(W, c, d, a, b)
+
+
+def test_q_kernel_self_similar_fixed_point():
+    """W = (5/3)·Σ_i W∘H_i^{⊗4}, entry by entry in rationals."""
+    W = fm.q_kernel()
+    slots = range(3)
+    for a, b, c, d in itertools.product(slots, repeat=4):
+        acc = F(0)
+        for H in H_MATRICES:
+            for j, k, l, m in itertools.product(slots, repeat=4):
+                h = H[j][a] * H[k][b] * H[l][c] * H[m][d]
+                if h:
+                    acc += h * _w(W, j, k, l, m)
+        assert F(5, 3) * acc == _w(W, a, b, c, d)
+
+
+@pytest.mark.parametrize("side", range(3))
+def test_edge_kernel_identities(side):
+    X = fm.edge_kernel(side)
+    src, tgt = (side + 2) % 3, (side + 1) % 3
+    # refinement fixed point: X = Σ over the two child cells on the side of H^T X H
+    for j, k in itertools.product(range(3), repeat=2):
+        refined = sum(
+            H[p][j] * X[p][q] * H[q][k]
+            for H in (H_MATRICES[src], H_MATRICES[tgt])
+            for p, q in itertools.product(range(3), repeat=2)
+        )
+        assert refined == X[j][k]
+    # column sums: the integral of 1·dg is g(target) - g(source)
+    for k in range(3):
+        assert sum(X[j][k] for j in range(3)) == (k == tgt) - (k == src)
