@@ -19,10 +19,13 @@ energy inner product Q, and both are used by the test suite:
   identities); Q is evaluated by vertex-Laplacian pairings when one left slot
   is constant and through the quadrilinear self-similar fixed-point kernel
   when both are occupied.
-* certified mode evaluates the dyadic Riemann sums I_n, or the level sums
-  Q~_n = (5/3)^n sum |omega(e)|^2-type pairings, in floating point, and
-  reports a sound rational radius from the geometric tail constants
-  ((3/5)^n for integrals, (3/5)^(n/2)-rate bounds for Q).
+* certified mode stops at a finite level n and reports a sound rational
+  radius from the geometric tail constants ((3/5)^n for integrals,
+  (3/5)^(n/2)-rate bounds for Q).  Edge integrals take the dyadic Riemann
+  sum I_n exactly, as cached multilinear integer kernels (the level-0 sum
+  refined by the side's two child matrices) contracted with corner triples,
+  and round it once to a float; Q evaluates the level sums
+  Q~_n = (5/3)^n sum |omega(e)|^2-type pairings in floating point.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .harmonic import (
     H_MATRICES,
     Triple,
     VertexFunction,
+    _integers,
     corner_weights,
     descend,
     graph_energy,
@@ -80,7 +84,7 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def solve_unique(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction]:
     """Solve an overdetermined consistent system with a unique solution.
 
     Fraction-free elimination: each augmented row is scaled once to coprime
@@ -614,44 +618,47 @@ def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
 # exact edge-integral kernels
 # ---------------------------------------------------------------------------
 
-def _side_letters(side: int) -> tuple[int, int]:
-    return (side + 2) % 3, (side + 1) % 3
+# 5·H_i: the refinement matrices scaled to integers
+_H5 = tuple(tuple(tuple(int(5 * x) for x in row) for row in H) for H in H_MATRICES)
 
 
-def _riemann_kernel(side: int) -> list[list[Fraction]]:
-    src, tgt = _side_letters(side)
-    M = [[F0] * 3 for _ in range(3)]
-    M[tgt][tgt] = F1
-    M[tgt][src] = -F1
-    return M
+def _refine_modes(T: Sequence[int], A: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The flat order-k tensor T with A applied to every mode:
+    out[i_1..i_k] = sum_j T[j_1..j_k]·A[j_1][i_1]⋯A[j_k][i_k].
 
-
-def _refine_kernel(M: Sequence[Sequence[Fraction]], side: int) -> list[list[Fraction]]:
-    a, b = _side_letters(side)
-    out = [[F0] * 3 for _ in range(3)]
-    for Hm in (H_MATRICES[a], H_MATRICES[b]):
-        # H^T M H
-        for j in range(3):
-            for k in range(3):
-                acc = F0
-                for p in range(3):
-                    if Hm[p][j] == 0:
-                        continue
-                    for q in range(3):
-                        acc += Hm[p][j] * M[p][q] * Hm[q][k]
-                out[j][k] += acc
-    return out
+    Each pass transforms the last mode and moves it to the front, so k passes
+    transform every mode once and restore the mode order."""
+    third = len(T) // 3
+    for _ in range(k):
+        out = [0] * len(T)
+        for r in range(third):
+            x, y, z = T[3 * r : 3 * r + 3]
+            for i in range(3):
+                out[i * third + r] = x * A[0][i] + y * A[1][i] + z * A[2][i]
+        T = out
+    return T
 
 
 @lru_cache(maxsize=None)
-def riemann_kernel_at(side: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel of the level-n dyadic Riemann sum I_n over one canonical side."""
+def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
+    """Level-n dyadic Riemann kernel of L_1⋯L_p(t)·(g(t) - g(s))·R_1⋯R_q(s)
+    over one canonical side, t its target corner and s its source corner.
+
+    A dense flat tensor over {0,1,2}^(p+1+q), slots in the order L_1..L_p, g,
+    R_1..R_q with the first slot most significant, scaled by 5^((p+1+q)·n) to
+    integers: contracted with the factors' corner triples on a cell it gives
+    5^((p+1+q)·n)·I_n over that cell's side.  The level-0 sum seeds it; each
+    level applies the side's two child letters (5·H_i on every mode) and adds,
+    because the side's sub-edges lie in those two children."""
+    k = p + 1 + q
+    s, t = (side + 2) % 3, (side + 1) % 3
     if n == 0:
-        M = _riemann_kernel(side)
-    else:
-        M = [list(r) for r in riemann_kernel_at(side, n - 1)]
-        M = _refine_kernel(M, side)
-    return tuple(tuple(r) for r in M)
+        R = [0] * 3**k  # flat index: the slots' corners read as base-3 digits
+        R[int(f"{t}" * (p + 1) + f"{s}" * q, 3)] = 1
+        R[int(f"{t}" * p + f"{s}" * (q + 1), 3)] = -1
+        return tuple(R)
+    prev = riemann_kernel(side, p, q, n - 1)
+    return tuple(x + y for x, y in zip(_refine_modes(prev, _H5[s], k), _refine_modes(prev, _H5[t], k)))
 
 
 @lru_cache(maxsize=None)
@@ -755,21 +762,60 @@ def integrate_term_exact(
     return coeff * total
 
 
-def integrate_term_riemann(
-    coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge, n: int
+def _monomial_riemann(
+    left: Sequence[VertexFunction], g: VertexFunction, right: Sequence[VertexFunction], e: OrientedEdge, n: int
 ) -> Fraction:
-    """Exact value of the level-n dyadic Riemann sum I_n(e)(F dg), n >= data level."""
-    m = max(g.level, F.level if F is not None else 0, e.level)
+    """Exact I_n(e) of L_1⋯L_p·dg·R_1⋯R_q for piecewise-harmonic factors: the
+    level-n kernel contracted with the factors' corner triples on every
+    sub-edge of e at the data level m (n >= m)."""
+    slots = (*left, g, *right)
+    m = max(e.level, *(f.level for f in slots))
     if n < m:
         raise GasketError("Riemann level below the data level")
     total = F0
     for sub in subdivide(e, m):
-        tg = g.triple(sub.cell)
-        tf = F.triple(sub.cell) if F is not None else None
-        M = riemann_kernel_at(sub.side, n - m)
-        val = kernel_apply(M, tf, tg)
-        total += val if sub.sign == 1 else -val
-    return coeff * total
+        acc, den = riemann_kernel(sub.side, len(left), len(right), n - m), 1
+        for f in reversed(slots):  # contract the last slot first
+            D, (x, y, z) = _integers(f.triple(sub.cell))
+            acc = [acc[i] * x + acc[i + 1] * y + acc[i + 2] * z for i in range(0, len(acc), 3)]
+            den *= D
+        total += Fraction(sub.sign * acc[0], den)
+    return total / 5 ** (len(slots) * (n - m))
+
+
+def integrate_term_riemann(
+    coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge, n: int
+) -> Fraction:
+    """Exact value of the level-n dyadic Riemann sum I_n(e)(F dg), n >= data level."""
+    return coeff * _monomial_riemann(() if F is None else (F,), g, (), e, n)
+
+
+def _monomials(expr: Expr) -> list[tuple[Fraction, tuple[VertexFunction, ...]]]:
+    """expr as a sum of rational multiples of products of piecewise-harmonic
+    functions; a factor that reduces to one function stays one factor."""
+    c = expr.as_const()
+    if c is not None:
+        return [(c, ())] if c else []
+    vf = expr.as_vf()
+    if vf is not None:
+        return [(F1, (vf,))]
+    if isinstance(expr, Sum):
+        return [mono for t in expr.terms for mono in _monomials(t)]
+    out = [(F1, ())]
+    for t in expr.terms:  # a Product: Const and Atom always reduce
+        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in _monomials(t)]
+    return out
+
+
+def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
+    """The level-n dyadic Riemann sum I_n(e) of the universal part, exactly;
+    n must be at least the data level of every term."""
+    total = F0
+    for t in form.terms:
+        for cl, left in _monomials(t.left):
+            for cr, right in _monomials(t.right):
+                total += cl * cr * _monomial_riemann(left, t.g, right, e, n)
+    return total
 
 
 def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
@@ -797,13 +843,12 @@ def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
     return total
 
 
-_REFINE_CAP = 20  # dyadic doublings above the data level in certified mode
+_REFINE_CAP = 128  # Riemann levels above the data level in certified mode
 
 
-def _certified_universal(form: SmoothForm, e: OrientedEdge, tol: Fraction) -> CertifiedValue:
-    """Iterate the dyadic refinement identity with the geometric tail bound."""
-    if not form.terms:
-        return CertifiedValue.from_exact(0)
+def _certified_universal(form: SmoothForm, e: OrientedEdge, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """(I_n, tail bound) at the least level n whose geometric tail bound
+    (3/2)(3/5)^n·K is at most tol/2, or at the refinement cap."""
     # sound tail constant: sum over terms of |a| sqrt(E[g]E[b]) + |b| sqrt(E[a]E[g])
     K = F0
     for t in form.terms:
@@ -811,41 +856,11 @@ def _certified_universal(form: SmoothForm, e: OrientedEdge, tol: Fraction) -> Ce
         K += t.left.sup_ub() * sqrt_upper(Eg * t.right.energy_ub())
         K += t.right.sup_ub() * sqrt_upper(t.left.energy_ub() * Eg)
     base = max([e.level] + [max(t.left.max_level(), t.g.level, t.right.max_level()) for t in form.terms])
-    atoms: dict[int, VertexFunction] = {}
-    for t in form.terms:
-        for a in t.left.atoms() + [t.g] + t.right.atoms():
-            atoms[id(a)] = a
-    subs = subdivide(e, base)
-    arrays = {
-        key: np.array([[float(x) for x in vf.triple(s.cell)] for s in subs])
-        for key, vf in atoms.items()
-    }
-    # the Riemann sums run along the canonical orientation; a reversed edge
-    # negates them, as the exact route does
-    side, sign = e.side, e.sign
-    tcol, scol = (side + 1) % 3, (side + 2) % 3
-    a_letter, b_letter = _side_letters(side)
-
-    def riemann(arr_map):
-        val = 0.0
-        for t in form.terms:
-            g = arr_map[id(t.g)]
-            val += float(np.sum(t.left.cols(arr_map, tcol) * (g[:, tcol] - g[:, scol]) * t.right.cols(arr_map, scol)))
-        return sign * val
-
-    n = base
-    value = riemann(arrays)
-    tail = Fraction(3, 2) * R35**n * K
-    while tail > tol and n - base < _REFINE_CAP:
-        arrays = {
-            key: np.concatenate([arr @ _H_FLOAT[a_letter].T, arr @ _H_FLOAT[b_letter].T])
-            for key, arr in arrays.items()
-        }
+    n, tail = base, Fraction(3, 2) * R35**base * K
+    while tail > tol / 2 and n - base < _REFINE_CAP:
         n += 1
-        value = riemann(arrays)
-        tail = Fraction(3, 2) * R35**n * K
-    slop = Fraction(1, 10**10) * (1 + Fraction(math.ceil(abs(value))))
-    return CertifiedValue(value, tail + slop)
+        tail *= R35
+    return riemann_sum(form, e, n), tail
 
 
 def integrate_edge(
@@ -857,17 +872,20 @@ def integrate_edge(
     """Integral of a smooth form over one oriented edge.
 
     The harmonic and exact parts always integrate exactly; the mode only
-    selects the route for the universal part.
+    selects the route for the universal part.  Certified mode rounds the
+    exact sum of the fixed parts and I_n once, so its radius is the tail
+    bound plus half an ulp of the value.
     """
     fixed = _integrate_fixed_parts(form, e)
     if mode == "exact":
         return CertifiedValue.from_exact(fixed + _integrate_universal_exact(form, e))
     if mode != "certified":
         raise GasketError(f"unknown mode {mode!r}")
-    cv = _certified_universal(form, e, Fraction(tolerance))
-    if cv.exact:
-        return CertifiedValue.from_exact(fixed + cv.value)
-    return CertifiedValue(float(fixed) + cv.value, cv.radius)
+    if not form.terms:
+        return CertifiedValue.from_exact(fixed)
+    value, tail = _certified_universal(form, e, Fraction(tolerance))
+    v = float(fixed + value)
+    return CertifiedValue(v, tail + Fraction(math.ulp(v)) / 2)
 
 
 def integrate_path(
@@ -912,69 +930,49 @@ def q_kernel() -> tuple[Fraction, ...]:
     def idx(a, b, c, dd):
         return ((a * 3 + b) * 3 + c) * 3 + dd
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # fixed point W = (5/3) sum_i W o H_i^{x4}
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for dd in range(3):
-                    row = [F0] * 81
-                    row[idx(a, b, c, dd)] += F1
-                    for H in H_MATRICES:
-                        for j in range(3):
-                            if H[j][a] == 0:
-                                continue
-                            for k in range(3):
-                                if H[k][b] == 0:
-                                    continue
-                                for l in range(3):
-                                    if H[l][c] == 0:
-                                        continue
-                                    for m in range(3):
-                                        if H[m][dd] == 0:
-                                            continue
-                                        row[idx(j, k, l, m)] -= R53 * H[j][a] * H[k][b] * H[l][c] * H[m][dd]
-                    rows.append(row)
-                    rhs.append(F0)
+    rows: list[list[int]] = []
+    rhs: list[Fraction | int] = []
+    # fixed point W = (5/3) sum_i W o H_i^{x4}, times 375 over the integer
+    # matrices 5·H_i: 375·W[a,b,c,d] = sum_i sum (5H_i)[j][a]⋯(5H_i)[m][d]·W[j,k,l,m]
+    cols = [[[(j, H[j][a]) for j in range(3) if H[j][a]] for a in range(3)] for H in _H5]
+    for a, b, c, dd in itertools.product(range(3), repeat=4):
+        row = [0] * 81
+        row[idx(a, b, c, dd)] = 375
+        for col in cols:
+            for (j, x), (k, y), (l, z), (m, w) in itertools.product(col[a], col[b], col[c], col[dd]):
+                row[idx(j, k, l, m)] -= x * y * z * w
+        rows.append(row)
+        rhs.append(0)
     basis = [(F1, F0, F0), (F0, F1, F0), (F0, F0, F1)]
-    for a in range(3):
-        for c in range(3):
-            for dd in range(3):
-                row = [F0] * 81
-                for b in range(3):
-                    row[idx(a, b, c, dd)] = F1
-                rows.append(row)
-                rhs.append(F0)
-    for a in range(3):
+    # constant slots annihilate: sum over the g slot or over the k slot is 0
+    for a, c, dd in itertools.product(range(3), repeat=3):
+        row = [0] * 81
         for b in range(3):
-            for c in range(3):
-                row = [F0] * 81
-                for dd in range(3):
-                    row[idx(a, b, c, dd)] = F1
-                rows.append(row)
-                rhs.append(F0)
+            row[idx(a, b, c, dd)] = 1
+        rows.append(row)
+        rhs.append(0)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        row = [0] * 81
+        for dd in range(3):
+            row[idx(a, b, c, dd)] = 1
+        rows.append(row)
+        rhs.append(0)
     # transpose symmetry Q(w, e) = Q(e, w)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for dd in range(3):
-                    if (a, b) <= (c, dd):
-                        continue
-                    row = [F0] * 81
-                    row[idx(a, b, c, dd)] += F1
-                    row[idx(c, dd, a, b)] -= F1
-                    rows.append(row)
-                    rhs.append(F0)
+    for a, b, c, dd in itertools.product(range(3), repeat=4):
+        if (a, b) <= (c, dd):
+            continue
+        row = [0] * 81
+        row[idx(a, b, c, dd)] = 1
+        row[idx(c, dd, a, b)] = -1
+        rows.append(row)
+        rhs.append(0)
     # single-slot anchors: sum_a W[a,b,c,d] = Q(db, f_c d f_d)
-    for b in range(3):
-        for c in range(3):
-            for dd in range(3):
-                row = [F0] * 81
-                for a in range(3):
-                    row[idx(a, b, c, dd)] = F1
-                rows.append(row)
-                rhs.append(_single_slot_q(basis[b], basis[c], basis[dd]))
+    for b, c, dd in itertools.product(range(3), repeat=3):
+        row = [0] * 81
+        for a in range(3):
+            row[idx(a, b, c, dd)] = 1
+        rows.append(row)
+        rhs.append(_single_slot_q(basis[b], basis[c], basis[dd]))
     sol = solve_unique(rows, rhs)
     return tuple(sol)
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketforms import forms as fm
 from gasketforms.errors import ExactnessUnavailableError, NonConvergentError
@@ -163,6 +165,157 @@ def test_certified_reversed_edges(cell, side):
     assert cf.contains(fm.integrate_edge(w, fwd).value)
     assert cb.contains(fm.integrate_edge(w, back).value)
     assert cb.value == -cf.value and cb.radius == cf.radius
+
+
+# ---------------------------------------------------------------------------
+# the multilinear Riemann kernels behind certified edge integrals
+# ---------------------------------------------------------------------------
+
+def _at(expr, cell, corner):
+    """An expression's value at one corner of a cell, from the atoms' triples."""
+    if isinstance(expr, fm.Const):
+        return expr.c
+    if isinstance(expr, fm.Atom):
+        return expr.vf.triple(cell)[corner]
+    vals = [_at(t, cell, corner) for t in expr.terms]
+    if isinstance(expr, fm.Sum):
+        return sum(vals)
+    out = F(1)
+    for v in vals:
+        out *= v
+    return out
+
+
+def _brute_riemann(form, e, n):
+    """I_n(e) by enumerating the level-n sub-edges in canonical orientation."""
+    total = F(0)
+    for sub in subdivide(e, n):
+        t, s = (sub.side + 1) % 3, (sub.side + 2) % 3
+        for term in form.terms:
+            gt = term.g.triple(sub.cell)
+            total += sub.sign * _at(term.left, sub.cell, t) * (gt[t] - gt[s]) * _at(term.right, sub.cell, s)
+    return total
+
+
+@st.composite
+def _factor(draw, slots: int):
+    """A factor with the given number of kernel slots, built as Const, Atom,
+    Sum or Product; a Sum or a scaled atom that reduces to one function is
+    one slot."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def vf():
+        return fm.Atom(random_harmonic(draw(st.integers(0, 2)), rng, span=5))
+
+    c = fm.Const(F(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+    if slots == 0:
+        return c
+    if slots == 1:
+        return draw(st.sampled_from([vf(), fm.Sum([vf(), vf()]), fm.Product([c, vf()]), fm.Sum([vf(), c])]))
+    return draw(st.sampled_from([
+        fm.Product([vf(), vf()]),
+        fm.Product([fm.Sum([vf(), c]), vf()]),
+        fm.Sum([fm.Product([vf(), vf()]), fm.Product([c, vf(), vf()])]),
+    ]))
+
+
+@st.composite
+def _shaped_forms(draw):
+    p, q = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    g = random_harmonic(draw(st.integers(0, 2)), rng, span=5)
+    return fm.SmoothForm(terms=(fm.FormTerm(draw(_factor(p)), g, draw(_factor(q))),))
+
+
+edges = st.builds(
+    OrientedEdge,
+    st.text(alphabet="012", max_size=2),
+    st.integers(0, 2),
+    st.sampled_from([1, -1]),
+)
+
+
+def _base(form, e):
+    return max([e.level] + [max(t.left.max_level(), t.g.level, t.right.max_level()) for t in form.terms])
+
+
+@settings(max_examples=60)
+@given(_shaped_forms(), edges, st.integers(0, 3))
+def test_riemann_kernel_matches_enumeration(form, e, n):
+    level = _base(form, e) + n
+    assert fm.riemann_sum(form, e, level) == _brute_riemann(form, e, level)
+
+
+@settings(max_examples=10)
+@given(_shaped_forms(), edges)
+def test_riemann_kernel_matches_float_enumeration_at_12(form, e):
+    """Float oracle: corner values grown to level 12 with numpy, summed."""
+    Hf = np.array([[[float(x) for x in row] for row in H] for H in H_MATRICES])
+    # the side's sub-edges lie in the children s and t of its source and target corners
+    s, t = (e.side + 2) % 3, (e.side + 1) % 3
+    total = 0.0
+    for sub in subdivide(e, _base(form, e)):
+        cache = {}
+
+        def grow(vf):
+            if id(vf) not in cache:
+                arr = np.array([[float(x) for x in vf.triple(sub.cell)]])
+                for _ in range(12 - len(sub.cell)):
+                    arr = np.concatenate([arr @ Hf[s].T, arr @ Hf[t].T])
+                cache[id(vf)] = arr
+            return cache[id(vf)]
+
+        def cols(expr, col):
+            if isinstance(expr, fm.Const):
+                return float(expr.c)
+            if isinstance(expr, fm.Atom):
+                return grow(expr.vf)[:, col]
+            vals = [cols(x, col) for x in expr.terms]
+            return sum(vals) if isinstance(expr, fm.Sum) else np.prod(np.broadcast_arrays(*vals), axis=0)
+
+        for term in form.terms:
+            G = grow(term.g)
+            total += sub.sign * float(np.sum(cols(term.left, t) * (G[:, t] - G[:, s]) * cols(term.right, s)))
+    exact = float(fm.riemann_sum(form, e, 12))
+    assert abs(exact - total) <= 1e-12 * (1 + abs(exact))
+
+
+@given(_shaped_forms(), edges)
+def test_certified_reversal_is_exact_negation(form, e):
+    fwd = fm.integrate_edge(form, e, mode="certified")
+    back = fm.integrate_edge(form, e.reversed(), mode="certified")
+    assert back.value == -fwd.value and back.radius == fwd.radius
+
+
+@pytest.mark.parametrize("side", [0, 1, 2])
+def test_bilinear_kernel_matches_fraction_refinement(side):
+    """The (p, q) = (1, 0) kernel against M_(n+1) = sum_i H_i^T M_n H_i over
+    the side's two child letters, in Fractions."""
+    s, t = (side + 2) % 3, (side + 1) % 3
+    M = [[F(0)] * 3 for _ in range(3)]
+    M[t][t], M[t][s] = F(1), F(-1)
+    for n in range(21):
+        K = fm.riemann_kernel(side, 1, 0, n)
+        assert [[F(K[3 * j + k], 5 ** (2 * n)) for k in range(3)] for j in range(3)] == M
+        M = [
+            [sum(H[a][j] * M[a][c] * H[c][k] for H in (H_MATRICES[s], H_MATRICES[t])
+                 for a in range(3) for c in range(3)) for k in range(3)]
+            for j in range(3)
+        ]
+
+
+def test_certified_meets_tolerance_and_reports_a_miss():
+    w = fm.fdg(f0, f1)
+    e = OrientedEdge("1", 2, -1)
+    exact = fm.integrate_edge(w, e).value
+    for tol in (F(1, 10**9), F(1, 10**15)):
+        cv = fm.integrate_edge(w, e, mode="certified", tolerance=tol)
+        assert cv.radius <= tol and cv.contains(exact)
+    prod = fm.multiply_form(f2, w, side="left")
+    assert fm.integrate_edge(prod, e, mode="certified").radius <= F(1, 10**9)
+    # no level meets a zero tolerance: the radius at the cap says so
+    miss = fm.integrate_edge(w, e, mode="certified", tolerance=F(0))
+    assert miss.radius > 0 and miss.contains(exact)
 
 
 def test_trace_property_certified():

@@ -4,6 +4,9 @@
   cycle between the library modules.
 * The cell order lives in one place: ``itertools.product`` over the letters
   "012" appears only inside ``geometry.words``.
+* The certified edge route is exact arithmetic up to one final rounding: no
+  function reachable from ``_certified_universal`` or ``riemann_kernel`` in
+  ``forms.py`` references numpy, so the 2^n-row float arrays stay gone.
 """
 
 from __future__ import annotations
@@ -57,3 +60,18 @@ def test_letter_products_only_in_words(path):
         allowed = {id(n) for n in ast.walk(words)}
     stray = [n.lineno for n in ast.walk(tree) if _is_letter_product(n) and id(n) not in allowed]
     assert stray == []
+
+
+def test_certified_edge_route_uses_no_numpy():
+    tree = ast.parse((SRC / "forms.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo, seen = ["_certified_universal", "riemann_kernel"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert "np" not in names, f"{name} uses numpy"
+        todo.extend(names & functions.keys())
+    assert {"riemann_sum", "_monomial_riemann", "_refine_modes"} <= seen
