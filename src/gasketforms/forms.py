@@ -639,6 +639,14 @@ def _refine_modes(T: Sequence[int], A: Sequence[Sequence[int]], k: int) -> list[
     return T
 
 
+# Work budget of the Riemann route.  A monomial with k slots (its factors and
+# g) contracts a dense kernel of 3^k integers at every cached level, and a
+# Product of Sums that do not reduce expands into the product of their
+# monomial counts; larger forms are refused before any kernel is built.
+_KERNEL_SLOTS_MAX = 6
+_MONOMIALS_MAX = 256
+
+
 @lru_cache(maxsize=None)
 def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
     """Level-n dyadic Riemann kernel of L_1⋯L_p(t)·(g(t) - g(s))·R_1⋯R_q(s)
@@ -651,6 +659,8 @@ def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
     level applies the side's two child letters (5·H_i on every mode) and adds,
     because the side's sub-edges lie in those two children."""
     k = p + 1 + q
+    if k > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Riemann kernel of {k} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
     s, t = (side + 2) % 3, (side + 1) % 3
     if n == 0:
         R = [0] * 3**k  # flat index: the slots' corners read as base-3 digits
@@ -792,30 +802,37 @@ def integrate_term_riemann(
 
 def _monomials(expr: Expr) -> list[tuple[Fraction, tuple[VertexFunction, ...]]]:
     """expr as a sum of rational multiples of products of piecewise-harmonic
-    functions; a factor that reduces to one function stays one factor."""
+    functions; a factor that reduces to one function stays one factor.
+    Raises GasketError beyond _MONOMIALS_MAX monomials, before expanding."""
     c = expr.as_const()
     if c is not None:
         return [(c, ())] if c else []
     vf = expr.as_vf()
     if vf is not None:
         return [(F1, (vf,))]
+    parts = [_monomials(t) for t in expr.terms]  # a Product: Const and Atom always reduce
+    count = sum(map(len, parts)) if isinstance(expr, Sum) else math.prod(map(len, parts))
+    if count > _MONOMIALS_MAX:
+        raise GasketError(f"{count} monomials exceed the Riemann budget of {_MONOMIALS_MAX}")
     if isinstance(expr, Sum):
-        return [mono for t in expr.terms for mono in _monomials(t)]
+        return [mono for part in parts for mono in part]
     out = [(F1, ())]
-    for t in expr.terms:  # a Product: Const and Atom always reduce
-        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in _monomials(t)]
+    for part in parts:
+        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in part]
     return out
 
 
 def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
     """The level-n dyadic Riemann sum I_n(e) of the universal part, exactly;
-    n must be at least the data level of every term."""
-    total = F0
+    n must be at least the data level of every term.  A term beyond the work
+    budget (_MONOMIALS_MAX, _KERNEL_SLOTS_MAX) raises GasketError."""
+    monos = []
     for t in form.terms:
-        for cl, left in _monomials(t.left):
-            for cr, right in _monomials(t.right):
-                total += cl * cr * _monomial_riemann(left, t.g, right, e, n)
-    return total
+        lefts, rights = _monomials(t.left), _monomials(t.right)
+        if len(lefts) * len(rights) > _MONOMIALS_MAX:
+            raise GasketError(f"{len(lefts) * len(rights)} monomials exceed the Riemann budget of {_MONOMIALS_MAX}")
+        monos += [(cl * cr, left, t.g, right) for cl, left in lefts for cr, right in rights]
+    return sum((c * _monomial_riemann(left, g, right, e, n) for c, left, g, right in monos), F0)
 
 
 def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
-from gasketforms.errors import ExactnessUnavailableError, NonConvergentError
+from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
 from gasketforms.geometry import (
     OrientedEdge,
     lacuna_path,
@@ -310,12 +310,27 @@ def test_certified_meets_tolerance_and_reports_a_miss():
     exact = fm.integrate_edge(w, e).value
     for tol in (F(1, 10**9), F(1, 10**15)):
         cv = fm.integrate_edge(w, e, mode="certified", tolerance=tol)
-        assert cv.radius <= tol and cv.contains(exact)
+        assert cv.radius <= tol and abs(F(cv.value) - exact) <= cv.radius
     prod = fm.multiply_form(f2, w, side="left")
     assert fm.integrate_edge(prod, e, mode="certified").radius <= F(1, 10**9)
     # no level meets a zero tolerance: the radius at the cap says so
     miss = fm.integrate_edge(w, e, mode="certified", tolerance=F(0))
-    assert miss.radius > 0 and miss.contains(exact)
+    assert miss.radius > 0 and abs(F(miss.value) - exact) <= miss.radius
+
+
+def test_riemann_budget_refuses_before_building():
+    """Past 6 kernel slots or 256 monomials a term is refused before any
+    kernel is built; 6 slots are within the budget."""
+    e = OrientedEdge("", 1)
+    wide = fm.fdg(fm.Product([fm.Atom(f) for f in (f0, f1, f2, f0, f1, f2)]), f1)  # 7 slots
+    pair = fm.Sum([fm.Product([fm.Atom(f0), fm.Atom(f1)]), fm.Product([fm.Atom(f1), fm.Atom(f2)])])
+    many = fm.fdg(fm.Product([pair] * 9), f1)  # 2^9 monomials
+    cached = fm.riemann_kernel.cache_info().currsize
+    for w in (wide, many):
+        with pytest.raises(GasketError, match="budget"):
+            fm.integrate_edge(w, e, mode="certified")
+    assert fm.riemann_kernel.cache_info().currsize == cached
+    assert len(fm.riemann_kernel(0, 3, 2, 1)) == 3**6
 
 
 def test_trace_property_certified():

@@ -8,6 +8,7 @@ can name their revisions):
         --pairs certified_engines=231-240 --pairs exact_calculus=241-243 \
         --trace certified_engines=231 --out BENCH_certified_edge.json
 
+Each run lasts the ``run_seconds`` of the change's ``BENCHMARK.json``.
 Each ``--pairs`` seed runs once on each side; the side that runs first
 alternates (parent first on even-numbered pairs of each workload), so neither
 side always runs on a warmer or a quieter machine.  Each ``--trace`` seed runs
@@ -64,10 +65,23 @@ def seed_range(text: str) -> tuple[str, list[int]]:
     return workload, list(range(int(lo), int(hi or lo) + 1))
 
 
+def benchmark(root: str) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((l.split(":", 1)[1].strip() for l in f if l.startswith("model name")), platform.machine())
+    except OSError:
+        return platform.machine()
+
+
 def build_record(args, roots: dict, runs: list) -> dict:
     claim_workload, claim_metric = args.claim.split(":")
-    with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    bench = benchmark(roots["change"])
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sign = 1 if better[claim_metric] == "higher" else -1
     summary = {}
     for workload, seeds in args.pairs:
@@ -96,10 +110,11 @@ def build_record(args, roots: dict, runs: list) -> dict:
         entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
     record = {
         "label": args.label,
-        "what": args.what,
-        "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} "
+        "what": f"interleaved parent/change runs; the claim is {claim_metric} on {claim_workload}, every other "
+                "end-to-end metric is compared with its BENCHMARK.json bound",
+        "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "host": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version()},
         "revisions": {side: revision(root) for side, root in roots.items()},
         "seeds": {w: s for w, s in args.pairs},
         "traced_seeds": {w: s for w, s in args.trace},
@@ -125,20 +140,19 @@ def main() -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--label", required=True)
-    ap.add_argument("--what", default="", help="one sentence on what the record measures")
     ap.add_argument("--claim", required=True, help="workload:metric")
     ap.add_argument("--pairs", action="append", type=seed_range, default=[], help="workload=lo-hi")
     ap.add_argument("--trace", action="append", type=seed_range, default=[], help="workload=seed")
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    seconds = benchmark(roots["change"])["run_seconds"]
     runs = []
     for trace, batches in ((0, args.pairs), (1, args.trace)):
         for workload, seeds in batches:
             for i, seed in enumerate(seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = run(roots[side], workload, seed, args.seconds, trace)
+                    result = run(roots[side], workload, seed, seconds, trace)
                     runs.append({"order": len(runs), "side": side, "workload": workload, "seed": seed,
                                  "trace": trace, **result})
                     print(f"{workload} {seed} {side} trace={trace}: {result['metrics']}", file=sys.stderr)
