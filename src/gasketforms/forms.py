@@ -24,20 +24,21 @@ energy inner product Q, and both are used by the test suite:
   (3/5)^(n/2)-rate bounds for Q).  Edge integrals take the dyadic Riemann
   sum I_n exactly, as cached multilinear integer kernels (the level-0 sum
   refined by the side's two child matrices) contracted with corner triples,
-  and round it once to a float; Q evaluates the level sums
-  Q~_n = (5/3)^n sum |omega(e)|^2-type pairings in floating point.
+  and round it once to a float.  Q takes the endpoint level sums
+  Q~_n = (5/3)^n sum omega(e)·eta(e) exactly in the same way (kernels refined
+  by all three child matrices, contracted with moments of the corner
+  triples), extrapolates the rationals and rounds once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Optional, Sequence
 
 from .certified import CertifiedValue, sqrt_upper
 from .errors import (
@@ -70,8 +71,6 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 R35 = Fraction(3, 5)
 R53 = Fraction(5, 3)
-
-_H_FLOAT = np.array([[[float(x) for x in row] for row in H] for H in H_MATRICES])
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +161,6 @@ class Expr:
     def osc_ub(self) -> Fraction:
         raise NotImplementedError
 
-    def cols(self, arrays: dict, col: int) -> np.ndarray:
-        """Float values at one corner column of per-cell triple arrays."""
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -205,9 +200,6 @@ class Const(Expr):
     def osc_ub(self):
         return F0
 
-    def cols(self, arrays, col):
-        return float(self.c)
-
     def to_json(self):
         return {"kind": "const", "value": f"{self.c.numerator}/{self.c.denominator}"}
 
@@ -241,9 +233,6 @@ class Atom(Expr):
 
     def osc_ub(self):
         return self.vf.osc_global()
-
-    def cols(self, arrays, col):
-        return arrays[id(self.vf)][:, col]
 
     def to_json(self):
         return {"kind": "vf", "function": self.vf.to_json()}
@@ -302,9 +291,6 @@ class Sum(Expr):
         if vf is not None:
             return vf.osc_global()
         return sum(t.osc_ub() for t in self.terms)
-
-    def cols(self, arrays, col):
-        return sum(t.cols(arrays, col) for t in self.terms)
 
     def to_json(self):
         return {"kind": "sum", "terms": [t.to_json() for t in self.terms]}
@@ -393,12 +379,6 @@ class Product(Expr):
             out += rest * t.osc_ub()
         return out
 
-    def cols(self, arrays, col):
-        out = self.terms[0].cols(arrays, col)
-        for t in self.terms[1:]:
-            out = out * t.cols(arrays, col)
-        return out
-
     def to_json(self):
         return {"kind": "product", "terms": [t.to_json() for t in self.terms]}
 
@@ -406,38 +386,44 @@ class Product(Expr):
 ONE = Const(F1)
 
 
-def _osc_rate(expr: Expr, n: int) -> Fraction:
-    """Upper bound for the oscillation of ``expr`` on any level-n cell."""
-    c = expr.as_const()
-    if c is not None:
-        return F0
+# Bounds of the certified Q route, as functions of the level n; the factors
+# that do not depend on n (sups, oscillations, energies, subsets) are computed
+# once, when the bound is built.
+Bound = Callable[[int], Fraction]
+
+
+def _osc_rate(expr: Expr) -> Bound:
+    """n -> upper bound for the oscillation of ``expr`` on any level-n cell."""
+    if expr.as_const() is not None:
+        return lambda n: F0
     if isinstance(expr, Atom):
-        return expr.osc_ub() * R35 ** (n - expr.max_level())
+        osc, L = expr.osc_ub(), expr.max_level()
+        return lambda n: osc * R35 ** (n - L)
     if isinstance(expr, Sum):
-        return sum((_osc_rate(t, n) for t in expr.terms), F0)
+        rates = [_osc_rate(t) for t in expr.terms]
+        return lambda n: sum((rate(n) for rate in rates), F0)
     if isinstance(expr, Product):
-        out = F0
+        parts = []
         for i, t in enumerate(expr.terms):
             rest = F1
             for j, u in enumerate(expr.terms):
                 if j != i:
                     rest *= u.sup_ub()
-            out += rest * _osc_rate(t, n)
-        return out
+            parts.append((rest, _osc_rate(t)))
+        return lambda n: sum((rest * rate(n) for rest, rate in parts), F0)
     raise NonConvergentError("no oscillation rate for this expression")
 
 
-def _defect_ub(expr: Expr, n: int) -> Fraction:
-    """Upper bound for E[expr] - E_n[expr] (energy above the level-n
+def _defect_ub(expr: Expr) -> Bound:
+    """n -> upper bound for E[expr] - E_n[expr] (energy above the level-n
     harmonic interpolant).  Zero for piecewise-harmonic data; decays like
     (3/5)^(2n) for products of such."""
     if expr.as_vf() is not None:
-        if expr.max_level() > n:
-            raise NonConvergentError("defect bound needs n at or above the data level")
-        return F0
-    if isinstance(expr, Sum):
-        return 2 * sum((_defect_ub(t, n) for t in expr.terms), F0)
-    if isinstance(expr, Product):
+        L, scale, weights = expr.max_level(), F0, {}
+    elif isinstance(expr, Sum):
+        parts = [_defect_ub(t) for t in expr.terms]
+        return lambda n: 2 * sum((part(n) for part in parts), F0)
+    elif isinstance(expr, Product):
         facts = [t for t in expr.terms if t.as_const() is None]
         cmul = F1
         for t in expr.terms:
@@ -447,31 +433,36 @@ def _defect_ub(expr: Expr, n: int) -> Fraction:
         if any(t.as_vf() is None for t in facts):
             raise NonConvergentError("defect bound only for products of harmonics")
         L = max(t.max_level() for t in facts)
-        if L > n:
-            raise NonConvergentError("defect bound needs n at or above the data level")
-        rho = R35 ** (n - L)
         k = len(facts)
-        sups = [t.sup_ub() for t in facts]
-        oscs = [t.osc_ub() for t in facts]
+        sups2 = [t.sup_ub() ** 2 for t in facts]
+        oscs2 = [t.osc_ub() ** 2 for t in facts]
         energies = [t.energy_ub() for t in facts]
         subsets = [S for r in range(2, k + 1) for S in itertools.combinations(range(k), r)]
-        m = len(subsets) + 1
-        total = F0
+        scale = cmul * cmul * (len(subsets) + 1)
+        weights = {}  # |S| -> sum over the subsets S of that size of outside_S·4^|S|·inner_S
         for S in subsets:
             outside = F1
             for j in range(k):
                 if j not in S:
-                    outside *= sups[j] ** 2
+                    outside *= sups2[j]
             inner = F0
             for i in S:
                 prod = F1
                 for j in S:
                     if j != i:
-                        prod *= oscs[j] ** 2
+                        prod *= oscs2[j]
                 inner += prod * energies[i]
-            total += outside * Fraction(4) ** len(S) * rho ** (2 * (len(S) - 1)) * inner
-        return cmul * cmul * m * total
-    raise NonConvergentError("no defect bound for this expression")
+            weights[len(S)] = weights.get(len(S), F0) + outside * 4 ** len(S) * inner
+    else:
+        raise NonConvergentError("no defect bound for this expression")
+
+    def bound(n: int) -> Fraction:
+        if L > n:
+            raise NonConvergentError("defect bound needs n at or above the data level")
+        rho = R35 ** (n - L)
+        return scale * sum((w * rho ** (2 * (s - 1)) for s, w in weights.items()), F0)
+
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +747,10 @@ def _normalize_term(term: FormTerm) -> tuple[Fraction, VertexFunction | None, Ve
     raise ExactnessUnavailableError("product of two non-constant factors")
 
 
+def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction | None, VertexFunction]]:
+    return [_normalize_term(t) for t in form.terms]
+
+
 def integrate_term_exact(
     coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge
 ) -> Fraction:
@@ -935,7 +930,7 @@ def _single_slot_q(g: Triple, F: Triple, k: Triple) -> Fraction:
     e1 = _pair_energy(g, tuple(F[j] * k[j] for j in range(3)))
     e2 = _pair_energy(F, tuple(g[j] * k[j] for j in range(3)))
     e3 = _pair_energy(k, tuple(F[j] * g[j] for j in range(3)))
-    return (e1 - e2 + e3) / 2
+    return Fraction(e1 - e2 + e3, 2)
 
 
 @lru_cache(maxsize=None)
@@ -1021,43 +1016,56 @@ def _quad_q(F1t: Triple, g: Triple, F2t: Triple, k: Triple) -> Fraction:
     return acc
 
 
-Piece = tuple[Fraction, Optional[Triple], Triple]  # (coeff, left triple or None, g triple)
+IntTriple = tuple[int, int, int]
+# (c, left-factor triples, g triple): the piece c·L_1⋯L_p·dg on one cell, with
+# the factors' integer corner values; c carries their denominators
+Piece = tuple[Fraction, tuple[IntTriple, ...], IntTriple]
 
 
 def _form_data_level(form: SmoothForm) -> int:
+    """The level of the form's finest nonzero part."""
     m = 0
     for t in form.terms:
         m = max(m, t.g.level, t.left.max_level(), t.right.max_level())
-    for sigma in form.harmonic:
-        m = max(m, len(sigma) + 1)
+    for sigma, k in form.harmonic.items():
+        if k:
+            m = max(m, len(sigma) + 1)
     if form.exact is not None:
         m = max(m, form.exact.level)
     return m
 
 
-def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction | None, VertexFunction]]:
-    return [_normalize_term(t) for t in form.terms]
+@lru_cache(maxsize=None)
+def _dz_table(i: int, depth: int) -> tuple[int, tuple[IntTriple, ...]]:
+    """(den, integer corner values) of the dz potential on the level-depth
+    sub-cells of the cell sigma+i, in word order."""
+    den, table = VertexFunction.from_boundary(*dz_cell_triple(i)).int_triples(depth)
+    return den, tuple(table)
 
 
 def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
-    """The form's pieces on every level-m cell, in word order."""
+    """The form's pieces on every level-m cell, in word order: one per
+    monomial of a term's a·b (``_monomials``), one per lacuna form on each
+    cell inside C_sigma, and one for the exact part.  m is at least the level
+    of every nonzero part."""
     cells: list[list[Piece]] = [[] for _ in range(3**m)]
-    for c, Fvf, g in _normalized_terms(form):
-        if c == 0:
-            continue
-        tfs = Fvf.triples(m) if Fvf is not None else [None] * len(cells)
-        for pieces, tf, tg in zip(cells, tfs, g.triples(m)):
-            pieces.append((c, tf, tg))
+
+    def add(c: Fraction, tables: list[tuple[int, Sequence[IntTriple]]], start: int = 0) -> None:
+        c /= math.prod(den for den, _ in tables)
+        for pieces, *ts in zip(cells[start:], *(table for _, table in tables)):
+            pieces.append((c, tuple(ts[:-1]), ts[-1]))
+
+    for t in form.terms:
+        g = t.g.int_triples(m)
+        for c, left in _monomials(t.left_total()):
+            add(c, [f.int_triples(m) for f in left] + [g])
     for sigma, k in form.harmonic.items():
-        if k == 0:
-            continue
-        for pieces, word in zip(cells, words(m)):
-            if len(word) > len(sigma) and is_prefix(sigma, word):
-                sub = int(word[len(sigma)])
-                pieces.append((k, None, descend(dz_cell_triple(sub), word[len(sigma) + 1:])))
+        if k:
+            depth = m - len(sigma) - 1
+            for i in range(3):
+                add(k, [_dz_table(i, depth)], (int(sigma or "0", 3) * 3 + i) * 3**depth)
     if form.exact is not None:
-        for pieces, t in zip(cells, form.exact.triples(m)):
-            pieces.append((F1, None, t))
+        add(F1, [form.exact.int_triples(m)])
     return cells
 
 
@@ -1067,198 +1075,173 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     Both forms are pulled back to the cells of a common level where all the
     data is 0-harmonic; each cell contributes through the vertex-Laplacian
     pairings (one constant left slot) or the quadrilinear kernel (both left
-    slots occupied)."""
+    slots occupied).  A piece with more than one left factor raises
+    ExactnessUnavailableError."""
     m = max(_form_data_level(omega), _form_data_level(eta))
     cells1 = _cell_pieces(omega, m)
     cells2 = cells1 if eta is omega else _cell_pieces(eta, m)
+    for cells in (cells1, cells2):
+        if any(len(left) > 1 for _, left, _ in cells[0]):  # a term has pieces on every cell
+            raise ExactnessUnavailableError("product of two non-constant factors")
     total = F0
     for p1, p2 in zip(cells1, cells2):
         for c1, f1, g1 in p1:
             for c2, f2, g2 in p2:
-                if f1 is None and f2 is None:
+                if not f1 and not f2:
                     val = graph_energy(g1, g2)
-                elif f1 is None:
-                    val = _single_slot_q(g1, f2, g2)
-                elif f2 is None:
-                    val = _single_slot_q(g2, f1, g1)
+                elif not f1:
+                    val = _single_slot_q(g1, *f2, g2)
+                elif not f2:
+                    val = _single_slot_q(g2, *f1, g1)
                 else:
-                    val = _quad_q(f1, g1, f2, g2)
+                    val = _quad_q(*f1, g1, *f2, g2)
                 total += c1 * c2 * val
     return R53**m * total
 
 
 # ---------------------------------------------------------------------------
-# Q: certified route (level sums of endpoint evaluations)
+# Q: certified route (exact level sums of endpoint evaluations)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 8
+@lru_cache(maxsize=None)
+def q_level_kernel(p: int, r: int, j: int) -> tuple[int, ...]:
+    """One cell's share of the Q level sum j levels below it: the sum over
+    its 3^j sub-cells and their sides of [L_1⋯L_p(t)·(g(t) - g(s))]·
+    [M_1⋯M_r(t)·(k(t) - k(s))], t and s the side's target and source corners.
 
-
-def _grow(triple: np.ndarray, depth: int) -> np.ndarray:
-    arr = triple.reshape(1, 3)
-    for _ in range(depth):
-        arr = np.einsum("cjk,mk->mcj", _H_FLOAT, arr).reshape(-1, 3)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class _GSide:
-    """d-slot of one certified term: a function or a lacuna-form potential."""
-
-    kind: str  # "vf" | "dz"
-    vf: VertexFunction | None = None
-    sigma: Word = ""
-
-    @property
-    def key(self):
-        return ("vf", id(self.vf)) if self.kind == "vf" else ("dz", self.sigma)
-
-    def level(self) -> int:
-        return self.vf.level if self.kind == "vf" else len(self.sigma) + 1
-
-    def energy(self) -> Fraction:
-        if self.kind == "vf":
-            return self.vf.energy()
-        return Fraction(5, 6) * R53 ** len(self.sigma)
-
-    def osc0(self) -> Fraction:
-        if self.kind == "vf":
-            return self.vf.osc_global()
-        return Fraction(1, 3)
-
-    def block(self, word: Word, depth: int) -> np.ndarray:
-        """Per-cell corner values over the 3^depth cells below ``word``."""
-        if self.kind == "vf":
-            vf = self.vf
-            if len(word) >= vf.level:
-                return _grow(np.array([float(x) for x in vf.triple(word)]), depth)
-            gap = vf.level - len(word)
-            if gap > depth:
-                raise GasketError("block too shallow for the data level")
-            out = np.empty((3**depth, 3))
-            step = 3 ** (depth - gap)
-            for i, tail in enumerate(words(gap)):
-                t = np.array([float(vf.values[p]) for p in cell_corners(word + tail)])
-                out[i * step : (i + 1) * step] = _grow(t, depth - gap)
-            return out
-        # dz potential: zero off C_sigma, local harmonic triples below sigma+i
-        sigma = self.sigma
-        if len(word) > len(sigma) and is_prefix(sigma, word):
-            sub = int(word[len(sigma)])
-            t = descend(dz_cell_triple(sub), word[len(sigma) + 1:])
-            return _grow(np.array([float(x) for x in t]), depth)
-        if not is_prefix(word, sigma):
-            return np.zeros((3**depth, 3))
-        out = np.zeros((3**depth, 3))
-        rel = sigma[len(word):]
-        gap = len(rel) + 1
-        if gap > depth:
-            raise GasketError("block too shallow for the lacuna form")
-        step = 3 ** (depth - gap)
-        base = 0
-        for c in rel:
-            base = base * 3 + int(c)
-        base *= 3
+    Stored like ``riemann_kernel``: dense and flat over {0,1,2}^(p+r+2),
+    slots L_1..L_p, g, M_1..M_r, k, scaled by 5^((p+r+2)·j) to integers.
+    Each level applies all three letters (5·H_i on every mode) and adds.
+    ``q_level_sums`` checks the slot budget before it builds any."""
+    d = p + r + 2
+    if j == 0:
+        K = [0] * 3**d
         for i in range(3):
-            t = np.array([float(x) for x in dz_cell_triple(i)])
-            out[(base + i) * step : (base + i + 1) * step] = _grow(t, depth - gap)
-        return out
+            t, s = (i + 1) % 3, (i + 2) % 3
+            sign = {t: 1, s: -1}
+            for a, b in itertools.product((t, s), repeat=2):
+                K[int(f"{t}" * p + f"{a}" + f"{t}" * r + f"{b}", 3)] += sign[a] * sign[b]
+        return tuple(K)
+    prev = q_level_kernel(p, r, j - 1)
+    return tuple(map(sum, zip(*(_refine_modes(prev, H, d) for H in _H5))))
+
+
+def _shape_tensors(cells: list[list[Piece]]) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+    """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
+    over each cell's pieces with p left factors), stored entry by entry
+    (first slot most significant), each entry a tuple over the cells."""
+    D = math.lcm(*(c.denominator for pieces in cells for c, _, _ in pieces))
+    tensors: dict[int, list[list[int]]] = {}
+    for u, pieces in enumerate(cells):
+        for c, left, g in pieces:
+            x = [c.numerator * (D // c.denominator)]
+            for t in (*left, g):
+                x = [a * b for a in x for b in t]
+            if len(left) not in tensors:
+                tensors[len(left)] = [[0] * len(x) for _ in cells]
+            per_cell = tensors[len(left)]
+            per_cell[u] = list(map(operator.add, per_cell[u], x))
+    return D, {p: list(zip(*per_cell)) for p, per_cell in tensors.items()}
 
 
 @dataclass(frozen=True, eq=False)
 class _CTerm:
+    """One certified term c·left·dg, with what the tail bound needs of g (a
+    function or a lacuna-form potential): its level, energy and oscillation."""
+
     coeff: Fraction
     left: Expr | None  # None means the constant 1
-    gside: _GSide
+    level: int
+    energy: Fraction
+    osc: Fraction
 
 
 def _compile_certified(form: SmoothForm) -> list[_CTerm]:
     out: list[_CTerm] = []
     for t in form.terms:
         left = t.left_total()
-        out.append(_CTerm(F1, None if left.as_const() == 1 else left, _GSide("vf", vf=t.g)))
+        out.append(_CTerm(F1, None if left.as_const() == 1 else left, t.g.level, t.g.energy(), t.g.osc_global()))
     for sigma, k in form.harmonic.items():
         if k != 0:
-            out.append(_CTerm(k, None, _GSide("dz", sigma=sigma)))
+            out.append(_CTerm(k, None, len(sigma) + 1, Fraction(5, 6) * R53 ** len(sigma), Fraction(1, 3)))
     if form.exact is not None:
-        out.append(_CTerm(F1, None, _GSide("vf", vf=form.exact)))
+        U = form.exact
+        out.append(_CTerm(F1, None, U.level, U.energy(), U.osc_global()))
     return out
 
 
-def _tilde_level_sum(side1: list[_CTerm], side2: list[_CTerm], n: int) -> float:
-    """Q~_n(omega, eta): raw endpoint-evaluation level sum times (5/3)^n."""
-    gsides: dict = {}
-    vfs: dict = {}
-    for term in side1 + side2:
-        gsides[term.gside.key] = term.gside
-        if term.left is not None:
-            for a in term.left.atoms():
-                vfs[id(a)] = a
-
-    def edge_values(terms: list[_CTerm], garrs: dict, larrs: dict) -> list[np.ndarray]:
-        vals = []
-        for i in range(3):
-            tcol, scol = (i + 1) % 3, (i + 2) % 3
-            acc = 0.0
-            for term in terms:
-                G = garrs[term.gside.key]
-                dv = G[:, tcol] - G[:, scol]
-                if term.left is not None:
-                    dv = dv * term.left.cols(larrs, tcol)
-                acc = acc + float(term.coeff) * dv
-            vals.append(acc)
-        return vals
-
-    def recurse(word: Word, depth: int) -> float:
-        if depth <= _BLOCK:
-            garrs = {key: g.block(word, depth) for key, g in gsides.items()}
-            larrs = {key: _GSide("vf", vf=vf).block(word, depth) for key, vf in vfs.items()}
-            v1 = edge_values(side1, garrs, larrs)
-            v2 = v1 if side2 is side1 else edge_values(side2, garrs, larrs)
-            return float(sum(np.dot(a, b) for a, b in zip(v1, v2)))
-        return sum(recurse(word + c, depth - 1) for c in "012")
-
-    return (5.0 / 3.0) ** n * recurse("", n)
-
-
-def _pair_radius(side1: list[_CTerm], side2: list[_CTerm], n: int) -> Fraction:
-    """Sound bound for |Q - Q~_n|, assembled pair by pair."""
-    total = F0
+def _pair_radius(side1: list[_CTerm], side2: list[_CTerm]) -> Bound:
+    """n -> sound bound for |Q - Q~_n|, assembled pair by pair."""
+    pairs = []
     for s in side1:
         for t in side2:
             if s.left is None and t.left is None:
                 continue
             parts = [x.left for x in (s, t) if x.left is not None]
             Fexpr = parts[0] if len(parts) == 1 else Product(parts)
-            Ls, Lt = s.gside.level(), t.gside.level()
-            Es, Et = s.gside.energy(), t.gside.energy()
-            dgk = 2 * (
-                (s.gside.osc0() * R35 ** (n - Ls)) ** 2 * Et
-                + (t.gside.osc0() * R35 ** (n - Lt)) ** 2 * Es
-            )
-            dF = _defect_ub(Fexpr, n)
-            rad = sqrt_upper(dgk * dF) / 2 + _osc_rate(Fexpr, n) * sqrt_upper(Es * Et) / 2
-            total += abs(s.coeff * t.coeff) * rad
-    return total
+            c = abs(s.coeff * t.coeff)
+            pairs.append((c, s, t, _defect_ub(Fexpr), _osc_rate(Fexpr), sqrt_upper(s.energy * t.energy)))
+
+    def radius(n: int) -> Fraction:
+        total = F0
+        for c, s, t, defect, osc, sqrt_EsEt in pairs:
+            dgk = 2 * ((s.osc * R35 ** (n - s.level)) ** 2 * t.energy
+                       + (t.osc * R35 ** (n - t.level)) ** 2 * s.energy)
+            total += c * (sqrt_upper(dgk * defect(n)) / 2 + osc(n) * sqrt_EsEt / 2)
+        return total
+
+    return radius
 
 
-def _extrapolate(values: list[float]) -> float:
-    seq = list(values)
+def _extrapolate(values: list[Fraction]) -> Fraction:
+    """Two rounds of Aitken's delta-squared on exact level sums; only the
+    last five values reach the result."""
+    seq = values[-5:]
     for _ in range(2):
         if len(seq) < 3:
             break
         nxt = []
         for a, b, c in zip(seq, seq[1:], seq[2:]):
             den = (c - b) - (b - a)
-            if abs(den) < 1e-14 * (1 + abs(c)):
-                nxt.append(c)
-            else:
-                nxt.append(c - (c - b) ** 2 / den)
+            nxt.append(c if den == 0 else c - (c - b) ** 2 / den)
         seq = nxt
     return seq[-1]
 
 
 _Q_LEVEL_CAP = 14
+
+
+def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], Fraction]:
+    """n -> the endpoint level sum Q~_n(omega, eta) = (5/3)^n sum over E_n of
+    omega(e)·eta(e), exactly, for n >= m >= the data level of both forms.
+
+    Per pair of left-factor counts, the corner-triple tensors of the level-m
+    cells are summed once into a moment; each level sum is the moment's dot
+    product with the cached ``q_level_kernel``.  A pair with more than
+    _KERNEL_SLOTS_MAX slots (the left factors of both sides and the two
+    d-slots) raises GasketError before any kernel is built."""
+    D1, entries1 = _shape_tensors(_cell_pieces(omega, m))
+    D2, entries2 = (D1, entries1) if eta is omega else _shape_tensors(_cell_pieces(eta, m))
+    slots = max((p + r + 2 for p in entries1 for r in entries2), default=0)
+    if slots > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
+    # the moment of a shape pair: the sum over cells of the outer products
+    moments = [
+        (p, r, [sum(map(operator.mul, a, b)) for a in A for b in B])
+        for p, A in entries1.items()
+        for r, B in entries2.items()
+    ]
+
+    def level_sum(n: int) -> Fraction:
+        j = n - m
+        total = sum(
+            (Fraction(sum(map(operator.mul, q_level_kernel(p, r, j), mom)), 5 ** ((p + r + 2) * j))
+             for p, r, mom in moments),
+            F0,
+        )
+        return R53**n * total / (D1 * D2)
+
+    return level_sum
 
 
 def q_inner_certified(
@@ -1268,13 +1251,15 @@ def q_inner_certified(
     max_level: int = 12,
     strict: bool = True,
 ) -> CertifiedValue:
-    """Q(omega, eta) from the endpoint level sums Q~_n with geometric
-    extrapolation; the reported radius is the un-extrapolated sound tail
-    bound plus the extrapolation correction.
+    """Q(omega, eta) from the exact level sums Q~_n (``q_level_sums``) with
+    geometric extrapolation, rounded once; the reported radius is the
+    un-extrapolated sound tail bound plus the extrapolation correction plus
+    half an ulp of the value.
 
-    Raises NonConvergentError when the radius still exceeds the tolerance at
-    the level cap (unless ``strict`` is off) or when the extrapolation step
-    moves further than the tail bound allows.
+    Raises GasketError past the kernel slot budget, and NonConvergentError
+    when the radius still exceeds the tolerance at the level cap (unless
+    ``strict`` is off) or when the extrapolation step moves further than the
+    tail bound allows.
     """
     if eta is None:
         eta = omega
@@ -1282,17 +1267,15 @@ def q_inner_certified(
     side2 = side1 if eta is omega else _compile_certified(eta)
     if max_level > _Q_LEVEL_CAP:
         raise GasketError(f"level sums capped at n = {_Q_LEVEL_CAP}")
-    n0 = max(
-        [1]
-        + [t.gside.level() for t in side1 + side2]
-        + [t.left.max_level() for t in side1 + side2 if t.left is not None]
-    )
+    m = max(_form_data_level(omega), _form_data_level(eta))
+    level_sum = q_level_sums(omega, eta, m)
+    radius = _pair_radius(side1, side2)
     tolerance = Fraction(tolerance)
     vals = []
-    n = n0
+    n = max(1, m)
     while True:
-        vals.append(_tilde_level_sum(side1, side2, n))
-        rad = _pair_radius(side1, side2, n)
+        vals.append(level_sum(n))
+        rad = radius(n)
         if rad <= tolerance or n >= max_level:
             break
         n += 1
@@ -1300,12 +1283,12 @@ def q_inner_certified(
         raise NonConvergentError(
             f"certified Q radius {float(rad):.3g} exceeds the tolerance at level {n}"
         )
-    value = _extrapolate(vals) if len(vals) >= 3 else vals[-1]
-    correction = Fraction(abs(value - vals[-1]))
-    slop = Fraction(1, 10**9) * (1 + Fraction(math.ceil(abs(value))))
-    if correction > 4 * rad + slop:
+    value = _extrapolate(vals)
+    correction = abs(value - vals[-1])
+    if correction > 4 * rad:
         raise NonConvergentError("extrapolation disagrees with the tail bound")
-    return CertifiedValue(value, rad + correction + slop)
+    v = float(value)
+    return CertifiedValue(v, rad + correction + Fraction(math.ulp(v)) / 2)
 
 
 def q_inner(

@@ -165,15 +165,16 @@ class VertexFunction:
 
         return D, cells()
 
+    def int_triples(self, n: int) -> tuple[int, list[tuple[int, int, int]]]:
+        """(den, integer corner values of the level-n cells in word order);
+        the corner values are those integers over den."""
+        D, cells = self._walk(n)
+        return D * 5 ** (n - self.level), [(a, b, c) for word, a, b, c in cells if len(word) == n]
+
     def triples(self, n: int) -> list[Triple]:
         """Corner values of the level-n cells, in word order."""
-        D, cells = self._walk(n)
-        den = D * 5 ** (n - self.level)
-        return [
-            (Fraction(a, den), Fraction(b, den), Fraction(c, den))
-            for word, a, b, c in cells
-            if len(word) == n
-        ]
+        den, ints = self.int_triples(n)
+        return [(Fraction(a, den), Fraction(b, den), Fraction(c, den)) for a, b, c in ints]
 
     def extend(self, n: int) -> "VertexFunction":
         D, cells = self._walk(n)

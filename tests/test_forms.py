@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from gasketforms import forms as fm
 from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
 from gasketforms.geometry import (
     OrientedEdge,
+    edges_at_level,
     lacuna_path,
     perimeter_path,
     subdivide,
@@ -422,6 +424,87 @@ def test_q_certified_raises_beyond_cap():
     with pytest.raises(NonConvergentError):
         fm.q_inner_certified(fm.fdg(f0, f1), fm.fdg(f0, f1),
                              tolerance=F(1, 10**12), max_level=8)
+
+
+# ---------------------------------------------------------------------------
+# the exact level sums behind certified Q
+# ---------------------------------------------------------------------------
+
+def _brute_edge_value(form, e):
+    """omega(e) by endpoint evaluation: the left factors a·b at the target."""
+    t, s = (e.side + 1) % 3, (e.side + 2) % 3
+    total = fm._integrate_fixed_parts(form, e)
+    for term in form.terms:
+        gt = term.g.triple(e.cell)
+        total += _at(term.left, e.cell, t) * _at(term.right, e.cell, t) * (gt[t] - gt[s])
+    return total
+
+
+def _brute_level_sum(omega, eta, n):
+    return F(5, 3) ** n * sum(
+        (_brute_edge_value(omega, e) * _brute_edge_value(eta, e) for e in edges_at_level(n)), F(0)
+    )
+
+
+@st.composite
+def _mixed_forms(draw):
+    """A product left factor (on the left or split across both sides), a
+    one-factor term, lacuna forms and an exact part, at data levels 0-2."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def vf():
+        return random_harmonic(draw(st.integers(0, 2)), rng, span=5)
+
+    a, b = fm.Atom(vf()), fm.Atom(vf())
+    prod = fm.FormTerm(fm.Product([a, b]), vf()) if draw(st.booleans()) else fm.FormTerm(a, vf(), b)
+    lac = {draw(st.text(alphabet="012", max_size=1)): F(rng.randint(-5, 5), rng.randint(1, 5))}
+    form = fm.SmoothForm((prod, fm.FormTerm(fm.Atom(vf()), vf())), lac, vf())
+    return form, fm._form_data_level(form)
+
+
+@settings(max_examples=15)
+@given(_mixed_forms(), _mixed_forms())
+def test_q_level_sums_match_endpoint_enumeration(first, second):
+    (omega, m1), (eta, m2) = first, second
+    m = max(m1, m2)
+    for a, b in ((omega, omega), (omega, eta)):
+        level_sum = fm.q_level_sums(a, b, m)
+        for n in range(m, m + 3):
+            assert level_sum(n) == _brute_level_sum(a, b, n)
+
+
+@settings(max_examples=10)
+@given(_mixed_forms(), _mixed_forms())
+def test_q_certified_is_exactly_symmetric(first, second):
+    (omega, _), (eta, _) = first, second
+    ab = fm.q_inner_certified(omega, eta, max_level=6, strict=False)
+    ba = fm.q_inner_certified(eta, omega, max_level=6, strict=False)
+    assert ab.value == ba.value and ab.radius == ba.radius
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10**6), st.text(alphabet="012", max_size=2), st.text(alphabet="012", max_size=2))
+def test_q_certified_lacuna_and_exact_forms_meet_the_tolerance(seed, s, t):
+    """Without left factors the level sums are constant, so one level gives Q
+    and the radius is the rounding alone."""
+    rng = random.Random(seed)
+    omega = fm.dz_form(s).scaled(F(rng.randint(1, 9), 7)) + fm.d(random_harmonic(rng.randint(0, 2), rng))
+    eta = fm.dz_form(t) + fm.d(random_harmonic(rng.randint(0, 2), rng))
+    for a, b in ((omega, omega), (omega, eta)):
+        cv = fm.q_inner_certified(a, b)
+        assert cv.radius <= math.ulp(cv.value)
+        assert abs(F(cv.value) - fm.q_inner_exact(a, b)) <= cv.radius
+
+
+def test_q_budget_refuses_before_building():
+    """Q of a product of three factors with itself needs 8 kernel slots and is
+    refused before any kernel is built; 6 slots are within the budget."""
+    triple = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1), fm.Atom(f2)]), f1)
+    cached = fm.q_level_kernel.cache_info().currsize
+    with pytest.raises(GasketError, match="budget"):
+        fm.q_inner_certified(triple, strict=False)
+    assert fm.q_level_kernel.cache_info().currsize == cached
+    assert len(fm.q_level_kernel(3, 1, 1)) == 3**6
 
 
 def test_q_rescaling_identity():

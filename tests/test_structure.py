@@ -4,9 +4,9 @@
   cycle between the library modules.
 * The cell order lives in one place: ``itertools.product`` over the letters
   "012" appears only inside ``geometry.words``.
-* The certified edge route is exact arithmetic up to one final rounding: no
-  function reachable from ``_certified_universal`` or ``riemann_kernel`` in
-  ``forms.py`` references numpy, so the 2^n-row float arrays stay gone.
+* The certified routes are exact arithmetic up to one final rounding: no
+  module of the library imports numpy, so the float engines stay gone and
+  numpy stays out of the runtime dependencies.
 """
 
 from __future__ import annotations
@@ -62,16 +62,12 @@ def test_letter_products_only_in_words(path):
     assert stray == []
 
 
-def test_certified_edge_route_uses_no_numpy():
-    tree = ast.parse((SRC / "forms.py").read_text())
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    todo, seen = ["_certified_universal", "riemann_kernel"], set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
-        assert "np" not in names, f"{name} uses numpy"
-        todo.extend(names & functions.keys())
-    assert {"riemann_sum", "_monomial_riemann", "_refine_modes"} <= seen
+def test_no_module_imports_numpy():
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
+    assert offenders == []

@@ -13,8 +13,9 @@ Each ``--pairs`` seed runs once on each side; the side that runs first
 alternates (parent first on even-numbered pairs of each workload), so neither
 side always runs on a warmer or a quieter machine.  Each ``--trace`` seed runs
 one traced pair for the per-layer metrics.  The record keeps every run line,
-per-side medians and quartiles of every end-to-end metric, and, for the
-claimed metric, how many pairs the change won.
+per-side medians and quartiles of every end-to-end metric, the digests and
+failure counts of every pair, and, with ``--claim``, how many pairs the change
+won on the claimed metric.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ def cpu_model() -> str:
 
 
 def build_record(args, roots: dict, runs: list) -> dict:
-    claim_workload, claim_metric = args.claim.split(":")
+    claim_workload, claim_metric = args.claim.split(":") if args.claim else (None, None)
     bench = benchmark(roots["change"])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    sign = 1 if better[claim_metric] == "higher" else -1
     summary = {}
     for workload, seeds in args.pairs:
         timed = [r for r in runs if r["workload"] == workload and not r["trace"]]
@@ -91,27 +91,30 @@ def build_record(args, roots: dict, runs: list) -> dict:
             pair = {r["side"]: r for r in timed if r["seed"] == seed}
             if len(pair) < 2:
                 continue
-            claimed = [pair[side]["metrics"][claim_metric] for side in ("parent", "change")]
             entry["pairs"].append({
                 "seed": seed,
                 "first": "parent" if i % 2 == 0 else "change",
-                claim_metric: claimed,
-                "change_wins": sign * (claimed[1] - claimed[0]) > 0,
                 "digest_equal": pair["parent"]["digest"] == pair["change"]["digest"],
                 "failed": [pair["parent"]["failed"], pair["change"]["failed"]],
             })
+            if claim_metric:
+                claimed = [pair[side]["metrics"][claim_metric] for side in ("parent", "change")]
+                sign = 1 if better[claim_metric] == "higher" else -1
+                entry["pairs"][-1].update({claim_metric: claimed, "change_wins": sign * (claimed[1] - claimed[0]) > 0})
         for metric in better:
             entry[metric] = {
                 side: quartiles([r["metrics"][metric] for r in timed if r["side"] == side])
                 for side in ("parent", "change")
                 if any(r["side"] == side for r in timed)
             }
-        wins = sum(p["change_wins"] for p in entry["pairs"])
-        entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
+        if claim_metric:
+            wins = sum(p["change_wins"] for p in entry["pairs"])
+            entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
+    claim = (f"the claim is {claim_metric} on {claim_workload}, every other end-to-end metric"
+             if claim_metric else "no claim: every end-to-end metric")
     record = {
         "label": args.label,
-        "what": f"interleaved parent/change runs; the claim is {claim_metric} on {claim_workload}, every other "
-                "end-to-end metric is compared with its BENCHMARK.json bound",
+        "what": f"interleaved parent/change runs; {claim} is compared with its BENCHMARK.json bound",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
         "host": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version()},
@@ -122,7 +125,7 @@ def build_record(args, roots: dict, runs: list) -> dict:
                  "workload); run numbers give the order",
     }
     claimed = summary.get(claim_workload, {}).get(claim_metric, {})
-    if len(claimed) == 2:
+    if claim_metric and len(claimed) == 2:
         record["claim"] = {
             "metric": claim_metric,
             "workload": claim_workload,
@@ -140,7 +143,7 @@ def main() -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--label", required=True)
-    ap.add_argument("--claim", required=True, help="workload:metric")
+    ap.add_argument("--claim", help="workload:metric; without it the record counts no wins")
     ap.add_argument("--pairs", action="append", type=seed_range, default=[], help="workload=lo-hi")
     ap.add_argument("--trace", action="append", type=seed_range, default=[], help="workload=seed")
     ap.add_argument("--out", required=True)
