@@ -7,6 +7,12 @@ has finite effective length when the sequence of its lacuna-form integrals is
 N'-finite; that length controls potential differences of forms whose harmonic
 coefficients are N-finite, through the pairing |sum a b| <= N(a) N'(b).
 
+A path's lacuna-form integrals sigma -> int_path dz_sigma come from one
+table, built in a single pass over the path's edges (``dz_path_integrals``);
+effective lengths (its N' norm), homology classes (A applied to it) and
+potential differences (its pairing with the harmonic coefficients) all read
+that table.
+
 Points of the covering are never materialized: homology classes are integer
 coordinate vectors over lacuna generators (winding numbers), the deck-group
 homomorphisms phi_sigma are rows of the period matrix B, and group lengths
@@ -19,23 +25,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Iterable, Optional
 
 from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
+    a_entry,
     b_rule,
     hodge_decompose,
     k_level_sum_bound,
     universal_energy_bound,
-    winding_number,
 )
 from .errors import (
     DepthTooSmallError,
     GasketError,
+    NonIntegerResultError,
     UnboundedTailError,
 )
-from .forms import SmoothForm, dz_integral_edge, dz_integral_path
+from .forms import SmoothForm, dz_integral_edge
 from .geometry import ElementaryPath, OrientedEdge, Word, is_prefix, words
 
 F0 = Fraction(0)
@@ -120,6 +128,82 @@ def norm_Nprime(seq: LevelSequence) -> CertifiedValue:
 
 
 # ---------------------------------------------------------------------------
+# the dz table of a path
+# ---------------------------------------------------------------------------
+
+# Work budget of the dz tables: a table of more entries, or a homology class
+# over more words, is refused before any work starts.
+_TABLE_ENTRIES_MAX = 2**20
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > _TABLE_ENTRIES_MAX:
+        raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
+
+
+@lru_cache(maxsize=None)
+def _prefix_dz(cell: Word, side: int) -> tuple[tuple[Word, Fraction], ...]:
+    """(cell[:k], integral of dz_{cell[:k]} over the edge (cell, side, +1))
+    for the k < |cell| whose value is nonzero, shortest first."""
+    e = OrientedEdge(cell, side)
+    values = ((cell[:k], dz_integral_edge(cell[:k], e)) for k in range(len(cell)))
+    return tuple((w, v) for w, v in values if v != 0)
+
+
+@lru_cache(maxsize=None)
+def _avoiding(letter: str, max_len: int) -> tuple[str, ...]:
+    """The strings of length 0..max_len over the two letters other than
+    ``letter``, shortest first."""
+    if max_len <= 0:
+        return ("",) if max_len == 0 else ()
+    shorter = _avoiding(letter, max_len - 1)  # ends with the 2^(max_len-1) of length max_len-1
+    others = [c for c in "012" if c != letter]
+    return shorter + tuple(r + c for r in shorter[len(shorter) // 2:] for c in others)
+
+
+@lru_cache(maxsize=None)
+def _thirds(c: int) -> Fraction:
+    return Fraction(c, 3)
+
+
+def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fraction]:
+    """{sigma: integral of dz_sigma along the path} for every |sigma| <= depth
+    whose value is nonzero, built in one pass over the edges.
+
+    An edge (cell tau, side i, sign s) meets the lacunas of two kinds of
+    words: a proper prefix tau[:k] (through the local potential of
+    dz_{tau[:k]} on the sub-cell tau[:k+1]), and tau + r for every string r
+    avoiding the letter i, each with value -s/3; see ``dz_integral_edge``.
+    Refused with ``GasketError`` when the table would exceed
+    ``_TABLE_ENTRIES_MAX`` entries.
+    """
+    edges = list(path)
+    size = sum(
+        min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
+        for e in edges
+    )
+    _check_budget(size, f"the dz table to depth {depth}")
+    table: dict = {}  # counts of thirds from the avoid-letter words, then values
+    prefixes: dict[Word, Fraction] = {}
+    for e in edges:
+        s = e.sign
+        for w, v in _prefix_dz(e.cell, e.side):
+            if len(w) > depth:
+                break
+            prefixes[w] = prefixes.get(w, F0) + s * v
+        for r in _avoiding(str(e.side), depth - e.level):
+            w = e.cell + r
+            table[w] = table.get(w, 0) - s
+    for w, c in table.items():
+        table[w] = _thirds(c)
+    for w, v in prefixes.items():
+        table[w] = table.get(w, F0) + v
+    for w in [w for w, v in table.items() if not v]:
+        del table[w]
+    return table
+
+
+# ---------------------------------------------------------------------------
 # effective length
 # ---------------------------------------------------------------------------
 
@@ -132,53 +216,26 @@ def dz_sequence_edge(e: OrientedEdge) -> LevelSequence:
     per level, so the N-norm of this sequence diverges).
     """
     n = e.level
-    values: dict[Word, Fraction] = {}
-    for k in range(n):
-        w = e.cell[:k]
-        v = dz_integral_edge(w, e)
-        if v != 0:
-            values[w] = v
     tail = TailBound(sup_coeff=Fraction(1, 3), sup_ratio=F1, sup_exact=True,
                      sum_coeff=Fraction(1, 3) * Fraction(1, 2) ** n, sum_ratio=Fraction(2))
-    return LevelSequence.from_values(values, n - 1, tail)
+    return LevelSequence.from_values(dz_path_integrals([e], n - 1), n - 1, tail)
 
 
 def effective_length(path: ElementaryPath, depth: int = 8) -> CertifiedValue:
     """N' of the lacuna-form integrals along the path.
 
     Single edges are exact (their per-level sups stabilize at 1/3); longer
-    paths are exact up to the depth with a conservative geometric tail.
+    paths are exact up to the depth, with per-level sups read from the dz
+    table, and a conservative geometric tail.
     """
     edges = list(path)
     if len(edges) == 1:
-        e = edges[0]
-        n = e.level
-        finite = sum((R35**k * abs(dz_integral_edge(e.cell[:k], e)) for k in range(n)), F0)
-        tail = Fraction(1, 3) * R35**n * Fraction(5, 2)
-        return CertifiedValue.from_exact(finite + tail)
-    # exact per-level sups up to the depth by candidate enumeration
-    sups = []
-    max_level = max(e.level for e in edges)
-    for k in range(depth + 1):
-        candidates: set[Word] = set()
-        for e in edges:
-            if k <= e.level:
-                candidates.add(e.cell[:k])
-            else:
-                # words with a nonzero integral over this edge extend its cell
-                # by a string avoiding the side letter; neighbours of those
-                # (any first letter) are kept so no cross-edge word is missed
-                letters = [c for c in "012" if c != str(e.side)]
-                for head in "012":
-                    for tail_letters in itertools.product(letters, repeat=k - e.level - 1):
-                        candidates.add(e.cell + head + "".join(tail_letters))
-        best = F0
-        for w in candidates:
-            if len(w) != k:
-                continue
-            v = abs(dz_integral_path(w, path))
-            best = max(best, v)
-        sups.append(best)
+        return norm_Nprime(dz_sequence_edge(edges[0]))
+    sups = [F0] * (depth + 1)
+    for w, v in dz_path_integrals(edges, depth).items():
+        a = abs(v)
+        if a > sups[len(w)]:
+            sups[len(w)] = a
     per_level_cap = len(edges) * Fraction(1, 3)
     tail_total = per_level_cap * R35 ** (depth + 1) * Fraction(5, 2)
     finite = sum((R35**k * s for k, s in enumerate(sups)), F0)
@@ -189,32 +246,20 @@ def hnorm_divergence(e: OrientedEdge, levels: int, check_to: int = 10) -> list[F
     """Partial sums of the squared Hilbert-norm effective length of an edge:
     (6/5) sum_{n <= L} (3/5)^n sum_{|sigma| = n} |int_e dz_sigma|^2.
 
-    Per-level squared sums are enumerated exactly up to ``check_to`` levels
-    above the edge and continued with the verified branching count
-    2^(n - level) / 9 (one word per avoid-letter string, each integral 1/3).
+    Per-level squared sums are read from the edge's dz table up to
+    ``check_to`` levels above the edge and continued with the branching
+    count 2^(n - level) / 9 (one word per avoid-letter string, each integral
+    1/3) that those levels verify.
     """
     n0 = e.level
-    sums: list[Fraction] = []
+    top = min(levels, n0 + check_to)
+    level_sq = [F0] * (top + 1)
+    for w, v in dz_path_integrals([e], top).items():
+        level_sq[len(w)] += v * v
     partial = F0
     out = []
     for n in range(levels + 1):
-        if n < n0:
-            v = dz_integral_edge(e.cell[:n], e)
-            level_sq = v * v
-        elif n - n0 <= check_to:
-            letters = [c for c in "012" if c != str(e.side)]
-            level_sq = F0
-            if n == n0:
-                level_sq = Fraction(1, 9)
-            else:
-                for head in "012":
-                    for tail_letters in itertools.product(letters, repeat=n - n0 - 1):
-                        w = e.cell + head + "".join(tail_letters)
-                        v = dz_integral_edge(w, e)
-                        level_sq += v * v
-        else:
-            level_sq = Fraction(2 ** (n - n0), 9)
-        partial += R35**n * level_sq
+        partial += R35**n * (level_sq[n] if n <= top else Fraction(2 ** (n - n0), 9))
         out.append(Fraction(6, 5) * partial)
     return out
 
@@ -254,13 +299,25 @@ class HomologyElement:
 
 
 def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
-    """Coordinates of a closed path: winding numbers around each lacuna."""
+    """Coordinates of a closed path: winding numbers around each lacuna,
+    sum_j A_{w, w[:j]} * (integral of dz_{w[:j]}) for every |w| < depth,
+    read from one dz table."""
+    if depth > 0 and not path.closed:
+        raise GasketError("winding numbers need a closed path")
+    _check_budget((3 ** min(depth, 64) - 1) // 2, f"a homology class to depth {depth}")
+    table = dz_path_integrals(path, depth - 1)
     coords: dict[Word, int] = {}
     for n in range(depth):
         for w in words(n):
-            v = winding_number(path, w)
-            if v != 0:
-                coords[w] = v
+            acc = F0
+            for j in range(n + 1):
+                v = table.get(w[:j])
+                if v is not None:
+                    acc += a_entry(w, w[:j]) * v
+            if acc.denominator != 1:
+                raise NonIntegerResultError(f"winding came out {acc} for sigma={w!r}")
+            if acc != 0:
+                coords[w] = int(acc)
     return HomologyElement(depth, coords)
 
 
@@ -353,11 +410,17 @@ def potential_difference(
     sum_sigma k_sigma * (integral of dz_sigma along the path)."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
+    if decomposition is not None and decomposition.depth != depth:
+        raise DepthTooSmallError(
+            f"decomposition has depth {decomposition.depth}, not the requested {depth}"
+        )
+    table = dz_path_integrals(path, depth)
     dec = decomposition if decomposition is not None else hodge_decompose(form, depth)
     total = dec.potential[path.target] - dec.potential[path.source]
+    # dec.k order fixes the order of the certified float sums
     for sigma, kcv in dec.k.items():
-        w = dz_integral_path(sigma, path)
-        if w != 0:
+        w = table.get(sigma)
+        if w is not None:
             total = total + kcv.scaled(w)
     # dropped dz terms pair against the per-level sup of the path integrals
     cbound = universal_energy_bound(form)

@@ -69,6 +69,15 @@ def test_homology_and_efflen(capsys):
     assert json.loads(out)["value"] > 0
 
 
+def test_huge_depth_is_refused_with_exit_code_1(capsys):
+    pj = json.dumps(path_to_json(lacuna_path("0")))
+    form = json.dumps(fm.fdg(f0, f1).to_json())
+    for args in (["efflen", "--depth", "40"], ["homology", "--depth", "20"],
+                 ["potential", "--form", form, "--depth", "30"]):
+        assert cli.main([*args, "--path", pj]) == 1
+        assert "budget" in capsys.readouterr().err
+
+
 def test_hodge_and_potential(tmp_path, capsys):
     form = json.dumps(fm.fdg(f0, f1).to_json())
     code, out = run_cli(capsys, "hodge", "--form", form, "--depth", "1")

@@ -5,18 +5,25 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketforms import cohomology as coh
 from gasketforms import covering as cov
 from gasketforms import forms as fm
-from gasketforms.errors import UnboundedTailError
+from gasketforms.certified import CertifiedValue
+from gasketforms.errors import DepthTooSmallError, GasketError, UnboundedTailError
 from gasketforms.geometry import (
     OrientedEdge,
+    edges_at_level,
     lacuna_path,
     perimeter_path,
     validate_path,
+    vertex_id,
+    words,
 )
 from gasketforms.harmonic import harmonic_basis
 
@@ -206,3 +213,151 @@ def test_duality_pairing_bound():
         bseq = cov.LevelSequence.from_values(bvals, 2)
         pairing = sum((kvals[w] * bvals[w] for w in words), F(0))
         assert abs(pairing) <= cov.norm_N(kseq).value * cov.norm_Nprime(bseq).value
+
+
+# ---------------------------------------------------------------------------
+# the dz table of a path against per-word integration
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _skeleton(n):
+    """Vertices of the level-n graph, and the oriented edges leaving each."""
+    out = {}
+    for e in edges_at_level(n):
+        out.setdefault(e.source, []).append(e)
+        out.setdefault(e.target, []).append(e.reversed())
+    return sorted(out, key=vertex_id), {p: sorted(es, key=str) for p, es in out.items()}
+
+
+@st.composite
+def walks(draw, closed=None):
+    """A walk on the level 0-4 graph, closed by a shortest way back when
+    asked, in either orientation."""
+    n = draw(st.integers(0, 4))
+    vertices, adj = _skeleton(n)
+    start = p = vertices[draw(st.integers(0, len(vertices) - 1))]
+    edges = []
+    for choice in draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)):
+        edges.append(adj[p][choice % len(adj[p])])
+        p = edges[-1].target
+    if (draw(st.booleans()) if closed is None else closed) and p != start:
+        prev, frontier = {p: None}, [p]
+        while start not in prev:
+            nxt = []
+            for x in frontier:
+                for e in adj[x]:
+                    if e.target not in prev:
+                        prev[e.target] = e
+                        nxt.append(e.target)
+            frontier = nxt
+        back, x = [], start
+        while prev[x] is not None:
+            back.append(prev[x])
+            x = prev[x].source
+        edges.extend(reversed(back))
+    path = validate_path(edges)
+    return path.reversed() if draw(st.booleans()) else path
+
+
+def _words_to(depth):
+    return [w for n in range(depth + 1) for w in words(n)]
+
+
+def _effective_length_by_candidates(path, depth):
+    """Oracle: per-level sups over candidate words, each integrated over the
+    whole path (the words a nonzero integral over some edge can have)."""
+    edges = list(path)
+    sups = []
+    for k in range(depth + 1):
+        candidates = set()
+        for e in edges:
+            if k <= e.level:
+                candidates.add(e.cell[:k])
+            else:
+                letters = [c for c in "012" if c != str(e.side)]
+                for head in "012":
+                    for rest in itertools.product(letters, repeat=k - e.level - 1):
+                        candidates.add(e.cell + head + "".join(rest))
+        sups.append(max((abs(fm.dz_integral_path(w, path)) for w in candidates if len(w) == k), default=F(0)))
+    tail_total = len(edges) * F(1, 3) * F(3, 5) ** (depth + 1) * F(5, 2)
+    finite = sum((F(3, 5) ** k * s for k, s in enumerate(sups)), F(0))
+    return CertifiedValue(finite + tail_total / 2, tail_total / 2)
+
+
+@settings(max_examples=40)
+@given(walks(), st.integers(0, 8))
+def test_dz_table_matches_per_word_integration(path, depth):
+    table = cov.dz_path_integrals(path, depth)
+    assert 0 not in table.values()
+    assert all(len(w) <= depth for w in table)
+    for w in _words_to(depth):
+        assert table.get(w, 0) == fm.dz_integral_path(w, path), w
+
+
+@settings(max_examples=30)
+@given(walks(), st.integers(0, 8))
+def test_effective_length_matches_candidate_enumeration(path, depth):
+    lam = cov.effective_length(path, depth)
+    if len(path) > 1:
+        assert lam == _effective_length_by_candidates(path, depth)
+    else:
+        assert lam.exact
+
+
+@settings(max_examples=30)
+@given(walks(closed=True), st.integers(0, 6))
+def test_homology_class_matches_winding_numbers(path, depth):
+    g = cov.homology_class(path, depth)
+    coords = {w: coh.winding_number(path, w) for w in _words_to(depth - 1)}
+    assert g.depth == depth and g.coords == {w: c for w, c in coords.items() if c != 0}
+
+
+@settings(max_examples=15)
+@given(walks(closed=False), st.integers(1, 8))
+def test_homology_class_of_open_path_is_refused(path, depth):
+    if not path.closed:
+        with pytest.raises(GasketError, match="closed path"):
+            cov.homology_class(path, depth)
+
+
+@settings(max_examples=25)
+@given(walks(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_potential_difference_matches_per_word_sum(path, depth, rng):
+    depth = max(depth, max(e.level for e in path))
+    k = {w: CertifiedValue.from_exact(F(rng.randint(-9, 9), rng.randint(1, 9))) for w in _words_to(depth)}
+    potential = {p: CertifiedValue.from_exact(rng.randint(-9, 9)) for p in (path.source, path.target)}
+    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0))
+    pd = cov.potential_difference(fm.d(f1), path, depth, decomposition=dec)
+    expected = potential[path.target].value - potential[path.source].value + sum(
+        (kcv.value * fm.dz_integral_path(w, path) for w, kcv in k.items()), F(0)
+    )
+    assert pd.exact and pd.value == expected
+
+
+def test_potential_difference_refuses_decomposition_of_other_depth():
+    path = perimeter_path("012")  # a level-3 walk
+    form = fm.fdg(f0, f1)
+    with pytest.raises(DepthTooSmallError):
+        cov.potential_difference(form, path, 3, decomposition=coh.hodge_decompose(form, 1))
+    shallow = validate_path([OrientedEdge("", 1)])
+    with pytest.raises(DepthTooSmallError):
+        cov.potential_difference(form, shallow, 1, decomposition=coh.hodge_decompose(form, 2))
+
+
+def test_dz_table_work_budget(monkeypatch):
+    path = perimeter_path("")
+    # the refusal comes from the size count alone: no table is built
+    with pytest.raises(GasketError, match="budget"):
+        cov.dz_path_integrals(path, 40)
+    with pytest.raises(GasketError, match="budget"):
+        cov.homology_class(path, 14)
+    with pytest.raises(GasketError, match="budget"):
+        cov.effective_length(path, 10**6)
+    with pytest.raises(GasketError, match="budget"):
+        cov.potential_difference(fm.fdg(f0, f1), path, 30)  # before any Hodge decomposition
+    # three level-0 edges to depth 2: 3 * (2^3 - 1) avoid-letter words
+    monkeypatch.setattr(cov, "_TABLE_ENTRIES_MAX", 21)
+    assert cov.dz_path_integrals(path, 2)
+    monkeypatch.setattr(cov, "_TABLE_ENTRIES_MAX", 20)
+    with pytest.raises(GasketError, match="budget"):
+        cov.dz_path_integrals(path, 2)
