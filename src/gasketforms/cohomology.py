@@ -11,6 +11,13 @@ The Hodge decomposition of a form with finite stored energy bounds is
 computed from its periods: k = A* c truncated at a depth, with tails bounded
 by the geometric decay of lacuna periods, and a skeleton primitive for the
 residual exact part anchored at the corner p_0.
+
+In exact mode both read the universal part from one integer side-integral
+table per call (``forms.side_integral_table``), coarsened level by level: a
+lacuna period sums side i of the three children of its cell, and a skeleton
+edge reads its own side.  Lacuna forms enter through the B entries of their
+prefixes.  The per-word tables are refused past ``_TABLE_ENTRIES_MAX``
+entries before any work starts.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .certified import CertifiedValue
 from .errors import (
@@ -27,14 +35,19 @@ from .errors import (
     NotComparableError,
 )
 from .forms import (
+    ONE,
+    FormTerm,
     SmoothForm,
     _normalized_terms,
+    _prefix_dz,
+    _universal_level,
     dz_form,
     dz_integral_edge,
     dz_integral_path,
     integrate_edge,
     integrate_path,
     q_inner,
+    side_integral_table,
 )
 from .geometry import (
     ElementaryPath,
@@ -53,6 +66,16 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 R35 = Fraction(3, 5)
 _THIRD = Fraction(1, 3)
+
+
+# Work budget of the per-word tables (periods, skeletons, dz tables of paths,
+# homology classes): a table of more entries is refused before any work.
+_TABLE_ENTRIES_MAX = 2**20
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > _TABLE_ENTRIES_MAX:
+        raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
 
 
 def b_rule(rho: Word, tau: Word) -> Fraction:
@@ -166,24 +189,54 @@ class PeriodVector:
         }
 
 
+def _coarsen(rows: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """A side-integral table one level up: side i of a cell is the union of
+    side i of its children (i + 2) mod 3 and (i + 1) mod 3."""
+    return [
+        (r1[0] + r2[0], r0[1] + r2[1], r0[2] + r1[2])
+        for r0, r1, r2 in zip(rows[0::3], rows[1::3], rows[2::3])
+    ]
+
+
 def periods_up_to(form: SmoothForm, depth: int, mode: str = "exact") -> PeriodVector:
     """c_sigma = integral of the form around the lacuna of C_sigma, for all
-    |sigma| <= depth."""
-    harmonic_depth = max([len(w) for w in form.harmonic], default=-1)
-    entries: dict[Word, CertifiedValue] = {}
-    for n in range(depth + 1):
-        for w in words(n):
-            cv = integrate_path(form, lacuna_path(w), mode=mode)
-            # dz parts contribute B entries; they are already inside integrate
-            entries[w] = cv
+    |sigma| <= depth.
+
+    Exact mode reads the universal part from one ``side_integral_table`` at
+    level max(m, depth + 1), m its data level, coarsened level by level: the
+    lacuna of a level-n cell tau is side i of its child tau+i, for i = 0, 1, 2.
+    The harmonic part adds c_s·B_{s,tau} for the prefixes tau of each word s;
+    the exact part adds nothing, the lacuna being closed.  Certified mode
+    integrates every lacuna path, with the universal part through the Riemann
+    engine.
+
+    Refused with GasketError when the 3^max(m, depth + 1) cells exceed
+    ``_TABLE_ENTRIES_MAX``, and with DepthTooSmallError when a harmonic word
+    is longer than the depth, before any integration."""
+    top = max(_universal_level(form), depth + 1)
+    _check_budget(3 ** min(top, 64), f"the lacuna and skeleton tables to depth {depth}")
     bound = universal_energy_bound(form)
-    # beyond the support of the harmonic part, dz terms add nothing to tails
-    if harmonic_depth >= depth:
-        for sigma in form.harmonic:
-            if len(sigma) > depth:
-                raise DepthTooSmallError(
-                    "harmonic support deeper than the requested period depth"
-                )
+    if any(len(sigma) > depth for sigma in form.harmonic):
+        raise DepthTooSmallError("harmonic support deeper than the requested period depth")
+    entries: dict[Word, CertifiedValue] = {}
+    if mode != "exact":
+        for n in range(depth + 1):
+            for w in words(n):
+                entries[w] = integrate_path(form, lacuna_path(w), mode=mode)
+        return PeriodVector(depth, entries, bound)
+    harmonic: dict[Word, Fraction] = {}
+    for s, c in form.harmonic.items():
+        for j in range(len(s) + 1):
+            harmonic[s[:j]] = harmonic.get(s[:j], F0) + c * b_entry(s, s[:j])
+    D, rows = side_integral_table(form, top)
+    tables = {top: rows}
+    for level in range(top, 1, -1):
+        tables[level - 1] = rows = _coarsen(rows)
+    for n in range(depth + 1):
+        T = tables[n + 1]
+        for j, w in enumerate(words(n)):
+            v = Fraction(T[3 * j][0] + T[3 * j + 1][1] + T[3 * j + 2][2], D)
+            entries[w] = CertifiedValue.from_exact(v + harmonic.get(w, F0))
     return PeriodVector(depth, entries, bound)
 
 
@@ -230,6 +283,26 @@ class HodgeDecomposition:
         }
 
 
+def _skeleton_integrals(form: SmoothForm, depth: int) -> Callable[[OrientedEdge], CertifiedValue]:
+    """e -> exact integral of the form over a level-``depth`` edge: the
+    universal and exact parts from one side-integral table (coarsened from the
+    data level when that is finer), the harmonic part per lacuna form."""
+    table_form = SmoothForm(form.terms + ((FormTerm(ONE, form.exact),) if form.exact is not None else ()))
+    level = max(_universal_level(table_form), depth)
+    D, rows = side_integral_table(table_form, level)
+    for _ in range(level - depth):
+        rows = _coarsen(rows)
+    harmonic = [(sigma, c) for sigma, c in form.harmonic.items() if c != 0]
+
+    def integral(e: OrientedEdge) -> CertifiedValue:
+        value = Fraction(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
+        for sigma, c in harmonic:
+            value += c * dz_integral_edge(sigma, e)
+        return CertifiedValue.from_exact(value)
+
+    return integral
+
+
 def hodge_decompose(
     form: SmoothForm,
     depth: int,
@@ -240,32 +313,36 @@ def hodge_decompose(
     truncated at the depth) and a skeleton primitive for the exact part.
 
     The primitive is anchored at U(p_0) = 0 and built over a deterministic
-    breadth-first tree of the level-``depth`` graph.
+    breadth-first tree of the level-``depth`` graph.  In exact mode the edge
+    integrals come from one side-integral table (``_skeleton_integrals``).
+    The work budget is that of ``periods_up_to`` at the same depth.
     """
-    periods = periods_up_to(form, depth, mode=mode)
+    periods = periods_up_to(form, depth, mode=mode)  # also checks the work budget
     ktail = k_tail_bound(periods.level_sum_bound, depth)
     if tolerance is not None and ktail > tolerance:
         raise DepthTooSmallError(
             f"k-tail bound {float(ktail):.3g} exceeds tolerance at depth {depth}"
         )
-    k: dict[Word, CertifiedValue] = {}
-    for tau in periods.entries:
-        acc = CertifiedValue.from_exact(0)
-        for sigma, cv in periods.entries.items():
-            if is_prefix(tau, sigma):
-                acc = acc + cv.scaled(a_entry(sigma, tau))
-        k[tau] = CertifiedValue(acc.value, acc.radius + ktail)
+    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau prefixes
+    acc = {tau: CertifiedValue.from_exact(0) for tau in periods.entries}
+    for sigma, cv in periods.entries.items():
+        for j in range(len(sigma) + 1):
+            acc[sigma[:j]] = acc[sigma[:j]] + cv.scaled(a_entry(sigma, sigma[:j]))
+    k = {tau: CertifiedValue(a.value, a.radius + ktail) for tau, a in acc.items()}
 
     # residual edge integrals d U_E(e) = int_e (omega - omega_H): the dropped
     # dz terms contribute at most sum_{m > depth} levelsum_m(k) * 1/3
     edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * periods.level_sum_bound
+    edge_integral = _skeleton_integrals(form, depth) if mode == "exact" else (
+        lambda e: integrate_edge(form, e, mode=mode)
+    )
 
     def residual_edge(e: OrientedEdge) -> CertifiedValue:
-        total = integrate_edge(form, e, mode=mode)
-        for tau, kcv in k.items():
-            w = dz_integral_edge(tau, e)
-            if w != 0:
-                total = total - kcv.scaled(w)
+        total = edge_integral(e)
+        # dz_tau vanishes on a level-depth edge unless tau is a prefix of its
+        # cell, and is -1/3 on the cell's own sides
+        for tau, w in _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),):
+            total = total - k[tau].scaled(e.sign * w)
         return CertifiedValue(total.value, total.radius + edge_dz_tail)
 
     # deterministic BFS over the level-depth skeleton

@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
+    _check_budget,
     a_entry,
     b_rule,
     hodge_decompose,
@@ -43,7 +44,7 @@ from .errors import (
     NonIntegerResultError,
     UnboundedTailError,
 )
-from .forms import SmoothForm, dz_integral_edge
+from .forms import SmoothForm, _prefix_dz
 from .geometry import ElementaryPath, OrientedEdge, Word, is_prefix, words
 
 F0 = Fraction(0)
@@ -131,25 +132,6 @@ def norm_Nprime(seq: LevelSequence) -> CertifiedValue:
 # the dz table of a path
 # ---------------------------------------------------------------------------
 
-# Work budget of the dz tables: a table of more entries, or a homology class
-# over more words, is refused before any work starts.
-_TABLE_ENTRIES_MAX = 2**20
-
-
-def _check_budget(count: int, what: str) -> None:
-    if count > _TABLE_ENTRIES_MAX:
-        raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
-
-
-@lru_cache(maxsize=None)
-def _prefix_dz(cell: Word, side: int) -> tuple[tuple[Word, Fraction], ...]:
-    """(cell[:k], integral of dz_{cell[:k]} over the edge (cell, side, +1))
-    for the k < |cell| whose value is nonzero, shortest first."""
-    e = OrientedEdge(cell, side)
-    values = ((cell[:k], dz_integral_edge(cell[:k], e)) for k in range(len(cell)))
-    return tuple((w, v) for w, v in values if v != 0)
-
-
 @lru_cache(maxsize=None)
 def _avoiding(letter: str, max_len: int) -> tuple[str, ...]:
     """The strings of length 0..max_len over the two letters other than
@@ -175,7 +157,7 @@ def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fr
     dz_{tau[:k]} on the sub-cell tau[:k+1]), and tau + r for every string r
     avoiding the letter i, each with value -s/3; see ``dz_integral_edge``.
     Refused with ``GasketError`` when the table would exceed
-    ``_TABLE_ENTRIES_MAX`` entries.
+    ``cohomology._TABLE_ENTRIES_MAX`` entries.
     """
     edges = list(path)
     size = sum(

@@ -16,9 +16,11 @@ energy inner product Q, and both are used by the test suite:
 * exact mode works in rational arithmetic.  Edge integrals of harmonic data
   are values of the eigenvalue-1 fixed point of the two-child refinement
   operator on 3x3 kernels (pinned by the row-sum and symmetrization
-  identities); Q is evaluated by vertex-Laplacian pairings when one left slot
-  is constant and through the quadrilinear self-similar fixed-point kernel
-  when both are occupied.
+  identities), scaled once to integers and contracted with integer corner
+  triples; ``side_integral_table`` gives the integrals over the sides of
+  every cell of one level from one walk per function.  Q is evaluated by
+  vertex-Laplacian pairings when one left slot is constant and through the
+  quadrilinear self-similar fixed-point kernel when both are occupied.
 * certified mode stops at a finite level n and reports a sound rational
   radius from the geometric tail constants ((3/5)^n for integrals,
   (3/5)^(n/2)-rate bounds for Q).  Edge integrals take the dyadic Riemann
@@ -601,6 +603,15 @@ def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
     return F0
 
 
+@lru_cache(maxsize=None)
+def _prefix_dz(cell: Word, side: int) -> tuple[tuple[Word, Fraction], ...]:
+    """(cell[:k], integral of dz_{cell[:k]} over the edge (cell, side, +1))
+    for the k < |cell| whose value is nonzero, shortest first."""
+    e = OrientedEdge(cell, side)
+    values = ((cell[:k], dz_integral_edge(cell[:k], e)) for k in range(len(cell)))
+    return tuple((w, v) for w, v in values if v != 0)
+
+
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
     return sum((dz_integral_edge(sigma, e) for e in path), F0)
 
@@ -710,15 +721,14 @@ def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(sol[idx(j, k)] for k in range(3)) for j in range(3))
 
 
-def kernel_apply(M: Sequence[Sequence[Fraction]], tf: Triple | None, tg: Triple) -> Fraction:
-    acc = F0
-    for j in range(3):
-        fj = F1 if tf is None else tf[j]
-        if fj == 0:
-            continue
-        row = M[j]
-        acc += fj * (row[0] * tg[0] + row[1] * tg[1] + row[2] * tg[2])
-    return acc
+@lru_cache(maxsize=None)
+def _int_edge_kernels() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(Dk, kernels): Dk·edge_kernel(i) for the sides i = 0, 1, 2 over
+    integers, each flattened row by row to pair with the outer product of two
+    corner triples; Dk is the least common denominator of their entries."""
+    kernels = [edge_kernel(i) for i in range(3)]
+    Dk = math.lcm(*(x.denominator for M in kernels for row in M for x in row))
+    return Dk, tuple(tuple(int(x * Dk) for row in M for x in row) for M in kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -754,17 +764,66 @@ def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction |
 def integrate_term_exact(
     coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge
 ) -> Fraction:
+    """Exact integral of coeff·F dg (F None for 1) over one oriented edge: the
+    integer kernel contracted with integer corner triples on every sub-edge
+    at the data level, one division per sub-edge."""
     if coeff == 0:
         return F0
     m = max(g.level, F.level if F is not None else 0)
     total = F0
     for sub in subdivide(e, max(m, e.level)):
-        tg = g.triple(sub.cell)
-        tf = F.triple(sub.cell) if F is not None else None
-        M = edge_kernel(sub.side)
-        val = kernel_apply(M, tf, tg)
-        total += val if sub.sign == 1 else -val
+        Dg, tg = _integers(g.triple(sub.cell))
+        i = sub.side
+        if F is None:
+            total += Fraction(sub.sign * (tg[(i + 1) % 3] - tg[(i + 2) % 3]), Dg)
+        else:
+            Dk, kernels = _int_edge_kernels()
+            Df, tf = _integers(F.triple(sub.cell))
+            val = sum(map(operator.mul, kernels[i], [x * y for x in tf for y in tg]))
+            total += Fraction(sub.sign * val, Df * Dg * Dk)
     return coeff * total
+
+
+def _universal_level(form: SmoothForm) -> int:
+    """The data level of the universal part: the finest level of its terms."""
+    return max((max(t.g.level, t.left.max_level(), t.right.max_level()) for t in form.terms), default=0)
+
+
+def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, rows): row u holds D times the exact integrals of the universal
+    part over sides 0, 1, 2 (canonical orientation) of the u-th level-``level``
+    cell in word order.  ``level`` is at least the data level of every term.
+
+    One integer walk per function (``int_triples``); a term c·F dg contracts
+    the integer kernels with the triples of F and g, a term c·dg gives
+    g(t) - g(s).  Each term's rational scale is folded into D once, so a
+    caller divides once per value it reads.  A product of two non-constant
+    factors raises ExactnessUnavailableError before any walk."""
+    terms = [(c, F, g) for c, F, g in _normalized_terms(form) if c != 0]
+    if _universal_level(form) > level:
+        raise GasketError("side-integral table below the data level")
+    if not terms:
+        return 1, [(0, 0, 0)] * 3**level
+    functions = {id(vf): vf for _, F, g in terms for vf in (F, g) if vf is not None}
+    walks = {key: vf.int_triples(level) for key, vf in functions.items()}
+    Dk, kernels = _int_edge_kernels()
+    scales, columns = [], []
+    for c, F, g in terms:
+        Dg, tg = walks[id(g)]
+        if F is None:
+            scales.append(c / Dg)
+            columns.append([(b - cc, cc - a, a - b) for a, b, cc in tg])
+            continue
+        Df, tf = walks[id(F)]
+        scales.append(c / (Df * Dg * Dk))
+        outer = ([x * y for x in f for y in t] for f, t in zip(tf, tg))
+        columns.append([tuple(sum(map(operator.mul, K, o)) for K in kernels) for o in outer])
+    D = math.lcm(*(x.denominator for x in scales))
+    mults = [x.numerator * (D // x.denominator) for x in scales]
+    return D, [
+        tuple(sum(map(operator.mul, mults, sides)) for sides in zip(*cells))
+        for cells in zip(*columns)
+    ]
 
 
 def _monomial_riemann(
@@ -1024,9 +1083,7 @@ Piece = tuple[Fraction, tuple[IntTriple, ...], IntTriple]
 
 def _form_data_level(form: SmoothForm) -> int:
     """The level of the form's finest nonzero part."""
-    m = 0
-    for t in form.terms:
-        m = max(m, t.g.level, t.left.max_level(), t.right.max_level())
+    m = _universal_level(form)
     for sigma, k in form.harmonic.items():
         if k:
             m = max(m, len(sigma) + 1)

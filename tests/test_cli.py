@@ -72,9 +72,10 @@ def test_homology_and_efflen(capsys):
 def test_huge_depth_is_refused_with_exit_code_1(capsys):
     pj = json.dumps(path_to_json(lacuna_path("0")))
     form = json.dumps(fm.fdg(f0, f1).to_json())
-    for args in (["efflen", "--depth", "40"], ["homology", "--depth", "20"],
-                 ["potential", "--form", form, "--depth", "30"]):
-        assert cli.main([*args, "--path", pj]) == 1
+    for args in (["efflen", "--depth", "40", "--path", pj], ["homology", "--depth", "20", "--path", pj],
+                 ["potential", "--form", form, "--depth", "30", "--path", pj],
+                 ["periods", "--form", form, "--depth", "30"], ["hodge", "--form", form, "--depth", "30"]):
+        assert cli.main(args) == 1
         assert "budget" in capsys.readouterr().err
 
 

@@ -345,6 +345,31 @@ def test_trace_property_certified():
     assert abs(a.value - b.value) <= float(a.radius + b.radius)
 
 
+def _fraction_kernel_integral(coeff, F_vf, g, e):
+    """Exact term integral with the Fraction kernels on Fraction triples, one
+    sub-edge at a time."""
+    m = max(g.level, F_vf.level if F_vf is not None else 0)
+    total = F(0)
+    for sub in subdivide(e, max(m, e.level)):
+        tg = g.triple(sub.cell)
+        tf = F_vf.triple(sub.cell) if F_vf is not None else (1, 1, 1)
+        M = fm.edge_kernel(sub.side)
+        total += sub.sign * sum(tf[j] * M[j][k] * tg[k] for j in range(3) for k in range(3))
+    return coeff * total
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.booleans(), st.text(alphabet="012", max_size=3), st.integers(0, 2),
+       st.sampled_from([1, -1]))
+def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
+    rng = random.Random(seed)
+    g = random_harmonic(rng.randint(0, 2), rng, span=7)
+    F_vf = None if plain else random_harmonic(rng.randint(0, 2), rng, span=7)
+    c = F(rng.randint(-9, 9), rng.randint(1, 9))
+    e = OrientedEdge(cell, side, sign)
+    assert fm.integrate_term_exact(c, F_vf, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
+
+
 def test_exactness_unavailable_for_products():
     w = fm.multiply_form(f1, fm.fdg(f0, f2), side="left")
     with pytest.raises(ExactnessUnavailableError):
@@ -418,6 +443,24 @@ def test_q_certified_contains_exact():
         exact = fm.q_inner_exact(a, b)
         cv = fm.q_inner_certified(a, b, tolerance=F(1, 10**9), max_level=10, strict=False)
         assert cv.contains(exact)
+
+
+def test_q_certified_radius_includes_the_extrapolation_correction():
+    """The radius is the tail bound at the last level, plus the distance the
+    extrapolation moved the last level sum, plus half an ulp."""
+    omega = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1)]), f2)
+    cv = fm.q_inner_certified(omega, omega, max_level=8, strict=False)
+    side = fm._compile_certified(omega)
+    radius = fm._pair_radius(side, side)
+    m = fm._form_data_level(omega)
+    level_sum = fm.q_level_sums(omega, omega, m)
+    vals = [level_sum(n) for n in range(max(1, m), 9)]
+    assert radius(8) > F(1, 10**9)  # the loop ran to the level cap
+    value = fm._extrapolate(vals)
+    correction = abs(value - vals[-1])
+    assert correction != 0
+    assert cv.value == float(value)
+    assert cv.radius == radius(8) + correction + F(math.ulp(cv.value)) / 2
 
 
 def test_q_certified_raises_beyond_cap():
