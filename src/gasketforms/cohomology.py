@@ -315,9 +315,15 @@ def hodge_decompose(
     The primitive is anchored at U(p_0) = 0 and built over a deterministic
     breadth-first tree of the level-``depth`` graph.  In exact mode the edge
     integrals come from one side-integral table (``_skeleton_integrals``).
-    The work budget is that of ``periods_up_to`` at the same depth.
+
+    The work budget charges 3^(depth + 1)·(depth + 1) against
+    ``_TABLE_ENTRIES_MAX``: the prefix work of k = A* c over the periods and
+    of the residuals over the 3^(depth + 1) skeleton edges, each of which
+    reads up to depth + 1 prefixes.  Past it GasketError is raised before any
+    work; ``periods_up_to`` then checks its own table budget.
     """
-    periods = periods_up_to(form, depth, mode=mode)  # also checks the work budget
+    _check_budget(3 ** min(depth + 1, 64) * (depth + 1), f"the Hodge decomposition to depth {depth}")
+    periods = periods_up_to(form, depth, mode=mode)
     ktail = k_tail_bound(periods.level_sum_bound, depth)
     if tolerance is not None and ktail > tolerance:
         raise DepthTooSmallError(

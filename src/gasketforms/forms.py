@@ -1048,33 +1048,6 @@ def q_kernel() -> tuple[Fraction, ...]:
     return tuple(sol)
 
 
-def _quad_q(F1t: Triple, g: Triple, F2t: Triple, k: Triple) -> Fraction:
-    W = q_kernel()
-    acc = F0
-    pos = 0
-    for a in range(3):
-        fa = F1t[a]
-        if fa == 0:
-            pos += 27
-            continue
-        for b in range(3):
-            gb = g[b]
-            if gb == 0:
-                pos += 9
-                continue
-            for c in range(3):
-                hc = F2t[c]
-                if hc == 0:
-                    pos += 3
-                    continue
-                for dd in range(3):
-                    w = W[pos]
-                    if w != 0:
-                        acc += fa * gb * hc * k[dd] * w
-                    pos += 1
-    return acc
-
-
 IntTriple = tuple[int, int, int]
 # (c, left-factor triples, g triple): the piece c·L_1⋯L_p·dg on one cell, with
 # the factors' integer corner values; c carries their denominators
@@ -1126,34 +1099,86 @@ def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
     return cells
 
 
+def _shape_tensors(cells: list[list[Piece]]) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
+    """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
+    over each cell's pieces with p left factors), stored entry by entry
+    (first slot most significant), each entry a tuple over the cells."""
+    D = math.lcm(*(c.denominator for pieces in cells for c, _, _ in pieces))
+    tensors: dict[int, list[list[int]]] = {}
+    for u, pieces in enumerate(cells):
+        for c, left, g in pieces:
+            x = [c.numerator * (D // c.denominator)]
+            for t in (*left, g):
+                x = [a * b for a in x for b in t]
+            if len(left) not in tensors:
+                tensors[len(left)] = [[0] * len(x) for _ in cells]
+            per_cell = tensors[len(left)]
+            per_cell[u] = list(map(operator.add, per_cell[u], x))
+    return D, {p: list(zip(*per_cell)) for p, per_cell in tensors.items()}
+
+
+def _moments(cells1: list[list[Piece]], cells2: list[list[Piece]]) -> tuple[int, list[tuple[int, int, list[int]]]]:
+    """(D, [(p, r, moment)]): for each pair of left-factor counts p, r of the
+    two forms' pieces, D times the sum over the cells of the outer product
+    of their shape tensors (``_shape_tensors``), flat over the slots
+    L_1..L_p, g, M_1..M_r, k.  A pair of more than _KERNEL_SLOTS_MAX slots
+    raises GasketError before any moment is summed."""
+    D1, entries1 = _shape_tensors(cells1)
+    D2, entries2 = (D1, entries1) if cells2 is cells1 else _shape_tensors(cells2)
+    slots = max((p + r + 2 for p in entries1 for r in entries2), default=0)
+    if slots > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
+    return D1 * D2, [
+        (p, r, [sum(map(operator.mul, a, b)) for a in A for b in B])
+        for p, A in entries1.items()
+        for r, B in entries2.items()
+    ]
+
+
+@lru_cache(maxsize=None)
+def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """(den, K): K/den is Q on one cell of 0-harmonic data between pieces
+    with p and r left factors (p, r <= 1), flat over the slots of their
+    moment (L, g, M, k without the absent left slots): the graph energy for
+    (0, 0), ``_single_slot_q`` on basis triples for (0, 1) and (1, 0), and
+    ``q_kernel()`` for (1, 1); den is the least common denominator."""
+    basis = ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1))
+    if p == r == 0:
+        K = [graph_energy(g, k) for g, k in itertools.product(basis, repeat=2)]
+    elif p == 0:
+        K = [_single_slot_q(g, h, k) for g, h, k in itertools.product(basis, repeat=3)]
+    elif r == 0:
+        K = [_single_slot_q(k, f, g) for f, g, k in itertools.product(basis, repeat=3)]
+    else:
+        K = list(q_kernel())
+    den = math.lcm(*(x.denominator for x in K))
+    return den, tuple(int(x * den) for x in K)
+
+
 def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     """Q(omega, eta) in rational arithmetic.
 
-    Both forms are pulled back to the cells of a common level where all the
-    data is 0-harmonic; each cell contributes through the vertex-Laplacian
-    pairings (one constant left slot) or the quadrilinear kernel (both left
-    slots occupied).  A piece with more than one left factor raises
-    ExactnessUnavailableError."""
+    Both forms are cut into integer pieces on the cells of a common level m
+    where all the data is 0-harmonic (``_cell_pieces``), and the pieces are
+    summed over the cells into one moment per pair of left-factor counts
+    (``_moments``).  On one cell Q is a fixed multilinear form in the corner
+    triples: the graph energy with no left factor, the vertex-Laplacian
+    pairings with one (``_single_slot_q``), the quadrilinear fixed-point
+    kernel with both left slots occupied (``q_kernel``).  Each moment is
+    contracted with that kernel over the integers (``_exact_q_kernel``) and
+    the sum is divided once, times (5/3)^m.  A piece with more than one left
+    factor raises ExactnessUnavailableError before any tensor is built."""
     m = max(_form_data_level(omega), _form_data_level(eta))
     cells1 = _cell_pieces(omega, m)
     cells2 = cells1 if eta is omega else _cell_pieces(eta, m)
     for cells in (cells1, cells2):
         if any(len(left) > 1 for _, left, _ in cells[0]):  # a term has pieces on every cell
             raise ExactnessUnavailableError("product of two non-constant factors")
-    total = F0
-    for p1, p2 in zip(cells1, cells2):
-        for c1, f1, g1 in p1:
-            for c2, f2, g2 in p2:
-                if not f1 and not f2:
-                    val = graph_energy(g1, g2)
-                elif not f1:
-                    val = _single_slot_q(g1, *f2, g2)
-                elif not f2:
-                    val = _single_slot_q(g2, *f1, g1)
-                else:
-                    val = _quad_q(*f1, g1, *f2, g2)
-                total += c1 * c2 * val
-    return R53**m * total
+    D, moments = _moments(cells1, cells2)
+    kernels = [_exact_q_kernel(p, r) for p, r, _ in moments]
+    den = math.lcm(*(kden for kden, _ in kernels))
+    total = sum(den // kden * sum(map(operator.mul, K, mom)) for (kden, K), (_, _, mom) in zip(kernels, moments))
+    return Fraction(5**m * total, 3**m * den * D)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,24 +1208,6 @@ def q_level_kernel(p: int, r: int, j: int) -> tuple[int, ...]:
     return tuple(map(sum, zip(*(_refine_modes(prev, H, d) for H in _H5))))
 
 
-def _shape_tensors(cells: list[list[Piece]]) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
-    """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
-    over each cell's pieces with p left factors), stored entry by entry
-    (first slot most significant), each entry a tuple over the cells."""
-    D = math.lcm(*(c.denominator for pieces in cells for c, _, _ in pieces))
-    tensors: dict[int, list[list[int]]] = {}
-    for u, pieces in enumerate(cells):
-        for c, left, g in pieces:
-            x = [c.numerator * (D // c.denominator)]
-            for t in (*left, g):
-                x = [a * b for a in x for b in t]
-            if len(left) not in tensors:
-                tensors[len(left)] = [[0] * len(x) for _ in cells]
-            per_cell = tensors[len(left)]
-            per_cell[u] = list(map(operator.add, per_cell[u], x))
-    return D, {p: list(zip(*per_cell)) for p, per_cell in tensors.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class _CTerm:
     """One certified term c·left·dg, with what the tail bound needs of g (a
@@ -1228,23 +1235,31 @@ def _compile_certified(form: SmoothForm) -> list[_CTerm]:
 
 
 def _pair_radius(side1: list[_CTerm], side2: list[_CTerm]) -> Bound:
-    """n -> sound bound for |Q - Q~_n|, assembled pair by pair."""
+    """n -> sound bound for |Q - Q~_n|, assembled pair by pair: each pair of
+    terms with a left factor F (one side's, or the product of both) adds
+    c·(sqrt_upper(dgk(n)·defect_F(n))/2 + osc_F(n)·sqrt(E_g·E_k)/2).  The
+    bounds of F are built once per distinct pair of left factors and
+    evaluated once per level."""
+    bounds: dict[tuple[Expr, ...], tuple[Bound, Bound]] = {}
     pairs = []
     for s in side1:
         for t in side2:
-            if s.left is None and t.left is None:
+            parts = tuple(x.left for x in (s, t) if x.left is not None)
+            if not parts:
                 continue
-            parts = [x.left for x in (s, t) if x.left is not None]
-            Fexpr = parts[0] if len(parts) == 1 else Product(parts)
-            c = abs(s.coeff * t.coeff)
-            pairs.append((c, s, t, _defect_ub(Fexpr), _osc_rate(Fexpr), sqrt_upper(s.energy * t.energy)))
+            if parts not in bounds:
+                Fexpr = parts[0] if len(parts) == 1 else Product(parts)
+                bounds[parts] = (_defect_ub(Fexpr), _osc_rate(Fexpr))
+            pairs.append((abs(s.coeff * t.coeff), s, t, parts, sqrt_upper(s.energy * t.energy)))
 
     def radius(n: int) -> Fraction:
+        at_n = {parts: (defect(n), osc(n)) for parts, (defect, osc) in bounds.items()}
         total = F0
-        for c, s, t, defect, osc, sqrt_EsEt in pairs:
+        for c, s, t, parts, sqrt_EsEt in pairs:
+            defect, osc = at_n[parts]
             dgk = 2 * ((s.osc * R35 ** (n - s.level)) ** 2 * t.energy
                        + (t.osc * R35 ** (n - t.level)) ** 2 * s.energy)
-            total += c * (sqrt_upper(dgk * defect(n)) / 2 + osc(n) * sqrt_EsEt / 2)
+            total += c * (sqrt_upper(dgk * defect) / 2 + osc * sqrt_EsEt / 2)
         return total
 
     return radius
@@ -1272,31 +1287,24 @@ def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], 
     """n -> the endpoint level sum Q~_n(omega, eta) = (5/3)^n sum over E_n of
     omega(e)·eta(e), exactly, for n >= m >= the data level of both forms.
 
-    Per pair of left-factor counts, the corner-triple tensors of the level-m
-    cells are summed once into a moment; each level sum is the moment's dot
-    product with the cached ``q_level_kernel``.  A pair with more than
-    _KERNEL_SLOTS_MAX slots (the left factors of both sides and the two
-    d-slots) raises GasketError before any kernel is built."""
-    D1, entries1 = _shape_tensors(_cell_pieces(omega, m))
-    D2, entries2 = (D1, entries1) if eta is omega else _shape_tensors(_cell_pieces(eta, m))
-    slots = max((p + r + 2 for p in entries1 for r in entries2), default=0)
-    if slots > _KERNEL_SLOTS_MAX:
-        raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-    # the moment of a shape pair: the sum over cells of the outer products
-    moments = [
-        (p, r, [sum(map(operator.mul, a, b)) for a in A for b in B])
-        for p, A in entries1.items()
-        for r, B in entries2.items()
-    ]
+    The level-m cells' pieces are summed once into one moment per pair of
+    left-factor counts (``_moments``, the same moments as exact Q); each
+    level sum contracts them with the cached ``q_level_kernel`` over the
+    integers and divides once.  A pair with more than _KERNEL_SLOTS_MAX
+    slots (the left factors of both sides and the two d-slots) raises
+    GasketError before any kernel is built."""
+    cells1 = _cell_pieces(omega, m)
+    D, moments = _moments(cells1, cells1 if eta is omega else _cell_pieces(eta, m))
+    top = max((p + r + 2 for p, r, _ in moments), default=0)
 
     def level_sum(n: int) -> Fraction:
+        # kernel (p, r) is scaled by 5^((p + r + 2)·j); bring all to 5^(top·j)
         j = n - m
         total = sum(
-            (Fraction(sum(map(operator.mul, q_level_kernel(p, r, j), mom)), 5 ** ((p + r + 2) * j))
-             for p, r, mom in moments),
-            F0,
+            5 ** ((top - p - r - 2) * j) * sum(map(operator.mul, q_level_kernel(p, r, j), mom))
+            for p, r, mom in moments
         )
-        return R53**n * total / (D1 * D2)
+        return Fraction(5**n * total, 3**n * 5 ** (top * j) * D)
 
     return level_sum
 
@@ -1310,8 +1318,18 @@ def q_inner_certified(
 ) -> CertifiedValue:
     """Q(omega, eta) from the exact level sums Q~_n (``q_level_sums``) with
     geometric extrapolation, rounded once; the reported radius is the
-    un-extrapolated sound tail bound plus the extrapolation correction plus
-    half an ulp of the value.
+    un-extrapolated sound tail bound (``_pair_radius``) at the stop level,
+    plus the extrapolation correction, plus half an ulp of the value.
+
+    The stop level n is the first level from max(1, m) whose radius meets
+    the tolerance, else the cap max(1, m, max_level).  The radius is taken
+    at the cap first and bisected below it only when the cap meets the
+    tolerance; that finds the n of a scan upward, because the computed
+    radius is strictly decreasing (or zero): per pair term, dgk·defect
+    shrinks by (3/5)^4 and the oscillation rate by 3/5 per level or more,
+    and ``sqrt_upper`` exceeds the root by at most 1e-12 relatively, so
+    every term shrinks by at least 3/5.  Only the last five level sums
+    reach ``_extrapolate``, and only they are computed.
 
     Raises GasketError past the kernel slot budget, and NonConvergentError
     when the radius still exceeds the tolerance at the level cap (unless
@@ -1328,18 +1346,21 @@ def q_inner_certified(
     level_sum = q_level_sums(omega, eta, m)
     radius = _pair_radius(side1, side2)
     tolerance = Fraction(tolerance)
-    vals = []
-    n = max(1, m)
-    while True:
-        vals.append(level_sum(n))
-        rad = radius(n)
-        if rad <= tolerance or n >= max_level:
-            break
-        n += 1
+    lo = max(1, m)
+    n = max(lo, max_level)
+    rad = radius(n)
+    while rad <= tolerance and lo < n:  # bisect for the first level that meets it
+        mid = (lo + n) // 2
+        r = radius(mid)
+        if r <= tolerance:
+            n, rad = mid, r
+        else:
+            lo = mid + 1
     if strict and rad > tolerance:
         raise NonConvergentError(
             f"certified Q radius {float(rad):.3g} exceeds the tolerance at level {n}"
         )
+    vals = [level_sum(k) for k in range(max(1, m, n - 4), n + 1)]
     value = _extrapolate(vals)
     correction = abs(value - vals[-1])
     if correction > 4 * rad:

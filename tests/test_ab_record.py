@@ -1,0 +1,62 @@
+"""The A/B recorder's summary on synthetic runs: claim wins and regressions."""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab_record.py"
+_spec = importlib.util.spec_from_file_location("ab_record", _PATH)
+ab_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_record)
+
+BENCH = {
+    "run_seconds": 10,
+    "end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_p90_ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+    ],
+}
+
+
+def _runs(workload: str, seeds, parent: dict, change: dict) -> list:
+    out = []
+    for seed in seeds:
+        for side, metrics in (("parent", parent), ("change", change)):
+            out.append({"order": len(out), "side": side, "workload": workload, "seed": seed, "trace": 0,
+                        "digest": "d", "failed": 0, "metrics": dict(metrics)})
+    return out
+
+
+def test_build_record_lists_regressions_past_the_bound():
+    seeds = [1, 2, 3]
+    runs = (
+        # faster, 30% worse p90 (past 25%), 9.5% more memory (within 10%)
+        _runs("a", seeds, {"ops_per_s": 100, "op_p90_ms": 10, "peak_rss_mib": 20},
+              {"ops_per_s": 150, "op_p90_ms": 13, "peak_rss_mib": 21.9})
+        # 30% slower (past 25%), the rest unchanged
+        + _runs("b", seeds, {"ops_per_s": 100, "op_p90_ms": 10, "peak_rss_mib": 20},
+                {"ops_per_s": 70, "op_p90_ms": 10, "peak_rss_mib": 20})
+    )
+    args = argparse.Namespace(label="t", claim="a:ops_per_s", pairs=[("a", seeds), ("b", seeds)], trace=[])
+    record = ab_record.build_record(args, BENCH, {"parent": {}, "change": {}}, runs)
+    a, b = record["summary"]["a"], record["summary"]["b"]
+    assert [r["metric"] for r in a["regressions"]] == ["op_p90_ms"]
+    assert a["regressions"][0]["worse_by"] == pytest.approx(0.3)
+    assert [r["metric"] for r in b["regressions"]] == ["ops_per_s"]
+    assert b["regressions"][0] == {"metric": "ops_per_s", "parent": 100, "change": 70, "bound": 0.25,
+                                   "worse_by": pytest.approx(0.3)}
+    assert record["claim"]["pairs_won_by_change"] == "3/3"
+    assert "regressions" in record["what"]
+
+
+def test_no_regressions_without_both_sides():
+    runs = [r for r in _runs("a", [1], {"ops_per_s": 100}, {"ops_per_s": 1}) if r["side"] == "parent"]
+    bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][:1]}
+    args = argparse.Namespace(label="t", claim=None, pairs=[("a", [1])], trace=[])
+    record = ab_record.build_record(args, bench, {}, runs)
+    assert record["summary"]["a"]["regressions"] == []

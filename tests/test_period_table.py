@@ -191,15 +191,34 @@ def test_period_and_hodge_work_budget(monkeypatch):
     for call in (coh.periods_up_to, coh.hodge_decompose):
         with pytest.raises(GasketError, match="budget"):
             call(form, 30)
-    # depth 2 needs the 27 cells of level 3; data of level 3 needs them at depth 0
+    # periods to depth 2 need the 27 cells of level 3; data of level 3 needs them at depth 0
     monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
-    assert coh.hodge_decompose(form, 2).k
+    assert coh.periods_up_to(form, 2).entries
     assert coh.periods_up_to(fm.fdg(random_harmonic(3, random.Random(1)), f1), 0).entries
-    for call in (coh.periods_up_to, coh.hodge_decompose):
-        with pytest.raises(GasketError, match="budget"):
-            call(form, 3)
+    with pytest.raises(GasketError, match="budget"):
+        coh.periods_up_to(form, 3)
     with pytest.raises(GasketError, match="budget"):
         coh.periods_up_to(fm.fdg(random_harmonic(4, random.Random(1)), f1), 0)
+    # a Hodge decomposition to depth 2 charges its prefix work, 3^3 · 3 = 81
+    with pytest.raises(GasketError, match="budget"):
+        coh.hodge_decompose(form, 2)
+    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 81)
+    assert coh.hodge_decompose(form, 2).k
+    with pytest.raises(GasketError, match="budget"):
+        coh.hodge_decompose(form, 3)
+
+
+def test_hodge_budget_refuses_depth_11_before_any_work(monkeypatch):
+    """3^12 cells fit the table budget, but 3^12 · 12 prefix steps do not;
+    the refusal comes before the periods.  The covering set-up depth 4
+    (3^5 · 5) stays well inside."""
+    form = fm.fdg(f0, f1)
+    assert 3**12 <= coh._TABLE_ENTRIES_MAX < 3**12 * 12
+    with monkeypatch.context() as patched:
+        patched.setattr(coh, "periods_up_to", lambda *args, **kwargs: pytest.fail("work started"))
+        with pytest.raises(GasketError, match="budget"):
+            coh.hodge_decompose(form, 11)
+    assert len(coh.hodge_decompose(form, 4).k) == (3**5 - 1) // 2
 
 
 # ---------------------------------------------------------------------------

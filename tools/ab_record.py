@@ -15,7 +15,10 @@ side always runs on a warmer or a quieter machine.  Each ``--trace`` seed runs
 one traced pair for the per-layer metrics.  The record keeps every run line,
 per-side medians and quartiles of every end-to-end metric, the digests and
 failure counts of every pair, and, with ``--claim``, how many pairs the change
-won on the claimed metric.
+won on the claimed metric.  Per workload, ``regressions`` lists every
+end-to-end metric whose change median is worse than the parent's by more than
+its ``BENCHMARK.json`` bound (a fraction of the parent median); the lists are
+also printed to stderr at the end.
 """
 
 from __future__ import annotations
@@ -79,9 +82,24 @@ def cpu_model() -> str:
         return platform.machine()
 
 
-def build_record(args, roots: dict, runs: list) -> dict:
+def regressions(entry: dict, end_to_end: list) -> list:
+    """The end-to-end metrics of one workload summary whose change median is
+    worse than the parent median by more than the metric's relative bound."""
+    out = []
+    for m in end_to_end:
+        sides = entry.get(m["name"], {})
+        if len(sides) < 2:
+            continue
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        worse = change - parent if m["better"] == "lower" else parent - change
+        if worse > m["bound"] * abs(parent):
+            out.append({"metric": m["name"], "parent": parent, "change": change, "bound": m["bound"],
+                        "worse_by": worse / abs(parent) if parent else None})
+    return out
+
+
+def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
     claim_workload, claim_metric = args.claim.split(":") if args.claim else (None, None)
-    bench = benchmark(roots["change"])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     summary = {}
     for workload, seeds in args.pairs:
@@ -110,15 +128,18 @@ def build_record(args, roots: dict, runs: list) -> dict:
         if claim_metric:
             wins = sum(p["change_wins"] for p in entry["pairs"])
             entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
+        entry["regressions"] = regressions(entry, bench["end_to_end"])
     claim = (f"the claim is {claim_metric} on {claim_workload}, every other end-to-end metric"
              if claim_metric else "no claim: every end-to-end metric")
     record = {
         "label": args.label,
-        "what": f"interleaved parent/change runs; {claim} is compared with its BENCHMARK.json bound",
+        "what": f"interleaved parent/change runs; {claim} is compared with its BENCHMARK.json bound "
+                "(per workload, 'regressions' lists the metrics whose change median is worse than the "
+                "parent median by more than the bound)",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
         "host": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version()},
-        "revisions": {side: revision(root) for side, root in roots.items()},
+        "revisions": revisions,
         "seeds": {w: s for w, s in args.pairs},
         "traced_seeds": {w: s for w, s in args.trace},
         "order": "pairs alternate which side runs first (parent first on even-numbered pairs of each "
@@ -149,20 +170,25 @@ def main() -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seconds = benchmark(roots["change"])["run_seconds"]
+    bench = benchmark(roots["change"])
+    revisions = {side: revision(root) for side, root in roots.items()}
     runs = []
+    record = build_record(args, bench, revisions, runs)
     for trace, batches in ((0, args.pairs), (1, args.trace)):
         for workload, seeds in batches:
             for i, seed in enumerate(seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = run(roots[side], workload, seed, seconds, trace)
+                    result = run(roots[side], workload, seed, bench["run_seconds"], trace)
                     runs.append({"order": len(runs), "side": side, "workload": workload, "seed": seed,
                                  "trace": trace, **result})
                     print(f"{workload} {seed} {side} trace={trace}: {result['metrics']}", file=sys.stderr)
                     # rewritten after every run, so a stopped batch keeps what it measured
+                    record = build_record(args, bench, revisions, runs)
                     with open(args.out, "w") as f:
-                        json.dump(build_record(args, roots, runs), f, indent=1)
+                        json.dump(record, f, indent=1)
                         f.write("\n")
+    for workload, entry in record["summary"].items():
+        print(f"{workload} regressions: {entry['regressions'] or 'none'}", file=sys.stderr)
     return 0
 
 
