@@ -55,17 +55,17 @@ class CertifiedValue:
     def upper(self) -> Number:
         return self.value + self.radius
 
+    # comparisons are exact: a float midpoint is the rational it stores, and
+    # the radii already cover the rounding that produced it
     def contains(self, x) -> bool:
-        return abs(self.value - x) <= self.radius + _float_slop(self)
+        return abs(Fraction(self.value) - Fraction(x)) <= self.radius
 
     def encloses(self, other: "CertifiedValue") -> bool:
         """Whether every point of ``other`` lies in this enclosure."""
-        slop = _float_slop(self) + _float_slop(other)
-        return abs(self.value - other.value) + other.radius <= self.radius + slop
+        return abs(Fraction(self.value) - Fraction(other.value)) + other.radius <= self.radius
 
     def overlaps(self, other: "CertifiedValue") -> bool:
-        slop = _float_slop(self) + _float_slop(other)
-        return abs(self.value - other.value) <= self.radius + other.radius + slop
+        return abs(Fraction(self.value) - Fraction(other.value)) <= self.radius + other.radius
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
@@ -102,9 +102,3 @@ class CertifiedValue:
             return CertifiedValue.from_exact(Fraction(data["value"]))
         return CertifiedValue(float(data["value"]), Fraction(float(data["radius"])))
 
-
-def _float_slop(cv: CertifiedValue) -> Fraction:
-    """Round-off allowance when float values are involved in comparisons."""
-    if isinstance(cv.value, Fraction):
-        return _ZERO
-    return Fraction(1, 10**9) * (1 + Fraction(abs(cv.value)).limit_denominator(10**6))

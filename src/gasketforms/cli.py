@@ -183,6 +183,7 @@ def _dispatch(args) -> int:
         magnitudes = None
         if args.form:
             form = _load_form(args.form)
+            coh._check_budget(3 ** min(args.level + 1, 64), f"a coloring by edge integrals at level {args.level}")
             magnitudes = {
                 e: abs(float(fm.integrate_edge(form, e).value)) for e in edges_at_level(args.level)
             }

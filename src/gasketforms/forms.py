@@ -13,14 +13,15 @@ A form is stored in three parts that are implicitly summed:
 Two independent evaluation routes are provided for integrals and for the
 energy inner product Q, and both are used by the test suite:
 
-* exact mode works in rational arithmetic.  Edge integrals of harmonic data
-  are values of the eigenvalue-1 fixed point of the two-child refinement
-  operator on 3x3 kernels (pinned by the row-sum and symmetrization
-  identities), scaled once to integers and contracted with integer corner
-  triples; ``side_integral_table`` gives the integrals over the sides of
-  every cell of one level from one walk per function.  Q is evaluated by
-  vertex-Laplacian pairings when one left slot is constant and through the
-  quadrilinear self-similar fixed-point kernel when both are occupied.
+* exact mode works in rational arithmetic.  Every exact kernel is the limit
+  of the integer level kernels the certified routes cache: the edge-integral
+  kernels of the Riemann kernels with one left slot, and Q's one-cell
+  kernels of its level kernels.  ``_kernel_limit`` reads each limit off the
+  short recurrence its sequence satisfies (``solve_unique`` finds only the
+  recurrence coefficients).  Edge integrals contract the integer kernels
+  with integer corner triples; ``side_integral_table`` gives the integrals
+  over the sides of every cell of one level from one walk per function.  Q
+  contracts per-cell moments of the corner triples with its kernels.
 * certified mode stops at a finite level n and reports a sound rational
   radius from the geometric tail constants ((3/5)^n for integrals,
   (3/5)^(n/2)-rate bounds for Q).  Edge integrals take the dyadic Riemann
@@ -64,9 +65,7 @@ from .harmonic import (
     Triple,
     VertexFunction,
     _integers,
-    corner_weights,
     descend,
-    graph_energy,
 )
 
 F0 = Fraction(0)
@@ -674,51 +673,45 @@ def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _kernel_limit(
+    sequence: Callable[..., tuple[int, ...]], shape: tuple[int, ...], rho: Fraction
+) -> tuple[int, tuple[int, ...]]:
+    """(den, K): the limit of w_j = sequence(*shape, j)·rho^j, entry by entry
+    as K/den with den the least common denominator.
+
+    The w_j are a Krylov sequence T^j·w_0 of one refinement operator.  At the
+    least d with w_d = sum_j c_j·w_j (j < d) the span of w_0..w_(d-1) is
+    T-invariant, so P(x) = x^d - sum_j c_j·x^j annihilates the sequence and
+    its recurrence holds for every j.  The sequence converges (the level sums
+    it renormalizes do), so every root of P other than 1 lies inside the unit
+    disc; with P = (x - 1)·P~ and 1 a simple root the limit is the projection
+    P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  GasketError when 1 is not a
+    simple root of P or d would exceed the dimension."""
+    w: list[list[Fraction]] = []
+    for d in range(len(sequence(*shape, 0)) + 1):
+        w.append([x * rho**d for x in sequence(*shape, d)])
+        try:  # w_0..w_(d-1) are independent, so only an inconsistency can raise
+            c = solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+            break
+        except GasketError:
+            continue
+    else:
+        raise GasketError("kernel sequence has no recurrence within its dimension")
+    poly = [-x for x in c] + [F1]  # P, lowest degree first
+    quotient = [sum(poly[k + 1 :]) for k in range(d)]  # P~ = P / (x - 1) when P(1) = 0
+    if sum(poly) != 0 or sum(quotient) == 0:
+        raise GasketError("kernel sequence does not converge: 1 is not a simple root of its recurrence")
+    K = [sum(map(operator.mul, quotient, column)) / sum(quotient) for column in zip(*w[:d])]
+    den = math.lcm(*(x.denominator for x in K))
+    return den, tuple(int(x * den) for x in K)
+
+
 def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact edge-integral kernel: the eigenvalue-1 fixed point of the
-    refinement operator, pinned by the row-sum identity (integral of dg) and
-    the symmetrization identity (f dg + g df = d(fg))."""
-    if side != 1:
-        perm = [(side + 2) % 3, side, (side + 1) % 3]
-        inv = [perm.index(j) for j in range(3)]
-        M1 = edge_kernel(1)
-        return tuple(tuple(M1[inv[j]][inv[k]] for k in range(3)) for j in range(3))
-
-    def idx(j, k):
-        return 3 * j + k
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # fixed point X = H0^T X H0 + H2^T X H2
-    H0, H2 = H_MATRICES[0], H_MATRICES[2]
-    for j in range(3):
-        for k in range(3):
-            row = [F0] * 9
-            row[idx(j, k)] += F1
-            for Hm in (H0, H2):
-                for p in range(3):
-                    for q in range(3):
-                        row[idx(p, q)] -= Hm[p][j] * Hm[q][k]
-            rows.append(row)
-            rhs.append(F0)
-    # column sums: integral of 1·dg is g(p2) - g(p0)
-    dgvec = (-F1, F0, F1)
-    for k in range(3):
-        row = [F0] * 9
-        for j in range(3):
-            row[idx(j, k)] = F1
-        rows.append(row)
-        rhs.append(dgvec[k])
-    # symmetrization: X + X^T pairs into d(fg)
-    for j in range(3):
-        for k in range(3):
-            row = [F0] * 9
-            row[idx(j, k)] += F1
-            row[idx(k, j)] += F1
-            rows.append(row)
-            rhs.append(F1 if j == k == 2 else (-F1 if j == k == 0 else F0))
-    sol = solve_unique(rows, rhs)
-    return tuple(tuple(sol[idx(j, k)] for k in range(3)) for j in range(3))
+    """The exact edge-integral kernel X over one canonical side, X[j][k]
+    pairing the left factor's corner j with g's corner k: the limit of the
+    Riemann kernels ``riemann_kernel(side, 1, 0, n)`` / 25^n."""
+    den, K = _kernel_limit(riemann_kernel, (side, 1, 0), Fraction(1, 25))
+    return tuple(tuple(Fraction(x, den) for x in K[3 * j : 3 * j + 3]) for j in range(3))
 
 
 @lru_cache(maxsize=None)
@@ -726,9 +719,9 @@ def _int_edge_kernels() -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(Dk, kernels): Dk·edge_kernel(i) for the sides i = 0, 1, 2 over
     integers, each flattened row by row to pair with the outer product of two
     corner triples; Dk is the least common denominator of their entries."""
-    kernels = [edge_kernel(i) for i in range(3)]
-    Dk = math.lcm(*(x.denominator for M in kernels for row in M for x in row))
-    return Dk, tuple(tuple(int(x * Dk) for row in M for x in row) for M in kernels)
+    limits = [_kernel_limit(riemann_kernel, (i, 1, 0), Fraction(1, 25)) for i in range(3)]
+    Dk = math.lcm(*(den for den, _ in limits))
+    return Dk, tuple(tuple(x * (Dk // den) for x in K) for den, K in limits)
 
 
 # ---------------------------------------------------------------------------
@@ -977,75 +970,11 @@ def integrate_path(
 # Q: exact route
 # ---------------------------------------------------------------------------
 
-def _pair_energy(u: Triple, vals: Triple) -> Fraction:
-    """E(u, v) through the vertex-Laplacian weights of the harmonic triple u."""
-    w = corner_weights(u)
-    return w[0] * vals[0] + w[1] * vals[1] + w[2] * vals[2]
-
-
-def _single_slot_q(g: Triple, F: Triple, k: Triple) -> Fraction:
-    """Q(dg, F dk) on one cell of 0-harmonic data, via the carre-du-champ
-    identity; exact because all three pairings see a harmonic slot."""
-    e1 = _pair_energy(g, tuple(F[j] * k[j] for j in range(3)))
-    e2 = _pair_energy(F, tuple(g[j] * k[j] for j in range(3)))
-    e3 = _pair_energy(k, tuple(F[j] * g[j] for j in range(3)))
-    return Fraction(e1 - e2 + e3, 2)
-
-
-@lru_cache(maxsize=None)
 def q_kernel() -> tuple[Fraction, ...]:
     """Quadrilinear kernel W with W[f,g,h,k] = Q(f dg, h dk) on 0-harmonic
-    basis 4-tuples: the unique solution of the self-similar fixed-point
-    system with constant-slot annihilation, transpose symmetry and the
-    single-slot anchors."""
-    def idx(a, b, c, dd):
-        return ((a * 3 + b) * 3 + c) * 3 + dd
-
-    rows: list[list[int]] = []
-    rhs: list[Fraction | int] = []
-    # fixed point W = (5/3) sum_i W o H_i^{x4}, times 375 over the integer
-    # matrices 5·H_i: 375·W[a,b,c,d] = sum_i sum (5H_i)[j][a]⋯(5H_i)[m][d]·W[j,k,l,m]
-    cols = [[[(j, H[j][a]) for j in range(3) if H[j][a]] for a in range(3)] for H in _H5]
-    for a, b, c, dd in itertools.product(range(3), repeat=4):
-        row = [0] * 81
-        row[idx(a, b, c, dd)] = 375
-        for col in cols:
-            for (j, x), (k, y), (l, z), (m, w) in itertools.product(col[a], col[b], col[c], col[dd]):
-                row[idx(j, k, l, m)] -= x * y * z * w
-        rows.append(row)
-        rhs.append(0)
-    basis = [(F1, F0, F0), (F0, F1, F0), (F0, F0, F1)]
-    # constant slots annihilate: sum over the g slot or over the k slot is 0
-    for a, c, dd in itertools.product(range(3), repeat=3):
-        row = [0] * 81
-        for b in range(3):
-            row[idx(a, b, c, dd)] = 1
-        rows.append(row)
-        rhs.append(0)
-    for a, b, c in itertools.product(range(3), repeat=3):
-        row = [0] * 81
-        for dd in range(3):
-            row[idx(a, b, c, dd)] = 1
-        rows.append(row)
-        rhs.append(0)
-    # transpose symmetry Q(w, e) = Q(e, w)
-    for a, b, c, dd in itertools.product(range(3), repeat=4):
-        if (a, b) <= (c, dd):
-            continue
-        row = [0] * 81
-        row[idx(a, b, c, dd)] = 1
-        row[idx(c, dd, a, b)] = -1
-        rows.append(row)
-        rhs.append(0)
-    # single-slot anchors: sum_a W[a,b,c,d] = Q(db, f_c d f_d)
-    for b, c, dd in itertools.product(range(3), repeat=3):
-        row = [0] * 81
-        for a in range(3):
-            row[idx(a, b, c, dd)] = 1
-        rows.append(row)
-        rhs.append(_single_slot_q(basis[b], basis[c], basis[dd]))
-    sol = solve_unique(rows, rhs)
-    return tuple(sol)
+    basis 4-tuples: the (1, 1) limit ``_exact_q_kernel``."""
+    den, K = _exact_q_kernel(1, 1)
+    return tuple(Fraction(x, den) for x in K)
 
 
 IntTriple = tuple[int, int, int]
@@ -1135,24 +1064,12 @@ def _moments(cells1: list[list[Piece]], cells2: list[list[Piece]]) -> tuple[int,
     ]
 
 
-@lru_cache(maxsize=None)
 def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
     """(den, K): K/den is Q on one cell of 0-harmonic data between pieces
-    with p and r left factors (p, r <= 1), flat over the slots of their
-    moment (L, g, M, k without the absent left slots): the graph energy for
-    (0, 0), ``_single_slot_q`` on basis triples for (0, 1) and (1, 0), and
-    ``q_kernel()`` for (1, 1); den is the least common denominator."""
-    basis = ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1))
-    if p == r == 0:
-        K = [graph_energy(g, k) for g, k in itertools.product(basis, repeat=2)]
-    elif p == 0:
-        K = [_single_slot_q(g, h, k) for g, h, k in itertools.product(basis, repeat=3)]
-    elif r == 0:
-        K = [_single_slot_q(k, f, g) for f, g, k in itertools.product(basis, repeat=3)]
-    else:
-        K = list(q_kernel())
-    den = math.lcm(*(x.denominator for x in K))
-    return den, tuple(int(x * den) for x in K)
+    with p and r left factors, flat over the slots of their moment (L_1..L_p,
+    g, M_1..M_r, k): the limit of the renormalized level kernels
+    (5/3)^j·``q_level_kernel(p, r, j)`` / 5^((p+r+2)·j)."""
+    return _kernel_limit(q_level_kernel, (p, r), Fraction(5, 3 * 5 ** (p + r + 2)))
 
 
 def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
@@ -1162,11 +1079,9 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     where all the data is 0-harmonic (``_cell_pieces``), and the pieces are
     summed over the cells into one moment per pair of left-factor counts
     (``_moments``).  On one cell Q is a fixed multilinear form in the corner
-    triples: the graph energy with no left factor, the vertex-Laplacian
-    pairings with one (``_single_slot_q``), the quadrilinear fixed-point
-    kernel with both left slots occupied (``q_kernel``).  Each moment is
-    contracted with that kernel over the integers (``_exact_q_kernel``) and
-    the sum is divided once, times (5/3)^m.  A piece with more than one left
+    triples, the limit of the level kernels (``_exact_q_kernel``).  Each
+    moment is contracted with its kernel over the integers and the sum is
+    divided once, times (5/3)^m.  A piece with more than one left
     factor raises ExactnessUnavailableError before any tensor is built."""
     m = max(_form_data_level(omega), _form_data_level(eta))
     cells1 = _cell_pieces(omega, m)

@@ -98,11 +98,6 @@ def graph_energy(u: Triple, v: Triple) -> Fraction:
     )
 
 
-def corner_weights(u: Triple) -> Triple:
-    """Graph-Laplacian weights of a harmonic triple at the three corners."""
-    return tuple(2 * u[j] - u[(j + 1) % 3] - u[(j + 2) % 3] for j in range(3))  # type: ignore[return-value]
-
-
 @dataclass
 class VertexFunction:
     """An m-harmonic function: exact values on V_m, harmonic below."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+from .cohomology import _check_budget
 from .geometry import ElementaryPath, OrientedEdge, Word, cell_corners, lacuna_path, words
 
 _SQRT3 = math.sqrt(3.0)
@@ -38,7 +39,9 @@ def render_svg(
 ) -> str:
     """An SVG document showing the 3^level cells of the given approximation,
     with optional highlighted cells, a path overlay, lacuna outlines, and
-    per-edge coloring by magnitude."""
+    per-edge coloring by magnitude.  More than ``_TABLE_ENTRIES_MAX`` cells
+    raise GasketError before anything is drawn."""
+    _check_budget(3 ** min(level, 64), f"a render at level {level}")
     # V_n sits on the (1/2^(n+1))-lattice (the top vertex already has
     # half-integer coordinates); one extra doubling also covers lacuna
     # outlines one level down

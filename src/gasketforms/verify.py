@@ -72,7 +72,7 @@ def check_product_table(tolerance: Fraction) -> list[dict]:
         _item("product-table-exact-27", not bad, "all in {1, +-1/2, 0}",
               "all match" if not bad else f"{len(bad)} mismatches"),
         _item("product-table-certified-n12", worst <= 1e-6 and encl,
-              "agreement within 1e-6", worst, radius=radius),
+              "known values inside the certified enclosures; midpoints within 1e-6", worst, radius=radius),
     ]
 
 

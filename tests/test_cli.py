@@ -74,9 +74,11 @@ def test_huge_depth_is_refused_with_exit_code_1(capsys):
     form = json.dumps(fm.fdg(f0, f1).to_json())
     for args in (["efflen", "--depth", "40", "--path", pj], ["homology", "--depth", "20", "--path", pj],
                  ["potential", "--form", form, "--depth", "30", "--path", pj],
-                 ["periods", "--form", form, "--depth", "30"], ["hodge", "--form", form, "--depth", "30"]):
+                 ["periods", "--form", form, "--depth", "30"], ["hodge", "--form", form, "--depth", "30"],
+                 ["render", "--level", "40"], ["render", "--level", "40", "--form", form]):
         assert cli.main(args) == 1
-        assert "budget" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "budget" in err and out == ""
 
 
 def test_hodge_and_potential(tmp_path, capsys):

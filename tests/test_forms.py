@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
+from gasketforms.certified import CertifiedValue
 from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
 from gasketforms.geometry import (
     OrientedEdge,
@@ -153,6 +154,19 @@ def test_certified_contains_exact_integral():
         assert abs(float(cert.value) - float(exact)) <= 1e-6
 
 
+def test_certified_containment_is_exact():
+    """A point 1.3e-9 off the midpoint lies outside a 3.1e-10 radius: no
+    float allowance widens the enclosure."""
+    w = fm.fdg(f0, f1)
+    e = OrientedEdge("", 1)
+    exact = fm.integrate_edge(w, e).value
+    cv = fm.integrate_edge(w, e, mode="certified", tolerance=F(1, 10**9))
+    outside = exact + F(13, 10**10)
+    assert cv.radius < F(4, 10**10)
+    assert cv.contains(exact) and cv.encloses(CertifiedValue.from_exact(exact))
+    assert not cv.contains(outside) and not cv.overlaps(CertifiedValue.from_exact(outside))
+
+
 @pytest.mark.parametrize("cell", ["", "1", "20"])
 @pytest.mark.parametrize("side", [0, 1, 2])
 def test_certified_reversed_edges(cell, side):
@@ -222,8 +236,13 @@ def _factor(draw, slots: int):
 
 
 @st.composite
-def _shaped_forms(draw):
-    p, q = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1]))
+def _shaped_forms(draw, exact: bool = False):
+    """One term L·dg·R with p slots in L and q in R; with ``exact`` only the
+    shapes the exact route takes (at most one non-constant factor)."""
+    if exact:
+        p, q = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+    else:
+        p, q = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1]))
     rng = random.Random(draw(st.integers(0, 10**6)))
     g = random_harmonic(draw(st.integers(0, 2)), rng, span=5)
     return fm.SmoothForm(terms=(fm.FormTerm(draw(_factor(p)), g, draw(_factor(q))),))
@@ -287,6 +306,32 @@ def test_certified_reversal_is_exact_negation(form, e):
     fwd = fm.integrate_edge(form, e, mode="certified")
     back = fm.integrate_edge(form, e.reversed(), mode="certified")
     assert back.value == -fwd.value and back.radius == fwd.radius
+
+
+@settings(max_examples=40)
+@given(_shaped_forms(exact=True), edges)
+def test_exact_integral_is_additive_over_children(form, e):
+    first, second = e.children()
+    assert fm.integrate_edge(form, e).value == (
+        fm.integrate_edge(form, first).value + fm.integrate_edge(form, second).value
+    )
+
+
+@settings(max_examples=20)
+@given(_shaped_forms(), edges)
+def test_certified_children_overlap_the_parent(form, e):
+    first, second = (fm.integrate_edge(form, child, mode="certified") for child in e.children())
+    assert (first + second).overlaps(fm.integrate_edge(form, e, mode="certified"))
+
+
+@settings(max_examples=40)
+@given(_shaped_forms(exact=True), st.text(alphabet="012", max_size=2), st.booleans())
+def test_exact_differential_closes_on_perimeters(form, cell, reverse):
+    """L·dg·R + g·d(LR) = d(LR·g) integrates to 0 around every cell."""
+    (term,) = form.terms
+    du = form + fm.fdg(term.g, term.left_total().as_vf())
+    path = perimeter_path(cell)
+    assert fm.integrate_path(du, path.reversed() if reverse else path).value == 0
 
 
 @pytest.mark.parametrize("side", [0, 1, 2])

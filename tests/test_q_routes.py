@@ -28,6 +28,21 @@ f0, f1, f2 = harmonic_basis()
 # linear scan over the levels with every pair bound built per term pair
 # ---------------------------------------------------------------------------
 
+def _pair_energy(u, vals):
+    """E(u, v) through the vertex-Laplacian weights 2u_j - u_(j+1) - u_(j+2)
+    of the harmonic triple u."""
+    return sum((2 * u[j] - u[(j + 1) % 3] - u[(j + 2) % 3]) * vals[j] for j in range(3))
+
+
+def _single_slot_q(g, h, k):
+    """Q(dg, h dk) on one cell of 0-harmonic data, via the carre-du-champ
+    identity; exact because all three pairings see a harmonic slot."""
+    e1 = _pair_energy(g, [h[j] * k[j] for j in range(3)])
+    e2 = _pair_energy(h, [g[j] * k[j] for j in range(3)])
+    e3 = _pair_energy(k, [h[j] * g[j] for j in range(3)])
+    return Fraction(e1 - e2 + e3, 2)
+
+
 def _quad_q(F1t, g, F2t, k):
     W = fm.q_kernel()
     acc = F0
@@ -49,9 +64,9 @@ def exact_oracle(omega, eta):
                 if not f1_ and not f2_:
                     val = graph_energy(g1, g2)
                 elif not f1_:
-                    val = fm._single_slot_q(g1, *f2_, g2)
+                    val = _single_slot_q(g1, *f2_, g2)
                 elif not f2_:
-                    val = fm._single_slot_q(g2, *f1_, g1)
+                    val = _single_slot_q(g2, *f1_, g1)
                 else:
                     val = _quad_q(*f1_, g1, *f2_, g2)
                 total += c1 * c2 * val
@@ -238,6 +253,12 @@ def test_energy_kernel_is_the_renormalized_level_kernel(j):
 
 def test_quadrilinear_kernel_is_q_kernel():
     assert _kernel(1, 1) == list(fm.q_kernel())
+
+
+def test_single_slot_kernels_are_the_carre_du_champ_pairings():
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _kernel(0, 1) == [_single_slot_q(g, h, k) for g, h, k in itertools.product(basis, repeat=3)]
+    assert _kernel(1, 0) == [_single_slot_q(k, f, g) for f, g, k in itertools.product(basis, repeat=3)]
 
 
 def test_single_slot_kernels_agree_under_the_slot_swap():

@@ -1,5 +1,7 @@
-"""The kernel solves: `solve_unique` against a Fraction Gauss–Jordan oracle,
-and the kernels it produces pinned by their defining identities."""
+"""`solve_unique` against a Fraction Gauss–Jordan oracle; the limit builder
+`_kernel_limit`, which only asks `solve_unique` for the coefficients of a
+kernel sequence's recurrence; and the exact kernels, limits of the cached
+level kernels, pinned by their defining identities."""
 
 from __future__ import annotations
 
@@ -116,6 +118,35 @@ def test_rank_deficient_is_not_unique(system):
 def test_empty_or_ragged_system_is_refused(rows, rhs):
     with pytest.raises(GasketError, match="empty or ragged"):
         fm.solve_unique(rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the limit builder
+# ---------------------------------------------------------------------------
+
+def _halving(j):
+    """w_j = (1 + 2^-j, 1 - 2^-j, 1) at rho = 1/2: recurrence roots 1 and 1/2."""
+    return (2**j + 1, 2**j - 1, 2**j)
+
+
+def _doubling(j):
+    """u_j = 2^j·v at rho = 1: the recurrence x - 2 has no root at 1."""
+    return (2**j, 2 * 2**j, 3 * 2**j)
+
+
+def _linear(j):
+    """w_j = (j, 1) at rho = 1: the recurrence (x - 1)^2 has a double root at 1."""
+    return (j, 1)
+
+
+def test_kernel_limit_of_a_convergent_sequence():
+    assert fm._kernel_limit(_halving, (), F(1, 2)) == (1, (1, 1, 1))
+
+
+@pytest.mark.parametrize("sequence", [_doubling, _linear])
+def test_kernel_limit_refuses_without_a_simple_root_at_one(sequence):
+    with pytest.raises(GasketError, match="not a simple root"):
+        fm._kernel_limit(sequence, (), F(1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@
 * The certified routes are exact arithmetic up to one final rounding: no
   module of the library imports numpy, so the float engines stay gone and
   numpy stays out of the runtime dependencies.
+* Every exact kernel is the limit of a cached level kernel: the limit
+  builder ``forms._kernel_limit`` is the only caller of ``solve_unique``, so
+  no hand-built kernel system comes back unnoticed.
 """
 
 from __future__ import annotations
@@ -71,3 +74,18 @@ def test_no_module_imports_numpy():
                 names = [node.module or ""]
             offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
     assert offenders == []
+
+
+def test_solve_unique_is_called_only_by_the_limit_builder():
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        builder = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_kernel_limit"]
+        inside = {id(n) for b in builder for n in ast.walk(b)}
+        sites += [
+            (path.name, id(node) in inside)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_unique"
+        ]
+    assert sites == [("forms.py", True)]
