@@ -682,11 +682,12 @@ def _kernel_limit(
     The w_j are a Krylov sequence T^j·w_0 of one refinement operator.  At the
     least d with w_d = sum_j c_j·w_j (j < d) the span of w_0..w_(d-1) is
     T-invariant, so P(x) = x^d - sum_j c_j·x^j annihilates the sequence and
-    its recurrence holds for every j.  The sequence converges (the level sums
-    it renormalizes do), so every root of P other than 1 lies inside the unit
-    disc; with P = (x - 1)·P~ and 1 a simple root the limit is the projection
-    P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  GasketError when 1 is not a
-    simple root of P or d would exceed the dimension."""
+    its recurrence holds for every j.  The sequence converges (the Riemann
+    and level sums it renormalizes do), so every root of P other than 1 lies
+    inside the unit disc; with P = (x - 1)·P~ and 1 a simple root the limit is
+    the projection P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  Only the root
+    1 is checked: GasketError when it is not a simple root of P, or when d
+    would exceed the dimension."""
     w: list[list[Fraction]] = []
     for d in range(len(sequence(*shape, 0)) + 1):
         w.append([x * rho**d for x in sequence(*shape, d)])
