@@ -50,6 +50,7 @@ from .forms import (
     side_integral_table,
 )
 from .geometry import (
+    P0,
     ElementaryPath,
     OrientedEdge,
     Point,
@@ -283,7 +284,7 @@ class HodgeDecomposition:
         }
 
 
-def _skeleton_integrals(form: SmoothForm, depth: int) -> Callable[[OrientedEdge], CertifiedValue]:
+def _skeleton_integrals(form: SmoothForm, depth: int) -> Callable[[OrientedEdge], Fraction]:
     """e -> exact integral of the form over a level-``depth`` edge: the
     universal and exact parts from one side-integral table (coarsened from the
     data level when that is finer), the harmonic part per lacuna form."""
@@ -294,13 +295,46 @@ def _skeleton_integrals(form: SmoothForm, depth: int) -> Callable[[OrientedEdge]
         rows = _coarsen(rows)
     harmonic = [(sigma, c) for sigma, c in form.harmonic.items() if c != 0]
 
-    def integral(e: OrientedEdge) -> CertifiedValue:
+    def integral(e: OrientedEdge) -> Fraction:
         value = Fraction(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
         for sigma, c in harmonic:
             value += c * dz_integral_edge(sigma, e)
-        return CertifiedValue.from_exact(value)
+        return value
 
     return integral
+
+
+SkeletonStep = tuple[int, OrientedEdge, tuple[tuple[Word, Fraction], ...], Fraction]
+
+
+@lru_cache(maxsize=None)
+def _skeleton_tree(depth: int) -> tuple[tuple[Point, ...], tuple[SkeletonStep, ...]]:
+    """(points, steps): the deterministic breadth-first tree of the
+    level-``depth`` skeleton from p_0, frontiers and the neighbours of each
+    point visited in ``vertex_id`` order.  The points are in visiting order;
+    the step that reaches point i + 1 is (parent index, edge from the parent,
+    weights, the sum of their absolute values), the weights (tau, integral of
+    dz_tau over the edge) for every tau that does not vanish on it: the
+    prefixes of its cell (``_prefix_dz``) and the cell itself, -1/3."""
+    adjacency: dict[Point, list[tuple[Point, OrientedEdge]]] = {}
+    for e in edges_at_level(depth):
+        adjacency.setdefault(e.source, []).append((e.target, e))
+        adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
+    index = {P0: 0}
+    steps: list[SkeletonStep] = []
+    frontier = [P0]
+    while frontier:
+        nxt: list[Point] = []
+        for p in sorted(frontier, key=vertex_id):
+            for q, e in sorted(adjacency[p], key=lambda t: vertex_id(t[0])):
+                if q in index:
+                    continue
+                index[q] = len(index)
+                weights = tuple((tau, e.sign * w) for tau, w in _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),))
+                steps.append((index[p], e, weights, sum((abs(w) for _, w in weights), F0)))
+                nxt.append(q)
+        frontier = nxt
+    return tuple(index), tuple(steps)
 
 
 def hodge_decompose(
@@ -312,9 +346,13 @@ def hodge_decompose(
     """Split the form into harmonic coefficients (period route, k = A* c
     truncated at the depth) and a skeleton primitive for the exact part.
 
-    The primitive is anchored at U(p_0) = 0 and built over a deterministic
-    breadth-first tree of the level-``depth`` graph.  In exact mode the edge
-    integrals come from one side-integral table (``_skeleton_integrals``).
+    The primitive is anchored at U(p_0) = 0 and summed along the
+    breadth-first tree of the level-``depth`` skeleton (``_skeleton_tree``,
+    built once per depth): one linear sweep adds each tree edge's residual
+    integral to its parent's value and its radius to its parent's radius, in
+    plain rationals (floats for certified values); ``CertifiedValue``s are
+    built only for the result.  In exact mode the edge integrals come from
+    one side-integral table (``_skeleton_integrals``).
 
     The work budget charges 3^(depth + 1)·(depth + 1) against
     ``_TABLE_ENTRIES_MAX``: the prefix work of k = A* c over the periods and
@@ -329,46 +367,43 @@ def hodge_decompose(
         raise DepthTooSmallError(
             f"k-tail bound {float(ktail):.3g} exceeds tolerance at depth {depth}"
         )
-    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau prefixes
-    acc = {tau: CertifiedValue.from_exact(0) for tau in periods.entries}
+    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau
+    # prefixes; every A entry on a prefix chain is positive
+    kv = dict.fromkeys(periods.entries, F0)
+    kr = dict.fromkeys(periods.entries, F0)
     for sigma, cv in periods.entries.items():
         for j in range(len(sigma) + 1):
-            acc[sigma[:j]] = acc[sigma[:j]] + cv.scaled(a_entry(sigma, sigma[:j]))
-    k = {tau: CertifiedValue(a.value, a.radius + ktail) for tau, a in acc.items()}
+            a = a_entry(sigma, sigma[:j])
+            kv[sigma[:j]] = kv[sigma[:j]] + cv.value * a
+            if cv.radius:
+                kr[sigma[:j]] += cv.radius * a
+    k = {tau: CertifiedValue(v, kr[tau] + ktail) for tau, v in kv.items()}
 
     # residual edge integrals d U_E(e) = int_e (omega - omega_H): the dropped
     # dz terms contribute at most sum_{m > depth} levelsum_m(k) * 1/3
     edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * periods.level_sum_bound
-    edge_integral = _skeleton_integrals(form, depth) if mode == "exact" else (
-        lambda e: integrate_edge(form, e, mode=mode)
-    )
+    exact_integral = _skeleton_integrals(form, depth) if mode == "exact" else None
 
-    def residual_edge(e: OrientedEdge) -> CertifiedValue:
-        total = edge_integral(e)
-        # dz_tau vanishes on a level-depth edge unless tau is a prefix of its
-        # cell, and is -1/3 on the cell's own sides
-        for tau, w in _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),):
-            total = total - k[tau].scaled(e.sign * w)
-        return CertifiedValue(total.value, total.radius + edge_dz_tail)
+    def edge_integral(e: OrientedEdge) -> tuple[Fraction | float, Fraction]:
+        if exact_integral is not None:
+            return exact_integral(e), F0
+        cv = integrate_edge(form, e, mode=mode)
+        return cv.value, cv.radius
 
-    # deterministic BFS over the level-depth skeleton
-    adjacency: dict[Point, list[tuple[Point, OrientedEdge]]] = {}
-    for e in edges_at_level(depth):
-        adjacency.setdefault(e.source, []).append((e.target, e))
-        adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
-    anchor = Point(F0, F0)
-    potential: dict[Point, CertifiedValue] = {anchor: CertifiedValue.from_exact(0)}
-    frontier = [anchor]
-    while frontier:
-        nxt: list[Point] = []
-        for p in sorted(frontier, key=vertex_id):
-            for q, e in sorted(adjacency[p], key=lambda t: vertex_id(t[0])):
-                if q in potential:
-                    continue
-                potential[q] = potential[p] + residual_edge(e)
-                nxt.append(q)
-        frontier = nxt
-    pot_radius = max(cv.radius for cv in potential.values())
+    spread_radius = any(kr.values())
+    points, steps = _skeleton_tree(depth)
+    values, radii = [F0], [F0]
+    for parent, e, weights, spread in steps:
+        value, radius = edge_integral(e)
+        for tau, w in weights:
+            value = value - kv[tau] * w
+        radius += ktail * spread + edge_dz_tail
+        if spread_radius:
+            radius += sum((kr[tau] * abs(w) for tau, w in weights), F0)
+        values.append(values[parent] + value)
+        radii.append(radii[parent] + radius)
+    potential = {p: CertifiedValue(v, r) for p, v, r in zip(points, values, radii)}
+    pot_radius = max(radii)
     return HodgeDecomposition(depth, k, potential, pot_radius, ktail + pot_radius)
 
 

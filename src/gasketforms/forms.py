@@ -62,6 +62,7 @@ from .geometry import (
 )
 from .harmonic import (
     H_MATRICES,
+    IntTriple,
     Triple,
     VertexFunction,
     _integers,
@@ -164,6 +165,13 @@ class Expr:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+    @cached_property
+    def _q_bounds(self) -> dict:
+        """partner -> (``_defect_ub``, ``_osc_rate``) of self·partner, or of
+        self for the partner None: the certified Q route's bounds of a left
+        factor, built once per expression and partner."""
+        return {}
 
     @staticmethod
     def from_json(data: dict) -> "Expr":
@@ -672,6 +680,22 @@ def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(_refine_modes(prev, _H5[s], k), _refine_modes(prev, _H5[t], k)))
 
 
+def _roots_inside_unit_disc(poly: Sequence[Fraction]) -> bool:
+    """Whether every root of the real polynomial ``poly`` (lowest degree
+    first, leading coefficient nonzero) lies strictly inside the unit disc,
+    by the Schur–Cohn (Jury) test in exact arithmetic.  Made monic, p of
+    degree n >= 1 passes iff |p(0)| < 1 and (p(x) - p(0)·x^n·p(1/x)) / x, of
+    degree n - 1 with leading coefficient 1 - p(0)^2, passes (Rouché's
+    theorem on the unit circle); a constant has no roots."""
+    while len(poly) > 1:
+        poly = [x / poly[-1] for x in poly]
+        a0 = poly[0]
+        if abs(a0) >= 1:
+            return False
+        poly = [x - a0 * y for x, y in zip(poly[1:], reversed(poly[:-1]))]
+    return True
+
+
 @lru_cache(maxsize=None)
 def _kernel_limit(
     sequence: Callable[..., tuple[int, ...]], shape: tuple[int, ...], rho: Fraction
@@ -682,12 +706,12 @@ def _kernel_limit(
     The w_j are a Krylov sequence T^j·w_0 of one refinement operator.  At the
     least d with w_d = sum_j c_j·w_j (j < d) the span of w_0..w_(d-1) is
     T-invariant, so P(x) = x^d - sum_j c_j·x^j annihilates the sequence and
-    its recurrence holds for every j.  The sequence converges (the Riemann
-    and level sums it renormalizes do), so every root of P other than 1 lies
-    inside the unit disc; with P = (x - 1)·P~ and 1 a simple root the limit is
-    the projection P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  Only the root
-    1 is checked: GasketError when it is not a simple root of P, or when d
-    would exceed the dimension."""
+    its recurrence holds for every j.  The sequence converges exactly when 1
+    is a simple root of P and every other root lies strictly inside the unit
+    disc; then, with P = (x - 1)·P~, the limit is the projection
+    P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  Both are checked, the disc
+    by the exact Schur–Cohn test on P~ (``_roots_inside_unit_disc``):
+    GasketError when either fails, or when d would exceed the dimension."""
     w: list[list[Fraction]] = []
     for d in range(len(sequence(*shape, 0)) + 1):
         w.append([x * rho**d for x in sequence(*shape, d)])
@@ -702,6 +726,8 @@ def _kernel_limit(
     quotient = [sum(poly[k + 1 :]) for k in range(d)]  # P~ = P / (x - 1) when P(1) = 0
     if sum(poly) != 0 or sum(quotient) == 0:
         raise GasketError("kernel sequence does not converge: 1 is not a simple root of its recurrence")
+    if not _roots_inside_unit_disc(quotient):
+        raise GasketError("kernel sequence does not converge: its recurrence has a root other than 1 off the open unit disc")
     K = [sum(map(operator.mul, quotient, column)) / sum(quotient) for column in zip(*w[:d])]
     den = math.lcm(*(x.denominator for x in K))
     return den, tuple(int(x * den) for x in K)
@@ -959,12 +985,18 @@ def integrate_path(
     mode: str = "exact",
     tolerance: Fraction = Fraction(1, 10**9),
 ) -> CertifiedValue:
-    """Sum of edge integrals; radii add."""
+    """Sum of edge integrals; radii add.  Float midpoints are summed exactly
+    and rounded once, with half an ulp of the sum added to the radius, so the
+    value does not depend on the order of the edges: the reversed path gives
+    exactly the negated value and the same radius."""
     per_edge = Fraction(tolerance) / len(path.edges)
-    out = CertifiedValue.from_exact(0)
-    for e in path:
-        out = out + integrate_edge(form, e, mode, per_edge)
-    return out
+    parts = [integrate_edge(form, e, mode, per_edge) for e in path]
+    total = sum((Fraction(cv.value) for cv in parts), F0)
+    radius = sum((cv.radius for cv in parts), F0)
+    if all(isinstance(cv.value, Fraction) for cv in parts):
+        return CertifiedValue(total, radius)
+    v = float(total)
+    return CertifiedValue(v, radius + Fraction(math.ulp(v)) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1010,6 @@ def q_kernel() -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in K)
 
 
-IntTriple = tuple[int, int, int]
 # (c, left-factor triples, g triple): the piece c·L_1⋯L_p·dg on one cell, with
 # the factors' integer corner values; c carries their denominators
 Piece = tuple[Fraction, tuple[IntTriple, ...], IntTriple]
@@ -1155,7 +1186,8 @@ def _pair_radius(side1: list[_CTerm], side2: list[_CTerm]) -> Bound:
     terms with a left factor F (one side's, or the product of both) adds
     c·(sqrt_upper(dgk(n)·defect_F(n))/2 + osc_F(n)·sqrt(E_g·E_k)/2).  The
     bounds of F are built once per distinct pair of left factors and
-    evaluated once per level."""
+    evaluated once per level; the first factor keeps them
+    (``Expr._q_bounds``), so later calls on the same factors reuse them."""
     bounds: dict[tuple[Expr, ...], tuple[Bound, Bound]] = {}
     pairs = []
     for s in side1:
@@ -1164,8 +1196,11 @@ def _pair_radius(side1: list[_CTerm], side2: list[_CTerm]) -> Bound:
             if not parts:
                 continue
             if parts not in bounds:
-                Fexpr = parts[0] if len(parts) == 1 else Product(parts)
-                bounds[parts] = (_defect_ub(Fexpr), _osc_rate(Fexpr))
+                cache, partner = parts[0]._q_bounds, parts[1] if len(parts) == 2 else None
+                if partner not in cache:
+                    Fexpr = parts[0] if partner is None else Product(parts)
+                    cache[partner] = (_defect_ub(Fexpr), _osc_rate(Fexpr))
+                bounds[parts] = cache[partner]
             pairs.append((abs(s.coeff * t.coeff), s, t, parts, sqrt_upper(s.energy * t.energy)))
 
     def radius(n: int) -> Fraction:

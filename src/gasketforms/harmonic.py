@@ -8,9 +8,11 @@ the classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
 preserved, and all entries are nonnegative, so the maximum principle holds
 exactly on rational data.  Scaled by 5 the matrices have integer entries, so
 descent runs on integer triples over one common denominator D and converts
-back once, as values over D·5^k after k letters.  One depth-first walk over
-the cell tree in word order (``VertexFunction._walk``) drives extension,
-energies and the per-cell triple tables.
+back once, as values over D·5^k after k letters.  One level-by-level walk
+(``VertexFunction._levels``) drives extension, energies and the per-cell
+triple tables: it expands the integer triples of one level into those of the
+next in word order, starting from the level-m triples, which each function
+computes once.
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
@@ -59,6 +61,7 @@ def _h_row(i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
 H_MATRICES = tuple(tuple(_h_row(i, j) for j in range(3)) for i in range(3))
 
 Triple = tuple[Fraction, Fraction, Fraction]
+IntTriple = tuple[int, int, int]
 
 
 def _integers(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -106,6 +109,7 @@ class VertexFunction:
     values: dict[Point, Fraction]
 
     _energy_cache: Fraction | None = field(default=None, repr=False, compare=False)
+    _seed: tuple[int, list[IntTriple]] | None = field(default=None, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -140,31 +144,38 @@ class VertexFunction:
         return self.triple(word)[j]
 
     # -- the cell walk, extension and energy ----------------------------------
-    def _walk(self, n: int) -> tuple[int, Iterator[tuple[Word, int, int, int]]]:
-        """(D, cells): every cell of levels m..n, depth first in word order,
-        as (word, a, b, c) with corner values a/den, b/den, c/den where
-        den = D·5^(len(word) - m)."""
+    def _level_seed(self) -> tuple[int, list[IntTriple]]:
+        """(D, the integer corner triples of the level-m cells in word order)
+        over the least common denominator D of the values; computed once."""
+        if self._seed is None:
+            D, scaled = _integers(list(self.values.values()))
+            ints = dict(zip(self.values, scaled))
+            self._seed = D, [tuple(ints[p] for p in cell_corners(w)) for w in words(self.level)]
+        return self._seed
+
+    def _levels(self, n: int) -> Iterator[list[IntTriple]]:
+        """The integer corner triples of the cells of levels m..n, one list per
+        level in word order; level k is over D·5^(k - m).  Each level holds
+        the three children of every cell of the one before, in letter order."""
         if n < self.level:
             raise GasketError("target level below stored level")
-        D, scaled = _integers(list(self.values.values()))
-        ints = dict(zip(self.values, scaled))
+        rows = list(self._level_seed()[1])
+        yield rows
+        for _ in range(n - self.level):
+            children: list[IntTriple] = []
+            for a, b, c in rows:
+                s = a + b + c
+                x, y, z = s + a + b, s + a + c, s + b + c
+                children += ((5 * a, x, y), (x, 5 * b, z), (y, z, 5 * c))
+            rows = children
+            yield rows
 
-        def cells():
-            stack = [(w, *(ints[p] for p in cell_corners(w))) for w in words(self.level)]
-            stack.reverse()
-            while stack:
-                cell = word, a, b, c = stack.pop()
-                yield cell
-                if len(word) < n:
-                    stack.extend((word + letter, *_step5(letter, a, b, c)) for letter in "210")
-
-        return D, cells()
-
-    def int_triples(self, n: int) -> tuple[int, list[tuple[int, int, int]]]:
+    def int_triples(self, n: int) -> tuple[int, list[IntTriple]]:
         """(den, integer corner values of the level-n cells in word order);
         the corner values are those integers over den."""
-        D, cells = self._walk(n)
-        return D * 5 ** (n - self.level), [(a, b, c) for word, a, b, c in cells if len(word) == n]
+        for rows in self._levels(n):
+            pass
+        return self._level_seed()[0] * 5 ** (n - self.level), rows
 
     def triples(self, n: int) -> list[Triple]:
         """Corner values of the level-n cells, in word order."""
@@ -172,14 +183,12 @@ class VertexFunction:
         return [(Fraction(a, den), Fraction(b, den), Fraction(c, den)) for a, b, c in ints]
 
     def extend(self, n: int) -> "VertexFunction":
-        D, cells = self._walk(n)
-        den = D * 5 ** (n - self.level)
+        den, rows = self.int_triples(n)
         vals: dict[Point, Fraction] = {}
-        for word, a, b, c in cells:
-            if len(word) == n:
-                for p, x in zip(cell_corners(word), (a, b, c)):
-                    if p not in vals:
-                        vals[p] = Fraction(x, den)
+        for word, t in zip(words(n), rows):
+            for p, x in zip(cell_corners(word), t):
+                if p not in vals:
+                    vals[p] = Fraction(x, den)
         return VertexFunction(n, vals)
 
     def energy_at_level(self, n: int) -> Fraction:
@@ -198,14 +207,12 @@ class VertexFunction:
         return self._energy_cache
 
     def energy_levels(self, n_max: int) -> list[Fraction]:
-        """[E_m, ..., E_{n_max}] in one integer walk over the cell tree."""
-        D, cells = self._walk(n_max)
-        acc = [0] * (n_max - self.level + 1)
-        for word, a, b, c in cells:
-            acc[len(word) - self.level] += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
+        """[E_m, ..., E_{n_max}], each level summed as the walk builds it."""
+        D = self._level_seed()[0]
         return [
-            Fraction(5, 3) ** (self.level + d) * Fraction(s, (D * 5**d) ** 2)
-            for d, s in enumerate(acc)
+            Fraction(5, 3) ** (self.level + d)
+            * Fraction(sum((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2 for a, b, c in rows), (D * 5**d) ** 2)
+            for d, rows in enumerate(self._levels(n_max))
         ]
 
     def energy_with(self, other: "VertexFunction") -> Fraction:

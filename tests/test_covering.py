@@ -25,7 +25,7 @@ from gasketforms.geometry import (
     vertex_id,
     words,
 )
-from gasketforms.harmonic import harmonic_basis
+from gasketforms.harmonic import harmonic_basis, random_harmonic
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()
@@ -230,10 +230,10 @@ def _skeleton(n):
 
 
 @st.composite
-def walks(draw, closed=None):
-    """A walk on the level 0-4 graph, closed by a shortest way back when
-    asked, in either orientation."""
-    n = draw(st.integers(0, 4))
+def walks(draw, closed=None, max_level=4):
+    """A walk on the level 0-``max_level`` graph, closed by a shortest way
+    back when asked, in either orientation."""
+    n = draw(st.integers(0, max_level))
     vertices, adj = _skeleton(n)
     start = p = vertices[draw(st.integers(0, len(vertices) - 1))]
     edges = []
@@ -361,3 +361,17 @@ def test_dz_table_work_budget(monkeypatch):
     monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 20)
     with pytest.raises(GasketError, match="budget"):
         cov.dz_path_integrals(path, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(walks(max_level=2), st.randoms(use_true_random=False))
+def test_reversing_a_path_negates_its_integral(path, rng):
+    form = (
+        fm.fdg(random_harmonic(rng.randint(0, 2), rng), random_harmonic(rng.randint(0, 2), rng))
+        + fm.SmoothForm(harmonic={"".join(rng.choice("012") for _ in range(rng.randint(0, 2))): F(rng.randint(-5, 5), 3)})
+        + fm.d(random_harmonic(rng.randint(0, 2), rng))
+    )
+    back = path.reversed()
+    assert fm.integrate_path(form, back).value == -fm.integrate_path(form, path).value
+    fwd, rev = (fm.integrate_path(form, P, mode="certified") for P in (path, back))
+    assert rev.value == -fwd.value and rev.radius == fwd.radius

@@ -114,3 +114,34 @@ def test_oscillation_of_coarse_cell(u, data):
     word = data.draw(words(0, u.level))
     vals = [x for w in geo.words(u.level - len(word)) for x in u.triple(word + w)]
     assert u.oscillation(word) == max(vals) - min(vals)
+
+
+def _rational_table(vf, n):
+    den, rows = vf.int_triples(n)
+    return [tuple(Fraction(x, den) for x in t) for t in rows]
+
+
+@given(vertex_functions())
+def test_int_triples_are_a_fresh_table_every_call(u):
+    # the level-m triples are computed once per function and cached; a caller
+    # that mutates a returned table must not reach that cache
+    for n in (u.level, u.level + 1):
+        den, first = u.int_triples(n)
+        kept = list(first)
+        first[0] = (10**9, 0, 0)
+        first.append((1, 2, 3))
+        assert u.int_triples(n) == (den, kept)
+
+
+@given(vertex_functions(max_level=2), st.integers(0, 2))
+def test_extension_and_json_round_trip_keep_the_walk(u, gap):
+    # equal as rationals: the stored values of an extension may have a
+    # smaller common denominator than D·5^gap
+    n = u.level + gap
+    ext = u.extend(n)
+    copy = VertexFunction.from_json(u.to_json())
+    for level in range(u.level, n + 3):
+        table = _rational_table(u, level)
+        assert _rational_table(copy, level) == table
+        if level >= n:
+            assert _rational_table(ext, level) == table

@@ -140,6 +140,38 @@ def test_hodge_equals_the_edge_oracle(case):
     assert (got.potential_radius, got.residual_bound) == (want.potential_radius, want.residual_bound)
 
 
+@settings(max_examples=20, deadline=None)
+@given(_forms())
+def test_certified_hodge_equals_the_edge_oracle(case):
+    """The one sweep over the cached skeleton tree gives the oracle's floats
+    and radii: the same operations on the same values in the same order."""
+    form, depth = case
+    depth = min(depth, 2)
+    got = _outcome(coh.hodge_decompose, form, depth, None, "certified")
+    want = _outcome(_hodge_by_edges, form, depth, "certified")
+    if want is DepthTooSmallError:
+        assert got is DepthTooSmallError
+        return
+    assert _pairs(got.k) == _pairs(want.k)
+    assert _pairs(got.potential) == _pairs(want.potential)
+    assert (got.potential_radius, got.residual_bound) == (want.potential_radius, want.residual_bound)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_skeleton_tree_spans_the_level_graph(depth):
+    points, steps = coh._skeleton_tree(depth)
+    all_words = [w for n in range(depth + 1) for w in words(n)]
+    assert len(points) == len(set(points)) == (3 ** (depth + 1) + 3) // 2
+    assert points[0] == P0 and len(steps) == len(points) - 1
+    for i, (parent, e, weights, spread) in enumerate(steps, start=1):
+        assert parent < i and e.level == depth
+        assert (e.source, e.target) == (points[parent], points[i])
+        # every dz_tau of |tau| <= depth that does not vanish on the edge
+        assert dict(weights) == {tau: v for tau in all_words if (v := fm.dz_integral_edge(tau, e)) != 0}
+        assert spread == sum(abs(w) for _, w in weights)
+    assert coh._skeleton_tree(depth) is coh._skeleton_tree(depth)
+
+
 def test_certified_routes_are_unchanged():
     form = fm.fdg(f0, f1) + fm.SmoothForm(harmonic={"2": F(1, 3)}) + fm.d(f2)
     got = coh.periods_up_to(form, 2, mode="certified")

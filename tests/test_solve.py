@@ -139,8 +139,41 @@ def _linear(j):
     return (j, 1)
 
 
+def _alternating(j):
+    """w_j = (1 + (-1)^j, 1, 2 - (-1)^j) at rho = 1: the recurrence
+    (x - 1)(x + 1) has the simple root 1, but the sequence oscillates; its
+    Cesàro mean is (1, 1, 2)."""
+    return (1 + (-1) ** j, 1, 2 - (-1) ** j)
+
+
 def test_kernel_limit_of_a_convergent_sequence():
     assert fm._kernel_limit(_halving, (), F(1, 2)) == (1, (1, 1, 1))
+
+
+def test_kernel_limit_refuses_a_root_on_the_unit_circle():
+    with pytest.raises(GasketError, match="unit disc"):
+        fm._kernel_limit(_alternating, (), F(1))
+
+
+def _poly(factors):
+    """The coefficients, lowest degree first, of the product of the factors."""
+    out = [F(1)]
+    for f in factors:
+        out = [sum(f[i] * out[k - i] for i in range(len(f)) if 0 <= k - i < len(out)) for k in range(len(out) + len(f) - 1)]
+    return out
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@given(st.lists(_rationals, max_size=4), st.lists(st.tuples(_rationals, _rationals), max_size=2),
+       st.fractions(min_value=F(1, 4), max_value=4).filter(bool))
+def test_unit_disc_test_on_known_roots(real, pairs, lead):
+    """Real roots r and conjugate pairs a ± ib, of modulus^2 a^2 + b^2: the
+    test passes exactly when all of them lie strictly inside the unit disc."""
+    factors = [(-r, F(1)) for r in real] + [(a * a + b * b, -2 * a, F(1)) for a, b in pairs] + [(lead,)]
+    inside = all(abs(r) < 1 for r in real) and all(a * a + b * b < 1 for a, b in pairs)
+    assert fm._roots_inside_unit_disc(_poly(factors)) == inside
 
 
 @pytest.mark.parametrize("sequence", [_doubling, _linear])
