@@ -68,18 +68,19 @@ class CertifiedValue:
         return abs(Fraction(self.value) - Fraction(other.value)) <= self.radius + other.radius
 
     # -- arithmetic ------------------------------------------------------------
+    # a float result is rounded once, so half an ulp of it joins the radius
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return CertifiedValue(self.value + other.value, self.radius + other.radius)
+        return _rounded(self.value + other.value, self.radius + other.radius)
 
     def __sub__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return CertifiedValue(self.value - other.value, self.radius + other.radius)
+        return _rounded(self.value - other.value, self.radius + other.radius)
 
     def __neg__(self) -> "CertifiedValue":
         return CertifiedValue(-self.value, self.radius)
 
     def scaled(self, c) -> "CertifiedValue":
         c = Fraction(c)
-        return CertifiedValue(self.value * c, self.radius * abs(c))
+        return _rounded(self.value * c, self.radius * abs(c))
 
     def __repr__(self):
         if self.exact:
@@ -102,3 +103,8 @@ class CertifiedValue:
             return CertifiedValue.from_exact(Fraction(data["value"]))
         return CertifiedValue(float(data["value"]), Fraction(float(data["radius"])))
 
+
+def _rounded(value: Number, radius: Fraction) -> CertifiedValue:
+    if isinstance(value, float):
+        radius += Fraction(math.ulp(value)) / 2
+    return CertifiedValue(value, radius)

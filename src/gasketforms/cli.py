@@ -85,7 +85,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("periods", help="lacuna periods up to a depth")
     common(p, form=True, depth=3)
-    p.add_argument("--mode", choices=["exact", "certified"], default="exact")
 
     p = sub.add_parser("hodge", help="harmonic coefficients and skeleton primitive")
     common(p, form=True, depth=3)
@@ -139,7 +138,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "periods":
-        pv = coh.periods_up_to(_load_form(args.form), args.depth, mode=args.mode)
+        pv = coh.periods_up_to(_load_form(args.form), args.depth)
         payload = pv.to_json()
         _emit(args, payload, [[w, v, r] for w, v, r in payload["entries"]])
         return 0
@@ -183,10 +182,10 @@ def _dispatch(args) -> int:
         magnitudes = None
         if args.form:
             form = _load_form(args.form)
-            coh._check_budget(3 ** min(args.level + 1, 64), f"a coloring by edge integrals at level {args.level}")
-            magnitudes = {
-                e: abs(float(fm.integrate_edge(form, e).value)) for e in edges_at_level(args.level)
-            }
+            top = max(fm._form_data_level(form), args.level)
+            coh._check_budget(3 ** min(top + 1, 64), f"a coloring by edge integrals at level {args.level}")
+            D, rows = fm.side_integrals_at(form, args.level)
+            magnitudes = {e: abs(rows[int(e.cell or "0", 3)][e.side]) / D for e in edges_at_level(args.level)}
         svg = render_svg(args.level, size=args.size, highlight_cells=args.highlight_cell,
                          path=path, lacunas=args.lacuna, edge_magnitudes=magnitudes)
         if args.out:

@@ -1,5 +1,5 @@
 """Periods, the triangular period matrices, winding numbers, and the Hodge
-decomposition with certified truncation.
+decomposition with its truncation tails.
 
 B_{rho,tau} is the integral of dz_rho around the lacuna of C_tau; it is lower
 unitriangular for the prefix order with entries in {1, -1/3, 0}, and its
@@ -12,12 +12,11 @@ computed from its periods: k = A* c truncated at a depth, with tails bounded
 by the geometric decay of lacuna periods, and a skeleton primitive for the
 residual exact part anchored at the corner p_0.
 
-In exact mode both read the universal part from one integer side-integral
-table per call (``forms.side_integral_table``), coarsened level by level: a
-lacuna period sums side i of the three children of its cell, and a skeleton
-edge reads its own side.  Lacuna forms enter through the B entries of their
-prefixes.  The per-word tables are refused past ``_TABLE_ENTRIES_MAX``
-entries before any work starts.
+Both are exact and read one whole-form integer side-integral table per call
+(``forms.side_integral_table``: universal, lacuna and exact parts), coarsened
+level by level: a lacuna period sums side i of the three children of its
+cell, and a skeleton edge reads its own side.  The per-word tables are
+refused past ``_TABLE_ENTRIES_MAX`` entries before any work starts.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .certified import CertifiedValue
 from .errors import (
@@ -35,16 +33,13 @@ from .errors import (
     NotComparableError,
 )
 from .forms import (
-    ONE,
-    FormTerm,
     SmoothForm,
+    _coarsen,
+    _form_data_level,
     _normalized_terms,
     _prefix_dz,
-    _universal_level,
     dz_form,
-    dz_integral_edge,
     dz_integral_path,
-    integrate_edge,
     integrate_path,
     q_inner,
     side_integral_table,
@@ -62,6 +57,7 @@ from .geometry import (
     vertex_id,
     words,
 )
+from .harmonic import IntTriple
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -121,11 +117,8 @@ def a_entry(sigma: Word, tau: Word, strict: bool = True) -> Fraction:
 class TriangularKernel:
     """Lazy view of the B and A matrices over prefix chains."""
 
-    def __init__(self, validate: bool = True):
-        self._validate = validate
-
     def b(self, rho: Word, tau: Word) -> Fraction:
-        return b_entry(rho, tau) if self._validate else b_rule(rho, tau)
+        return b_entry(rho, tau)
 
     def a(self, sigma: Word, tau: Word) -> Fraction:
         return a_entry(sigma, tau)
@@ -190,55 +183,42 @@ class PeriodVector:
         }
 
 
-def _coarsen(rows: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """A side-integral table one level up: side i of a cell is the union of
-    side i of its children (i + 2) mod 3 and (i + 1) mod 3."""
-    return [
-        (r1[0] + r2[0], r0[1] + r2[1], r0[2] + r1[2])
-        for r0, r1, r2 in zip(rows[0::3], rows[1::3], rows[2::3])
-    ]
-
-
-def periods_up_to(form: SmoothForm, depth: int, mode: str = "exact") -> PeriodVector:
-    """c_sigma = integral of the form around the lacuna of C_sigma, for all
-    |sigma| <= depth.
-
-    Exact mode reads the universal part from one ``side_integral_table`` at
-    level max(m, depth + 1), m its data level, coarsened level by level: the
-    lacuna of a level-n cell tau is side i of its child tau+i, for i = 0, 1, 2.
-    The harmonic part adds c_s·B_{s,tau} for the prefixes tau of each word s;
-    the exact part adds nothing, the lacuna being closed.  Certified mode
-    integrates every lacuna path, with the universal part through the Riemann
-    engine.
-
-    Refused with GasketError when the 3^max(m, depth + 1) cells exceed
-    ``_TABLE_ENTRIES_MAX``, and with DepthTooSmallError when a harmonic word
-    is longer than the depth, before any integration."""
-    top = max(_universal_level(form), depth + 1)
-    _check_budget(3 ** min(top, 64), f"the lacuna and skeleton tables to depth {depth}")
+def _period_tables(form: SmoothForm, depth: int) -> tuple[PeriodVector, int, list[list[IntTriple]]]:
+    """(periods, D, tables): the periods to the depth and the whole-form
+    side-integral table at every level 0..max(m, depth + 1), tables[n] at
+    level n over D, coarsened from one ``side_integral_table`` at the top."""
     bound = universal_energy_bound(form)
     if any(len(sigma) > depth for sigma in form.harmonic):
         raise DepthTooSmallError("harmonic support deeper than the requested period depth")
-    entries: dict[Word, CertifiedValue] = {}
-    if mode != "exact":
-        for n in range(depth + 1):
-            for w in words(n):
-                entries[w] = integrate_path(form, lacuna_path(w), mode=mode)
-        return PeriodVector(depth, entries, bound)
-    harmonic: dict[Word, Fraction] = {}
-    for s, c in form.harmonic.items():
-        for j in range(len(s) + 1):
-            harmonic[s[:j]] = harmonic.get(s[:j], F0) + c * b_entry(s, s[:j])
+    top = max(_form_data_level(form), depth + 1)
+    _check_budget(3 ** min(top, 64), f"the lacuna and skeleton tables to depth {depth}")
     D, rows = side_integral_table(form, top)
-    tables = {top: rows}
-    for level in range(top, 1, -1):
-        tables[level - 1] = rows = _coarsen(rows)
+    tables = [rows]
+    while len(rows) > 1:
+        rows = _coarsen(rows)
+        tables.append(rows)
+    tables.reverse()
+    entries: dict[Word, CertifiedValue] = {}
     for n in range(depth + 1):
         T = tables[n + 1]
         for j, w in enumerate(words(n)):
-            v = Fraction(T[3 * j][0] + T[3 * j + 1][1] + T[3 * j + 2][2], D)
-            entries[w] = CertifiedValue.from_exact(v + harmonic.get(w, F0))
-    return PeriodVector(depth, entries, bound)
+            entries[w] = CertifiedValue.from_exact(Fraction(T[3 * j][0] + T[3 * j + 1][1] + T[3 * j + 2][2], D))
+    return PeriodVector(depth, entries, bound), D, tables
+
+
+def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
+    """c_sigma = integral of the form around the lacuna of C_sigma, for all
+    |sigma| <= depth, exactly.
+
+    One whole-form ``side_integral_table`` at level max(m, depth + 1), m the
+    data level, is coarsened level by level: the lacuna of a level-n cell tau
+    is side i of its child tau+i, for i = 0, 1, 2.
+
+    Raises ExactnessUnavailableError for a product of two non-constant
+    factors, DepthTooSmallError when a harmonic word is longer than the
+    depth, and GasketError when the 3^max(m, depth + 1) cells exceed
+    ``_TABLE_ENTRIES_MAX``, all before any integration."""
+    return _period_tables(form, depth)[0]
 
 
 def k_tail_bound(level_sum_bound: Fraction, depth: int) -> Fraction:
@@ -284,26 +264,6 @@ class HodgeDecomposition:
         }
 
 
-def _skeleton_integrals(form: SmoothForm, depth: int) -> Callable[[OrientedEdge], Fraction]:
-    """e -> exact integral of the form over a level-``depth`` edge: the
-    universal and exact parts from one side-integral table (coarsened from the
-    data level when that is finer), the harmonic part per lacuna form."""
-    table_form = SmoothForm(form.terms + ((FormTerm(ONE, form.exact),) if form.exact is not None else ()))
-    level = max(_universal_level(table_form), depth)
-    D, rows = side_integral_table(table_form, level)
-    for _ in range(level - depth):
-        rows = _coarsen(rows)
-    harmonic = [(sigma, c) for sigma, c in form.harmonic.items() if c != 0]
-
-    def integral(e: OrientedEdge) -> Fraction:
-        value = Fraction(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
-        for sigma, c in harmonic:
-            value += c * dz_integral_edge(sigma, e)
-        return value
-
-    return integral
-
-
 SkeletonStep = tuple[int, OrientedEdge, tuple[tuple[Word, Fraction], ...], Fraction]
 
 
@@ -341,67 +301,49 @@ def hodge_decompose(
     form: SmoothForm,
     depth: int,
     tolerance: Fraction | None = None,
-    mode: str = "exact",
 ) -> HodgeDecomposition:
     """Split the form into harmonic coefficients (period route, k = A* c
     truncated at the depth) and a skeleton primitive for the exact part.
 
-    The primitive is anchored at U(p_0) = 0 and summed along the
-    breadth-first tree of the level-``depth`` skeleton (``_skeleton_tree``,
-    built once per depth): one linear sweep adds each tree edge's residual
-    integral to its parent's value and its radius to its parent's radius, in
-    plain rationals (floats for certified values); ``CertifiedValue``s are
-    built only for the result.  In exact mode the edge integrals come from
-    one side-integral table (``_skeleton_integrals``).
+    The periods and the skeleton edge integrals come from one whole-form
+    side-integral table (``_period_tables``).  The primitive is anchored at
+    U(p_0) = 0 and summed along the breadth-first tree of the level-``depth``
+    skeleton (``_skeleton_tree``, built once per depth): one linear sweep
+    adds each tree edge's residual integral to its parent's value and its
+    tail radius to its parent's radius.
 
     The work budget charges 3^(depth + 1)·(depth + 1) against
     ``_TABLE_ENTRIES_MAX``: the prefix work of k = A* c over the periods and
     of the residuals over the 3^(depth + 1) skeleton edges, each of which
     reads up to depth + 1 prefixes.  Past it GasketError is raised before any
-    work; ``periods_up_to`` then checks its own table budget.
+    work; the table then checks its own budget.
     """
     _check_budget(3 ** min(depth + 1, 64) * (depth + 1), f"the Hodge decomposition to depth {depth}")
-    periods = periods_up_to(form, depth, mode=mode)
+    periods, D, tables = _period_tables(form, depth)
     ktail = k_tail_bound(periods.level_sum_bound, depth)
     if tolerance is not None and ktail > tolerance:
         raise DepthTooSmallError(
             f"k-tail bound {float(ktail):.3g} exceeds tolerance at depth {depth}"
         )
-    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau
-    # prefixes; every A entry on a prefix chain is positive
+    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau prefixes
     kv = dict.fromkeys(periods.entries, F0)
-    kr = dict.fromkeys(periods.entries, F0)
     for sigma, cv in periods.entries.items():
         for j in range(len(sigma) + 1):
-            a = a_entry(sigma, sigma[:j])
-            kv[sigma[:j]] = kv[sigma[:j]] + cv.value * a
-            if cv.radius:
-                kr[sigma[:j]] += cv.radius * a
-    k = {tau: CertifiedValue(v, kr[tau] + ktail) for tau, v in kv.items()}
+            kv[sigma[:j]] += cv.value * a_entry(sigma, sigma[:j])
+    k = {tau: CertifiedValue(v, ktail) for tau, v in kv.items()}
 
     # residual edge integrals d U_E(e) = int_e (omega - omega_H): the dropped
     # dz terms contribute at most sum_{m > depth} levelsum_m(k) * 1/3
     edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * periods.level_sum_bound
-    exact_integral = _skeleton_integrals(form, depth) if mode == "exact" else None
-
-    def edge_integral(e: OrientedEdge) -> tuple[Fraction | float, Fraction]:
-        if exact_integral is not None:
-            return exact_integral(e), F0
-        cv = integrate_edge(form, e, mode=mode)
-        return cv.value, cv.radius
-
-    spread_radius = any(kr.values())
+    rows = tables[depth]
     points, steps = _skeleton_tree(depth)
     values, radii = [F0], [F0]
     for parent, e, weights, spread in steps:
-        value, radius = edge_integral(e)
+        value = Fraction(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
         for tau, w in weights:
-            value = value - kv[tau] * w
-        radius += ktail * spread + edge_dz_tail
-        if spread_radius:
-            radius += sum((kr[tau] * abs(w) for tau, w in weights), F0)
+            value -= kv[tau] * w
         values.append(values[parent] + value)
-        radii.append(radii[parent] + radius)
+        radii.append(radii[parent] + ktail * spread + edge_dz_tail)
     potential = {p: CertifiedValue(v, r) for p, v, r in zip(points, values, radii)}
     pot_radius = max(radii)
     return HodgeDecomposition(depth, k, potential, pot_radius, ktail + pot_radius)
@@ -417,15 +359,14 @@ def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> 
     return num.scaled(Fraction(1) / norm)
 
 
-def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int, mode: str = "exact") -> CertifiedValue:
+def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int) -> CertifiedValue:
     """|integral over the perimeter of C_sigma + sum of lacuna periods below|
     together with its geometric tail bound."""
     if depth < len(sigma):
         raise DepthTooSmallError("depth must reach the cell level")
-    total = integrate_path(form, perimeter_path(sigma), mode=mode)
+    total = integrate_path(form, perimeter_path(sigma)).value
     for n in range(len(sigma), depth + 1):
         for w in words(n - len(sigma)):
-            total = total + integrate_path(form, lacuna_path(sigma + w), mode=mode)
+            total += integrate_path(form, lacuna_path(sigma + w)).value
     tail = Fraction(3, 4) * R35**depth * universal_energy_bound(form)
-    value = abs(total.value) if total.exact else abs(float(total.value))
-    return CertifiedValue(value, total.radius + tail)
+    return CertifiedValue(abs(total), tail)

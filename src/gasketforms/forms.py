@@ -19,8 +19,9 @@ energy inner product Q, and both are used by the test suite:
   kernels of its level kernels.  ``_kernel_limit`` reads each limit off the
   short recurrence its sequence satisfies (``solve_unique`` finds only the
   recurrence coefficients).  Edge integrals contract the integer kernels
-  with integer corner triples; ``side_integral_table`` gives the integrals
-  over the sides of every cell of one level from one walk per function.  Q
+  with integer corner triples; ``side_integral_table`` gives the whole
+  form's integrals over the sides of every cell of one level from one walk
+  per function, and ``q_level`` sums their squares.  Q
   contracts per-cell moments of the corner triples with its kernels.
 * certified mode stops at a finite level n and reports a sound rational
   radius from the geometric tail constants ((3/5)^n for integrals,
@@ -809,41 +810,98 @@ def _universal_level(form: SmoothForm) -> int:
     return max((max(t.g.level, t.left.max_level(), t.right.max_level()) for t in form.terms), default=0)
 
 
-def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """(D, rows): row u holds D times the exact integrals of the universal
-    part over sides 0, 1, 2 (canonical orientation) of the u-th level-``level``
-    cell in word order.  ``level`` is at least the data level of every term.
+def _form_data_level(form: SmoothForm) -> int:
+    """The level of the form's finest nonzero part."""
+    m = _universal_level(form)
+    for sigma, k in form.harmonic.items():
+        if k:
+            m = max(m, len(sigma) + 1)
+    if form.exact is not None:
+        m = max(m, form.exact.level)
+    return m
+
+
+@lru_cache(maxsize=None)
+def _dz_table(i: int, depth: int) -> tuple[int, tuple[IntTriple, ...]]:
+    """(den, integer corner values) of the dz potential on the level-depth
+    sub-cells of the cell sigma+i, in word order."""
+    den, table = VertexFunction.from_boundary(*dz_cell_triple(i)).int_triples(depth)
+    return den, tuple(table)
+
+
+def _dz_cells(sigma: Word, level: int) -> list[tuple[int, tuple[int, tuple[IntTriple, ...]]]]:
+    """(index of its first level-``level`` cell, ``_dz_table``) for each child
+    sigma+i of C_sigma: the dz_sigma potential on the cells inside it."""
+    depth = level - len(sigma) - 1
+    return [((int(sigma or "0", 3) * 3 + i) * 3**depth, _dz_table(i, depth)) for i in range(3)]
+
+
+def _differences(triples: Iterable[IntTriple]) -> list[IntTriple]:
+    """u(t) - u(s) over sides 0, 1, 2 (canonical orientation) of each cell."""
+    return [(b - c, c - a, a - b) for a, b, c in triples]
+
+
+def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[IntTriple]]:
+    """(D, rows): row u holds D times the exact integrals of the whole form
+    over sides 0, 1, 2 (canonical orientation) of the u-th level-``level``
+    cell in word order.  ``level`` is at least ``_form_data_level(form)``.
 
     One integer walk per function (``int_triples``); a term c·F dg contracts
-    the integer kernels with the triples of F and g, a term c·dg gives
-    g(t) - g(s).  Each term's rational scale is folded into D once, so a
-    caller divides once per value it reads.  A product of two non-constant
-    factors raises ExactnessUnavailableError before any walk."""
+    the integer kernels with the triples of F and g, a term c·dg and the
+    exact part give potential differences, and a lacuna form dz_sigma gives
+    the potential differences of ``_dz_table`` on the cells inside C_sigma.
+    Each column's rational scale is folded into D once, so a caller divides
+    once per value it reads.  A product of two non-constant factors raises
+    ExactnessUnavailableError before any walk."""
     terms = [(c, F, g) for c, F, g in _normalized_terms(form) if c != 0]
-    if _universal_level(form) > level:
+    if _form_data_level(form) > level:
         raise GasketError("side-integral table below the data level")
-    if not terms:
-        return 1, [(0, 0, 0)] * 3**level
+    if form.exact is not None:
+        terms.append((F1, None, form.exact))
     functions = {id(vf): vf for _, F, g in terms for vf in (F, g) if vf is not None}
     walks = {key: vf.int_triples(level) for key, vf in functions.items()}
-    Dk, kernels = _int_edge_kernels()
-    scales, columns = [], []
+    # (scale, first cell, rows): the column of one part, over its cells only
+    columns: list[tuple[Fraction, int, list[IntTriple]]] = []
     for c, F, g in terms:
         Dg, tg = walks[id(g)]
         if F is None:
-            scales.append(c / Dg)
-            columns.append([(b - cc, cc - a, a - b) for a, b, cc in tg])
+            columns.append((c / Dg, 0, _differences(tg)))
             continue
         Df, tf = walks[id(F)]
-        scales.append(c / (Df * Dg * Dk))
+        Dk, kernels = _int_edge_kernels()
         outer = ([x * y for x in f for y in t] for f, t in zip(tf, tg))
-        columns.append([tuple(sum(map(operator.mul, K, o)) for K in kernels) for o in outer])
-    D = math.lcm(*(x.denominator for x in scales))
-    mults = [x.numerator * (D // x.denominator) for x in scales]
-    return D, [
-        tuple(sum(map(operator.mul, mults, sides)) for sides in zip(*cells))
-        for cells in zip(*columns)
+        rows = [tuple(sum(map(operator.mul, K, o)) for K in kernels) for o in outer]
+        columns.append((c / (Df * Dg * Dk), 0, rows))
+    for sigma, k in form.harmonic.items():
+        if k:
+            columns += [(k / den, start, _differences(t)) for start, (den, t) in _dz_cells(sigma, level)]
+    D = math.lcm(*(scale.denominator for scale, _, _ in columns))
+    out = [(0, 0, 0)] * 3**level
+    for scale, start, rows in columns:
+        m = scale.numerator * (D // scale.denominator)
+        stop = start + len(rows)
+        out[start:stop] = [
+            (r0 + m * a, r1 + m * b, r2 + m * c) for (r0, r1, r2), (a, b, c) in zip(out[start:stop], rows)
+        ]
+    return D, out
+
+
+def _coarsen(rows: list[IntTriple]) -> list[IntTriple]:
+    """A side-integral table one level up: side i of a cell is the union of
+    side i of its children (i + 2) mod 3 and (i + 1) mod 3."""
+    return [
+        (r1[0] + r2[0], r0[1] + r2[1], r0[2] + r1[2])
+        for r0, r1, r2 in zip(rows[0::3], rows[1::3], rows[2::3])
     ]
+
+
+def side_integrals_at(form: SmoothForm, level: int) -> tuple[int, list[IntTriple]]:
+    """``side_integral_table`` at any level: built at the data level when
+    that is finer, then coarsened."""
+    D, rows = side_integral_table(form, max(_form_data_level(form), level))
+    while len(rows) > 3**level:
+        rows = _coarsen(rows)
+    return D, rows
 
 
 def _monomial_riemann(
@@ -1015,25 +1073,6 @@ def q_kernel() -> tuple[Fraction, ...]:
 Piece = tuple[Fraction, tuple[IntTriple, ...], IntTriple]
 
 
-def _form_data_level(form: SmoothForm) -> int:
-    """The level of the form's finest nonzero part."""
-    m = _universal_level(form)
-    for sigma, k in form.harmonic.items():
-        if k:
-            m = max(m, len(sigma) + 1)
-    if form.exact is not None:
-        m = max(m, form.exact.level)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _dz_table(i: int, depth: int) -> tuple[int, tuple[IntTriple, ...]]:
-    """(den, integer corner values) of the dz potential on the level-depth
-    sub-cells of the cell sigma+i, in word order."""
-    den, table = VertexFunction.from_boundary(*dz_cell_triple(i)).int_triples(depth)
-    return den, tuple(table)
-
-
 def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
     """The form's pieces on every level-m cell, in word order: one per
     monomial of a term's a·b (``_monomials``), one per lacuna form on each
@@ -1052,9 +1091,8 @@ def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
             add(c, [f.int_triples(m) for f in left] + [g])
     for sigma, k in form.harmonic.items():
         if k:
-            depth = m - len(sigma) - 1
-            for i in range(3):
-                add(k, [_dz_table(i, depth)], (int(sigma or "0", 3) * 3 + i) * 3**depth)
+            for start, table in _dz_cells(sigma, m):
+                add(k, [table], start)
     if form.exact is not None:
         add(F1, [form.exact.int_triples(m)])
     return cells
@@ -1338,15 +1376,10 @@ def q_inner(
 
 
 def q_level(form: SmoothForm, n: int) -> Fraction:
-    """Q_n[form] = (5/3)^n sum over E_n of the exact edge integrals squared."""
-    total = F0
-    norm = _normalized_terms(form)
-    for e in edges_at_level(n):
-        v = _integrate_fixed_parts(form, e)
-        for c, Fvf, g in norm:
-            v += integrate_term_exact(c, Fvf, g, e)
-        total += v * v
-    return R53**n * total
+    """Q_n[form] = (5/3)^n sum over E_n of the exact edge integrals squared,
+    read from the side-integral table at level n."""
+    D, rows = side_integrals_at(form, n)
+    return R53**n * Fraction(sum(x * x for row in rows for x in row), D * D)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ def test_interval_arithmetic():
     assert sc.value == -1 and sc.radius == F(1, 5)
 
 
+def test_float_arithmetic_covers_its_rounding():
+    a, b = CertifiedValue(0.1), CertifiedValue(0.2)
+    assert (a + b).contains(F(0.1) + F(0.2))
+    assert (a - b).contains(F(0.1) - F(0.2))
+    assert a.scaled(F(1, 3)).contains(F(0.1) / 3)
+    # exact values stay exact
+    assert (CertifiedValue(F(1, 10)) + CertifiedValue(F(1, 5))).exact
+
+
 def test_containment():
     a = CertifiedValue(F(1, 2), F(1, 10))
     assert a.contains(F(9, 20))

@@ -142,19 +142,37 @@ def test_hodge_equals_the_edge_oracle(case):
 
 @settings(max_examples=20, deadline=None)
 @given(_forms())
-def test_certified_hodge_equals_the_edge_oracle(case):
-    """The one sweep over the cached skeleton tree gives the oracle's floats
-    and radii: the same operations on the same values in the same order."""
+def test_certified_oracles_enclose_the_exact_decomposition(case):
+    """The certified routes stay an independent check: certified lacuna
+    integrals enclose the exact periods, and the certified edge oracle's k
+    and potential enclose the exact ones."""
     form, depth = case
     depth = min(depth, 2)
-    got = _outcome(coh.hodge_decompose, form, depth, None, "certified")
-    want = _outcome(_hodge_by_edges, form, depth, "certified")
-    if want is DepthTooSmallError:
-        assert got is DepthTooSmallError
+    exact = _outcome(coh.hodge_decompose, form, depth)
+    certified = _outcome(_hodge_by_edges, form, depth, "certified")
+    if certified is DepthTooSmallError:
+        assert exact is DepthTooSmallError
         return
-    assert _pairs(got.k) == _pairs(want.k)
-    assert _pairs(got.potential) == _pairs(want.potential)
-    assert (got.potential_radius, got.residual_bound) == (want.potential_radius, want.residual_bound)
+    periods = coh.periods_up_to(form, depth)
+    for w, cv in _periods_by_paths(form, depth, mode="certified").entries.items():
+        assert cv.contains(periods.entries[w].value)
+    for tau, cv in certified.k.items():
+        assert cv.contains(exact.k[tau].value)
+    for p, cv in certified.potential.items():
+        assert cv.contains(exact.potential[p].value)
+
+
+def test_hodge_builds_one_table(monkeypatch):
+    levels = []
+
+    def counted(form, level):
+        levels.append(level)
+        return fm.side_integral_table(form, level)
+
+    monkeypatch.setattr(coh, "side_integral_table", counted)
+    form = fm.fdg(f0, f1) + fm.dz_form("1") + fm.d(random_harmonic(2, random.Random(3)))
+    coh.hodge_decompose(form, 2)
+    assert levels == [3]
 
 
 @pytest.mark.parametrize("depth", range(5))
@@ -172,26 +190,36 @@ def test_skeleton_tree_spans_the_level_graph(depth):
     assert coh._skeleton_tree(depth) is coh._skeleton_tree(depth)
 
 
-def test_certified_routes_are_unchanged():
-    form = fm.fdg(f0, f1) + fm.SmoothForm(harmonic={"2": F(1, 3)}) + fm.d(f2)
-    got = coh.periods_up_to(form, 2, mode="certified")
-    assert _pairs(got.entries) == _pairs(_periods_by_paths(form, 2, mode="certified").entries)
-    got, want = coh.hodge_decompose(form, 1, mode="certified"), _hodge_by_edges(form, 1, mode="certified")
-    assert _pairs(got.k) == _pairs(want.k) and _pairs(got.potential) == _pairs(want.potential)
-
-
-@pytest.mark.parametrize("level", [0, 1, 3])
-def test_side_table_matches_edge_integrals(level):
-    rng = random.Random(level)
-    form = fm.fdg(fm.Sum([fm.Atom(random_harmonic(1, rng)), fm.Atom(f2)]), random_harmonic(1, rng))
-    form = form + fm.fdg(fm.Const(F(-2, 3)), random_harmonic(0, rng))
-    level = max(level, 1)
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), parts=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_side_table_matches_edge_integrals(level, seed, parts):
+    """The whole-form table (universal, lacuna and exact parts, each drawn or
+    not, of data level at most ``level``) against one ``integrate_edge`` per
+    side, and q_level at every level up to it against the per-edge squares."""
+    rng = random.Random(seed)
+    universal, harmonic, exact = parts
+    form = fm.SmoothForm()
+    if universal:
+        left = fm.Sum([fm.Atom(random_harmonic(rng.randint(0, level), rng)), fm.Atom(f2)])
+        form = form + fm.fdg(left, random_harmonic(rng.randint(0, level), rng))
+        form = form + fm.fdg(fm.Const(F(rng.randint(-3, 3), 3)), random_harmonic(rng.randint(0, level), rng))
+    if harmonic and level:
+        form = form + fm.SmoothForm(harmonic={
+            "".join(rng.choice("012") for _ in range(rng.randint(0, level - 1))): F(rng.randint(-5, 5), 4)
+            for _ in range(2)
+        })
+    if exact:
+        form = form + fm.d(random_harmonic(rng.randint(0, level), rng))
     D, rows = fm.side_integral_table(form, level)
     assert len(rows) == 3**level
     for e in edges_at_level(level):
-        assert F(rows[int(e.cell, 3)][e.side], D) == fm.integrate_edge(form, e).value
+        assert F(rows[int(e.cell or "0", 3)][e.side], D) == fm.integrate_edge(form, e).value
+    for n in range(level + 1):
+        squares = sum((fm.integrate_edge(form, e).value ** 2 for e in edges_at_level(n)), F(0))
+        assert fm.q_level(form, n) == F(5, 3) ** n * squares
     with pytest.raises(GasketError):
-        fm.side_integral_table(fm.fdg(random_harmonic(2, rng), f1), 1)
+        fm.side_integral_table(form + fm.fdg(random_harmonic(level + 1, rng), f1), level)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +275,7 @@ def test_hodge_budget_refuses_depth_11_before_any_work(monkeypatch):
     form = fm.fdg(f0, f1)
     assert 3**12 <= coh._TABLE_ENTRIES_MAX < 3**12 * 12
     with monkeypatch.context() as patched:
-        patched.setattr(coh, "periods_up_to", lambda *args, **kwargs: pytest.fail("work started"))
+        patched.setattr(coh, "_period_tables", lambda *args, **kwargs: pytest.fail("work started"))
         with pytest.raises(GasketError, match="budget"):
             coh.hodge_decompose(form, 11)
     assert len(coh.hodge_decompose(form, 4).k) == (3**5 - 1) // 2

@@ -10,6 +10,9 @@
 * Every exact kernel is the limit of a cached level kernel: the limit
   builder ``forms._kernel_limit`` is the only caller of ``solve_unique``, so
   no hand-built kernel system comes back unnoticed.
+* Integrals over a whole level come from one side-integral table: no loop
+  or comprehension over ``edges_at_level`` integrates its edges one at a
+  time.
 """
 
 from __future__ import annotations
@@ -89,3 +92,26 @@ def test_solve_unique_is_called_only_by_the_limit_builder():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_unique"
         ]
     assert sites == [("forms.py", True)]
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_edge_integration_over_a_level(path):
+    per_edge = {"integrate_edge", "integrate_term_exact"}
+    stray = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.For):
+            iters, bodies = [node.iter], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            iters, bodies = [g.iter for g in node.generators], [node]
+        else:
+            continue
+        if not any(_called_name(n) == "edges_at_level" for it in iters for n in ast.walk(it)):
+            continue
+        stray += [n.lineno for b in bodies for n in ast.walk(b) if _called_name(n) in per_edge]
+    assert stray == []
