@@ -142,10 +142,10 @@ def test_hodge_equals_the_edge_oracle(case):
 
 @settings(max_examples=20, deadline=None)
 @given(_forms())
-def test_certified_oracles_enclose_the_exact_decomposition(case):
-    """The certified routes stay an independent check: certified lacuna
-    integrals enclose the exact periods, and the certified edge oracle's k
-    and potential enclose the exact ones."""
+def test_certified_hodge_equals_the_edge_oracle(case):
+    """The certified route stays an independent check: the certified edge
+    oracle's k and potential enclose the exact ones, and the certified
+    lacuna integrals enclose the exact periods."""
     form, depth = case
     depth = min(depth, 2)
     exact = _outcome(coh.hodge_decompose, form, depth)
@@ -160,6 +160,25 @@ def test_certified_oracles_enclose_the_exact_decomposition(case):
         assert cv.contains(exact.k[tau].value)
     for p, cv in certified.potential.items():
         assert cv.contains(exact.potential[p].value)
+
+
+def test_certified_routes_are_unchanged():
+    """Certified lacuna and edge integration still enclose the exact periods,
+    k and potential of a fixed form; the period and Hodge calls take no mode."""
+    form = fm.fdg(f0, f1) + fm.SmoothForm(harmonic={"2": F(1, 3)}) + fm.d(f2)
+    periods = coh.periods_up_to(form, 2)
+    certified = _periods_by_paths(form, 2, mode="certified")
+    assert certified.entries.keys() == periods.entries.keys()
+    for w, cv in certified.entries.items():
+        assert cv.contains(periods.entries[w].value)
+    exact, want = coh.hodge_decompose(form, 1), _hodge_by_edges(form, 1, mode="certified")
+    assert want.k.keys() == exact.k.keys() and want.potential.keys() == exact.potential.keys()
+    assert all(cv.contains(exact.k[tau].value) for tau, cv in want.k.items())
+    assert all(cv.contains(exact.potential[p].value) for p, cv in want.potential.items())
+    with pytest.raises(TypeError):
+        coh.periods_up_to(form, 2, mode="certified")
+    with pytest.raises(TypeError):
+        coh.hodge_decompose(form, 1, mode="certified")
 
 
 def test_hodge_builds_one_table(monkeypatch):
