@@ -75,15 +75,19 @@ def _check_budget(count: int, what: str) -> None:
         raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
 
 
+def b_thirds(rho: Word, tau: Word) -> int:
+    """3·B_{rho,tau} by the combinatorial rule: 3 on the diagonal, -1 when tau
+    is a proper prefix of rho whose branch letter does not recur in rho."""
+    if rho == tau:
+        return 3
+    if not is_prefix(tau, rho):
+        return 0
+    return 0 if rho[len(tau)] in rho[len(tau) + 1:] else -1
+
+
 def b_rule(rho: Word, tau: Word) -> Fraction:
     """Combinatorial value of B_{rho,tau}."""
-    if rho == tau:
-        return F1
-    if not is_prefix(tau, rho):
-        return F0
-    branch = rho[len(tau)]
-    rest = rho[len(tau) + 1:]
-    return -_THIRD if branch not in rest else F0
+    return Fraction(b_thirds(rho, tau), 3)
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +113,7 @@ def a_entry(sigma: Word, tau: Word, strict: bool = True) -> Fraction:
     acc = F0
     for j in range(len(tau) + 1, len(sigma) + 1):
         rho = sigma[:j]
-        if b_rule(rho, tau) != 0:
+        if b_thirds(rho, tau):
             acc += a_entry(sigma, rho)
     return acc / 3
 
@@ -240,10 +244,9 @@ class HodgeDecomposition:
     residual_bound: Fraction
 
     def harmonic_form(self) -> SmoothForm:
-        """The depth-truncated harmonic representative (exact coefficients)."""
-        return SmoothForm(
-            harmonic={w: cv.value for w, cv in self.k.items() if cv.exact and cv.value != 0}
-        )
+        """The depth-truncated harmonic representative sum k_sigma dz_sigma
+        (the exact midpoints; each k's radius bounds only the dropped tail)."""
+        return SmoothForm(harmonic={w: cv.value for w, cv in self.k.items() if cv.value != 0})
 
     def to_json(self) -> dict:
         return {
@@ -361,12 +364,12 @@ def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> 
 
 def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int) -> CertifiedValue:
     """|integral over the perimeter of C_sigma + sum of lacuna periods below|
-    together with its geometric tail bound."""
+    together with its geometric tail bound; the periods come from one
+    ``periods_up_to(form, depth)``, with its refusals."""
     if depth < len(sigma):
         raise DepthTooSmallError("depth must reach the cell level")
+    periods = periods_up_to(form, depth).entries
     total = integrate_path(form, perimeter_path(sigma)).value
-    for n in range(len(sigma), depth + 1):
-        for w in words(n - len(sigma)):
-            total += integrate_path(form, lacuna_path(sigma + w)).value
+    total += sum((cv.value for w, cv in periods.items() if w.startswith(sigma)), F0)
     tail = Fraction(3, 4) * R35**depth * universal_energy_bound(form)
     return CertifiedValue(abs(total), tail)

@@ -8,10 +8,11 @@ N'-finite; that length controls potential differences of forms whose harmonic
 coefficients are N-finite, through the pairing |sum a b| <= N(a) N'(b).
 
 A path's lacuna-form integrals sigma -> int_path dz_sigma come from one
-table, built in a single pass over the path's edges (``dz_path_integrals``);
+table, built in a single pass over the path's edges as integer counts over
+one denominator (``_dz_counts``; ``dz_path_integrals`` divides them);
 effective lengths (its N' norm), homology classes (A applied to it) and
 potential differences (its pairing with the harmonic coefficients) all read
-that table.
+that table and divide once per result.
 
 Points of the covering are never materialized: homology classes are integer
 coordinate vectors over lacuna generators (winding numbers), the deck-group
@@ -34,6 +35,7 @@ from .cohomology import (
     _check_budget,
     a_entry,
     b_rule,
+    b_thirds,
     hodge_decompose,
     k_level_sum_bound,
     universal_energy_bound,
@@ -45,7 +47,7 @@ from .errors import (
     UnboundedTailError,
 )
 from .forms import SmoothForm, _prefix_dz
-from .geometry import ElementaryPath, OrientedEdge, Word, is_prefix, words
+from .geometry import ElementaryPath, OrientedEdge, Word, words
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -143,14 +145,10 @@ def _avoiding(letter: str, max_len: int) -> tuple[str, ...]:
     return shorter + tuple(r + c for r in shorter[len(shorter) // 2:] for c in others)
 
 
-@lru_cache(maxsize=None)
-def _thirds(c: int) -> Fraction:
-    return Fraction(c, 3)
-
-
-def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fraction]:
-    """{sigma: integral of dz_sigma along the path} for every |sigma| <= depth
-    whose value is nonzero, built in one pass over the edges.
+def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, int]]:
+    """(D, {sigma: D * integral of dz_sigma along the edges}) for every
+    |sigma| <= depth that meets an edge (zero counts included), in one pass
+    over the edges in integers.
 
     An edge (cell tau, side i, sign s) meets the lacunas of two kinds of
     words: a proper prefix tau[:k] (through the local potential of
@@ -159,30 +157,32 @@ def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fr
     Refused with ``GasketError`` when the table would exceed
     ``cohomology._TABLE_ENTRIES_MAX`` entries.
     """
-    edges = list(path)
     size = sum(
         min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
         for e in edges
     )
     _check_budget(size, f"the dz table to depth {depth}")
-    table: dict = {}  # counts of thirds from the avoid-letter words, then values
-    prefixes: dict[Word, Fraction] = {}
+    # D covers -1/3 (avoid-letter words) and 6·5^(top-1), the denominators of
+    # the prefix words' values on edges of level <= top
+    top = max((e.level for e in edges), default=0)
+    den = 6 * 5 ** (top - 1) if top else 3
+    counts: dict[Word, int] = {}
     for e in edges:
-        s = e.sign
         for w, v in _prefix_dz(e.cell, e.side):
             if len(w) > depth:
                 break
-            prefixes[w] = prefixes.get(w, F0) + s * v
-        for r in _avoiding(str(e.side), depth - e.level):
-            w = e.cell + r
-            table[w] = table.get(w, 0) - s
-    for w, c in table.items():
-        table[w] = _thirds(c)
-    for w, v in prefixes.items():
-        table[w] = table.get(w, F0) + v
-    for w in [w for w, v in table.items() if not v]:
-        del table[w]
-    return table
+            counts[w] = counts.get(w, 0) + e.sign * v.numerator * (den // v.denominator)
+        third = e.sign * den // 3
+        for w in map(e.cell.__add__, _avoiding(str(e.side), depth - e.level)):
+            counts[w] = counts.get(w, 0) - third
+    return den, counts
+
+
+def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fraction]:
+    """{sigma: integral of dz_sigma along the path} for every |sigma| <= depth
+    whose value is nonzero, from the integer counts of ``_dz_counts``."""
+    den, counts = _dz_counts(list(path), depth)
+    return {w: Fraction(c, den) for w, c in counts.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +207,21 @@ def effective_length(path: ElementaryPath, depth: int = 8) -> CertifiedValue:
     """N' of the lacuna-form integrals along the path.
 
     Single edges are exact (their per-level sups stabilize at 1/3); longer
-    paths are exact up to the depth, with per-level sups read from the dz
-    table, and a conservative geometric tail.
+    paths are exact up to the depth, with per-level sups read from the
+    integer dz counts, and a conservative geometric tail.
     """
     edges = list(path)
     if len(edges) == 1:
         return norm_Nprime(dz_sequence_edge(edges[0]))
-    sups = [F0] * (depth + 1)
-    for w, v in dz_path_integrals(edges, depth).items():
-        a = abs(v)
+    den, counts = _dz_counts(edges, depth)
+    sups = [0] * (depth + 1)
+    for w, c in counts.items():
+        a = abs(c)
         if a > sups[len(w)]:
             sups[len(w)] = a
     per_level_cap = len(edges) * Fraction(1, 3)
     tail_total = per_level_cap * R35 ** (depth + 1) * Fraction(5, 2)
-    finite = sum((R35**k * s for k, s in enumerate(sups)), F0)
+    finite = sum((R35**k * Fraction(s, den) for k, s in enumerate(sups)), F0)
     return CertifiedValue(finite + tail_total / 2, tail_total / 2)
 
 
@@ -283,23 +284,26 @@ class HomologyElement:
 def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
     """Coordinates of a closed path: winding numbers around each lacuna,
     sum_j A_{w, w[:j]} * (integral of dz_{w[:j]}) for every |w| < depth,
-    read from one dz table."""
+    read from the integer dz counts (3^|w| A_{w, w[:j]} is an integer)."""
     if depth > 0 and not path.closed:
         raise GasketError("winding numbers need a closed path")
     _check_budget((3 ** min(depth, 64) - 1) // 2, f"a homology class to depth {depth}")
-    table = dz_path_integrals(path, depth - 1)
+    den, counts = _dz_counts(list(path), depth - 1)
     coords: dict[Word, int] = {}
     for n in range(depth):
+        scale = 3**n
         for w in words(n):
-            acc = F0
+            acc = 0
             for j in range(n + 1):
-                v = table.get(w[:j])
-                if v is not None:
-                    acc += a_entry(w, w[:j]) * v
-            if acc.denominator != 1:
-                raise NonIntegerResultError(f"winding came out {acc} for sigma={w!r}")
-            if acc != 0:
-                coords[w] = int(acc)
+                c = counts.get(w[:j])
+                if c:
+                    a = a_entry(w, w[:j])
+                    acc += a.numerator * (scale // a.denominator) * c
+            winding, rest = divmod(acc, scale * den)
+            if rest:
+                raise NonIntegerResultError(f"winding came out {Fraction(acc, scale * den)} for sigma={w!r}")
+            if winding:
+                coords[w] = winding
     return HomologyElement(depth, coords)
 
 
@@ -316,13 +320,11 @@ def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
     return sum((c * b_rule(sigma, tau) for tau, c in g.coords.items()), F0)
 
 
-def _phi_sup_at_level(g: HomologyElement, k: int) -> Fraction:
+def _phi_sup_at_level(g: HomologyElement, k: int) -> int:
+    """3 * the sup of |phi_sigma(g)| over |sigma| = k, an integer."""
     return max(
-        (abs(phi_sigma) for phi_sigma in (
-            sum((c * b_rule(w, tau) for tau, c in g.coords.items()), F0)
-            for w in words(k)
-        )),
-        default=F0,
+        (abs(sum(c * b_thirds(w, tau) for tau, c in g.coords.items())) for w in words(k)),
+        default=0,
     )
 
 
@@ -331,7 +333,8 @@ def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedVa
 
     Exact: per-level sups are enumerated through the class support and the
     achievable sets of surviving branch letters stabilize three levels past
-    the support, leaving a closed geometric tail.
+    the support, leaving a closed geometric tail.  The sups are taken in
+    thirds, as integers, and the total is divided by 3 once.
     """
     L = g.support_level()
     if L < 0:
@@ -342,39 +345,30 @@ def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedVa
     for k in range(direct_to + 1):
         total += R35**k * _phi_sup_at_level(g, k)
 
-    # beyond the support: phi = -(1/3) * sum of coordinates of the surviving
-    # prefix chain; which subsets survive depends only on the length-(L+1)
-    # prefix and the set of letters used by the remaining tail
-    prefix_data: list[list[tuple[Word, str]]] = []
-    for pi in words(L + 1):
-        alive: list[tuple[Word, str]] = []
-        for tau, c in g.coords.items():
-            if c == 0 or not is_prefix(tau, pi):
-                continue
-            branch = pi[len(tau)]
-            if branch not in pi[len(tau) + 1:]:
-                alive.append((tau, branch))
-        prefix_data.append(alive)
+    # beyond the support: 3 phi = -(sum of coordinates of the surviving
+    # prefix chain); which subsets survive depends only on the length-(L+1)
+    # prefix pi (tau survives it when B_{pi,tau} = -1/3, keeping its
+    # coordinate and branch letter) and the set of letters used by the tail
+    prefix_data = [
+        [(c, pi[len(tau)]) for tau, c in g.coords.items() if c and b_thirds(pi, tau)]
+        for pi in words(L + 1)
+    ]
 
-    def sup_with_tail_length(ell: int) -> Fraction:
-        best = F0
-        for alive in prefix_data:
-            if ell == 0:
-                v = abs(sum((g.coords[tau] for tau, _ in alive), 0))
-                best = max(best, Fraction(v, 3))
-                continue
-            max_used = min(ell, 3)
-            for r in range(1, max_used + 1):
-                for used in itertools.combinations("012", r):
-                    kept = sum((g.coords[tau] for tau, b in alive if b not in used), 0)
-                    best = max(best, Fraction(abs(kept), 3))
-        return best
+    def sup_with_tail_length(ell: int) -> int:
+        """3 * the sup of |phi| at level L + 1 + ell, an integer: a tail of
+        ell letters uses none of them when ell = 0, else 1 to min(ell, 3)."""
+        return max(
+            abs(sum(c for c, b in alive if b not in used))
+            for alive in prefix_data
+            for r in ((0,) if ell == 0 else range(1, min(ell, 3) + 1))
+            for used in itertools.combinations("012", r)
+        )
 
     for k in range(direct_to + 1, L + 4):
         total += R35**k * sup_with_tail_length(k - L - 1)
     stable = sup_with_tail_length(3)
     total += stable * R35 ** (L + 4) * Fraction(5, 2)
-    return CertifiedValue.from_exact(total)
+    return CertifiedValue.from_exact(total / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +383,23 @@ def potential_difference(
 ) -> CertifiedValue:
     """Integral of the form along the path through its covering potential:
     the variation of the skeleton primitive plus the truncated series
-    sum_sigma k_sigma * (integral of dz_sigma along the path)."""
+    sum_sigma k_sigma * (integral of dz_sigma along the path), summed exactly
+    over the integer dz counts (radii r_sigma * |count|) and divided once."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
     if decomposition is not None and decomposition.depth != depth:
         raise DepthTooSmallError(
             f"decomposition has depth {decomposition.depth}, not the requested {depth}"
         )
-    table = dz_path_integrals(path, depth)
+    den, counts = _dz_counts(list(path), depth)
     dec = decomposition if decomposition is not None else hodge_decompose(form, depth)
-    total = dec.potential[path.target] - dec.potential[path.source]
-    # dec.k order fixes the order of the certified float sums
-    for sigma, kcv in dec.k.items():
-        w = table.get(sigma)
-        if w is not None:
-            total = total + kcv.scaled(w)
+    value, radius = F0, F0
+    for sigma, c in counts.items():
+        kcv = dec.k.get(sigma)
+        if c and kcv is not None:
+            value += kcv.value * c
+            radius += kcv.radius * abs(c)
+    total = dec.potential[path.target] - dec.potential[path.source] + CertifiedValue(value / den, radius / den)
     # dropped dz terms pair against the per-level sup of the path integrals
     cbound = universal_energy_bound(form)
     per_level_sup = len(path.edges) * Fraction(1, 3)

@@ -334,6 +334,57 @@ def test_potential_difference_matches_per_word_sum(path, depth, rng):
     assert pd.exact and pd.value == expected
 
 
+@settings(max_examples=25)
+@given(walks(), st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
+def test_potential_difference_radius_is_the_per_word_sum(path, depth, exact_part, rng):
+    depth = max(depth, max(e.level for e in path))
+    form = fm.d(f1) if exact_part else fm.fdg(f0, f1)
+    k = {w: CertifiedValue(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(0, 9), rng.randint(1, 99)))
+         for w in _words_to(depth)}
+    potential = {p: CertifiedValue(F(rng.randint(-9, 9)), F(rng.randint(0, 9), 7)) for p in (path.source, path.target)}
+    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0))
+    pd = cov.potential_difference(form, path, depth, decomposition=dec)
+    tail = coh.k_level_sum_bound(coh.universal_energy_bound(form), depth + 1) * F(5, 2) * len(path.edges) * F(1, 3)
+    dz = {w: fm.dz_integral_path(w, path) for w in k}
+    assert pd.value == potential[path.target].value - potential[path.source].value + sum(
+        (kcv.value * dz[w] for w, kcv in k.items()), F(0)
+    )
+    radii = potential[path.target].radius + potential[path.source].radius
+    assert pd.radius == radii + sum((kcv.radius * abs(dz[w]) for w, kcv in k.items()), F(0)) + tail
+    assert (tail == 0) == exact_part
+
+
+def test_potential_difference_is_exact_when_no_k_meets_the_path():
+    path = validate_path([OrientedEdge("0", 1)])  # dz_2 vanishes on C_0
+    potential = {path.source: CertifiedValue.from_exact(1), path.target: CertifiedValue.from_exact(3)}
+    for k in ({}, {"2": CertifiedValue.from_exact(F(1, 2))}):
+        pd = cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0)))
+        assert pd.exact and type(pd.value) is F and pd.value == 2
+
+
+def test_path_layers_build_one_dz_table_per_call(monkeypatch):
+    calls = []
+
+    def counted(edges, depth):
+        calls.append(depth)
+        return counts(edges, depth)
+
+    counts = cov._dz_counts
+    monkeypatch.setattr(cov, "_dz_counts", counted)
+    form = fm.fdg(f0, f1)
+    dec = coh.hodge_decompose(form, 3)
+    loop = perimeter_path("01")
+    for run in (
+        lambda: cov.effective_length(loop, 6),
+        lambda: cov.effective_length(validate_path([OrientedEdge("1", 2)])),
+        lambda: cov.homology_class(loop, 3),
+        lambda: cov.potential_difference(form, loop, 3, decomposition=dec),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_potential_difference_refuses_decomposition_of_other_depth():
     path = perimeter_path("012")  # a level-3 walk
     form = fm.fdg(f0, f1)
