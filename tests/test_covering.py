@@ -321,37 +321,26 @@ def test_homology_class_of_open_path_is_refused(path, depth):
 
 
 @settings(max_examples=25)
-@given(walks(), st.integers(0, 8), st.randoms(use_true_random=False))
-def test_potential_difference_matches_per_word_sum(path, depth, rng):
+@given(walks(), st.integers(0, 8), st.booleans(), st.randoms(use_true_random=False))
+def test_potential_difference_matches_per_word_sum(path, depth, exact, rng):
+    # the radius is the potentials' radii + sum r_sigma |int dz_sigma| + the
+    # k tail, which vanishes for an exact form
     depth = max(depth, max(e.level for e in path))
-    k = {w: CertifiedValue.from_exact(F(rng.randint(-9, 9), rng.randint(1, 9))) for w in _words_to(depth)}
-    potential = {p: CertifiedValue.from_exact(rng.randint(-9, 9)) for p in (path.source, path.target)}
+    radius = (lambda: F(0)) if exact else (lambda: F(rng.randint(0, 9), rng.randint(1, 99)))
+    k = {w: CertifiedValue(F(rng.randint(-9, 9), rng.randint(1, 9)), radius()) for w in _words_to(depth)}
+    potential = {p: CertifiedValue(F(rng.randint(-9, 9)), radius()) for p in (path.source, path.target)}
     dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0))
-    pd = cov.potential_difference(fm.d(f1), path, depth, decomposition=dec)
-    expected = potential[path.target].value - potential[path.source].value + sum(
-        (kcv.value * fm.dz_integral_path(w, path) for w, kcv in k.items()), F(0)
-    )
-    assert pd.exact and pd.value == expected
-
-
-@settings(max_examples=25)
-@given(walks(), st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
-def test_potential_difference_radius_is_the_per_word_sum(path, depth, exact_part, rng):
-    depth = max(depth, max(e.level for e in path))
-    form = fm.d(f1) if exact_part else fm.fdg(f0, f1)
-    k = {w: CertifiedValue(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(0, 9), rng.randint(1, 99)))
-         for w in _words_to(depth)}
-    potential = {p: CertifiedValue(F(rng.randint(-9, 9)), F(rng.randint(0, 9), 7)) for p in (path.source, path.target)}
-    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0))
+    form = fm.d(f1) if exact else fm.fdg(f0, f1)
     pd = cov.potential_difference(form, path, depth, decomposition=dec)
-    tail = coh.k_level_sum_bound(coh.universal_energy_bound(form), depth + 1) * F(5, 2) * len(path.edges) * F(1, 3)
     dz = {w: fm.dz_integral_path(w, path) for w in k}
-    assert pd.value == potential[path.target].value - potential[path.source].value + sum(
+    expected = potential[path.target].value - potential[path.source].value + sum(
         (kcv.value * dz[w] for w, kcv in k.items()), F(0)
     )
+    tail = coh.k_level_sum_bound(coh.universal_energy_bound(form), depth + 1) * F(5, 2) * len(path.edges) * F(1, 3)
     radii = potential[path.target].radius + potential[path.source].radius
+    assert pd.value == expected
     assert pd.radius == radii + sum((kcv.radius * abs(dz[w]) for w, kcv in k.items()), F(0)) + tail
-    assert (tail == 0) == exact_part
+    assert pd.exact == exact
 
 
 def test_potential_difference_is_exact_when_no_k_meets_the_path():
