@@ -352,13 +352,12 @@ def test_potential_difference_is_exact_when_no_k_meets_the_path():
 
 
 def test_path_layers_build_one_dz_table_per_call(monkeypatch):
-    calls = []
+    calls, build = [], cov._dz_counts
 
     def counted(edges, depth):
         calls.append(depth)
-        return counts(edges, depth)
+        return build(edges, depth)
 
-    counts = cov._dz_counts
     monkeypatch.setattr(cov, "_dz_counts", counted)
     form = fm.fdg(f0, f1)
     dec = coh.hodge_decompose(form, 3)
