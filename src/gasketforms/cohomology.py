@@ -10,7 +10,12 @@ closed-path integrals are integers that count turns around one lacuna only.
 The Hodge decomposition of a form with finite stored energy bounds is
 computed from its periods: k = A* c truncated at a depth, with tails bounded
 by the geometric decay of lacuna periods, and a skeleton primitive for the
-residual exact part anchored at the corner p_0.
+residual exact part anchored at the corner p_0.  Both run on integer counts
+over one denominator, divided once per output value: the periods over the
+table's D, each k over D·3^depth (3^|sigma|·A_{sigma,tau} is an integer),
+and the primitive over D·3^depth·W, W the common denominator of the
+skeleton tree's dz weights; a radius is the k tail times the spread of the
+point's tree path plus its hop count times the per-edge tail.
 
 Both are exact and read one whole-form integer side-integral table per call
 (``forms.side_integral_table``: universal, lacuna and exact parts), coarsened
@@ -21,6 +26,7 @@ refused past ``_TABLE_ENTRIES_MAX`` entries before any work starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -187,10 +193,12 @@ class PeriodVector:
         }
 
 
-def _period_tables(form: SmoothForm, depth: int) -> tuple[PeriodVector, int, list[list[IntTriple]]]:
-    """(periods, D, tables): the periods to the depth and the whole-form
-    side-integral table at every level 0..max(m, depth + 1), tables[n] at
-    level n over D, coarsened from one ``side_integral_table`` at the top."""
+def _period_tables(form: SmoothForm, depth: int) -> tuple[Fraction, int, list[list[int]], list[list[IntTriple]]]:
+    """(bound, D, counts, tables): ``universal_energy_bound(form)``; D times
+    the lacuna periods to the depth, counts[n] over the level-n words in word
+    order; and the whole-form side-integral table at every level
+    0..max(m, depth + 1), tables[n] at level n over D, coarsened from one
+    ``side_integral_table`` at the top."""
     bound = universal_energy_bound(form)
     if any(len(sigma) > depth for sigma in form.harmonic):
         raise DepthTooSmallError("harmonic support deeper than the requested period depth")
@@ -202,12 +210,8 @@ def _period_tables(form: SmoothForm, depth: int) -> tuple[PeriodVector, int, lis
         rows = _coarsen(rows)
         tables.append(rows)
     tables.reverse()
-    entries: dict[Word, CertifiedValue] = {}
-    for n in range(depth + 1):
-        T = tables[n + 1]
-        for j, w in enumerate(words(n)):
-            entries[w] = CertifiedValue.from_exact(Fraction(T[3 * j][0] + T[3 * j + 1][1] + T[3 * j + 2][2], D))
-    return PeriodVector(depth, entries, bound), D, tables
+    counts = [[r0[0] + r1[1] + r2[2] for r0, r1, r2 in zip(T[0::3], T[1::3], T[2::3])] for T in tables[1 : depth + 2]]
+    return bound, D, counts, tables
 
 
 def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
@@ -216,13 +220,16 @@ def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
 
     One whole-form ``side_integral_table`` at level max(m, depth + 1), m the
     data level, is coarsened level by level: the lacuna of a level-n cell tau
-    is side i of its child tau+i, for i = 0, 1, 2.
+    is side i of its child tau+i, for i = 0, 1, 2.  The periods are integer
+    counts over one denominator, divided once per period.
 
     Raises ExactnessUnavailableError for a product of two non-constant
     factors, DepthTooSmallError when a harmonic word is longer than the
     depth, and GasketError when the 3^max(m, depth + 1) cells exceed
     ``_TABLE_ENTRIES_MAX``, all before any integration."""
-    return _period_tables(form, depth)[0]
+    bound, D, counts, _ = _period_tables(form, depth)
+    entries = {w: CertifiedValue(Fraction(c, D)) for n, row in enumerate(counts) for w, c in zip(words(n), row)}
+    return PeriodVector(depth, entries, bound)
 
 
 def k_tail_bound(level_sum_bound: Fraction, depth: int) -> Fraction:
@@ -267,24 +274,28 @@ class HodgeDecomposition:
         }
 
 
-SkeletonStep = tuple[int, OrientedEdge, tuple[tuple[Word, Fraction], ...], Fraction]
+SkeletonStep = tuple[int, OrientedEdge, tuple[tuple[Word, int], ...]]
+SkeletonTree = tuple[tuple[Point, ...], tuple[SkeletonStep, ...], int, tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _skeleton_tree(depth: int) -> tuple[tuple[Point, ...], tuple[SkeletonStep, ...]]:
-    """(points, steps): the deterministic breadth-first tree of the
-    level-``depth`` skeleton from p_0, frontiers and the neighbours of each
-    point visited in ``vertex_id`` order.  The points are in visiting order;
-    the step that reaches point i + 1 is (parent index, edge from the parent,
-    weights, the sum of their absolute values), the weights (tau, integral of
-    dz_tau over the edge) for every tau that does not vanish on it: the
-    prefixes of its cell (``_prefix_dz``) and the cell itself, -1/3."""
+def _skeleton_tree(depth: int) -> SkeletonTree:
+    """(points, steps, W, spreads, hops): the deterministic breadth-first tree
+    of the level-``depth`` skeleton from p_0, frontiers and the neighbours of
+    each point visited in ``vertex_id`` order.  The points are in visiting
+    order; the step that reaches point i + 1 is (parent index, edge from the
+    parent, weights), the weights (tau, W times the integral of dz_tau over
+    the edge) for every tau that does not vanish on it: the prefixes of its
+    cell (``_prefix_dz``) and the cell itself, -1/3.  W is the least common
+    denominator of all the weights, spreads[i] is W times the sum of the
+    absolute weights along the tree path from p_0 to point i, and hops[i] is
+    the number of edges on that path."""
     adjacency: dict[Point, list[tuple[Point, OrientedEdge]]] = {}
     for e in edges_at_level(depth):
         adjacency.setdefault(e.source, []).append((e.target, e))
         adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
     index = {P0: 0}
-    steps: list[SkeletonStep] = []
+    reached: list[tuple[int, OrientedEdge, tuple[tuple[Word, Fraction], ...]]] = []
     frontier = [P0]
     while frontier:
         nxt: list[Point] = []
@@ -293,11 +304,18 @@ def _skeleton_tree(depth: int) -> tuple[tuple[Point, ...], tuple[SkeletonStep, .
                 if q in index:
                     continue
                 index[q] = len(index)
-                weights = tuple((tau, e.sign * w) for tau, w in _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),))
-                steps.append((index[p], e, weights, sum((abs(w) for _, w in weights), F0)))
+                reached.append((index[p], e, _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),)))
                 nxt.append(q)
         frontier = nxt
-    return tuple(index), tuple(steps)
+    W = math.lcm(*(w.denominator for _, _, weights in reached for _, w in weights))
+    steps: list[SkeletonStep] = []
+    spreads, hops = [0], [0]
+    for parent, e, weights in reached:
+        ints = tuple((tau, e.sign * w.numerator * (W // w.denominator)) for tau, w in weights)
+        steps.append((parent, e, ints))
+        spreads.append(spreads[parent] + sum(abs(w) for _, w in ints))
+        hops.append(hops[parent] + 1)
+    return tuple(index), tuple(steps), W, tuple(spreads), tuple(hops)
 
 
 def hodge_decompose(
@@ -308,12 +326,12 @@ def hodge_decompose(
     """Split the form into harmonic coefficients (period route, k = A* c
     truncated at the depth) and a skeleton primitive for the exact part.
 
-    The periods and the skeleton edge integrals come from one whole-form
-    side-integral table (``_period_tables``).  The primitive is anchored at
-    U(p_0) = 0 and summed along the breadth-first tree of the level-``depth``
-    skeleton (``_skeleton_tree``, built once per depth): one linear sweep
-    adds each tree edge's residual integral to its parent's value and its
-    tail radius to its parent's radius.
+    The period counts and the skeleton edge integrals come from one
+    whole-form integer side-integral table (``_period_tables``).  The
+    primitive is anchored at U(p_0) = 0 and summed along the breadth-first
+    tree of the level-``depth`` skeleton (``_skeleton_tree``, built once per
+    depth) in one linear sweep; k, values and radii are integers over one
+    denominator each (see the module docstring), divided once per value.
 
     The work budget charges 3^(depth + 1)·(depth + 1) against
     ``_TABLE_ENTRIES_MAX``: the prefix work of k = A* c over the periods and
@@ -322,33 +340,47 @@ def hodge_decompose(
     work; the table then checks its own budget.
     """
     _check_budget(3 ** min(depth + 1, 64) * (depth + 1), f"the Hodge decomposition to depth {depth}")
-    periods, D, tables = _period_tables(form, depth)
-    ktail = k_tail_bound(periods.level_sum_bound, depth)
+    bound, D, counts, tables = _period_tables(form, depth)
+    ktail = k_tail_bound(bound, depth)
     if tolerance is not None and ktail > tolerance:
         raise DepthTooSmallError(
             f"k-tail bound {float(ktail):.3g} exceeds tolerance at depth {depth}"
         )
-    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau prefixes
-    kv = dict.fromkeys(periods.entries, F0)
-    for sigma, cv in periods.entries.items():
-        for j in range(len(sigma) + 1):
-            kv[sigma[:j]] += cv.value * a_entry(sigma, sigma[:j])
-    k = {tau: CertifiedValue(v, ktail) for tau, v in kv.items()}
+    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau
+    # prefixes, as integers over D·3^depth (3^|sigma|·A_{sigma,tau} is one)
+    kint = {w: 0 for n in range(depth + 1) for w in words(n)}
+    for n, row in enumerate(counts):
+        p3 = 3**n
+        for sigma, c in zip(words(n), row):
+            if c:
+                c *= 3 ** (depth - n)
+                for j in range(n + 1):
+                    a = a_entry(sigma, sigma[:j])
+                    kint[sigma[:j]] += a.numerator * (p3 // a.denominator) * c
+    kden = D * 3**depth
+    k = {tau: CertifiedValue(Fraction(v, kden), ktail) for tau, v in kint.items()}
 
     # residual edge integrals d U_E(e) = int_e (omega - omega_H): the dropped
     # dz terms contribute at most sum_{m > depth} levelsum_m(k) * 1/3
-    edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * periods.level_sum_bound
+    edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * bound
     rows = tables[depth]
-    points, steps = _skeleton_tree(depth)
-    values, radii = [F0], [F0]
-    for parent, e, weights, spread in steps:
-        value = Fraction(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
+    points, steps, W, spreads, hops = _skeleton_tree(depth)
+    scale = 3**depth * W
+    values = [0]
+    for parent, e, weights in steps:
+        value = e.sign * rows[int(e.cell or "0", 3)][e.side] * scale
         for tau, w in weights:
-            value -= kv[tau] * w
+            value -= kint[tau] * w
         values.append(values[parent] + value)
-        radii.append(radii[parent] + ktail * spread + edge_dz_tail)
-    potential = {p: CertifiedValue(v, r) for p, v, r in zip(points, values, radii)}
-    pot_radius = max(radii)
+    # ktail·spread/W + hops·edge_dz_tail, as integers over rden
+    rden = ktail.denominator * W * edge_dz_tail.denominator
+    per_spread = ktail.numerator * edge_dz_tail.denominator
+    per_hop = edge_dz_tail.numerator * ktail.denominator * W
+    radii = [per_spread * s + per_hop * h for s, h in zip(spreads, hops)]
+    potential = {
+        p: CertifiedValue(Fraction(v, kden * W), Fraction(r, rden)) for p, v, r in zip(points, values, radii)
+    }
+    pot_radius = Fraction(max(radii), rden)
     return HodgeDecomposition(depth, k, potential, pot_radius, ktail + pot_radius)
 
 

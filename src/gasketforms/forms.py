@@ -66,7 +66,6 @@ from .harmonic import (
     IntTriple,
     Triple,
     VertexFunction,
-    _integers,
     descend,
 )
 
@@ -762,15 +761,15 @@ def _normalize_term(term: FormTerm) -> tuple[Fraction, VertexFunction | None, Ve
     Moving the right factor to the left is harmless here: the two universal
     representatives integrate identically on every edge.
     """
-    lv = term.left.as_vf()
-    rv = term.right.as_vf()
-    if lv is None or rv is None:
-        raise ExactnessUnavailableError("term factor is not piecewise-harmonic")
     lc = term.left.as_const()
     rc = term.right.as_const()
     if lc is not None and rc is not None:
-        c = lc * rc
-        return c, None, term.g
+        return lc * rc, None, term.g
+    # a constant factor always reduces to a function: only the others can refuse
+    lv = term.left.as_vf() if lc is None else None
+    rv = term.right.as_vf() if rc is None else None
+    if (lc is None and lv is None) or (rc is None and rv is None):
+        raise ExactnessUnavailableError("term factor is not piecewise-harmonic")
     if rc is not None:
         return rc, lv, term.g
     if lc is not None:
@@ -786,23 +785,24 @@ def integrate_term_exact(
     coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge
 ) -> Fraction:
     """Exact integral of coeff·F dg (F None for 1) over one oriented edge: the
-    integer kernel contracted with integer corner triples on every sub-edge
-    at the data level, one division per sub-edge."""
+    integer kernel contracted with the integer corner triples (``int_triple``)
+    of every sub-edge at the data level.  The sub-edges share one level, so
+    their sums share the last sub-edge's denominator and are divided once."""
     if coeff == 0:
         return F0
     m = max(g.level, F.level if F is not None else 0)
-    total = F0
+    total = 0
     for sub in subdivide(e, max(m, e.level)):
-        Dg, tg = _integers(g.triple(sub.cell))
+        den, tg = g.int_triple(sub.cell)
         i = sub.side
         if F is None:
-            total += Fraction(sub.sign * (tg[(i + 1) % 3] - tg[(i + 2) % 3]), Dg)
+            total += sub.sign * (tg[(i + 1) % 3] - tg[(i + 2) % 3])
         else:
             Dk, kernels = _int_edge_kernels()
-            Df, tf = _integers(F.triple(sub.cell))
-            val = sum(map(operator.mul, kernels[i], [x * y for x in tf for y in tg]))
-            total += Fraction(sub.sign * val, Df * Dg * Dk)
-    return coeff * total
+            Df, tf = F.int_triple(sub.cell)
+            total += sub.sign * sum(map(operator.mul, kernels[i], [x * y for x in tf for y in tg]))
+            den *= Df * Dk
+    return coeff * Fraction(total, den)
 
 
 def _universal_level(form: SmoothForm) -> int:
@@ -868,9 +868,17 @@ def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[IntTrip
             columns.append((c / Dg, 0, _differences(tg)))
             continue
         Df, tf = walks[id(F)]
-        Dk, kernels = _int_edge_kernels()
-        outer = ([x * y for x in f for y in t] for f, t in zip(tf, tg))
-        rows = [tuple(sum(map(operator.mul, K, o)) for K in kernels) for o in outer]
+        # each side's kernel K paired with (f, g) as sum over j, k of K[3j + k]·f_j·g_k
+        Dk, ((p0, p1, p2, p3, p4, p5, p6, p7, p8), (q0, q1, q2, q3, q4, q5, q6, q7, q8),
+             (r0, r1, r2, r3, r4, r5, r6, r7, r8)) = _int_edge_kernels()
+        rows = [
+            (
+                f0 * (p0 * g0 + p1 * g1 + p2 * g2) + f1 * (p3 * g0 + p4 * g1 + p5 * g2) + f2 * (p6 * g0 + p7 * g1 + p8 * g2),
+                f0 * (q0 * g0 + q1 * g1 + q2 * g2) + f1 * (q3 * g0 + q4 * g1 + q5 * g2) + f2 * (q6 * g0 + q7 * g1 + q8 * g2),
+                f0 * (r0 * g0 + r1 * g1 + r2 * g2) + f1 * (r3 * g0 + r4 * g1 + r5 * g2) + f2 * (r6 * g0 + r7 * g1 + r8 * g2),
+            )
+            for (f0, f1, f2), (g0, g1, g2) in zip(tf, tg)
+        ]
         columns.append((c / (Df * Dg * Dk), 0, rows))
     for sigma, k in form.harmonic.items():
         if k:
@@ -918,7 +926,7 @@ def _monomial_riemann(
     for sub in subdivide(e, m):
         acc, den = riemann_kernel(sub.side, len(left), len(right), n - m), 1
         for f in reversed(slots):  # contract the last slot first
-            D, (x, y, z) = _integers(f.triple(sub.cell))
+            D, (x, y, z) = f.int_triple(sub.cell)
             acc = [acc[i] * x + acc[i + 1] * y + acc[i + 2] * z for i in range(0, len(acc), 3)]
             den *= D
         total += Fraction(sub.sign * acc[0], den)
@@ -984,8 +992,8 @@ def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
     U = form.exact
     if U is not None:
         if e.level >= U.level:
-            t = U.triple(e.cell)
-            total += e.sign * (t[(e.side + 1) % 3] - t[(e.side + 2) % 3])
+            den, t = U.int_triple(e.cell)
+            total += Fraction(e.sign * (t[(e.side + 1) % 3] - t[(e.side + 2) % 3]), den)
         else:
             # both endpoints lie in V_{e.level}, a subset of V_{U.level}
             total += U.values[e.target] - U.values[e.source]

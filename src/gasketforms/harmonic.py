@@ -12,7 +12,8 @@ back once, as values over D·5^k after k letters.  One level-by-level walk
 (``VertexFunction._levels``) drives extension, energies and the per-cell
 triple tables: it expands the integer triples of one level into those of the
 next in word order, starting from the level-m triples, which each function
-computes once.
+computes once; a single cell's triple (``VertexFunction.int_triple``) is its
+prefix's seed triple descended letter by letter on integers.
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
@@ -129,13 +130,25 @@ class VertexFunction:
         return VertexFunction.from_boundary(*vals)
 
     # -- cell access -------------------------------------------------------
-    def triple(self, word: Word) -> Triple:
-        """Corner values on C_word; requires |word| >= level."""
+    def int_triple(self, word: Word) -> tuple[int, IntTriple]:
+        """(den, integer corner values on C_word), the values being those
+        integers over den = D·5^(|word| - level): the level-m seed triple of
+        the word's prefix, descended by ``_step5`` letter by letter.
+        Requires |word| >= level."""
         if len(word) < self.level:
             raise GasketError("cell is coarser than the stored level")
-        prefix, rest = word[: self.level], word[self.level :]
-        t = tuple(self.values[p] for p in cell_corners(prefix))
-        return descend(t, rest)  # type: ignore[arg-type]
+        D, seed = self._level_seed()
+        a, b, c = seed[int(word[: self.level] or "0", 3)]
+        rest = word[self.level :]
+        for letter in rest:
+            a, b, c = _step5(letter, a, b, c)
+        return D * 5 ** len(rest), (a, b, c)
+
+    def triple(self, word: Word) -> Triple:
+        """Corner values on C_word, ``int_triple`` divided once per value;
+        requires |word| >= level."""
+        den, (a, b, c) = self.int_triple(word)
+        return Fraction(a, den), Fraction(b, den), Fraction(c, den)
 
     def __call__(self, p: Point) -> Fraction:
         if p in self.values:

@@ -46,7 +46,14 @@ def test_descend_matches_fraction_reference(t, word):
 def test_triple_matches_fraction_reference(u, rest, data):
     prefix = data.draw(words(u.level, u.level))
     corners = tuple(u.values[p] for p in cell_corners(prefix))
-    assert u.triple(prefix + rest) == reference_descend(corners, rest)
+    want = reference_descend(corners, rest)
+    den, ints = u.int_triple(prefix + rest)
+    assert all(isinstance(x, int) for x in ints)
+    assert tuple(Fraction(x, den) for x in ints) == want
+    assert u.triple(prefix + rest) == want
+    # every cell of one level shares the denominator, so sums over cells divide once
+    other = data.draw(words(len(prefix + rest), len(prefix + rest)))
+    assert u.int_triple(other)[0] == den
 
 
 @given(vertex_functions(), st.integers(1, 2), st.data())

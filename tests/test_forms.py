@@ -415,6 +415,31 @@ def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
     assert fm.integrate_term_exact(c, F_vf, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
 
 
+def test_constant_factors_build_no_function(monkeypatch):
+    """A term's constant factors (the default right factor ONE included) are
+    read as constants: exact edge integration builds no VertexFunction for
+    them, and the refusals of non-harmonic factors stay."""
+    rng = random.Random(5)
+    u, v = random_harmonic(2, rng), random_harmonic(1, rng)
+    e = OrientedEdge("01", 2)
+    want = fm.integrate_edge(fm.fdg(u, v), e)
+
+    def refuse(*args):
+        raise AssertionError("a constant factor built a VertexFunction")
+
+    monkeypatch.setattr(VertexFunction, "from_boundary", staticmethod(refuse))
+    assert fm.integrate_edge(fm.fdg(u, v), e) == want
+    product = fm.Product([fm.Atom(u), fm.Atom(v)])
+    for left, right, message in (
+        (product, fm.ONE, "not piecewise-harmonic"),
+        (product, fm.Const(F(2)), "not piecewise-harmonic"),
+        (fm.Const(F(2)), product, "not piecewise-harmonic"),
+        (fm.Atom(u), fm.Atom(v), "two non-constant"),
+    ):
+        with pytest.raises(ExactnessUnavailableError, match=message):
+            fm.integrate_edge(fm.SmoothForm(terms=(fm.FormTerm(left, f2, right),)), e)
+
+
 def test_exactness_unavailable_for_products():
     w = fm.multiply_form(f1, fm.fdg(f0, f2), side="left")
     with pytest.raises(ExactnessUnavailableError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gasketforms import geometry, harmonic
 from gasketforms.geometry import P0, P1, P2, midpoint, vertices_at_level
 from gasketforms.harmonic import (
     VertexFunction,
@@ -135,3 +136,19 @@ def test_json_roundtrip():
     u = random_harmonic(2, rng)
     v = VertexFunction.from_json(u.to_json())
     assert v.level == u.level and v.values == u.values
+
+
+def test_triples_read_the_seed_without_cell_corners(monkeypatch):
+    """Once a function's level seed is built, ``triple`` and ``int_triple``
+    index it by the word's prefix and descend on integers: no Point lookup."""
+    u = random_harmonic(2, random.Random(7))
+    want = {w: u.triple(w) for w in ("00", "12", "012", "22101")}
+
+    def refuse(word):
+        raise AssertionError(f"cell_corners({word!r}) called after the seed was built")
+
+    monkeypatch.setattr(harmonic, "cell_corners", refuse)
+    monkeypatch.setattr(geometry, "cell_corners", refuse)
+    for w, t in want.items():
+        den, ints = u.int_triple(w)
+        assert u.triple(w) == t == tuple(F(x, den) for x in ints)

@@ -3,6 +3,7 @@ table, against the per-edge integration they replace."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -77,6 +78,31 @@ def _hodge_by_edges(form, depth, mode="exact"):
     return coh.HodgeDecomposition(depth, k, potential, pot_radius, ktail + pot_radius)
 
 
+def _hodge_by_fraction_sweep(form, depth):
+    """The Hodge decomposition with Fraction arithmetic throughout: k = A* c
+    over the ``PeriodVector`` values, and a tree sweep that adds each edge's
+    residual integral and tail radius to its parent's."""
+    periods = coh.periods_up_to(form, depth)
+    D, rows = fm.side_integrals_at(form, depth)
+    ktail = coh.k_tail_bound(periods.level_sum_bound, depth)
+    kv = dict.fromkeys(periods.entries, F(0))
+    for sigma, cv in periods.entries.items():
+        for j in range(len(sigma) + 1):
+            kv[sigma[:j]] += cv.value * coh.a_entry(sigma, sigma[:j])
+    edge_dz_tail = F(125, 48) * coh.R35 ** (depth + 2) * periods.level_sum_bound
+    points, steps, W, _, _ = coh._skeleton_tree(depth)
+    values, radii = [F(0)], [F(0)]
+    for parent, e, weights in steps:
+        value = F(e.sign * rows[int(e.cell or "0", 3)][e.side], D)
+        for tau, w in weights:
+            value -= kv[tau] * F(w, W)
+        values.append(values[parent] + value)
+        radii.append(radii[parent] + ktail * sum(abs(F(w, W)) for _, w in weights) + edge_dz_tail)
+    k = {tau: CertifiedValue(v, ktail) for tau, v in kv.items()}
+    potential = {p: CertifiedValue(v, r) for p, v, r in zip(points, values, radii)}
+    return coh.HodgeDecomposition(depth, k, potential, max(radii), ktail + max(radii))
+
+
 def _pairs(cvs):
     return [(key, cv.value, cv.radius) for key, cv in cvs.items()]
 
@@ -140,6 +166,22 @@ def test_hodge_equals_the_edge_oracle(case):
     assert (got.potential_radius, got.residual_bound) == (want.potential_radius, want.residual_bound)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_forms())
+def test_hodge_equals_the_fraction_sweep(case):
+    """The integer k and skeleton sweep equal the same sweep in Fractions,
+    value and radius of every k and potential entry."""
+    form, depth = case
+    depth = min(depth, 3)
+    got, want = _outcome(coh.hodge_decompose, form, depth), _outcome(_hodge_by_fraction_sweep, form, depth)
+    if want is DepthTooSmallError:
+        assert got is DepthTooSmallError
+        return
+    assert _pairs(got.k) == _pairs(want.k)
+    assert _pairs(got.potential) == _pairs(want.potential)
+    assert (got.potential_radius, got.residual_bound) == (want.potential_radius, want.residual_bound)
+
+
 @settings(max_examples=20, deadline=None)
 @given(_forms())
 def test_certified_hodge_equals_the_edge_oracle(case):
@@ -188,24 +230,38 @@ def test_hodge_builds_one_table(monkeypatch):
         levels.append(level)
         return fm.side_integral_table(form, level)
 
-    monkeypatch.setattr(coh, "side_integral_table", counted)
+    def no_period_vector(*args):
+        raise AssertionError("hodge_decompose built a PeriodVector")
+
     form = fm.fdg(f0, f1) + fm.dz_form("1") + fm.d(random_harmonic(2, random.Random(3)))
-    coh.hodge_decompose(form, 2)
+    want = coh.hodge_decompose(form, 2)
+    monkeypatch.setattr(coh, "side_integral_table", counted)
+    monkeypatch.setattr(coh, "PeriodVector", no_period_vector)
+    got = coh.hodge_decompose(form, 2)
     assert levels == [3]
+    assert _pairs(got.k) == _pairs(want.k) and _pairs(got.potential) == _pairs(want.potential)
 
 
 @pytest.mark.parametrize("depth", range(5))
 def test_skeleton_tree_spans_the_level_graph(depth):
-    points, steps = coh._skeleton_tree(depth)
+    points, steps, W, spreads, hops = coh._skeleton_tree(depth)
     all_words = [w for n in range(depth + 1) for w in words(n)]
     assert len(points) == len(set(points)) == (3 ** (depth + 1) + 3) // 2
     assert points[0] == P0 and len(steps) == len(points) - 1
-    for i, (parent, e, weights, spread) in enumerate(steps, start=1):
+    assert len(spreads) == len(hops) == len(points) and spreads[0] == hops[0] == 0
+    denominators = set()
+    for i, (parent, e, weights) in enumerate(steps, start=1):
         assert parent < i and e.level == depth
         assert (e.source, e.target) == (points[parent], points[i])
-        # every dz_tau of |tau| <= depth that does not vanish on the edge
-        assert dict(weights) == {tau: v for tau in all_words if (v := fm.dz_integral_edge(tau, e)) != 0}
-        assert spread == sum(abs(w) for _, w in weights)
+        # every dz_tau of |tau| <= depth that does not vanish on the edge, as integers over W
+        want = {tau: v for tau in all_words if (v := fm.dz_integral_edge(tau, e)) != 0}
+        assert {tau: F(w, W) for tau, w in weights} == want
+        assert all(isinstance(w, int) for _, w in weights)
+        denominators |= {v.denominator for v in want.values()}
+        # the spread of a step is the sum of its absolute weights; the path sums add up
+        assert F(spreads[i] - spreads[parent], W) == sum(abs(v) for v in want.values())
+        assert hops[i] == hops[parent] + 1
+    assert W == math.lcm(*denominators)
     assert coh._skeleton_tree(depth) is coh._skeleton_tree(depth)
 
 
