@@ -787,7 +787,7 @@ def integrate_term_exact(
     """Exact integral of coeff·F dg (F None for 1) over one oriented edge: the
     integer kernel contracted with the integer corner triples (``int_triple``)
     of every sub-edge at the data level.  The sub-edges share one level, so
-    their sums share the last sub-edge's denominator and are divided once."""
+    their counts share one denominator and their sum is divided once."""
     if coeff == 0:
         return F0
     m = max(g.level, F.level if F is not None else 0)
