@@ -1,9 +1,10 @@
 """Certified values: a number together with a sound error radius.
 
 Exact results carry a rational value and radius zero.  Certified numeric
-results carry a float value and a rational radius derived from the geometric
-tail constants of the underlying approximation scheme; radii are always upper
-bounds, so enclosures stay sound under addition and scaling.
+results carry a float value and a rational radius: half an ulp when the
+float is an exact value rounded once, plus the geometric tail constants of
+a truncation where there is one; radii are always upper bounds, so
+enclosures stay sound under addition and scaling.
 """
 
 from __future__ import annotations

@@ -80,8 +80,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("integrate", help="integral of a form along a path")
     common(p, form=True, path=True)
-    p.add_argument("--mode", choices=["exact", "certified"], default="exact")
-    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9))
+    p.add_argument("--mode", choices=["exact", "certified"], default="exact",
+                   help="exact rationals, or certified: the exact value rounded once to a float ± half an ulp")
+    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9),
+                   help="not read: a certified radius is half an ulp per edge plus the rounding of the sum")
 
     p = sub.add_parser("periods", help="lacuna periods up to a depth")
     common(p, form=True, depth=3)
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the identity-verification suite")
     common(p, depth=3)
-    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9))
+    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9), help="not read by any check")
 
     p = sub.add_parser("render", help="SVG of a gasket approximation")
     p.add_argument("--level", type=int, required=True)

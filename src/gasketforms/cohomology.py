@@ -44,10 +44,11 @@ from .forms import (
     _form_data_level,
     _normalized_terms,
     _prefix_dz,
+    _valued,
     dz_form,
     dz_integral_path,
     integrate_path,
-    q_inner,
+    q_inner_exact,
     side_integral_table,
 )
 from .geometry import (
@@ -141,19 +142,50 @@ class TriangularKernel:
         return chain, B, A
 
 
+def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
+    """The winding number of sigma from integer dz counts over den (counts[w]
+    = den·integral of dz_w along a path, missing words zero): 3^|sigma|·A is
+    an integer, so the sum over the prefixes is one integer, divided once.
+    NonIntegerResultError when the division leaves a remainder."""
+    scale = 3 ** len(sigma)
+    acc = 0
+    for j in range(len(sigma) + 1):
+        c = counts.get(sigma[:j])
+        if c:
+            a = a_entry(sigma, sigma[:j])
+            acc += a.numerator * (scale // a.denominator) * c
+    winding, rest = divmod(acc, scale * den)
+    if rest:
+        raise NonIntegerResultError(f"winding came out {Fraction(acc, scale * den)} for sigma={sigma!r}")
+    return winding
+
+
 def winding_number(path: ElementaryPath, sigma: Word) -> int:
-    """Integral of the winding form of sigma along a closed path."""
+    """Integral of the winding form of sigma along a closed path, from the
+    integer counts den·integral of dz_rho of the prefixes rho of sigma.
+
+    An edge (cell tau, side i, sign s) gives a proper prefix of tau its
+    ``_prefix_dz`` value, and every prefix tau + r of sigma whose r avoids
+    the letter i the value -s/3 (``dz_integral_edge``).  den = 6·5^(top-1)
+    for the finest edge level top >= 1 (3 at level 0) covers the
+    denominators of both kinds."""
     if not path.closed:
         raise GasketError("winding numbers need a closed path")
-    acc = F0
-    for j in range(len(sigma) + 1):
-        rho = sigma[:j]
-        a = a_entry(sigma, rho)
-        if a != 0:
-            acc += a * dz_integral_path(rho, path)
-    if acc.denominator != 1:
-        raise NonIntegerResultError(f"winding came out {acc} for sigma={sigma!r}")
-    return int(acc)
+    top = max(e.level for e in path)
+    den = 6 * 5 ** (top - 1) if top else 3
+    counts = {sigma[:j]: 0 for j in range(len(sigma) + 1)}
+    for e in path:
+        tau = e.cell
+        for w, v in _prefix_dz(tau, e.side):
+            if w in counts:
+                counts[w] += e.sign * v.numerator * (den // v.denominator)
+        if is_prefix(tau, sigma):
+            rest = sigma[len(tau):]
+            stop = rest.find(str(e.side))
+            third = e.sign * den // 3
+            for k in range(len(rest) + 1 if stop < 0 else stop + 1):
+                counts[tau + rest[:k]] -= third
+    return _winding(sigma, counts, den)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +417,10 @@ def hodge_decompose(
 
 
 def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> CertifiedValue:
-    """Projection-route coefficient Q(dz_sigma, omega) / Q[dz_sigma]."""
-    z = dz_form(sigma)
-    num = q_inner(z, form, mode=mode) if mode == "exact" else q_inner(
-        z, form, mode="certified", strict=False
-    )
+    """Projection-route coefficient Q(dz_sigma, omega) / Q[dz_sigma], exactly;
+    certified mode rounds it once."""
     norm = Fraction(5, 6) * Fraction(5, 3) ** len(sigma)
-    return num.scaled(Fraction(1) / norm)
+    return _valued(q_inner_exact(dz_form(sigma), form) / norm, mode)
 
 
 def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int) -> CertifiedValue:

@@ -33,7 +33,7 @@ from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
     _check_budget,
-    a_entry,
+    _winding,
     b_rule,
     b_thirds,
     hodge_decompose,
@@ -43,7 +43,6 @@ from .cohomology import (
 from .errors import (
     DepthTooSmallError,
     GasketError,
-    NonIntegerResultError,
     UnboundedTailError,
 )
 from .forms import SmoothForm, _prefix_dz
@@ -291,17 +290,8 @@ def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
     den, counts = _dz_counts(list(path), depth - 1)
     coords: dict[Word, int] = {}
     for n in range(depth):
-        scale = 3**n
         for w in words(n):
-            acc = 0
-            for j in range(n + 1):
-                c = counts.get(w[:j])
-                if c:
-                    a = a_entry(w, w[:j])
-                    acc += a.numerator * (scale // a.denominator) * c
-            winding, rest = divmod(acc, scale * den)
-            if rest:
-                raise NonIntegerResultError(f"winding came out {Fraction(acc, scale * den)} for sigma={w!r}")
+            winding = _winding(w, counts, den)
             if winding:
                 coords[w] = winding
     return HomologyElement(depth, coords)

@@ -10,28 +10,22 @@ A form is stored in three parts that are implicitly summed:
   each sub-cell of C_sigma, arranged so the clockwise lacuna integral is 1);
 * an *exact* part d(U) given by a potential U.
 
-Two independent evaluation routes are provided for integrals and for the
-energy inner product Q, and both are used by the test suite:
+Integrals and the energy inner product Q are exact, in rational arithmetic,
+for every form within the kernel budget, products of functions included.
+Every exact kernel is the limit of a cached integer level kernel:
+``_kernel_limit`` finds the short recurrence of the sequence by one row
+echelon modulo a prime, solves for its coefficients exactly
+(``solve_unique``) and checks it in integers.  Edge integrals contract the
+(p, 0) Riemann limits with the factors' integer corner triples (the right
+factors moved left); ``side_integral_table`` gives the whole form's
+integrals over the sides of every cell of one level from one walk per
+function, and ``q_level`` sums their squares.  Q contracts per-cell moments
+of the corner triples with its one-cell kernels.  Certified mode is the
+exact value rounded once to a float, with half an ulp as the radius.
 
-* exact mode works in rational arithmetic.  Every exact kernel is the limit
-  of the integer level kernels the certified routes cache: the edge-integral
-  kernels of the Riemann kernels with one left slot, and Q's one-cell
-  kernels of its level kernels.  ``_kernel_limit`` reads each limit off the
-  short recurrence its sequence satisfies (``solve_unique`` finds only the
-  recurrence coefficients).  Edge integrals contract the integer kernels
-  with integer corner triples; ``side_integral_table`` gives the whole
-  form's integrals over the sides of every cell of one level from one walk
-  per function, and ``q_level`` sums their squares.  Q
-  contracts per-cell moments of the corner triples with its kernels.
-* certified mode stops at a finite level n and reports a sound rational
-  radius from the geometric tail constants ((3/5)^n for integrals,
-  (3/5)^(n/2)-rate bounds for Q).  Edge integrals take the dyadic Riemann
-  sum I_n exactly, as cached multilinear integer kernels (the level-0 sum
-  refined by the side's two child matrices) contracted with corner triples,
-  and round it once to a float.  Q takes the endpoint level sums
-  Q~_n = (5/3)^n sum omega(e)·eta(e) exactly in the same way (kernels refined
-  by all three child matrices, contracted with moments of the corner
-  triples), extrapolates the rationals and rounds once.
+The level-n sums themselves stay as the independent route: the dyadic
+Riemann sums I_n (``riemann_sum``) and the endpoint level sums Q~_n =
+(5/3)^n sum omega(e)·eta(e) (``q_level_sums``), both exact rationals.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .certified import CertifiedValue, sqrt_upper
+from .certified import CertifiedValue
 from .errors import (
     ExactnessUnavailableError,
     GasketError,
@@ -71,7 +65,6 @@ from .harmonic import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-R35 = Fraction(3, 5)
 R53 = Fraction(5, 3)
 
 
@@ -154,24 +147,8 @@ class Expr:
         the functions in them are never mutated."""
         return None
 
-    def energy_ub(self) -> Fraction:
-        raise NotImplementedError
-
-    def sup_ub(self) -> Fraction:
-        raise NotImplementedError
-
-    def osc_ub(self) -> Fraction:
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    @cached_property
-    def _q_bounds(self) -> dict:
-        """partner -> (``_defect_ub``, ``_osc_rate``) of self·partner, or of
-        self for the partner None: the certified Q route's bounds of a left
-        factor, built once per expression and partner."""
-        return {}
 
     @staticmethod
     def from_json(data: dict) -> "Expr":
@@ -200,15 +177,6 @@ class Const(Expr):
     def as_vf(self):
         return VertexFunction.constant(self.c)
 
-    def energy_ub(self):
-        return F0
-
-    def sup_ub(self):
-        return abs(self.c)
-
-    def osc_ub(self):
-        return F0
-
     def to_json(self):
         return {"kind": "const", "value": f"{self.c.numerator}/{self.c.denominator}"}
 
@@ -233,15 +201,6 @@ class Atom(Expr):
 
     def as_vf(self):
         return self.vf
-
-    def energy_ub(self):
-        return self.vf.energy()
-
-    def sup_ub(self):
-        return self.vf.sup_norm()
-
-    def osc_ub(self):
-        return self.vf.osc_global()
 
     def to_json(self):
         return {"kind": "vf", "function": self.vf.to_json()}
@@ -281,25 +240,6 @@ class Sum(Expr):
         if vf is not None and vf.is_constant():
             return next(iter(vf.values.values()))
         return None
-
-    def energy_ub(self):
-        vf = self.as_vf()
-        if vf is not None:
-            return vf.energy()
-        k = len(self.terms)
-        return k * sum(t.energy_ub() for t in self.terms)
-
-    def sup_ub(self):
-        vf = self.as_vf()
-        if vf is not None:
-            return vf.sup_norm()
-        return sum(t.sup_ub() for t in self.terms)
-
-    def osc_ub(self):
-        vf = self.as_vf()
-        if vf is not None:
-            return vf.osc_global()
-        return sum(t.osc_ub() for t in self.terms)
 
     def to_json(self):
         return {"kind": "sum", "terms": [t.to_json() for t in self.terms]}
@@ -361,117 +301,11 @@ class Product(Expr):
             return nonconst[0].scale(c)
         return None
 
-    def energy_ub(self):
-        vf = self.as_vf()
-        if vf is not None:
-            return vf.energy()
-        # fold the Dirichlet-algebra bound E[uv] <= 2(|u|^2 E[v] + |v|^2 E[u])
-        e, s = self.terms[0].energy_ub(), self.terms[0].sup_ub()
-        for t in self.terms[1:]:
-            e = 2 * (s * s * t.energy_ub() + t.sup_ub() ** 2 * e)
-            s = s * t.sup_ub()
-        return e
-
-    def sup_ub(self):
-        out = F1
-        for t in self.terms:
-            out *= t.sup_ub()
-        return out
-
-    def osc_ub(self):
-        out = F0
-        for i, t in enumerate(self.terms):
-            rest = F1
-            for j, u in enumerate(self.terms):
-                if j != i:
-                    rest *= u.sup_ub()
-            out += rest * t.osc_ub()
-        return out
-
     def to_json(self):
         return {"kind": "product", "terms": [t.to_json() for t in self.terms]}
 
 
 ONE = Const(F1)
-
-
-# Bounds of the certified Q route, as functions of the level n; the factors
-# that do not depend on n (sups, oscillations, energies, subsets) are computed
-# once, when the bound is built.
-Bound = Callable[[int], Fraction]
-
-
-def _osc_rate(expr: Expr) -> Bound:
-    """n -> upper bound for the oscillation of ``expr`` on any level-n cell."""
-    if expr.as_const() is not None:
-        return lambda n: F0
-    if isinstance(expr, Atom):
-        osc, L = expr.osc_ub(), expr.max_level()
-        return lambda n: osc * R35 ** (n - L)
-    if isinstance(expr, Sum):
-        rates = [_osc_rate(t) for t in expr.terms]
-        return lambda n: sum((rate(n) for rate in rates), F0)
-    if isinstance(expr, Product):
-        parts = []
-        for i, t in enumerate(expr.terms):
-            rest = F1
-            for j, u in enumerate(expr.terms):
-                if j != i:
-                    rest *= u.sup_ub()
-            parts.append((rest, _osc_rate(t)))
-        return lambda n: sum((rest * rate(n) for rest, rate in parts), F0)
-    raise NonConvergentError("no oscillation rate for this expression")
-
-
-def _defect_ub(expr: Expr) -> Bound:
-    """n -> upper bound for E[expr] - E_n[expr] (energy above the level-n
-    harmonic interpolant).  Zero for piecewise-harmonic data; decays like
-    (3/5)^(2n) for products of such."""
-    if expr.as_vf() is not None:
-        L, scale, weights = expr.max_level(), F0, {}
-    elif isinstance(expr, Sum):
-        parts = [_defect_ub(t) for t in expr.terms]
-        return lambda n: 2 * sum((part(n) for part in parts), F0)
-    elif isinstance(expr, Product):
-        facts = [t for t in expr.terms if t.as_const() is None]
-        cmul = F1
-        for t in expr.terms:
-            c = t.as_const()
-            if c is not None:
-                cmul *= abs(c)
-        if any(t.as_vf() is None for t in facts):
-            raise NonConvergentError("defect bound only for products of harmonics")
-        L = max(t.max_level() for t in facts)
-        k = len(facts)
-        sups2 = [t.sup_ub() ** 2 for t in facts]
-        oscs2 = [t.osc_ub() ** 2 for t in facts]
-        energies = [t.energy_ub() for t in facts]
-        subsets = [S for r in range(2, k + 1) for S in itertools.combinations(range(k), r)]
-        scale = cmul * cmul * (len(subsets) + 1)
-        weights = {}  # |S| -> sum over the subsets S of that size of outside_S·4^|S|·inner_S
-        for S in subsets:
-            outside = F1
-            for j in range(k):
-                if j not in S:
-                    outside *= sups2[j]
-            inner = F0
-            for i in S:
-                prod = F1
-                for j in S:
-                    if j != i:
-                        prod *= oscs2[j]
-                inner += prod * energies[i]
-            weights[len(S)] = weights.get(len(S), F0) + outside * 4 ** len(S) * inner
-    else:
-        raise NonConvergentError("no defect bound for this expression")
-
-    def bound(n: int) -> Fraction:
-        if L > n:
-            raise NonConvergentError("defect bound needs n at or above the data level")
-        rho = R35 ** (n - L)
-        return scale * sum((w * rho ** (2 * (s - 1)) for s, w in weights.items()), F0)
-
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +530,10 @@ def _roots_inside_unit_disc(poly: Sequence[Fraction]) -> bool:
     return True
 
 
+# the prime of the modular row echelon that finds a recurrence's degree
+_PRIME = 2**61 - 1
+
+
 @lru_cache(maxsize=None)
 def _kernel_limit(
     sequence: Callable[..., tuple[int, ...]], shape: tuple[int, ...], rho: Fraction
@@ -711,26 +549,52 @@ def _kernel_limit(
     disc; then, with P = (x - 1)·P~, the limit is the projection
     P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  Both are checked, the disc
     by the exact Schur–Cohn test on P~ (``_roots_inside_unit_disc``):
-    GasketError when either fails, or when d would exceed the dimension."""
-    w: list[list[Fraction]] = []
-    for d in range(len(sequence(*shape, 0)) + 1):
-        w.append([x * rho**d for x in sequence(*shape, d)])
-        try:  # w_0..w_(d-1) are independent, so only an inconsistency can raise
-            c = solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+    GasketError when either fails.
+
+    d is found by one incremental row echelon of the integer level kernels
+    u_j = w_j / rho^j modulo ``_PRIME``.  Its d pivot coordinates give a
+    square system that is nonsingular mod p, so over the rationals too;
+    ``solve_unique`` solves it for u_d = sum_j c'_j·u_j, and the recurrence
+    is then checked on every coordinate in integers.  The rank mod p is at
+    most the rank over the rationals, so a bad prime can only make d too
+    small; the integer check refuses that with GasketError, so the builder
+    never returns a wrong limit."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row reduced mod p with 1 at its pivot)
+    u: list[tuple[int, ...]] = []
+    while True:
+        u.append(sequence(*shape, len(u)))
+        v = [x % _PRIME for x in u[-1]]
+        for piv, row in basis:
+            f = v[piv]
+            if f:
+                v = [(a - f * b) % _PRIME for a, b in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
             break
-        except GasketError:
-            continue
-    else:
-        raise GasketError("kernel sequence has no recurrence within its dimension")
-    poly = [-x for x in c] + [F1]  # P, lowest degree first
+        inv = pow(v[piv], -1, _PRIME)
+        basis.append((piv, [x * inv % _PRIME for x in v]))
+    d = len(basis)
+    *u, ud = u
+    pivots = [piv for piv, _ in basis]
+    c = solve_unique([[uj[i] for uj in u] for i in pivots], [ud[i] for i in pivots]) if d else []
+    L = math.lcm(*(x.denominator for x in c))
+    cl = [x.numerator * (L // x.denominator) for x in c]
+    if any(sum(map(operator.mul, cl, column)) != L * y for *column, y in zip(*u, ud)):
+        raise GasketError("kernel sequence fails its recurrence in integers: the modular degree is too small")
+    # w_d = sum_j c'_j·rho^(d-j)·w_j; P, lowest degree first
+    poly = [-x * rho ** (d - j) for j, x in enumerate(c)] + [F1]
     quotient = [sum(poly[k + 1 :]) for k in range(d)]  # P~ = P / (x - 1) when P(1) = 0
     if sum(poly) != 0 or sum(quotient) == 0:
         raise GasketError("kernel sequence does not converge: 1 is not a simple root of its recurrence")
     if not _roots_inside_unit_disc(quotient):
         raise GasketError("kernel sequence does not converge: its recurrence has a root other than 1 off the open unit disc")
-    K = [sum(map(operator.mul, quotient, column)) / sum(quotient) for column in zip(*w[:d])]
-    den = math.lcm(*(x.denominator for x in K))
-    return den, tuple(int(x * den) for x in K)
+    # K = sum_j p~_j·rho^j·u_j / P~(1), over integers with one denominator
+    coeffs = [q * rho**j / sum(quotient) for j, q in enumerate(quotient)]
+    L = math.lcm(*(x.denominator for x in coeffs))
+    ints = [x.numerator * (L // x.denominator) for x in coeffs]
+    K = [sum(map(operator.mul, ints, column)) for column in zip(*u)]
+    g = math.gcd(L, *K)
+    return L // g, tuple(x // g for x in K)
 
 
 def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -912,6 +776,18 @@ def side_integrals_at(form: SmoothForm, level: int) -> tuple[int, list[IntTriple
     return D, rows
 
 
+def _contract(kernel: Sequence[int], slots: Sequence[VertexFunction], cell: Word) -> tuple[int, int]:
+    """(value, den): a flat kernel over the slots' corners contracted with
+    their integer corner triples on one cell, the last slot first, so that
+    value/den is its contraction with the rational corner values."""
+    acc, den = kernel, 1
+    for f in reversed(slots):
+        D, (x, y, z) = f.int_triple(cell)
+        acc = [acc[i] * x + acc[i + 1] * y + acc[i + 2] * z for i in range(0, len(acc), 3)]
+        den *= D
+    return acc[0], den
+
+
 def _monomial_riemann(
     left: Sequence[VertexFunction], g: VertexFunction, right: Sequence[VertexFunction], e: OrientedEdge, n: int
 ) -> Fraction:
@@ -924,20 +800,25 @@ def _monomial_riemann(
         raise GasketError("Riemann level below the data level")
     total = F0
     for sub in subdivide(e, m):
-        acc, den = riemann_kernel(sub.side, len(left), len(right), n - m), 1
-        for f in reversed(slots):  # contract the last slot first
-            D, (x, y, z) = f.int_triple(sub.cell)
-            acc = [acc[i] * x + acc[i + 1] * y + acc[i + 2] * z for i in range(0, len(acc), 3)]
-            den *= D
-        total += Fraction(sub.sign * acc[0], den)
+        value, den = _contract(riemann_kernel(sub.side, len(left), len(right), n - m), slots, sub.cell)
+        total += Fraction(sub.sign * value, den)
     return total / 5 ** (len(slots) * (n - m))
 
 
-def integrate_term_riemann(
-    coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge, n: int
-) -> Fraction:
-    """Exact value of the level-n dyadic Riemann sum I_n(e)(F dg), n >= data level."""
-    return coeff * _monomial_riemann(() if F is None else (F,), g, (), e, n)
+def _monomial_exact(left: Sequence[VertexFunction], g: VertexFunction, e: OrientedEdge) -> Fraction:
+    """Exact integral of L_1⋯L_p·dg over one oriented edge (p >= 2): the
+    limit of the Riemann kernels, ``_kernel_limit`` of the (p, 0) kernels at
+    rho 5^-(p+1), contracted like ``_monomial_riemann`` on every sub-edge of
+    e at the data level."""
+    slots = (*left, g)
+    m = max(e.level, *(f.level for f in slots))
+    rho = Fraction(1, 5 ** len(slots))
+    total = F0
+    for sub in subdivide(e, m):
+        kden, K = _kernel_limit(riemann_kernel, (sub.side, len(left), 0), rho)
+        value, den = _contract(K, slots, sub.cell)
+        total += Fraction(sub.sign * value, den * kden)
+    return total
 
 
 def _monomials(expr: Expr) -> list[tuple[Fraction, tuple[VertexFunction, ...]]]:
@@ -976,10 +857,22 @@ def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
 
 
 def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
+    """The universal part's exact integral over one edge.  Each term's a·b
+    (``left_total``: the right factors move left, which integrates the same
+    on every edge) is expanded into monomials (``_monomials``); one with at
+    most one factor takes ``integrate_term_exact``, a product the kernel
+    limit of its shape (``_monomial_exact``).  Every monomial is checked
+    against the slot budget before any kernel is built."""
+    monos = [(c, left, t.g) for t in form.terms for c, left in _monomials(t.left_total())]
+    slots = max((len(left) + 1 for _, left, _ in monos), default=0)
+    if slots > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Riemann kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
     total = F0
-    for term in form.terms:
-        c, Fvf, g = _normalize_term(term)
-        total += integrate_term_exact(c, Fvf, g, e)
+    for c, left, g in monos:
+        if len(left) <= 1:
+            total += integrate_term_exact(c, left[0] if left else None, g, e)
+        else:
+            total += c * _monomial_exact(left, g, e)
     return total
 
 
@@ -1000,24 +893,15 @@ def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
     return total
 
 
-_REFINE_CAP = 128  # Riemann levels above the data level in certified mode
-
-
-def _certified_universal(form: SmoothForm, e: OrientedEdge, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """(I_n, tail bound) at the least level n whose geometric tail bound
-    (3/2)(3/5)^n·K is at most tol/2, or at the refinement cap."""
-    # sound tail constant: sum over terms of |a| sqrt(E[g]E[b]) + |b| sqrt(E[a]E[g])
-    K = F0
-    for t in form.terms:
-        Eg = t.g.energy()
-        K += t.left.sup_ub() * sqrt_upper(Eg * t.right.energy_ub())
-        K += t.right.sup_ub() * sqrt_upper(t.left.energy_ub() * Eg)
-    base = max([e.level] + [max(t.left.max_level(), t.g.level, t.right.max_level()) for t in form.terms])
-    n, tail = base, Fraction(3, 2) * R35**base * K
-    while tail > tol / 2 and n - base < _REFINE_CAP:
-        n += 1
-        tail *= R35
-    return riemann_sum(form, e, n), tail
+def _valued(v: Fraction, mode: str) -> CertifiedValue:
+    """The exact value v, or in certified mode v rounded once to the nearest
+    float with half an ulp of it as the radius."""
+    if mode == "exact":
+        return CertifiedValue.from_exact(v)
+    if mode != "certified":
+        raise GasketError(f"unknown mode {mode!r}")
+    x = float(v)
+    return CertifiedValue(x, Fraction(math.ulp(x)) / 2)
 
 
 def integrate_edge(
@@ -1028,21 +912,14 @@ def integrate_edge(
 ) -> CertifiedValue:
     """Integral of a smooth form over one oriented edge.
 
-    The harmonic and exact parts always integrate exactly; the mode only
-    selects the route for the universal part.  Certified mode rounds the
-    exact sum of the fixed parts and I_n once, so its radius is the tail
-    bound plus half an ulp of the value.
-    """
+    Certified mode returns the exact integral rounded once (``_valued``); a
+    form without universal terms keeps its exact value.  ``tolerance`` is
+    not read: a caller that asks for less than half an ulp sees the miss in
+    the radius."""
     fixed = _integrate_fixed_parts(form, e)
-    if mode == "exact":
-        return CertifiedValue.from_exact(fixed + _integrate_universal_exact(form, e))
-    if mode != "certified":
-        raise GasketError(f"unknown mode {mode!r}")
-    if not form.terms:
+    if mode == "certified" and not form.terms:
         return CertifiedValue.from_exact(fixed)
-    value, tail = _certified_universal(form, e, Fraction(tolerance))
-    v = float(fixed + value)
-    return CertifiedValue(v, tail + Fraction(math.ulp(v)) / 2)
+    return _valued(fixed + _integrate_universal_exact(form, e), mode)
 
 
 def integrate_path(
@@ -1054,9 +931,9 @@ def integrate_path(
     """Sum of edge integrals; radii add.  Float midpoints are summed exactly
     and rounded once, with half an ulp of the sum added to the radius, so the
     value does not depend on the order of the edges: the reversed path gives
-    exactly the negated value and the same radius."""
-    per_edge = Fraction(tolerance) / len(path.edges)
-    parts = [integrate_edge(form, e, mode, per_edge) for e in path]
+    exactly the negated value and the same radius.  ``tolerance`` is not
+    read, as in ``integrate_edge``."""
+    parts = [integrate_edge(form, e, mode) for e in path]
     total = sum((Fraction(cv.value) for cv in parts), F0)
     radius = sum((cv.radius for cv in parts), F0)
     if all(isinstance(cv.value, Fraction) for cv in parts):
@@ -1129,12 +1006,13 @@ def _moments(cells1: list[list[Piece]], cells2: list[list[Piece]]) -> tuple[int,
     two forms' pieces, D times the sum over the cells of the outer product
     of their shape tensors (``_shape_tensors``), flat over the slots
     L_1..L_p, g, M_1..M_r, k.  A pair of more than _KERNEL_SLOTS_MAX slots
-    raises GasketError before any moment is summed."""
+    raises GasketError before any tensor is built."""
+    p = max((len(left) for pieces in cells1 for _, left, _ in pieces), default=None)
+    r = max((len(left) for pieces in cells2 for _, left, _ in pieces), default=None)
+    if p is not None and r is not None and p + r + 2 > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Q kernel of {p + r + 2} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
     D1, entries1 = _shape_tensors(cells1)
     D2, entries2 = (D1, entries1) if cells2 is cells1 else _shape_tensors(cells2)
-    slots = max((p + r + 2 for p in entries1 for r in entries2), default=0)
-    if slots > _KERNEL_SLOTS_MAX:
-        raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
     return D1 * D2, [
         (p, r, [sum(map(operator.mul, a, b)) for a in A for b in B])
         for p, A in entries1.items()
@@ -1159,14 +1037,12 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     (``_moments``).  On one cell Q is a fixed multilinear form in the corner
     triples, the limit of the level kernels (``_exact_q_kernel``).  Each
     moment is contracted with its kernel over the integers and the sum is
-    divided once, times (5/3)^m.  A piece with more than one left
-    factor raises ExactnessUnavailableError before any tensor is built."""
+    divided once, times (5/3)^m.  Products of any shape within the slot
+    budget are exact; a pair of more slots raises GasketError before any
+    kernel is built."""
     m = max(_form_data_level(omega), _form_data_level(eta))
     cells1 = _cell_pieces(omega, m)
     cells2 = cells1 if eta is omega else _cell_pieces(eta, m)
-    for cells in (cells1, cells2):
-        if any(len(left) > 1 for _, left, _ in cells[0]):  # a term has pieces on every cell
-            raise ExactnessUnavailableError("product of two non-constant factors")
     D, moments = _moments(cells1, cells2)
     kernels = [_exact_q_kernel(p, r) for p, r, _ in moments]
     den = math.lcm(*(kden for kden, _ in kernels))
@@ -1175,7 +1051,7 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Q: certified route (exact level sums of endpoint evaluations)
+# Q: the level sums, and the certified value
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -1199,85 +1075,6 @@ def q_level_kernel(p: int, r: int, j: int) -> tuple[int, ...]:
         return tuple(K)
     prev = q_level_kernel(p, r, j - 1)
     return tuple(map(sum, zip(*(_refine_modes(prev, H, d) for H in _H5))))
-
-
-@dataclass(frozen=True, eq=False)
-class _CTerm:
-    """One certified term c·left·dg, with what the tail bound needs of g (a
-    function or a lacuna-form potential): its level, energy and oscillation."""
-
-    coeff: Fraction
-    left: Expr | None  # None means the constant 1
-    level: int
-    energy: Fraction
-    osc: Fraction
-
-
-def _compile_certified(form: SmoothForm) -> list[_CTerm]:
-    out: list[_CTerm] = []
-    for t in form.terms:
-        left = t.left_total()
-        out.append(_CTerm(F1, None if left.as_const() == 1 else left, t.g.level, t.g.energy(), t.g.osc_global()))
-    for sigma, k in form.harmonic.items():
-        if k != 0:
-            out.append(_CTerm(k, None, len(sigma) + 1, Fraction(5, 6) * R53 ** len(sigma), Fraction(1, 3)))
-    if form.exact is not None:
-        U = form.exact
-        out.append(_CTerm(F1, None, U.level, U.energy(), U.osc_global()))
-    return out
-
-
-def _pair_radius(side1: list[_CTerm], side2: list[_CTerm]) -> Bound:
-    """n -> sound bound for |Q - Q~_n|, assembled pair by pair: each pair of
-    terms with a left factor F (one side's, or the product of both) adds
-    c·(sqrt_upper(dgk(n)·defect_F(n))/2 + osc_F(n)·sqrt(E_g·E_k)/2).  The
-    bounds of F are built once per distinct pair of left factors and
-    evaluated once per level; the first factor keeps them
-    (``Expr._q_bounds``), so later calls on the same factors reuse them."""
-    bounds: dict[tuple[Expr, ...], tuple[Bound, Bound]] = {}
-    pairs = []
-    for s in side1:
-        for t in side2:
-            parts = tuple(x.left for x in (s, t) if x.left is not None)
-            if not parts:
-                continue
-            if parts not in bounds:
-                cache, partner = parts[0]._q_bounds, parts[1] if len(parts) == 2 else None
-                if partner not in cache:
-                    Fexpr = parts[0] if partner is None else Product(parts)
-                    cache[partner] = (_defect_ub(Fexpr), _osc_rate(Fexpr))
-                bounds[parts] = cache[partner]
-            pairs.append((abs(s.coeff * t.coeff), s, t, parts, sqrt_upper(s.energy * t.energy)))
-
-    def radius(n: int) -> Fraction:
-        at_n = {parts: (defect(n), osc(n)) for parts, (defect, osc) in bounds.items()}
-        total = F0
-        for c, s, t, parts, sqrt_EsEt in pairs:
-            defect, osc = at_n[parts]
-            dgk = 2 * ((s.osc * R35 ** (n - s.level)) ** 2 * t.energy
-                       + (t.osc * R35 ** (n - t.level)) ** 2 * s.energy)
-            total += c * (sqrt_upper(dgk * defect) / 2 + osc * sqrt_EsEt / 2)
-        return total
-
-    return radius
-
-
-def _extrapolate(values: list[Fraction]) -> Fraction:
-    """Two rounds of Aitken's delta-squared on exact level sums; only the
-    last five values reach the result."""
-    seq = values[-5:]
-    for _ in range(2):
-        if len(seq) < 3:
-            break
-        nxt = []
-        for a, b, c in zip(seq, seq[1:], seq[2:]):
-            den = (c - b) - (b - a)
-            nxt.append(c if den == 0 else c - (c - b) ** 2 / den)
-        seq = nxt
-    return seq[-1]
-
-
-_Q_LEVEL_CAP = 14
 
 
 def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], Fraction]:
@@ -1313,57 +1110,14 @@ def q_inner_certified(
     max_level: int = 12,
     strict: bool = True,
 ) -> CertifiedValue:
-    """Q(omega, eta) from the exact level sums Q~_n (``q_level_sums``) with
-    geometric extrapolation, rounded once; the reported radius is the
-    un-extrapolated sound tail bound (``_pair_radius``) at the stop level,
-    plus the extrapolation correction, plus half an ulp of the value.
-
-    The stop level n is the first level from max(1, m) whose radius meets
-    the tolerance, else the cap max(1, m, max_level).  The radius is taken
-    at the cap first and bisected below it only when the cap meets the
-    tolerance; that finds the n of a scan upward, because the computed
-    radius is strictly decreasing (or zero): per pair term, dgk·defect
-    shrinks by (3/5)^4 and the oscillation rate by 3/5 per level or more,
-    and ``sqrt_upper`` exceeds the root by at most 1e-12 relatively, so
-    every term shrinks by at least 3/5.  Only the last five level sums
-    reach ``_extrapolate``, and only they are computed.
-
-    Raises GasketError past the kernel slot budget, and NonConvergentError
-    when the radius still exceeds the tolerance at the level cap (unless
-    ``strict`` is off) or when the extrapolation step moves further than the
-    tail bound allows.
-    """
-    if eta is None:
-        eta = omega
-    side1 = _compile_certified(omega)
-    side2 = side1 if eta is omega else _compile_certified(eta)
-    if max_level > _Q_LEVEL_CAP:
-        raise GasketError(f"level sums capped at n = {_Q_LEVEL_CAP}")
-    m = max(_form_data_level(omega), _form_data_level(eta))
-    level_sum = q_level_sums(omega, eta, m)
-    radius = _pair_radius(side1, side2)
-    tolerance = Fraction(tolerance)
-    lo = max(1, m)
-    n = max(lo, max_level)
-    rad = radius(n)
-    while rad <= tolerance and lo < n:  # bisect for the first level that meets it
-        mid = (lo + n) // 2
-        r = radius(mid)
-        if r <= tolerance:
-            n, rad = mid, r
-        else:
-            lo = mid + 1
-    if strict and rad > tolerance:
-        raise NonConvergentError(
-            f"certified Q radius {float(rad):.3g} exceeds the tolerance at level {n}"
-        )
-    vals = [level_sum(k) for k in range(max(1, m, n - 4), n + 1)]
-    value = _extrapolate(vals)
-    correction = abs(value - vals[-1])
-    if correction > 4 * rad:
-        raise NonConvergentError("extrapolation disagrees with the tail bound")
-    v = float(value)
-    return CertifiedValue(v, rad + correction + Fraction(math.ulp(v)) / 2)
+    """Q(omega, eta) exactly (``q_inner_exact``), rounded once to a float:
+    the radius is half an ulp of the value.  ``max_level`` is not read.  A
+    tolerance below the radius is a miss: NonConvergentError when
+    ``strict``, else the radius shows it."""
+    cv = _valued(q_inner_exact(omega, omega if eta is None else eta), "certified")
+    if strict and cv.radius > Fraction(tolerance):
+        raise NonConvergentError(f"certified Q radius {float(cv.radius):.3g} exceeds the tolerance")
+    return cv
 
 
 def q_inner(

@@ -233,12 +233,6 @@ class VertexFunction:
         return self.energy_with_at_level(other, m)
 
     # -- pointwise bounds ----------------------------------------------------
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values.values())
-
-    def osc_global(self) -> Fraction:
-        return max(self.values.values()) - min(self.values.values())
-
     def oscillation(self, word: Word) -> Fraction:
         """max - min over C_word; exact by the maximum principle."""
         if len(word) >= self.level:

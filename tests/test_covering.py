@@ -312,6 +312,18 @@ def test_homology_class_matches_winding_numbers(path, depth):
     assert g.depth == depth and g.coords == {w: c for w, c in coords.items() if c != 0}
 
 
+@settings(max_examples=60)
+@given(walks(closed=True), st.text(alphabet="012", max_size=5))
+def test_winding_number_matches_the_fraction_prefix_sum(path, sigma):
+    """The integer prefix counts give the sum over the prefixes rho of
+    A_{sigma,rho}·(integral of dz_rho along the path) in Fractions."""
+    want = sum(
+        (coh.a_entry(sigma, sigma[:j]) * fm.dz_integral_path(sigma[:j], path) for j in range(len(sigma) + 1)),
+        F(0),
+    )
+    assert coh.winding_number(path, sigma) == want
+
+
 @settings(max_examples=15)
 @given(walks(closed=False), st.integers(1, 8))
 def test_homology_class_of_open_path_is_refused(path, depth):

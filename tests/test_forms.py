@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketforms import cohomology as coh
 from gasketforms import forms as fm
 from gasketforms.certified import CertifiedValue
 from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
@@ -95,7 +96,7 @@ def test_dyadic_oracle_matches_kernel_riemann():
             * (f1.triple(s.cell)[(s.side + 1) % 3] - f1.triple(s.cell)[(s.side + 2) % 3])
             for s in subs
         )
-        assert fm.integrate_term_riemann(F(1), f0, f1, e, n) == brute
+        assert fm._monomial_riemann((f0,), f1, (), e, n) == brute
 
 
 def test_dyadic_oracle_float_large_n():
@@ -139,6 +140,8 @@ def test_dyadic_oracle_at_depth_24():
 
 
 def test_certified_contains_exact_integral():
+    """A certified integral is the exact one rounded once: the nearest float,
+    with half an ulp of it as the radius."""
     rng = random.Random(37)
     for _ in range(4):
         u = random_harmonic(rng.randint(0, 1), rng, span=3)
@@ -148,21 +151,18 @@ def test_certified_contains_exact_integral():
         exact = fm.integrate_edge(w, e).value
         cert = fm.integrate_edge(w, e, mode="certified", tolerance=F(1, 10**5))
         assert cert.contains(exact)
-        # the sound tail constant scales with the factor energies, so the
-        # reachable radius at the refinement cap depends on the draw
-        assert cert.radius <= F(1, 500)
-        assert abs(float(cert.value) - float(exact)) <= 1e-6
+        assert cert.value == float(exact) and cert.radius == F(math.ulp(float(exact))) / 2
 
 
 def test_certified_containment_is_exact():
-    """A point 1.3e-9 off the midpoint lies outside a 3.1e-10 radius: no
+    """A point one ulp off the midpoint lies outside the half-ulp radius: no
     float allowance widens the enclosure."""
     w = fm.fdg(f0, f1)
     e = OrientedEdge("", 1)
     exact = fm.integrate_edge(w, e).value
     cv = fm.integrate_edge(w, e, mode="certified", tolerance=F(1, 10**9))
-    outside = exact + F(13, 10**10)
-    assert cv.radius < F(4, 10**10)
+    outside = F(cv.value) + F(math.ulp(cv.value))
+    assert cv.radius == F(math.ulp(cv.value)) / 2
     assert cv.contains(exact) and cv.encloses(CertifiedValue.from_exact(exact))
     assert not cv.contains(outside) and not cv.overlaps(CertifiedValue.from_exact(outside))
 
@@ -184,7 +184,7 @@ def test_certified_reversed_edges(cell, side):
 
 
 # ---------------------------------------------------------------------------
-# the multilinear Riemann kernels behind certified edge integrals
+# the multilinear Riemann kernels: exact level-n sums of edge integrals
 # ---------------------------------------------------------------------------
 
 def _at(expr, cell, corner):
@@ -236,10 +236,10 @@ def _factor(draw, slots: int):
 
 
 @st.composite
-def _shaped_forms(draw, exact: bool = False):
-    """One term L·dg·R with p slots in L and q in R; with ``exact`` only the
-    shapes the exact route takes (at most one non-constant factor)."""
-    if exact:
+def _shaped_forms(draw, single: bool = False):
+    """One term L·dg·R with p slots in L and q in R; with ``single`` only the
+    shapes whose L·R is one function (at most one non-constant factor)."""
+    if single:
         p, q = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
     else:
         p, q = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1]))
@@ -309,7 +309,7 @@ def test_certified_reversal_is_exact_negation(form, e):
 
 
 @settings(max_examples=40)
-@given(_shaped_forms(exact=True), edges)
+@given(_shaped_forms(), edges)
 def test_exact_integral_is_additive_over_children(form, e):
     first, second = e.children()
     assert fm.integrate_edge(form, e).value == (
@@ -325,13 +325,25 @@ def test_certified_children_overlap_the_parent(form, e):
 
 
 @settings(max_examples=40)
-@given(_shaped_forms(exact=True), st.text(alphabet="012", max_size=2), st.booleans())
+@given(_shaped_forms(single=True), st.text(alphabet="012", max_size=2), st.booleans())
 def test_exact_differential_closes_on_perimeters(form, cell, reverse):
     """L·dg·R + g·d(LR) = d(LR·g) integrates to 0 around every cell."""
     (term,) = form.terms
     du = form + fm.fdg(term.g, term.left_total().as_vf())
     path = perimeter_path(cell)
     assert fm.integrate_path(du, path.reversed() if reverse else path).value == 0
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**6), st.text(alphabet="012", max_size=2), st.booleans())
+def test_product_leibniz_closes_on_perimeters(seed, cell, reverse):
+    """LR·dg + gL·dR + gR·dL = d(LRg) integrates to exactly 0 around every
+    cell of levels 0-2, with L, R, g piecewise harmonic of levels 0-2."""
+    rng = random.Random(seed)
+    L, R, g = (fm.Atom(random_harmonic(rng.randint(0, 2), rng, span=5)) for _ in range(3))
+    form = sum((fm.fdg(fm.Product([a, b]), c.vf) for a, b, c in ((L, R, g), (g, L, R), (g, R, L))), fm.SmoothForm())
+    path = perimeter_path(cell)
+    assert fm.integrate_path(form, path.reversed() if reverse else path).value == 0
 
 
 @pytest.mark.parametrize("side", [0, 1, 2])
@@ -360,7 +372,7 @@ def test_certified_meets_tolerance_and_reports_a_miss():
         assert cv.radius <= tol and abs(F(cv.value) - exact) <= cv.radius
     prod = fm.multiply_form(f2, w, side="left")
     assert fm.integrate_edge(prod, e, mode="certified").radius <= F(1, 10**9)
-    # no level meets a zero tolerance: the radius at the cap says so
+    # a tolerance below half an ulp cannot be met: the radius says so
     miss = fm.integrate_edge(w, e, mode="certified", tolerance=F(0))
     assert miss.radius > 0 and abs(F(miss.value) - exact) <= miss.radius
 
@@ -437,15 +449,19 @@ def test_constant_factors_build_no_function(monkeypatch):
         (fm.Atom(u), fm.Atom(v), "two non-constant"),
     ):
         with pytest.raises(ExactnessUnavailableError, match=message):
-            fm.integrate_edge(fm.SmoothForm(terms=(fm.FormTerm(left, f2, right),)), e)
+            fm._normalize_term(fm.FormTerm(left, f2, right))
 
 
 def test_exactness_unavailable_for_products():
+    """Integrals and Q of products are exact; the period and Hodge routes
+    (``_normalize_term``) still refuse them."""
     w = fm.multiply_form(f1, fm.fdg(f0, f2), side="left")
-    with pytest.raises(ExactnessUnavailableError):
-        fm.integrate_edge(w, OrientedEdge("", 1), mode="exact")
-    with pytest.raises(ExactnessUnavailableError):
-        fm.q_inner_exact(w, w)
+    e = OrientedEdge("", 1)
+    assert fm.integrate_edge(w, e).exact and fm.q_inner(w).exact
+    assert fm.integrate_edge(w, e).value == fm.integrate_edge(fm.fdg(fm.Product([fm.Atom(f1), fm.Atom(f0)]), f2), e).value
+    for route in (lambda: coh.periods_up_to(w, 1), lambda: coh.hodge_decompose(w, 1)):
+        with pytest.raises(ExactnessUnavailableError):
+            route()
 
 
 # ---------------------------------------------------------------------------
@@ -515,32 +531,35 @@ def test_q_certified_contains_exact():
         assert cv.contains(exact)
 
 
-def test_q_certified_radius_includes_the_extrapolation_correction():
-    """The radius is the tail bound at the last level, plus the distance the
-    extrapolation moved the last level sum, plus half an ulp."""
+def test_q_certified_is_the_exact_value_rounded_once():
+    """Products included, and whatever ``max_level`` says: the nearest float
+    to exact Q, with half an ulp of it as the radius, from every certified
+    entry point."""
     omega = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1)]), f2)
-    cv = fm.q_inner_certified(omega, omega, max_level=8, strict=False)
-    side = fm._compile_certified(omega)
-    radius = fm._pair_radius(side, side)
-    m = fm._form_data_level(omega)
-    level_sum = fm.q_level_sums(omega, omega, m)
-    vals = [level_sum(n) for n in range(max(1, m), 9)]
-    assert radius(8) > F(1, 10**9)  # the loop ran to the level cap
-    value = fm._extrapolate(vals)
-    correction = abs(value - vals[-1])
-    assert correction != 0
-    assert cv.value == float(value)
-    assert cv.radius == radius(8) + correction + F(math.ulp(cv.value)) / 2
+    eta = omega + fm.dz_form("1")
+    for a, b in ((omega, omega), (omega, eta)):
+        exact = fm.q_inner_exact(a, b)
+        want = CertifiedValue(float(exact), F(math.ulp(float(exact))) / 2)
+        for max_level in (1, 8, 40):
+            assert fm.q_inner_certified(a, b, max_level=max_level) == want
+        assert fm.q_inner(a, b, mode="certified") == want
+    exact = coh.harmonic_coefficient(omega, "1").value
+    assert coh.harmonic_coefficient(omega, "1", mode="certified") == CertifiedValue(
+        float(exact), F(math.ulp(float(exact))) / 2)
 
 
-def test_q_certified_raises_beyond_cap():
+def test_q_certified_strict_raises_below_half_an_ulp():
+    """A tolerance below half an ulp is a miss: NonConvergentError when
+    strict, else the radius shows it."""
+    w = fm.fdg(f0, f1)
     with pytest.raises(NonConvergentError):
-        fm.q_inner_certified(fm.fdg(f0, f1), fm.fdg(f0, f1),
-                             tolerance=F(1, 10**12), max_level=8)
+        fm.q_inner_certified(w, w, tolerance=F(0))
+    assert fm.q_inner_certified(w, w, tolerance=F(0), strict=False).radius > 0
+    assert fm.q_inner_certified(w, w, tolerance=F(1, 10**12)).radius <= F(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
-# the exact level sums behind certified Q
+# the exact level sums of Q
 # ---------------------------------------------------------------------------
 
 def _brute_edge_value(form, e):

@@ -1,5 +1,6 @@
-"""Both Q routes against their per-cell and linear-scan oracles, Q's algebraic
-properties, and the exact one-cell kernels."""
+"""Exact Q against its per-cell oracle, Q's algebraic properties on products,
+the exact level sums (Riemann and Q) against the exact values within their
+geometric tail bounds, and the exact one-cell kernels."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from gasketforms import forms as fm
 from gasketforms.certified import sqrt_upper
-from gasketforms.errors import ExactnessUnavailableError, NonConvergentError
+from gasketforms.errors import GasketError
+from gasketforms.geometry import OrientedEdge
 from gasketforms.harmonic import graph_energy, harmonic_basis, random_harmonic
 
 F = Fraction
@@ -24,8 +26,8 @@ f0, f1, f2 = harmonic_basis()
 
 
 # ---------------------------------------------------------------------------
-# oracles: exact Q cell by cell and piece pair by piece pair, certified Q by a
-# linear scan over the levels with every pair bound built per term pair
+# oracle: exact Q cell by cell and piece pair by piece pair, for pieces with
+# at most one left factor
 # ---------------------------------------------------------------------------
 
 def _pair_energy(u, vals):
@@ -54,9 +56,6 @@ def _quad_q(F1t, g, F2t, k):
 def exact_oracle(omega, eta):
     m = max(fm._form_data_level(omega), fm._form_data_level(eta))
     cells1, cells2 = fm._cell_pieces(omega, m), fm._cell_pieces(eta, m)
-    for cells in (cells1, cells2):
-        if any(len(left) > 1 for _, left, _ in cells[0]):
-            raise ExactnessUnavailableError("product of two non-constant factors")
     total = F0
     for p1, p2 in zip(cells1, cells2):
         for c1, f1_, g1 in p1:
@@ -73,64 +72,139 @@ def exact_oracle(omega, eta):
     return R53**m * total
 
 
-def _pair_radius_oracle(side1, side2):
-    pairs = []
-    for s in side1:
-        for t in side2:
-            if s.left is None and t.left is None:
+# ---------------------------------------------------------------------------
+# tail-bound oracles: how far the exact level sums (``riemann_sum``,
+# ``q_level_sums``) may lie from the limit, from the factors' sups,
+# oscillations and energies (the geometric (3/5)^n bounds)
+# ---------------------------------------------------------------------------
+
+def _sup(x):
+    """An upper bound for sup |x|."""
+    if isinstance(x, fm.Const):
+        return abs(x.c)
+    if isinstance(x, fm.Product):
+        return math.prod((_sup(t) for t in x.terms), start=F(1))
+    vf = x.as_vf()
+    if vf is not None:
+        return max(abs(v) for v in vf.values.values())
+    return sum(_sup(t) for t in x.terms)
+
+
+def _energy(x):
+    """An upper bound for the energy of x; a product folds the Dirichlet-
+    algebra bound E[uv] <= 2(|u|^2 E[v] + |v|^2 E[u])."""
+    if isinstance(x, fm.Const):
+        return F0
+    vf = x.as_vf()
+    if vf is not None:
+        return vf.energy()
+    if isinstance(x, fm.Sum):
+        return len(x.terms) * sum(_energy(t) for t in x.terms)
+    e, s = _energy(x.terms[0]), _sup(x.terms[0])
+    for t in x.terms[1:]:
+        e, s = 2 * (s * s * _energy(t) + _sup(t) ** 2 * e), s * _sup(t)
+    return e
+
+
+def _osc(x):
+    """An upper bound for the oscillation of x over the gasket."""
+    if isinstance(x, fm.Const):
+        return F0
+    if isinstance(x, fm.Product):
+        return sum(
+            math.prod((_sup(u) for j, u in enumerate(x.terms) if j != i), start=F(1)) * _osc(t)
+            for i, t in enumerate(x.terms)
+        )
+    vf = x.as_vf()
+    if vf is not None:
+        return max(vf.values.values()) - min(vf.values.values())
+    return sum(_osc(t) for t in x.terms)
+
+
+def _osc_rate(x, n):
+    """An upper bound for the oscillation of x on any level-n cell."""
+    if x.as_const() is not None:
+        return F0
+    if isinstance(x, fm.Atom):
+        return _osc(x) * R35 ** (n - x.max_level())
+    if isinstance(x, fm.Sum):
+        return sum(_osc_rate(t, n) for t in x.terms)
+    return sum(
+        math.prod((_sup(u) for j, u in enumerate(x.terms) if j != i), start=F(1)) * _osc_rate(t, n)
+        for i, t in enumerate(x.terms)
+    )
+
+
+def _defect(x, n):
+    """An upper bound for E[x] - E_n[x], the energy above the level-n
+    harmonic interpolant: zero for piecewise-harmonic x, (3/5)^(2n)-small
+    for products of such."""
+    if x.as_vf() is not None:
+        return F0
+    if isinstance(x, fm.Sum):
+        return 2 * sum(_defect(t, n) for t in x.terms)
+    facts = [t for t in x.terms if t.as_const() is None]
+    cmul = math.prod((abs(t.as_const()) for t in x.terms if t.as_const() is not None), start=F(1))
+    rho = R35 ** (n - max(t.max_level() for t in facts))
+    k = len(facts)
+    subsets = [S for size in range(2, k + 1) for S in itertools.combinations(range(k), size)]
+    total = F0
+    for S in subsets:
+        outside = math.prod((_sup(facts[j]) ** 2 for j in range(k) if j not in S), start=F(1))
+        inner = sum(
+            math.prod((_osc(facts[j]) ** 2 for j in S if j != i), start=F(1)) * _energy(facts[i]) for i in S
+        )
+        total += outside * 4 ** len(S) * inner * rho ** (2 * (len(S) - 1))
+    return cmul * cmul * (len(subsets) + 1) * total
+
+
+def _q_terms(form):
+    """(coefficient, left factor or None, level, energy, oscillation of the
+    differentiated function) per part of the form."""
+    out = []
+    for t in form.terms:
+        left = t.left_total()
+        out.append((F(1), None if left.as_const() == 1 else left, t.g.level, t.g.energy(), _osc(fm.Atom(t.g))))
+    for sigma, k in form.harmonic.items():
+        if k:
+            out.append((k, None, len(sigma) + 1, F(5, 6) * R53 ** len(sigma), F(1, 3)))
+    if form.exact is not None:
+        U = form.exact
+        out.append((F(1), None, U.level, U.energy(), _osc(fm.Atom(U))))
+    return out
+
+
+def q_tail_bound(omega, eta, n):
+    """A bound for |Q(omega, eta) - Q~_n|, pair of parts by pair: a pair
+    with a left factor F (one side's, or the product of both) adds
+    |c c'|·(sqrt(dgk·defect_F)/2 + osc_F·sqrt(E_g·E_k)/2)."""
+    total = F0
+    for c1, l1, lv1, e1, o1 in _q_terms(omega):
+        for c2, l2, lv2, e2, o2 in _q_terms(eta):
+            parts = [x for x in (l1, l2) if x is not None]
+            if not parts:
                 continue
-            parts = [x.left for x in (s, t) if x.left is not None]
-            Fexpr = parts[0] if len(parts) == 1 else fm.Product(parts)
-            pairs.append((abs(s.coeff * t.coeff), s, t, fm._defect_ub(Fexpr), fm._osc_rate(Fexpr),
-                          sqrt_upper(s.energy * t.energy)))
-
-    def radius(n):
-        total = F0
-        for c, s, t, defect, osc, sqrt_EsEt in pairs:
-            dgk = 2 * ((s.osc * R35 ** (n - s.level)) ** 2 * t.energy
-                       + (t.osc * R35 ** (n - t.level)) ** 2 * s.energy)
-            total += c * (sqrt_upper(dgk * defect(n)) / 2 + osc(n) * sqrt_EsEt / 2)
-        return total
-
-    return radius
+            F_ = parts[0] if len(parts) == 1 else fm.Product(parts)
+            dgk = 2 * ((o1 * R35 ** (n - lv1)) ** 2 * e2 + (o2 * R35 ** (n - lv2)) ** 2 * e1)
+            total += abs(c1 * c2) * (
+                sqrt_upper(dgk * _defect(F_, n)) / 2 + _osc_rate(F_, n) * sqrt_upper(e1 * e2) / 2
+            )
+    return total
 
 
-def certified_oracle(omega, eta, tolerance, max_level, strict):
-    """(value, radius, stop level) by the scan up from max(1, m)."""
-    side1, side2 = fm._compile_certified(omega), fm._compile_certified(eta)
-    m = max(fm._form_data_level(omega), fm._form_data_level(eta))
-    level_sum = fm.q_level_sums(omega, eta, m)
-    radius = _pair_radius_oracle(side1, side2)
-    vals = []
-    n = max(1, m)
-    while True:
-        vals.append(level_sum(n))
-        rad = radius(n)
-        if rad <= tolerance or n >= max_level:
-            break
-        n += 1
-    if strict and rad > tolerance:
-        raise NonConvergentError(f"certified Q radius {float(rad):.3g} exceeds the tolerance at level {n}")
-    value = fm._extrapolate(vals)
-    correction = abs(value - vals[-1])
-    if correction > 4 * rad:
-        raise NonConvergentError("extrapolation disagrees with the tail bound")
-    v = float(value)
-    return v, rad + correction + F(math.ulp(v)) / 2, n
-
-
-def _outcome(call, *args):
-    try:
-        out = call(*args)
-    except NonConvergentError as exc:
-        return "raised", str(exc)
-    return (out.value, out.radius) if isinstance(out, fm.CertifiedValue) else out[:2]
+def riemann_tail_bound(form, n):
+    """A bound for |I - I_n| over any edge: (3/2)(3/5)^n·K, K the sum over
+    terms a·dg·b of |a| sqrt(E[g]E[b]) + |b| sqrt(E[a]E[g])."""
+    K = F0
+    for t in form.terms:
+        Eg = t.g.energy()
+        K += _sup(t.left) * sqrt_upper(Eg * _energy(t.right)) + _sup(t.right) * sqrt_upper(_energy(t.left) * Eg)
+    return F(3, 2) * R35**n * K
 
 
 # ---------------------------------------------------------------------------
 # forms: data levels 0-2, Sum left factors, lacuna words of length 0-2, an
-# optional exact part; with products, also a left factor that only the
-# certified route takes
+# optional exact part; with products, also a product of two functions
 # ---------------------------------------------------------------------------
 
 def _forms(products: bool):
@@ -169,58 +243,16 @@ def test_exact_q_equals_the_per_cell_oracle(omega, eta):
 
 
 def test_exact_q_refuses_products_before_any_tensor(monkeypatch):
+    """Products of three factors on both sides need 8 kernel slots: refused
+    by the budget before any tensor is built, on either side."""
     def no_tensor(*args):
         raise AssertionError("a tensor was built")
 
     monkeypatch.setattr(fm, "_shape_tensors", no_tensor)
-    w = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1)]), f2)
-    for a, b in ((w, fm.d(f0)), (fm.d(f0), w)):
-        with pytest.raises(ExactnessUnavailableError):
+    w = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1), fm.Atom(f2)]), f2)
+    for a, b in ((w, w), (w, w + fm.d(f0))):
+        with pytest.raises(GasketError, match="budget"):
             fm.q_inner_exact(a, b)
-
-
-def _radius_at(omega, eta, below_cap, max_level):
-    """The scan's radius a given number of levels below the cap, as a
-    tolerance that stops the scan exactly there; 1/10 when the pair bounds
-    cannot be built."""
-    m = max(fm._form_data_level(omega), fm._form_data_level(eta))
-    try:
-        radius = _pair_radius_oracle(fm._compile_certified(omega), fm._compile_certified(eta))
-    except NonConvergentError:
-        return F(1, 10)
-    return radius(max(1, m, max_level - below_cap))
-
-
-@settings(max_examples=40)
-@given(
-    _forms(products=True),
-    _forms(products=True),
-    st.integers(6, 10),
-    st.one_of(st.sampled_from([F(1), F(1, 10), F(1, 10**6), F(1, 10**9)]), st.integers(0, 5)),
-    st.booleans(),
-)
-def test_certified_q_equals_the_linear_scan(omega, eta, max_level, tolerance, strict):
-    """Fixed tolerances, and radii of the scan itself at the cap and up to
-    five levels below it (an integer draw), so that the scan stops at the
-    first level, between it and the cap, at the cap, or misses."""
-    if isinstance(tolerance, int):
-        tolerance = _radius_at(omega, eta, tolerance, max_level)
-    for a, b in ((omega, eta), (eta, omega)):
-        got = _outcome(fm.q_inner_certified, a, b, tolerance, max_level, strict)
-        assert got == _outcome(certified_oracle, a, b, tolerance, max_level, strict)
-
-
-@pytest.mark.parametrize("tolerance, below_cap", [(F(1, 10), True), (F(1, 10**9), False)])
-def test_certified_q_stops_where_the_scan_stops(tolerance, below_cap):
-    """One tolerance the scan meets below the cap, one it meets only at or
-    past it: both give the oracle's value and radius."""
-    omega = fm.fdg(fm.Sum([fm.Atom(f0), fm.Atom(f1)]), f2) + fm.dz_form("1")
-    eta = fm.fdg(fm.Product([fm.Atom(f0), fm.Atom(f1)]), f2) + fm.d(f1)
-    for a, b in ((omega, omega), (omega, eta)):
-        v, r, n = certified_oracle(a, b, tolerance, 10, False)
-        assert (1 < n < 10) == below_cap
-        cv = fm.q_inner_certified(a, b, tolerance, 10, strict=False)
-        assert (cv.value, cv.radius) == (v, r)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +265,42 @@ def test_exact_q_is_symmetric_and_bilinear(a, b, c, k):
     assert fm.q_inner_exact(a, b) == fm.q_inner_exact(b, a)
     assert fm.q_inner_exact(a + b, c) == fm.q_inner_exact(a, c) + fm.q_inner_exact(b, c)
     assert fm.q_inner_exact(a.scaled(F(k, 3)), c) == F(k, 3) * fm.q_inner_exact(a, c)
+
+
+@settings(max_examples=15)
+@given(_forms(products=True), _forms(products=True))
+def test_exact_q_polarizes_on_products(a, b):
+    """Q(a + b) = Q(a) + 2Q(a, b) + Q(b), exactly."""
+    q = fm.q_inner_exact
+    assert q(a + b, a + b) == q(a, a) + 2 * q(a, b) + q(b, b)
+
+
+# ---------------------------------------------------------------------------
+# the exact level sums approach the exact values within their tail bounds
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=15)
+@given(_forms(products=True), _forms(products=True))
+def test_q_level_sums_approach_exact_q_within_the_tail_bound(omega, eta):
+    m = max(fm._form_data_level(omega), fm._form_data_level(eta))
+    for a, b in ((omega, omega), (omega, eta)):
+        exact = fm.q_inner_exact(a, b)
+        level_sum = fm.q_level_sums(a, b, m)
+        for n in range(max(1, m), max(1, m) + 4):
+            assert abs(level_sum(n) - exact) <= q_tail_bound(a, b, n)
+
+
+@settings(max_examples=30)
+@given(
+    _forms(products=True),
+    st.builds(OrientedEdge, st.text(alphabet="012", max_size=2), st.integers(0, 2), st.sampled_from([1, -1])),
+)
+def test_riemann_sums_approach_the_exact_integral_within_the_tail_bound(form, e):
+    universal = fm.SmoothForm(form.terms)
+    exact = fm.integrate_edge(universal, e).value
+    base = max(e.level, fm._universal_level(universal))
+    for n in range(base, base + 4):
+        assert abs(fm.riemann_sum(universal, e, n) - exact) <= riemann_tail_bound(universal, n)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +336,3 @@ def test_single_slot_kernels_agree_under_the_slot_swap():
     for a, b, d in itertools.product(range(3), repeat=3):
         assert K10[(a * 3 + b) * 3 + d] == K01[(d * 3 + a) * 3 + b]
     assert any(K01)
-
-
-def test_certified_q_raises_like_the_scan():
-    """A left factor without a defect bound, and a tolerance missed at the
-    cap in strict mode: the same NonConvergentError from both."""
-    mixed = fm.fdg(fm.Sum([fm.Product([fm.Atom(f0), fm.Atom(f1)]), fm.Atom(f2)]), f1)
-    plain = fm.fdg(f0, f1)
-    for a, b, strict in ((mixed, plain, False), (plain, plain, True)):
-        got = _outcome(fm.q_inner_certified, a, b, F(1, 10**9), 8, strict)
-        assert got[0] == "raised"
-        assert got == _outcome(certified_oracle, a, b, F(1, 10**9), 8, strict)

@@ -1,12 +1,15 @@
 """`solve_unique` against a Fraction Gauss–Jordan oracle; the limit builder
-`_kernel_limit`, which only asks `solve_unique` for the coefficients of a
-kernel sequence's recurrence; and the exact kernels, limits of the cached
-level kernels, pinned by their defining identities."""
+`_kernel_limit`, which finds a kernel sequence's recurrence degree modulo a
+prime and asks `solve_unique` only for its coefficients, against the linear
+solve it replaced; and the exact kernels, limits of the cached level
+kernels, pinned by their defining identities."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -180,6 +183,69 @@ def test_unit_disc_test_on_known_roots(real, pairs, lead):
 def test_kernel_limit_refuses_without_a_simple_root_at_one(sequence):
     with pytest.raises(GasketError, match="not a simple root"):
         fm._kernel_limit(sequence, (), F(1))
+
+
+def _linear_solve_limit(sequence, shape, rho):
+    """The limit builder before the modular echelon (test oracle only): the
+    least d whose w_d solves exactly over w_0..w_(d-1) with ``solve_unique``
+    on every coordinate, then the same convergence checks and projection."""
+    w = []
+    for d in range(len(sequence(*shape, 0)) + 1):
+        w.append([x * rho**d for x in sequence(*shape, d)])
+        try:
+            c = fm.solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+            break
+        except GasketError:
+            continue
+    poly = [-x for x in c] + [F(1)]
+    quotient = [sum(poly[k + 1 :]) for k in range(d)]
+    assert sum(poly) == 0 and sum(quotient) != 0 and fm._roots_inside_unit_disc(quotient)
+    K = [sum(map(operator.mul, quotient, column)) / sum(quotient) for column in zip(*w[:d])]
+    den = math.lcm(*(x.denominator for x in K))
+    return den, tuple(int(x * den) for x in K)
+
+
+# every exact kernel in use: the Riemann (p, 0) limits of edge integrals
+# (p = 1 is ``edge_kernel``) and the Q one-cell kernels up to (2, 2)
+_LIMITS = [
+    *[(fm.riemann_kernel, (side, p, 0), F(1, 5 ** (p + 1))) for p in range(4) for side in range(3)],
+    *[(fm.q_level_kernel, (p, r), F(5, 3 * 5 ** (p + r + 2))) for p in range(3) for r in range(3)],
+]
+
+
+@pytest.mark.parametrize("sequence, shape, rho", _LIMITS, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_kernel_limit_equals_the_linear_solve(sequence, shape, rho):
+    assert fm._kernel_limit(sequence, shape, rho) == _linear_solve_limit(sequence, shape, rho)
+
+
+@pytest.mark.parametrize("side", range(3))
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(3) for q in range(1, 4 - p)])
+def test_right_slots_integrate_as_left_slots(side, p, q):
+    """The (p, q) Riemann limit, slots L_1..L_p, g, R_1..R_q, equals the
+    (p + q, 0) limit with the g slot moved last: L·dg·R integrates as
+    (L·R)·dg."""
+    def limit(p, q):
+        den, K = fm._kernel_limit(fm.riemann_kernel, (side, p, q), F(1, 5 ** (p + q + 1)))
+        return [F(x, den) for x in K]
+
+    mixed, left = limit(p, q), limit(p + q, 0)
+    for digits in itertools.product(range(3), repeat=p + q + 1):
+        ls, g, rs = digits[:p], digits[p], digits[p + 1 :]
+        assert mixed[int("".join(map(str, (*ls, g, *rs))), 3)] == left[int("".join(map(str, (*ls, *rs, g))), 3)]
+
+
+def _modular_trap(j):
+    """u_0 = (1, 1), u_1 = (1, 3): independent over the rationals, equal mod 2."""
+    return ((1, 1), (1, 3), (1, 5))[min(j, 2)]
+
+
+def test_a_bad_prime_fails_the_integer_check(monkeypatch):
+    """A prime under which the level kernels lose rank makes the degree too
+    small; the integer recurrence check refuses it instead of returning a
+    wrong limit."""
+    monkeypatch.setattr(fm, "_PRIME", 2)
+    with pytest.raises(GasketError, match="integers"):
+        fm._kernel_limit.__wrapped__(_modular_trap, (), F(1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,19 @@
 * Integrals over a whole level come from one side-integral table: no loop
   or comprehension over ``edges_at_level`` integrates its edges one at a
   time.
+* Every library function the benchmark traces still exists under its
+  traced name, so a traced run does not stop at its first patch.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+import gasketforms
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gasketforms"
 MODULES = sorted(SRC.glob("*.py"))
@@ -115,3 +120,16 @@ def test_no_per_edge_integration_over_a_level(path):
             continue
         stray += [n.lineno for b in bodies for n in ast.walk(b) if _called_name(n) in per_edge]
     assert stray == []
+
+
+def test_bench_trace_targets_resolve():
+    """Each (span, owner, attribute) the benchmark worker traces names a
+    function the owner defines itself, looked up as the tracer does."""
+    path = SRC.parent.parent / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    targets = worker._trace_targets(gasketforms)
+    assert targets
+    for name, owner, attr, _, _ in targets:
+        assert callable(owner.__dict__[attr]), name
