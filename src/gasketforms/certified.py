@@ -69,19 +69,22 @@ class CertifiedValue:
         return abs(Fraction(self.value) - Fraction(other.value)) <= self.radius + other.radius
 
     # -- arithmetic ------------------------------------------------------------
-    # a float result is rounded once, so half an ulp of it joins the radius
+    # computed exactly on the rationals the midpoints store; a result with a
+    # float operand is rounded once, so half an ulp of it joins the radius
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return _rounded(self.value + other.value, self.radius + other.radius)
+        exact = Fraction(self.value) + Fraction(other.value)
+        return _rounded(exact, self.radius + other.radius, self.value, other.value)
 
     def __sub__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return _rounded(self.value - other.value, self.radius + other.radius)
+        exact = Fraction(self.value) - Fraction(other.value)
+        return _rounded(exact, self.radius + other.radius, self.value, other.value)
 
     def __neg__(self) -> "CertifiedValue":
         return CertifiedValue(-self.value, self.radius)
 
     def scaled(self, c) -> "CertifiedValue":
         c = Fraction(c)
-        return _rounded(self.value * c, self.radius * abs(c))
+        return _rounded(Fraction(self.value) * c, self.radius * abs(c), self.value)
 
     def __repr__(self):
         if self.exact:
@@ -105,7 +108,10 @@ class CertifiedValue:
         return CertifiedValue(float(data["value"]), Fraction(float(data["radius"])))
 
 
-def _rounded(value: Number, radius: Fraction) -> CertifiedValue:
-    if isinstance(value, float):
-        radius += Fraction(math.ulp(value)) / 2
-    return CertifiedValue(value, radius)
+def _rounded(exact: Fraction, radius: Fraction, *operands: Number) -> CertifiedValue:
+    """The exact result, or, when an operand is a float, the result rounded
+    once to a float with half an ulp of it added to the radius."""
+    if not any(isinstance(x, float) for x in operands):
+        return CertifiedValue(exact, radius)
+    v = float(exact)
+    return CertifiedValue(v, radius + Fraction(math.ulp(v)) / 2)

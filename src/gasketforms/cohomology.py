@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .certified import CertifiedValue
 from .errors import (
@@ -142,6 +143,14 @@ class TriangularKernel:
         return chain, B, A
 
 
+def _dz_den(edges: Iterable[OrientedEdge]) -> int:
+    """A common denominator of the integrals of every dz form over the
+    edges: -1/3 for a word through an edge's cell, and up to 6·5^(L-1) for a
+    proper prefix of a level-L cell (``_prefix_dz``)."""
+    top = max((e.level for e in edges), default=0)
+    return 6 * 5 ** (top - 1) if top else 3
+
+
 def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
     """The winding number of sigma from integer dz counts over den (counts[w]
     = den·integral of dz_w along a path, missing words zero): 3^|sigma|·A is
@@ -166,13 +175,11 @@ def winding_number(path: ElementaryPath, sigma: Word) -> int:
 
     An edge (cell tau, side i, sign s) gives a proper prefix of tau its
     ``_prefix_dz`` value, and every prefix tau + r of sigma whose r avoids
-    the letter i the value -s/3 (``dz_integral_edge``).  den = 6·5^(top-1)
-    for the finest edge level top >= 1 (3 at level 0) covers the
-    denominators of both kinds."""
+    the letter i the value -s/3 (``dz_integral_edge``), counted over
+    ``_dz_den``."""
     if not path.closed:
         raise GasketError("winding numbers need a closed path")
-    top = max(e.level for e in path)
-    den = 6 * 5 ** (top - 1) if top else 3
+    den = _dz_den(path)
     counts = {sigma[:j]: 0 for j in range(len(sigma) + 1)}
     for e in path:
         tau = e.cell

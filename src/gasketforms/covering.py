@@ -33,6 +33,7 @@ from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
     _check_budget,
+    _dz_den,
     _winding,
     b_rule,
     b_thirds,
@@ -161,10 +162,7 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
         for e in edges
     )
     _check_budget(size, f"the dz table to depth {depth}")
-    # D covers -1/3 (avoid-letter words) and 6·5^(top-1), the denominators of
-    # the prefix words' values on edges of level <= top
-    top = max((e.level for e in edges), default=0)
-    den = 6 * 5 ** (top - 1) if top else 3
+    den = _dz_den(edges)
     counts: dict[Word, int] = {}
     for e in edges:
         for w, v in _prefix_dz(e.cell, e.side):

@@ -321,7 +321,12 @@ class FormTerm:
     right: Expr = ONE
 
     def left_total(self) -> Expr:
-        """The smooth-form equivalent single left factor a·b."""
+        """The smooth-form equivalent single left factor a·b, built once per
+        term, so its reduction to one function is kept too."""
+        return self._left_total
+
+    @cached_property
+    def _left_total(self) -> Expr:
         if self.right.as_const() == 1:
             return self.left
         return Product([self.left, self.right])

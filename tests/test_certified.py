@@ -43,6 +43,19 @@ def test_float_arithmetic_covers_its_rounding():
     assert (CertifiedValue(F(1, 10)) + CertifiedValue(F(1, 5))).exact
 
 
+@given(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+)
+def test_mixed_float_and_exact_arithmetic_covers_its_rounding(x, q):
+    """A float midpoint combined with an exact rational: the result is the
+    exact rational result rounded once, so it contains it."""
+    a, b = CertifiedValue(x), CertifiedValue.from_exact(q)
+    for got, want in ((a + b, F(x) + q), (b + a, q + F(x)), (a - b, F(x) - q), (b - a, q - F(x)),
+                      (a.scaled(q), F(x) * q)):
+        assert isinstance(got.value, float) and got.contains(want)
+
+
 def test_containment():
     a = CertifiedValue(F(1, 2), F(1, 10))
     assert a.contains(F(9, 20))

@@ -452,6 +452,19 @@ def test_constant_factors_build_no_function(monkeypatch):
             fm._normalize_term(fm.FormTerm(left, f2, right))
 
 
+def test_a_term_reduces_its_factors_once(monkeypatch):
+    """Repeated exact integrals of a term with a constant right factor reduce
+    a·b to one function at most once, not once per call."""
+    rng = random.Random(9)
+    u, v = random_harmonic(2, rng), random_harmonic(1, rng)
+    form = fm.SmoothForm((fm.FormTerm(fm.Atom(u), v, fm.Const(F(2))),))
+    scale, calls = VertexFunction.scale, []
+    monkeypatch.setattr(VertexFunction, "scale", lambda self, c: calls.append(c) or scale(self, c))
+    values = {fm.integrate_edge(form, e).value for e in [OrientedEdge("01", 2)] * 3}
+    assert values == {2 * fm.integrate_edge(fm.fdg(u, v), OrientedEdge("01", 2)).value}
+    assert len(calls) <= 1
+
+
 def test_exactness_unavailable_for_products():
     """Integrals and Q of products are exact; the period and Hodge routes
     (``_normalize_term``) still refuse them."""
