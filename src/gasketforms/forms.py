@@ -487,10 +487,10 @@ def _refine_modes(T: Sequence[int], A: Sequence[Sequence[int]], k: int) -> list[
     return T
 
 
-# Work budget of the Riemann route.  A monomial with k slots (its factors and
-# g) contracts a dense kernel of 3^k integers at every cached level, and a
-# Product of Sums that do not reduce expands into the product of their
-# monomial counts; larger forms are refused before any kernel is built.
+# Work budget of the kernel routes.  A monomial with k slots (its factors and
+# g) contracts a dense kernel of 3^k integers, its exact limit or a cached
+# level, and a Product of Sums that do not reduce expands into the product of
+# their monomial counts; larger forms are refused before any kernel is built.
 _KERNEL_SLOTS_MAX = 6
 _MONOMIALS_MAX = 256
 
