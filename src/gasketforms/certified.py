@@ -38,7 +38,7 @@ class CertifiedValue:
     radius: Fraction = _ZERO
 
     def __post_init__(self):
-        if self.radius < 0:
+        if self.radius is not _ZERO and self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
     @property

@@ -90,7 +90,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("hodge", help="harmonic coefficients and skeleton primitive")
     common(p, form=True, depth=3)
-    p.add_argument("--tolerance", type=_frac, default=None)
 
     p = sub.add_parser("winding", help="winding number of a closed path")
     common(p, path=True)
@@ -146,7 +145,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "hodge":
-        hd = coh.hodge_decompose(_load_form(args.form), args.depth, tolerance=args.tolerance)
+        hd = coh.hodge_decompose(_load_form(args.form), args.depth)
         payload = hd.to_json()
         _emit(args, payload, [[w, v, r] for w, v, r in payload["entries"]])
         return 0

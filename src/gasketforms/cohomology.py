@@ -1,5 +1,5 @@
-"""Periods, the triangular period matrices, winding numbers, and the Hodge
-decomposition with its truncation tails.
+"""Periods, the triangular period matrices, winding numbers, and the exact
+Hodge decomposition.
 
 B_{rho,tau} is the integral of dz_rho around the lacuna of C_tau; it is lower
 unitriangular for the prefix order with entries in {1, -1/3, 0}, and its
@@ -7,21 +7,15 @@ inverse A solves a three-term chain recursion with entries in [0, 1].  The
 winding form of a word sigma is sum_{rho <= sigma} A_{sigma,rho} dz_rho; its
 closed-path integrals are integers that count turns around one lacuna only.
 
-The Hodge decomposition of a form with finite stored energy bounds is
-computed from its periods: k = A* c truncated at a depth, with tails bounded
-by the geometric decay of lacuna periods, and a skeleton primitive for the
-residual exact part anchored at the corner p_0.  Both run on integer counts
-over one denominator, divided once per output value: the periods over the
-table's D, each k over D·3^depth (3^|sigma|·A_{sigma,tau} is an integer),
-and the primitive over D·3^depth·W, W the common denominator of the
-skeleton tree's dz weights; a radius is the k tail times the spread of the
-point's tree path plus its hop count times the per-edge tail.
+The Hodge decomposition is exact: k = A* c over every word, and a skeleton
+primitive U of the exact part anchored at the corner p_0.  Below the data
+level the lacuna periods are geometric in each cell (det H_i = 3/25), so k
+closes in one recursion up from the table's level and U in one descent in
+word order (``hodge_decompose``), on integers over one denominator.
 
-Both are exact and read one whole-form integer side-integral table per call
-(``forms.side_integral_table``: universal, lacuna and exact parts), coarsened
-level by level: a lacuna period sums side i of the three children of its
-cell, and a skeleton edge reads its own side.  The per-word tables are
-refused past ``_TABLE_ENTRIES_MAX`` entries before any work starts.
+Both read one whole-form integer side-integral table per call, coarsened
+level by level (``_period_tables``), refused past ``_TABLE_ENTRIES_MAX``
+entries before any work starts.
 """
 
 from __future__ import annotations
@@ -53,24 +47,22 @@ from .forms import (
     side_integral_table,
 )
 from .geometry import (
-    P0,
     ElementaryPath,
     OrientedEdge,
     Point,
     Word,
-    edges_at_level,
+    cell_corners,
     is_prefix,
     lacuna_path,
     perimeter_path,
     vertex_id,
     words,
 )
-from .harmonic import IntTriple
+from .harmonic import IntTriple, VertexFunction
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 R35 = Fraction(3, 5)
-_THIRD = Fraction(1, 3)
 
 
 # Work budget of the per-word tables (periods, skeletons, dz tables of paths,
@@ -232,25 +224,28 @@ class PeriodVector:
         }
 
 
-def _period_tables(form: SmoothForm, depth: int) -> tuple[Fraction, int, list[list[int]], list[list[IntTriple]]]:
-    """(bound, D, counts, tables): ``universal_energy_bound(form)``; D times
-    the lacuna periods to the depth, counts[n] over the level-n words in word
-    order; and the whole-form side-integral table at every level
-    0..max(m, depth + 1), tables[n] at level n over D, coarsened from one
-    ``side_integral_table`` at the top."""
-    bound = universal_energy_bound(form)
-    if any(len(sigma) > depth for sigma in form.harmonic):
-        raise DepthTooSmallError("harmonic support deeper than the requested period depth")
-    top = max(_form_data_level(form), depth + 1)
-    _check_budget(3 ** min(top, 64), f"the lacuna and skeleton tables to depth {depth}")
-    D, rows = side_integral_table(form, top)
+def _levels_up(rows: list[IntTriple]) -> list[list[IntTriple]]:
+    """A per-side table of one level and its coarsenings, level 0 first."""
     tables = [rows]
     while len(rows) > 1:
         rows = _coarsen(rows)
         tables.append(rows)
-    tables.reverse()
-    counts = [[r0[0] + r1[1] + r2[2] for r0, r1, r2 in zip(T[0::3], T[1::3], T[2::3])] for T in tables[1 : depth + 2]]
-    return bound, D, counts, tables
+    return tables[::-1]
+
+
+def _period_tables(form: SmoothForm, depth: int, top: int) -> tuple[int, list[list[IntTriple]], list[list[int]]]:
+    """(D, tables, counts): the whole-form side-integral table at every level
+    0..top, tables[n] at level n over D, coarsened from one
+    ``side_integral_table`` at the top, and D times the lacuna periods of the
+    level-n words, counts[n] for n < top: the lacuna of tau is side i of its
+    child tau+i.  DepthTooSmallError when a harmonic word is longer than the
+    depth, and GasketError past ``_TABLE_ENTRIES_MAX`` cells, before any work."""
+    if any(len(sigma) > depth for sigma in form.harmonic):
+        raise DepthTooSmallError("harmonic support deeper than the requested period depth")
+    _check_budget(3 ** min(top, 64), f"the side-integral tables to level {top}")
+    D, rows = side_integral_table(form, top)
+    tables = _levels_up(rows)
+    return D, tables, [[r0[0] + r1[1] + r2[2] for r0, r1, r2 in zip(T[0::3], T[1::3], T[2::3])] for T in tables[1:]]
 
 
 def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
@@ -266,32 +261,33 @@ def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
     factors, DepthTooSmallError when a harmonic word is longer than the
     depth, and GasketError when the 3^max(m, depth + 1) cells exceed
     ``_TABLE_ENTRIES_MAX``, all before any integration."""
-    bound, D, counts, _ = _period_tables(form, depth)
-    entries = {w: CertifiedValue(Fraction(c, D)) for n, row in enumerate(counts) for w, c in zip(words(n), row)}
+    bound = universal_energy_bound(form)
+    D, _, counts = _period_tables(form, depth, max(_form_data_level(form), depth + 1))
+    entries = {w: CertifiedValue(Fraction(c, D)) for n in range(depth + 1) for w, c in zip(words(n), counts[n])}
     return PeriodVector(depth, entries, bound)
-
-
-def k_tail_bound(level_sum_bound: Fraction, depth: int) -> Fraction:
-    """Bound for sum_{|sigma| = m} |k_sigma| summed over all m > depth."""
-    # level-m sums of |k| <= sum_{j >= m} levelsum_j(c) <= (25/8)(3/5)^(m+1) C
-    return Fraction(25, 8) * R35 ** (depth + 2) * Fraction(5, 2) * level_sum_bound
-
-
-def k_level_sum_bound(level_sum_bound: Fraction, m: int) -> Fraction:
-    return Fraction(25, 8) * R35 ** (m + 1) * level_sum_bound
 
 
 @dataclass(frozen=True)
 class HodgeDecomposition:
+    """Harmonic coefficients k_sigma for |sigma| <= depth and the skeleton
+    primitive U on V_depth, both exact.  ``potential_radius``,
+    ``residual_bound`` and every radius are 0; the fields are kept for the
+    JSON and the benchmark.
+    ``beyond`` = (den, tables) carries what a path pairing adds past the
+    depth: tables[n][u][i] is den times the integral, over side i of the u-th
+    level-n cell, of the lacuna forms deeper than the depth, the sum over
+    |sigma| > depth of k_sigma dz_sigma."""
+
     depth: int
     k: dict[Word, CertifiedValue]
     potential: dict[Point, CertifiedValue]  # skeleton values on V_depth
     potential_radius: Fraction
     residual_bound: Fraction
+    beyond: tuple[int, tuple[list[IntTriple], ...]] = (1, ())
 
     def harmonic_form(self) -> SmoothForm:
-        """The depth-truncated harmonic representative sum k_sigma dz_sigma
-        (the exact midpoints; each k's radius bounds only the dropped tail)."""
+        """The harmonic representative truncated at the depth, the sum over
+        |sigma| <= depth of k_sigma dz_sigma."""
         return SmoothForm(harmonic={w: cv.value for w, cv in self.k.items() if cv.value != 0})
 
     def to_json(self) -> dict:
@@ -313,114 +309,112 @@ class HodgeDecomposition:
         }
 
 
-SkeletonStep = tuple[int, OrientedEdge, tuple[tuple[Word, int], ...]]
-SkeletonTree = tuple[tuple[Point, ...], tuple[SkeletonStep, ...], int, tuple[int, ...], tuple[int, ...]]
+def _k_at_universal_level(
+    terms: list[tuple[Fraction, VertexFunction | None, VertexFunction]],
+) -> tuple[int, int, list[int]]:
+    """(mu, den, counts) for the normalized universal terms c F dg: mu their
+    data level, and den times their k_rho = (2/25) sum of c det[1; F(rho);
+    g(rho)] for the level-mu words in word order (F and g are harmonic there
+    and det H_i = 3/25, so the periods below rho are geometric)."""
+    terms = [(c, F, g) for c, F, g in terms if c and F is not None]
+    mu = max((max(F.level, g.level) for _, F, g in terms), default=0)
+    scaled = []
+    for c, F, g in terms:
+        (Df, tf), (Dg, tg) = F.int_triples(mu), g.int_triples(mu)
+        dets = [
+            f1 * g2 - f2 * g1 + f2 * g0 - f0 * g2 + f0 * g1 - f1 * g0
+            for (f0, f1, f2), (g0, g1, g2) in zip(tf, tg)
+        ]
+        scaled.append((Fraction(2, 25) * c / (Df * Dg), dets))
+    den = math.lcm(*(s.denominator for s, _ in scaled))
+    counts = [0] * 3**mu
+    for s, dets in scaled:
+        w = s.numerator * (den // s.denominator)
+        counts = [x + w * y for x, y in zip(counts, dets)]
+    return mu, den, counts
 
 
-@lru_cache(maxsize=None)
-def _skeleton_tree(depth: int) -> SkeletonTree:
-    """(points, steps, W, spreads, hops): the deterministic breadth-first tree
-    of the level-``depth`` skeleton from p_0, frontiers and the neighbours of
-    each point visited in ``vertex_id`` order.  The points are in visiting
-    order; the step that reaches point i + 1 is (parent index, edge from the
-    parent, weights), the weights (tau, W times the integral of dz_tau over
-    the edge) for every tau that does not vanish on it: the prefixes of its
-    cell (``_prefix_dz``) and the cell itself, -1/3.  W is the least common
-    denominator of all the weights, spreads[i] is W times the sum of the
-    absolute weights along the tree path from p_0 to point i, and hops[i] is
-    the number of edges on that path."""
-    adjacency: dict[Point, list[tuple[Point, OrientedEdge]]] = {}
-    for e in edges_at_level(depth):
-        adjacency.setdefault(e.source, []).append((e.target, e))
-        adjacency.setdefault(e.target, []).append((e.source, e.reversed()))
-    index = {P0: 0}
-    reached: list[tuple[int, OrientedEdge, tuple[tuple[Word, Fraction], ...]]] = []
-    frontier = [P0]
-    while frontier:
-        nxt: list[Point] = []
-        for p in sorted(frontier, key=vertex_id):
-            for q, e in sorted(adjacency[p], key=lambda t: vertex_id(t[0])):
-                if q in index:
-                    continue
-                index[q] = len(index)
-                reached.append((index[p], e, _prefix_dz(e.cell, e.side) + ((e.cell, -_THIRD),)))
-                nxt.append(q)
-        frontier = nxt
-    W = math.lcm(*(w.denominator for _, _, weights in reached for _, w in weights))
-    steps: list[SkeletonStep] = []
-    spreads, hops = [0], [0]
-    for parent, e, weights in reached:
-        ints = tuple((tau, e.sign * w.numerator * (W // w.denominator)) for tau, w in weights)
-        steps.append((parent, e, ints))
-        spreads.append(spreads[parent] + sum(abs(w) for _, w in ints))
-        hops.append(hops[parent] + 1)
-    return tuple(index), tuple(steps), W, tuple(spreads), tuple(hops)
+def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
+    """Split the form into its harmonic coefficients k = A* c and a skeleton
+    primitive U of the exact part, both exact.
 
+    S(tau, a) sums k over the words tau + r whose r avoids the letter a.  At
+    level top = max(m, depth), m the data level, k is the universal part's
+    (``_k_at_universal_level``, times 3/25 per level below mu) and
+    S = (25/19)·k.  Going up, B* k = c gives k_tau = c_tau + (1/3)·sum_a
+    S(tau+a, a) and S(tau, a) = k_tau + sum over b != a of S(tau+b, a).
 
-def hodge_decompose(
-    form: SmoothForm,
-    depth: int,
-    tolerance: Fraction | None = None,
-) -> HodgeDecomposition:
-    """Split the form into harmonic coefficients (period route, k = A* c
-    truncated at the depth) and a skeleton primitive for the exact part.
+    Over side i of tau, sum k_sigma dz_sigma integrates to Phi(t) - Phi(s)
+    - S(tau, i)/3, Phi the dz potentials of tau's proper prefixes weighted
+    by their k, so every residual is exact and U descends in word order from
+    U(p_0) = 0: a child's corners are its parent's corner plus the residuals
+    of the two child sides through it.  All are integers over K (k),
+    6·5^n·K (Phi on level n) and 6·5^depth·K (U), divided once per value.
 
-    The period counts and the skeleton edge integrals come from one
-    whole-form integer side-integral table (``_period_tables``).  The
-    primitive is anchored at U(p_0) = 0 and summed along the breadth-first
-    tree of the level-``depth`` skeleton (``_skeleton_tree``, built once per
-    depth) in one linear sweep; k, values and radii are integers over one
-    denominator each (see the module docstring), divided once per value.
-
-    The work budget charges 3^(depth + 1)·(depth + 1) against
-    ``_TABLE_ENTRIES_MAX``: the prefix work of k = A* c over the periods and
-    of the residuals over the 3^(depth + 1) skeleton edges, each of which
-    reads up to depth + 1 prefixes.  Past it GasketError is raised before any
-    work; the table then checks its own budget.
+    The budget charges 3^(depth + 1)·(depth + 1) before any work; products
+    of two non-constant factors (ExactnessUnavailableError) and harmonic
+    words longer than the depth (DepthTooSmallError) are refused before any
+    table.
     """
     _check_budget(3 ** min(depth + 1, 64) * (depth + 1), f"the Hodge decomposition to depth {depth}")
-    bound, D, counts, tables = _period_tables(form, depth)
-    ktail = k_tail_bound(bound, depth)
-    if tolerance is not None and ktail > tolerance:
-        raise DepthTooSmallError(
-            f"k-tail bound {float(ktail):.3g} exceeds tolerance at depth {depth}"
-        )
-    # k_tau = sum of A_{sigma,tau} c_sigma over the words sigma that tau
-    # prefixes, as integers over D·3^depth (3^|sigma|·A_{sigma,tau} is one)
-    kint = {w: 0 for n in range(depth + 1) for w in words(n)}
-    for n, row in enumerate(counts):
-        p3 = 3**n
-        for sigma, c in zip(words(n), row):
-            if c:
-                c *= 3 ** (depth - n)
-                for j in range(n + 1):
-                    a = a_entry(sigma, sigma[:j])
-                    kint[sigma[:j]] += a.numerator * (p3 // a.denominator) * c
-    kden = D * 3**depth
-    k = {tau: CertifiedValue(Fraction(v, kden), ktail) for tau, v in kint.items()}
+    terms = _normalized_terms(form)
+    top = max(_form_data_level(form), depth)
+    D, tables, counts = _period_tables(form, depth, top)
+    mu, kden, kdet = _k_at_universal_level(terms)
+    below = top - mu
+    K = math.lcm(D, 19 * kden * 25**below) * 3**top
+    # level top: k = 19x and S = 25x over K, x read off the level-mu ancestor
+    unit = 3**below * (K // (19 * kden * 25**below))
+    x = [v * unit for v in kdet for _ in range(3**below)]
+    kints, sums = [[19 * v for v in x]], [[(25 * v,) * 3 for v in x]]
+    cscale = K // D
+    for n in range(top - 1, -1, -1):
+        ks, ss = [], []
+        for c, A, B, C in zip(counts[n], *(sums[0][b::3] for b in range(3))):
+            kv = c * cscale + (A[0] + B[1] + C[2]) // 3
+            ks.append(kv)
+            ss.append((kv + B[0] + C[0], kv + A[1] + C[1], kv + A[2] + B[2]))
+        kints.insert(0, ks)
+        sums.insert(0, ss)
 
-    # residual edge integrals d U_E(e) = int_e (omega - omega_H): the dropped
-    # dz terms contribute at most sum_{m > depth} levelsum_m(k) * 1/3
-    edge_dz_tail = Fraction(125, 48) * R35 ** (depth + 2) * bound
-    rows = tables[depth]
-    points, steps, W, spreads, hops = _skeleton_tree(depth)
-    scale = 3**depth * W
-    values = [0]
-    for parent, e, weights in steps:
-        value = e.sign * rows[int(e.cell or "0", 3)][e.side] * scale
-        for tau, w in weights:
-            value -= kint[tau] * w
-        values.append(values[parent] + value)
-    # ktail·spread/W + hops·edge_dz_tail, as integers over rden
-    rden = ktail.denominator * W * edge_dz_tail.denominator
-    per_spread = ktail.numerator * edge_dz_tail.denominator
-    per_hop = edge_dz_tail.numerator * ktail.denominator * W
-    radii = [per_spread * s + per_hop * h for s, h in zip(spreads, hops)]
-    potential = {
-        p: CertifiedValue(Fraction(v, kden * W), Fraction(r, rden)) for p, v, r in zip(points, values, radii)
-    }
-    pot_radius = Fraction(max(radii), rden)
-    return HodgeDecomposition(depth, k, potential, pot_radius, ktail + pot_radius)
+    # residual of side i at level n, over 6·5^depth·K:
+    # table·6·5^depth·K/D - 5^(depth - n)·(Phi(t) - Phi(s)) + 2·5^depth·S
+    tscale, sscale = cscale * 6 * 5**depth, 2 * 5**depth
+    T0, S0 = tables[0][0], sums[0][0]
+    cells = [((0, 0, 0), (0, T0[2] * -tscale - sscale * S0[2], T0[1] * tscale + sscale * S0[1]))]
+    for n in range(depth):
+        step, k5 = 5 ** (depth - n - 1), 5 ** (n + 1)
+        T, S, kn = tables[n + 1], sums[n + 1], kints[n]
+        children = []
+        for u, ((a0, a1, a2), U) in enumerate(cells):
+            # Phi on child b is 5·H_b applied to Phi plus k_tau·zeta_b, which
+            # over 6·5^(n+1)·K is kz at corner b + 1 and -kz at corner b + 2
+            kz = kn[u] * k5
+            s = a0 + a1 + a2
+            x01, x02, x12 = s + a0 + a1, s + a0 + a2, s + a1 + a2
+            phis = ((5 * a0, x01 + kz, x02 - kz), (x01 - kz, 5 * a1, x12 + kz), (x02 + kz, x12 - kz, 5 * a2))
+            rows = zip(((0, 1, 2), (1, 2, 0), (2, 0, 1)), phis, T[3 * u : 3 * u + 3], S[3 * u : 3 * u + 3])
+            for (b, i, j), f, t, sv in rows:
+                # side i runs from corner b to corner j, side j from corner i to corner b
+                ri = t[i] * tscale - step * (f[j] - f[b]) + sscale * sv[i]
+                rj = t[j] * tscale - step * (f[b] - f[i]) + sscale * sv[j]
+                corners = [0, 0, 0]
+                corners[b], corners[i], corners[j] = U[b], U[b] - rj, U[b] + ri
+                children.append((f, corners))
+        cells = children
+    uden = 6 * 5**depth * K
+    # corner j of the cell tau+a+j...j is also corner a of tau+j+a...a, which
+    # comes first in word order when j < a; corner j of j...j is a corner of V_0
+    potential: dict[Point, CertifiedValue] = {}
+    for w, (_, U) in zip(words(depth), cells):
+        for j, p, value in zip("012", cell_corners(w), U):
+            if w.rstrip(j)[-1:] < j:
+                potential[p] = CertifiedValue(Fraction(value, uden))
+
+    k = {w: CertifiedValue(Fraction(v, K)) for n in range(depth + 1) for w, v in zip(words(n), kints[n])}
+    # past the depth: side i of rho carries -(1/3)(S(rho, i) - k_rho), over 3K
+    beyond = _levels_up([(kv - s0, kv - s1, kv - s2) for kv, (s0, s1, s2) in zip(kints[depth], sums[depth])])
+    return HodgeDecomposition(depth, k, potential, F0, F0, (3 * K, tuple(beyond)))
 
 
 def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> CertifiedValue:

@@ -12,7 +12,10 @@ table, built in a single pass over the path's edges as integer counts over
 one denominator (``_dz_counts``; ``dz_path_integrals`` divides them);
 effective lengths (its N' norm), homology classes (A applied to it) and
 potential differences (its pairing with the harmonic coefficients) all read
-that table and divide once per result.
+that table and divide once per result.  Potential differences are exact:
+the skeleton primitive's variation, the pairing with the exact k up to the
+depth, and the lacuna forms past the depth, which the Hodge decomposition
+carries per cell and side.
 
 Points of the covering are never materialized: homology classes are integer
 coordinate vectors over lacuna generators (winding numbers), the deck-group
@@ -38,8 +41,6 @@ from .cohomology import (
     b_rule,
     b_thirds,
     hodge_decompose,
-    k_level_sum_bound,
-    universal_energy_bound,
 )
 from .errors import (
     DepthTooSmallError,
@@ -369,17 +370,18 @@ def potential_difference(
     depth: int,
     decomposition: Optional[HodgeDecomposition] = None,
 ) -> CertifiedValue:
-    """Integral of the form along the path through its covering potential:
-    the variation of the skeleton primitive plus the truncated series
-    sum_sigma k_sigma * (integral of dz_sigma along the path), summed exactly
-    over the integer dz counts (radii r_sigma * |count|) and divided once."""
+    """Integral of the form along the path through its covering potential,
+    exactly: the skeleton primitive's variation, plus sum over |sigma| <=
+    depth of k_sigma times the path's integer dz count (radii r_sigma·|count|),
+    plus the lacuna forms past the depth, one ``beyond`` entry per edge."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
     if decomposition is not None and decomposition.depth != depth:
         raise DepthTooSmallError(
             f"decomposition has depth {decomposition.depth}, not the requested {depth}"
         )
-    den, counts = _dz_counts(list(path), depth)
+    edges = list(path)
+    den, counts = _dz_counts(edges, depth)
     dec = decomposition if decomposition is not None else hodge_decompose(form, depth)
     value, radius = F0, F0
     for sigma, c in counts.items():
@@ -387,11 +389,7 @@ def potential_difference(
         if c and kcv is not None:
             value += kcv.value * c
             radius += kcv.radius * abs(c)
-    total = dec.potential[path.target] - dec.potential[path.source] + CertifiedValue(value / den, radius / den)
-    # dropped dz terms pair against the per-level sup of the path integrals
-    cbound = universal_energy_bound(form)
-    per_level_sup = len(path.edges) * Fraction(1, 3)
-    tail = F0
-    if cbound != 0:
-        tail = k_level_sum_bound(cbound, depth + 1) * Fraction(5, 2) * per_level_sup
-    return CertifiedValue(total.value, total.radius + tail)
+    bden, tables = dec.beyond
+    past = sum(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side] for e in edges) if tables else 0
+    total = dec.potential[path.target] - dec.potential[path.source]
+    return total + CertifiedValue(value / den + Fraction(past, bden), radius / den)

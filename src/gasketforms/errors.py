@@ -32,7 +32,7 @@ class NonIntegerResultError(GasketError):
 
 
 class DepthTooSmallError(GasketError):
-    """Truncation depth leaves a tail bound above the requested tolerance."""
+    """A requested depth is below what the input needs."""
 
 
 class UnboundedTailError(GasketError):

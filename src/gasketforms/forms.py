@@ -690,15 +690,18 @@ def _form_data_level(form: SmoothForm) -> int:
     return m
 
 
+DzTable = tuple[int, tuple[IntTriple, ...], tuple[IntTriple, ...]]
+
+
 @lru_cache(maxsize=None)
-def _dz_table(i: int, depth: int) -> tuple[int, tuple[IntTriple, ...]]:
-    """(den, integer corner values) of the dz potential on the level-depth
-    sub-cells of the cell sigma+i, in word order."""
+def _dz_table(i: int, depth: int) -> DzTable:
+    """(den, integer corner values, their ``_differences``) of the dz
+    potential on the level-depth sub-cells of the cell sigma+i, in word order."""
     den, table = VertexFunction.from_boundary(*dz_cell_triple(i)).int_triples(depth)
-    return den, tuple(table)
+    return den, tuple(table), tuple(_differences(table))
 
 
-def _dz_cells(sigma: Word, level: int) -> list[tuple[int, tuple[int, tuple[IntTriple, ...]]]]:
+def _dz_cells(sigma: Word, level: int) -> list[tuple[int, DzTable]]:
     """(index of its first level-``level`` cell, ``_dz_table``) for each child
     sigma+i of C_sigma: the dz_sigma potential on the cells inside it."""
     depth = level - len(sigma) - 1
@@ -751,16 +754,17 @@ def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[IntTrip
         columns.append((c / (Df * Dg * Dk), 0, rows))
     for sigma, k in form.harmonic.items():
         if k:
-            columns += [(k / den, start, _differences(t)) for start, (den, t) in _dz_cells(sigma, level)]
+            columns += [(k / den, start, diffs) for start, (den, _, diffs) in _dz_cells(sigma, level)]
     D = math.lcm(*(scale.denominator for scale, _, _ in columns))
-    out = [(0, 0, 0)] * 3**level
+    # one integer list per side, each column added into it in place
+    out0, out1, out2 = [0] * 3**level, [0] * 3**level, [0] * 3**level
     for scale, start, rows in columns:
         m = scale.numerator * (D // scale.denominator)
-        stop = start + len(rows)
-        out[start:stop] = [
-            (r0 + m * a, r1 + m * b, r2 + m * c) for (r0, r1, r2), (a, b, c) in zip(out[start:stop], rows)
-        ]
-    return D, out
+        for u, (a, b, c) in enumerate(rows, start):
+            out0[u] += m * a
+            out1[u] += m * b
+            out2[u] += m * c
+    return D, list(zip(out0, out1, out2))
 
 
 def _coarsen(rows: list[IntTriple]) -> list[IntTriple]:
@@ -981,8 +985,8 @@ def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
             add(c, [f.int_triples(m) for f in left] + [g])
     for sigma, k in form.harmonic.items():
         if k:
-            for start, table in _dz_cells(sigma, m):
-                add(k, [table], start)
+            for start, (den, table, _) in _dz_cells(sigma, m):
+                add(k, [(den, table)], start)
     if form.exact is not None:
         add(F1, [form.exact.int_triples(m)])
     return cells

@@ -6,6 +6,8 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import pytest
+
 from gasketforms import cli
 from gasketforms import forms as fm
 from gasketforms.geometry import lacuna_path, path_to_json
@@ -90,7 +92,20 @@ def test_hodge_and_potential(tmp_path, capsys):
     pj = json.dumps(path_to_json(lacuna_path("")))
     code, out = run_cli(capsys, "potential", "--form", form, "--path", pj, "--depth", "2")
     assert code == 0
-    assert "value" in json.loads(out)
+    payload = json.loads(out)
+    assert payload["value"] == "32/475" and payload["radius"] == 0.0  # the lacuna period of f0 df1, exactly
+
+
+def test_hodge_is_exact_and_takes_no_tolerance(capsys):
+    form = json.dumps(fm.fdg(f0, f1).to_json())
+    code, out = run_cli(capsys, "hodge", "--form", form, "--depth", "2")
+    payload = json.loads(out)
+    assert code == 0 and payload["residual"] == 0.0 and payload["U_E"]["radius"] == 0.0
+    assert all(r == 0.0 for _, _, r in payload["entries"])
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["hodge", "--form", form, "--depth", "2", "--tolerance", "1e-6"])
+    assert refused.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_render_svg_count(tmp_path, capsys):

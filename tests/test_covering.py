@@ -21,6 +21,7 @@ from gasketforms.geometry import (
     edges_at_level,
     lacuna_path,
     perimeter_path,
+    subdivide,
     validate_path,
     vertex_id,
     words,
@@ -173,6 +174,11 @@ def test_potential_difference_matches_direct_integration():
 
 
 def test_potential_difference_affine_on_closed_paths():
+    """On a closed path the primitive drops out: the potential difference is
+    the k pairing with the deck homomorphisms of the path's class, plus the
+    lacuna forms past the depth, which give -(2/19)·k on each level-depth
+    sub-edge's cell (S - k = (6/19)·k at and below the data level), and it
+    equals the path integral."""
     w = fm.fdg(f0, f1)
     depth = 3
     hd = coh.hodge_decompose(w, depth)
@@ -180,8 +186,11 @@ def test_potential_difference_affine_on_closed_paths():
     pd = cov.potential_difference(w, path, depth, decomposition=hd)
     g = cov.homology_class(path, depth + 1)
     pairing = sum((kcv.value * cov.phi_hom(s, g) for s, kcv in hd.k.items()), F(0))
-    budget = pd.radius + sum((kcv.radius for kcv in hd.k.values()), F(0))
-    assert abs(pd.value - pairing) <= budget
+    past = sum(
+        (-e.sign * F(2, 19) * hd.k[sub.cell].value for e in path for sub in subdivide(e, depth)),
+        F(0),
+    )
+    assert pd.exact and pd.value == pairing + past == fm.integrate_path(w, path).value
 
 
 def test_hnorm_divergence_partial_sums():
@@ -335,23 +344,28 @@ def test_homology_class_of_open_path_is_refused(path, depth):
 @settings(max_examples=25)
 @given(walks(), st.integers(0, 8), st.booleans(), st.randoms(use_true_random=False))
 def test_potential_difference_matches_per_word_sum(path, depth, exact, rng):
-    # the radius is the potentials' radii + sum r_sigma |int dz_sigma| + the
-    # k tail, which vanishes for an exact form
+    # the value is U(t) - U(s) + sum k_sigma int dz_sigma + the lacuna forms
+    # past the depth, read per edge from the decomposition's tables; the
+    # radius is the potentials' radii + sum r_sigma |int dz_sigma|, no tail
     depth = max(depth, max(e.level for e in path))
-    radius = (lambda: F(0)) if exact else (lambda: F(rng.randint(0, 9), rng.randint(1, 99)))
+    radius = (lambda: F(0)) if exact else (lambda: F(rng.randint(1, 9), rng.randint(1, 99)))
     k = {w: CertifiedValue(F(rng.randint(-9, 9), rng.randint(1, 9)), radius()) for w in _words_to(depth)}
     potential = {p: CertifiedValue(F(rng.randint(-9, 9)), radius()) for p in (path.source, path.target)}
-    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0))
-    form = fm.d(f1) if exact else fm.fdg(f0, f1)
-    pd = cov.potential_difference(form, path, depth, decomposition=dec)
+    den = rng.randint(1, 99)
+    tables = tuple(
+        [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3**n)] if n <= 4 else [(0, 0, 0)] * 3**n
+        for n in range(depth + 1)
+    )
+    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0), (den, tables))
+    pd = cov.potential_difference(fm.fdg(f0, f1), path, depth, decomposition=dec)
     dz = {w: fm.dz_integral_path(w, path) for w in k}
+    past = sum((F(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side], den) for e in path), F(0))
     expected = potential[path.target].value - potential[path.source].value + sum(
         (kcv.value * dz[w] for w, kcv in k.items()), F(0)
     )
-    tail = coh.k_level_sum_bound(coh.universal_energy_bound(form), depth + 1) * F(5, 2) * len(path.edges) * F(1, 3)
     radii = potential[path.target].radius + potential[path.source].radius
-    assert pd.value == expected
-    assert pd.radius == radii + sum((kcv.radius * abs(dz[w]) for w, kcv in k.items()), F(0)) + tail
+    assert pd.value == expected + past
+    assert pd.radius == radii + sum((kcv.radius * abs(dz[w]) for w, kcv in k.items()), F(0))
     assert pd.exact == exact
 
 

@@ -15,6 +15,10 @@
   time.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch.
+* The Hodge decomposition and the covering potentials are exact: the
+  energy bound of the truncation tails, ``universal_energy_bound``, is
+  called only by ``periods_up_to`` (for ``PeriodVector.level_sum_bound``)
+  and by ``perimeter_identity_check``, so no tail comes back into them.
 """
 
 from __future__ import annotations
@@ -120,6 +124,18 @@ def test_no_per_edge_integration_over_a_level(path):
             continue
         stray += [n.lineno for b in bodies for n in ast.walk(b) if _called_name(n) in per_edge]
     assert stray == []
+
+
+def test_energy_bound_is_called_only_by_the_period_routes():
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                sites += [
+                    (path.name, fn.name) for n in ast.walk(fn) if _called_name(n) == "universal_energy_bound"
+                ]
+    assert sorted(sites) == [("cohomology.py", "perimeter_identity_check"), ("cohomology.py", "periods_up_to")]
 
 
 def test_bench_trace_targets_resolve():
