@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import cohomology as coh
 from . import covering as cov
@@ -53,10 +52,6 @@ def _emit(args, payload: dict, csv_rows=None):
         print(text)
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gasketforms",
@@ -82,8 +77,6 @@ def main(argv=None) -> int:
     common(p, form=True, path=True)
     p.add_argument("--mode", choices=["exact", "certified"], default="exact",
                    help="exact rationals, or certified: the exact value rounded once to a float ± half an ulp")
-    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9),
-                   help="not read: a certified radius is half an ulp per edge plus the rounding of the sum")
 
     p = sub.add_parser("periods", help="lacuna periods up to a depth")
     common(p, form=True, depth=3)
@@ -106,7 +99,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the identity-verification suite")
     common(p, depth=3)
-    p.add_argument("--tolerance", type=_frac, default=Fraction(1, 10**9), help="not read by any check")
 
     p = sub.add_parser("render", help="SVG of a gasket approximation")
     p.add_argument("--level", type=int, required=True)
@@ -133,8 +125,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "integrate":
-        cv = fm.integrate_path(_load_form(args.form), _load_path(args.path),
-                               mode=args.mode, tolerance=args.tolerance)
+        cv = fm.integrate_path(_load_form(args.form), _load_path(args.path), mode=args.mode)
         _emit(args, cv.to_json(), [["value", cv.value, float(cv.radius)]])
         return 0
 
@@ -172,7 +163,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        report = run_suite(depth=args.depth, tolerance=args.tolerance)
+        report = run_suite(depth=args.depth)
         rows = [[s["criterion"], s["name"], s["status"], s["expected"], s["got"], s["radius"]]
                 for s in report["suite"]]
         _emit(args, report, rows)

@@ -102,12 +102,11 @@ def b_entry(rho: Word, tau: Word) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def a_entry(sigma: Word, tau: Word, strict: bool = True) -> Fraction:
-    """Entry of A = B^-1 on the prefix chain of sigma."""
+def a_entry(sigma: Word, tau: Word) -> Fraction:
+    """Entry of A = B^-1 on the prefix chain of sigma; NotComparableError
+    when tau is not a prefix of sigma."""
     if not is_prefix(tau, sigma):
-        if strict:
-            raise NotComparableError(f"{tau!r} is not a prefix of {sigma!r}")
-        return F0
+        raise NotComparableError(f"{tau!r} is not a prefix of {sigma!r}")
     if tau == sigma:
         return F1
     acc = F0
@@ -131,7 +130,7 @@ class TriangularKernel:
         """(B, A) restricted to the chain of prefixes of sigma."""
         chain = [sigma[:j] for j in range(len(sigma) + 1)]
         B = [[self.b(r, t) for t in chain] for r in chain]
-        A = [[a_entry(r, t, strict=False) for t in chain] for r in chain]
+        A = [[a_entry(r, t) if is_prefix(t, r) else F0 for t in chain] for r in chain]
         return chain, B, A
 
 

@@ -223,24 +223,23 @@ def effective_length(path: ElementaryPath, depth: int = 8) -> CertifiedValue:
     return CertifiedValue(finite + tail_total / 2, tail_total / 2)
 
 
-def hnorm_divergence(e: OrientedEdge, levels: int, check_to: int = 10) -> list[Fraction]:
+def hnorm_divergence(e: OrientedEdge, levels: int) -> list[Fraction]:
     """Partial sums of the squared Hilbert-norm effective length of an edge:
     (6/5) sum_{n <= L} (3/5)^n sum_{|sigma| = n} |int_e dz_sigma|^2.
 
-    Per-level squared sums are read from the edge's dz table up to
-    ``check_to`` levels above the edge and continued with the branching
-    count 2^(n - level) / 9 (one word per avoid-letter string, each integral
-    1/3) that those levels verify.
+    Below the edge level n0 only the prefix words of the edge's cell meet
+    it, read from its dz table; from n0 on the level sum is exactly
+    2^(n - n0) / 9: one word per string avoiding the side letter, each
+    integral -sign/3 (``dz_integral_edge``).
     """
     n0 = e.level
-    top = min(levels, n0 + check_to)
-    level_sq = [F0] * (top + 1)
-    for w, v in dz_path_integrals([e], top).items():
+    level_sq = [F0] * n0
+    for w, v in dz_path_integrals([e], min(levels, n0 - 1)).items():
         level_sq[len(w)] += v * v
     partial = F0
     out = []
     for n in range(levels + 1):
-        partial += R35**n * (level_sq[n] if n <= top else Fraction(2 ** (n - n0), 9))
+        partial += R35**n * (level_sq[n] if n < n0 else Fraction(2 ** (n - n0), 9))
         out.append(Fraction(6, 5) * partial)
     return out
 
@@ -317,7 +316,7 @@ def _phi_sup_at_level(g: HomologyElement, k: int) -> int:
     )
 
 
-def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedValue:
+def group_length(g: HomologyElement) -> CertifiedValue:
     """N' of the sequence phi_sigma(g): the deck-group length of g.
 
     Exact: per-level sups are enumerated through the class support and the
@@ -330,8 +329,7 @@ def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedVa
         return CertifiedValue.from_exact(0)
     total = F0
     # levels covered by direct enumeration
-    direct_to = L if depth is None else max(L, min(depth, L + 3))
-    for k in range(direct_to + 1):
+    for k in range(L + 1):
         total += R35**k * _phi_sup_at_level(g, k)
 
     # beyond the support: 3 phi = -(sum of coordinates of the surviving
@@ -353,7 +351,7 @@ def group_length(g: HomologyElement, depth: Optional[int] = None) -> CertifiedVa
             for used in itertools.combinations("012", r)
         )
 
-    for k in range(direct_to + 1, L + 4):
+    for k in range(L + 1, L + 4):
         total += R35**k * sup_with_tail_length(k - L - 1)
     stable = sup_with_tail_length(3)
     total += stable * R35 ** (L + 4) * Fraction(5, 2)

@@ -611,67 +611,34 @@ def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _int_edge_kernels() -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(Dk, kernels): Dk·edge_kernel(i) for the sides i = 0, 1, 2 over
-    integers, each flattened row by row to pair with the outer product of two
-    corner triples; Dk is the least common denominator of their entries."""
-    limits = [_kernel_limit(riemann_kernel, (i, 1, 0), Fraction(1, 25)) for i in range(3)]
-    Dk = math.lcm(*(den for den, _ in limits))
-    return Dk, tuple(tuple(x * (Dk // den) for x in K) for den, K in limits)
+def _int_side_limits(p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, kernels): D times the exact kernel of L_1⋯L_p·dg over the sides
+    i = 0, 1, 2, the limits of ``riemann_kernel(i, p, 0, n)`` / 5^((p+1)·n)
+    over integers, flat over the slots L_1..L_p, g; D is the least common
+    denominator of the three.  p = 1 gives D·``edge_kernel(i)``."""
+    rho = Fraction(1, 5 ** (p + 1))
+    limits = [_kernel_limit(riemann_kernel, (i, p, 0), rho) for i in range(3)]
+    D = math.lcm(*(den for den, _ in limits))
+    return D, tuple(tuple(x * (D // den) for x in K) for den, K in limits)
 
 
 # ---------------------------------------------------------------------------
 # exact integration
 # ---------------------------------------------------------------------------
 
-def _normalize_term(term: FormTerm) -> tuple[Fraction, VertexFunction | None, VertexFunction]:
-    """(coefficient, left factor as a single function or None for 1, g).
-
-    Moving the right factor to the left is harmless here: the two universal
-    representatives integrate identically on every edge.
-    """
-    lc = term.left.as_const()
-    rc = term.right.as_const()
-    if lc is not None and rc is not None:
-        return lc * rc, None, term.g
-    # a constant factor always reduces to a function: only the others can refuse
-    lv = term.left.as_vf() if lc is None else None
-    rv = term.right.as_vf() if rc is None else None
-    if (lc is None and lv is None) or (rc is None and rv is None):
-        raise ExactnessUnavailableError("term factor is not piecewise-harmonic")
-    if rc is not None:
-        return rc, lv, term.g
-    if lc is not None:
-        return lc, rv, term.g
-    raise ExactnessUnavailableError("product of two non-constant factors")
-
-
 def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction | None, VertexFunction]]:
-    return [_normalize_term(t) for t in form.terms]
-
-
-def integrate_term_exact(
-    coeff: Fraction, F: VertexFunction | None, g: VertexFunction, e: OrientedEdge
-) -> Fraction:
-    """Exact integral of coeff·F dg (F None for 1) over one oriented edge: the
-    integer kernel contracted with the integer corner triples (``int_triple``)
-    of every sub-edge at the data level.  The sub-edges share one level, so
-    their counts share one denominator and their sum is divided once."""
-    if coeff == 0:
-        return F0
-    m = max(g.level, F.level if F is not None else 0)
-    total = 0
-    for sub in subdivide(e, max(m, e.level)):
-        den, tg = g.int_triple(sub.cell)
-        i = sub.side
-        if F is None:
-            total += sub.sign * (tg[(i + 1) % 3] - tg[(i + 2) % 3])
-        else:
-            Dk, kernels = _int_edge_kernels()
-            Df, tf = F.int_triple(sub.cell)
-            total += sub.sign * sum(map(operator.mul, kernels[i], [x * y for x in tf for y in tg]))
-            den *= Df * Dk
-    return coeff * Fraction(total, den)
+    """(coefficient, left factor as a single function or None for 1, g), one
+    per monomial of each term's a·b (``_monomials`` of ``left_total``; moving
+    the right factors left integrates the same on every edge).  A monomial of
+    two or more factors raises ExactnessUnavailableError: the period and
+    Hodge routes take at most one left factor."""
+    out = []
+    for t in form.terms:
+        for c, left in _monomials(t.left_total()):
+            if len(left) > 1:
+                raise ExactnessUnavailableError("product of two non-constant factors")
+            out.append((c, left[0] if left else None, t.g))
+    return out
 
 
 def _universal_level(form: SmoothForm) -> int:
@@ -742,7 +709,7 @@ def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[IntTrip
         Df, tf = walks[id(F)]
         # each side's kernel K paired with (f, g) as sum over j, k of K[3j + k]·f_j·g_k
         Dk, ((p0, p1, p2, p3, p4, p5, p6, p7, p8), (q0, q1, q2, q3, q4, q5, q6, q7, q8),
-             (r0, r1, r2, r3, r4, r5, r6, r7, r8)) = _int_edge_kernels()
+             (r0, r1, r2, r3, r4, r5, r6, r7, r8)) = _int_side_limits(1)
         rows = [
             (
                 f0 * (p0 * g0 + p1 * g1 + p2 * g2) + f1 * (p3 * g0 + p4 * g1 + p5 * g2) + f2 * (p6 * g0 + p7 * g1 + p8 * g2),
@@ -815,19 +782,19 @@ def _monomial_riemann(
 
 
 def _monomial_exact(left: Sequence[VertexFunction], g: VertexFunction, e: OrientedEdge) -> Fraction:
-    """Exact integral of L_1⋯L_p·dg over one oriented edge (p >= 2): the
-    limit of the Riemann kernels, ``_kernel_limit`` of the (p, 0) kernels at
-    rho 5^-(p+1), contracted like ``_monomial_riemann`` on every sub-edge of
-    e at the data level."""
+    """Exact integral of L_1⋯L_p·dg over one oriented edge, the one per-edge
+    exact route for every p: the side limits ``_int_side_limits(p)``
+    contracted like ``_monomial_riemann`` on every sub-edge of e at the data
+    level.  The sub-edges share one level, so their counts share one
+    denominator and their sum is divided once."""
     slots = (*left, g)
     m = max(e.level, *(f.level for f in slots))
-    rho = Fraction(1, 5 ** len(slots))
-    total = F0
+    D, kernels = _int_side_limits(len(left))
+    total = den = 0
     for sub in subdivide(e, m):
-        kden, K = _kernel_limit(riemann_kernel, (sub.side, len(left), 0), rho)
-        value, den = _contract(K, slots, sub.cell)
-        total += Fraction(sub.sign * value, den * kden)
-    return total
+        value, den = _contract(kernels[sub.side], slots, sub.cell)
+        total += sub.sign * value
+    return Fraction(total, den * D)
 
 
 def _monomials(expr: Expr) -> list[tuple[Fraction, tuple[VertexFunction, ...]]]:
@@ -868,21 +835,14 @@ def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
 def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
     """The universal part's exact integral over one edge.  Each term's a·b
     (``left_total``: the right factors move left, which integrates the same
-    on every edge) is expanded into monomials (``_monomials``); one with at
-    most one factor takes ``integrate_term_exact``, a product the kernel
-    limit of its shape (``_monomial_exact``).  Every monomial is checked
-    against the slot budget before any kernel is built."""
+    on every edge) is expanded into monomials (``_monomials``), each
+    integrated by ``_monomial_exact``.  Every monomial is checked against
+    the slot budget before any kernel is built."""
     monos = [(c, left, t.g) for t in form.terms for c, left in _monomials(t.left_total())]
     slots = max((len(left) + 1 for _, left, _ in monos), default=0)
     if slots > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Riemann kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-    total = F0
-    for c, left, g in monos:
-        if len(left) <= 1:
-            total += integrate_term_exact(c, left[0] if left else None, g, e)
-        else:
-            total += c * _monomial_exact(left, g, e)
-    return total
+    return sum((c * _monomial_exact(left, g, e) for c, left, g in monos), F0)
 
 
 def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
@@ -931,17 +891,11 @@ def integrate_edge(
     return _valued(fixed + _integrate_universal_exact(form, e), mode)
 
 
-def integrate_path(
-    form: SmoothForm,
-    path: ElementaryPath,
-    mode: str = "exact",
-    tolerance: Fraction = Fraction(1, 10**9),
-) -> CertifiedValue:
+def integrate_path(form: SmoothForm, path: ElementaryPath, mode: str = "exact") -> CertifiedValue:
     """Sum of edge integrals; radii add.  Float midpoints are summed exactly
     and rounded once, with half an ulp of the sum added to the radius, so the
     value does not depend on the order of the edges: the reversed path gives
-    exactly the negated value and the same radius.  ``tolerance`` is not
-    read, as in ``integrate_edge``."""
+    exactly the negated value and the same radius."""
     parts = [integrate_edge(form, e, mode) for e in path]
     total = sum((Fraction(cv.value) for cv in parts), F0)
     radius = sum((cv.radius for cv in parts), F0)
@@ -1134,7 +1088,6 @@ def q_inner(
     eta: SmoothForm | None = None,
     mode: str = "exact",
     tolerance: Fraction = Fraction(1, 10**9),
-    max_level: int = 12,
     strict: bool = True,
 ) -> CertifiedValue:
     if eta is None:
@@ -1142,7 +1095,7 @@ def q_inner(
     if mode == "exact":
         return CertifiedValue.from_exact(q_inner_exact(omega, eta))
     if mode == "certified":
-        return q_inner_certified(omega, eta, tolerance, max_level, strict)
+        return q_inner_certified(omega, eta, tolerance, strict=strict)
     raise GasketError(f"unknown mode {mode!r}")
 
 

@@ -201,7 +201,7 @@ def check_riemann_convergence() -> list[dict]:
     ok = True
     for side in range(3):
         e = OrientedEdge("", side)
-        exact = fm.integrate_term_exact(Fraction(1), f[0], f[1], e)
+        exact = fm.integrate_edge(fm.fdg(f[0], f[1]), e).value
         for n in range(1, 21):
             approx = fm._monomial_riemann((f[0],), f[1], (), e, n)
             if abs(approx - exact) > bound_c * R35**n:
@@ -360,9 +360,8 @@ CHECKS = [
 ]
 
 
-def run_suite(depth: int = 3, tolerance: Fraction = Fraction(1, 10**9)) -> dict:
-    """Every check at ``depth``.  ``tolerance`` is not read: no check asks
-    for one, since a certified value is the exact value rounded once."""
+def run_suite(depth: int = 3) -> dict:
+    """Every check at ``depth``."""
     suite = []
     for num, fn in CHECKS:
         for item in fn(depth):

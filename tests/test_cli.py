@@ -108,6 +108,19 @@ def test_hodge_is_exact_and_takes_no_tolerance(capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["integrate", "verify"])
+def test_integrate_and_verify_take_no_tolerance(command, capsys):
+    """A certified radius is half an ulp per edge and no verification check
+    reads a tolerance, so neither subcommand takes one."""
+    args = {"integrate": ["--form", json.dumps(fm.fdg(f0, f1).to_json()),
+                          "--path", json.dumps(path_to_json(lacuna_path("")))],
+            "verify": ["--depth", "1"]}[command]
+    with pytest.raises(SystemExit) as refused:
+        cli.main([command, *args, "--tolerance", "1e-6"])
+    assert refused.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 def test_render_svg_count(tmp_path, capsys):
     out_file = tmp_path / "g.svg"
     code, _ = run_cli(capsys, "render", "--level", "4", "--out", str(out_file))
@@ -140,7 +153,7 @@ def test_bad_input_exit_code(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "run_suite",
-        lambda depth, tolerance: {"suite": [{"criterion": "1", "name": "x", "status": "FAIL",
+        lambda depth: {"suite": [{"criterion": "1", "name": "x", "status": "FAIL",
                                              "expected": "0", "got": "1", "radius": None}],
                                   "passed": False},
     )

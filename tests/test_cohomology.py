@@ -53,7 +53,10 @@ def test_a_entry_inverts_the_two_by_two_block():
 def test_a_entry_not_comparable():
     with pytest.raises(NotComparableError):
         coh.a_entry("01", "1")
-    assert coh.a_entry("01", "1", strict=False) == 0
+    # the chain matrices write the zeros off the prefix chain themselves
+    chain, _, A = coh.TriangularKernel().chain_matrices("01")
+    assert chain == ["", "0", "01"]
+    assert [A[0][1], A[0][2], A[1][2]] == [0, 0, 0]
 
 
 def test_a_range_and_inverse_on_chains():

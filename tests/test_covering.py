@@ -207,9 +207,15 @@ def test_hnorm_divergence_partial_sums():
 
 
 def test_hnorm_divergence_deeper_edge():
-    e = OrientedEdge("20", 1)
-    parts = cov.hnorm_divergence(e, 8)
-    assert all(b >= a for a, b in zip(parts, parts[1:]))
+    """The closed form 2^(n - n0)/9 from the edge level n0 on equals the
+    level sums of the edge's whole dz table."""
+    for e in (OrientedEdge("20", 1), OrientedEdge("1", 0, -1), OrientedEdge("012", 2)):
+        parts = cov.hnorm_divergence(e, 8)
+        assert all(b >= a for a, b in zip(parts, parts[1:]))
+        level_sq = [F(0)] * 9
+        for w, v in cov.dz_path_integrals([e], 8).items():
+            level_sq[len(w)] += v * v
+        assert parts == [F(6, 5) * sum(F(3, 5) ** n * level_sq[n] for n in range(m + 1)) for m in range(9)]
 
 
 def test_duality_pairing_bound():

@@ -102,7 +102,7 @@ def test_dyadic_oracle_matches_kernel_riemann():
 def test_dyadic_oracle_float_large_n():
     # float enumeration over 2^18 sub-edges against the exact kernel value
     e = OrientedEdge("", 2)
-    exact = float(fm.integrate_term_exact(F(1), f2, f0, e))
+    exact = float(fm.integrate_edge(fm.fdg(f2, f0), e).value)
     a, b = (e.side + 2) % 3, (e.side + 1) % 3
     Hf = np.array([[[float(x) for x in row] for row in H] for H in H_MATRICES])
     arrs = {
@@ -120,7 +120,7 @@ def test_dyadic_oracle_at_depth_24():
     """~1.7e7-term Riemann enumeration of the bottom edge against the exact
     kernel value, within 5e-6 (chunked so memory stays bounded)."""
     e = OrientedEdge("", 1)
-    exact = float(fm.integrate_term_exact(F(1), f0, f1, e))
+    exact = float(fm.integrate_edge(fm.fdg(f0, f1), e).value)
     Hf = np.array([[[float(x) for x in row] for row in H] for H in H_MATRICES])
     a, b = 0, 2
     fa = np.array([[float(x) for x in f0.triple("")]])
@@ -397,14 +397,14 @@ def test_trace_property_certified():
     left = fm.multiply_form(f1, w, side="left")
     right = fm.multiply_form(f1, w, side="right")
     p = perimeter_path("")
-    a = fm.integrate_path(left, p, mode="certified", tolerance=F(1, 10**4))
-    b = fm.integrate_path(right, p, mode="certified", tolerance=F(1, 10**4))
+    a = fm.integrate_path(left, p, mode="certified")
+    b = fm.integrate_path(right, p, mode="certified")
     assert abs(a.value - b.value) <= float(a.radius + b.radius)
 
 
 def _fraction_kernel_integral(coeff, F_vf, g, e):
-    """Exact term integral with the Fraction kernels on Fraction triples, one
-    sub-edge at a time."""
+    """Exact integral of coeff·F dg (F None for 1) with the Fraction kernels
+    ``edge_kernel`` on Fraction triples, one sub-edge at a time."""
     m = max(g.level, F_vf.level if F_vf is not None else 0)
     total = F(0)
     for sub in subdivide(e, max(m, e.level)):
@@ -419,18 +419,39 @@ def _fraction_kernel_integral(coeff, F_vf, g, e):
 @given(st.integers(0, 10**6), st.booleans(), st.text(alphabet="012", max_size=3), st.integers(0, 2),
        st.sampled_from([1, -1]))
 def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
+    """``_monomial_exact`` of p = 0 and p = 1 monomials against the Fraction
+    kernels."""
     rng = random.Random(seed)
     g = random_harmonic(rng.randint(0, 2), rng, span=7)
     F_vf = None if plain else random_harmonic(rng.randint(0, 2), rng, span=7)
     c = F(rng.randint(-9, 9), rng.randint(1, 9))
     e = OrientedEdge(cell, side, sign)
-    assert fm.integrate_term_exact(c, F_vf, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
+    left = () if F_vf is None else (F_vf,)
+    assert c * fm._monomial_exact(left, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
+
+
+def test_side_limits_of_one_factor_are_the_edge_kernels():
+    D, kernels = fm._int_side_limits(1)
+    for i in range(3):
+        assert [F(x, D) for x in kernels[i]] == [x for row in fm.edge_kernel(i) for x in row]
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10**6), st.text(alphabet="012", max_size=2), st.integers(0, 2), st.sampled_from([1, -1]))
+def test_product_monomial_is_additive_over_children(seed, cell, side, sign):
+    """A p = 2 monomial integrates over an edge as the sum over its two
+    children, both finer than the data level or not."""
+    rng = random.Random(seed)
+    a, b, g = (random_harmonic(rng.randint(0, 2), rng, span=7) for _ in range(3))
+    e = OrientedEdge(cell, side, sign)
+    assert fm._monomial_exact((a, b), g, e) == sum((fm._monomial_exact((a, b), g, c) for c in e.children()), F(0))
 
 
 def test_constant_factors_build_no_function(monkeypatch):
     """A term's constant factors (the default right factor ONE included) are
     read as constants: exact edge integration builds no VertexFunction for
-    them, and the refusals of non-harmonic factors stay."""
+    them, and the period and Hodge routes' refusal of products
+    (``_normalized_terms``) stays, whichever factor holds the product."""
     rng = random.Random(5)
     u, v = random_harmonic(2, rng), random_harmonic(1, rng)
     e = OrientedEdge("01", 2)
@@ -442,14 +463,14 @@ def test_constant_factors_build_no_function(monkeypatch):
     monkeypatch.setattr(VertexFunction, "from_boundary", staticmethod(refuse))
     assert fm.integrate_edge(fm.fdg(u, v), e) == want
     product = fm.Product([fm.Atom(u), fm.Atom(v)])
-    for left, right, message in (
-        (product, fm.ONE, "not piecewise-harmonic"),
-        (product, fm.Const(F(2)), "not piecewise-harmonic"),
-        (fm.Const(F(2)), product, "not piecewise-harmonic"),
-        (fm.Atom(u), fm.Atom(v), "two non-constant"),
+    for left, right in (
+        (product, fm.ONE),
+        (product, fm.Const(F(2))),
+        (fm.Const(F(2)), product),
+        (fm.Atom(u), fm.Atom(v)),
     ):
-        with pytest.raises(ExactnessUnavailableError, match=message):
-            fm._normalize_term(fm.FormTerm(left, f2, right))
+        with pytest.raises(ExactnessUnavailableError, match="two non-constant"):
+            fm._normalized_terms(fm.SmoothForm((fm.FormTerm(left, f2, right),)))
 
 
 def test_a_term_reduces_its_factors_once(monkeypatch):
@@ -467,7 +488,7 @@ def test_a_term_reduces_its_factors_once(monkeypatch):
 
 def test_exactness_unavailable_for_products():
     """Integrals and Q of products are exact; the period and Hodge routes
-    (``_normalize_term``) still refuse them."""
+    (``_normalized_terms``) still refuse them."""
     w = fm.multiply_form(f1, fm.fdg(f0, f2), side="left")
     e = OrientedEdge("", 1)
     assert fm.integrate_edge(w, e).exact and fm.q_inner(w).exact

@@ -13,6 +13,10 @@
 * Integrals over a whole level come from one side-integral table: no loop
   or comprehension over ``edges_at_level`` integrates its edges one at a
   time.
+* Every exact edge integral goes through one route: the Riemann limits are
+  built (``_kernel_limit(riemann_kernel, …)``) only by ``_int_side_limits``,
+  which ``_monomial_exact`` and ``side_integral_table`` contract, and by
+  ``edge_kernel``, so no second per-edge kernel route comes back unnoticed.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch.
 * The Hodge decomposition and the covering potentials are exact: the
@@ -111,7 +115,7 @@ def _called_name(node: ast.AST) -> str | None:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_per_edge_integration_over_a_level(path):
-    per_edge = {"integrate_edge", "integrate_term_exact"}
+    per_edge = {"integrate_edge", "_monomial_exact"}
     stray = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.For):
@@ -124,6 +128,21 @@ def test_no_per_edge_integration_over_a_level(path):
             continue
         stray += [n.lineno for b in bodies for n in ast.walk(b) if _called_name(n) in per_edge]
     assert stray == []
+
+
+def test_riemann_limits_are_built_only_by_the_side_limits_and_edge_kernel():
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                sites += [
+                    (path.name, fn.name)
+                    for n in ast.walk(fn)
+                    if _called_name(n) == "_kernel_limit"
+                    and any(getattr(a, "id", None) == "riemann_kernel" for a in n.args[:1])
+                ]
+    assert sorted(sites) == [("forms.py", "_int_side_limits"), ("forms.py", "edge_kernel")]
 
 
 def test_energy_bound_is_called_only_by_the_period_routes():
