@@ -108,15 +108,15 @@ def test_hodge_is_exact_and_takes_no_tolerance(capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["integrate", "verify"])
-def test_integrate_and_verify_take_no_tolerance(command, capsys):
+@pytest.mark.parametrize("args", [
+    ["integrate", "--form", json.dumps(fm.fdg(f0, f1).to_json()), "--path", json.dumps(path_to_json(lacuna_path("")))],
+    ["verify", "--depth", "1"],
+], ids=["integrate", "verify"])
+def test_integrate_and_verify_take_no_tolerance(args, capsys):
     """A certified radius is half an ulp per edge and no verification check
     reads a tolerance, so neither subcommand takes one."""
-    args = {"integrate": ["--form", json.dumps(fm.fdg(f0, f1).to_json()),
-                          "--path", json.dumps(path_to_json(lacuna_path("")))],
-            "verify": ["--depth", "1"]}[command]
     with pytest.raises(SystemExit) as refused:
-        cli.main([command, *args, "--tolerance", "1e-6"])
+        cli.main([*args, "--tolerance", "1e-6"])
     assert refused.value.code == 2
     assert "--tolerance" in capsys.readouterr().err
 
