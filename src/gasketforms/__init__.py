@@ -42,7 +42,6 @@ from .errors import (
     NonConvergentError,
     NonIntegerResultError,
     NotComparableError,
-    PathNotFiniteError,
     UnboundedTailError,
 )
 from .forms import (
@@ -52,7 +51,6 @@ from .forms import (
     Product,
     SmoothForm,
     Sum,
-    counterexample_form,
     d,
     dz_form,
     dz_integral_edge,
@@ -85,6 +83,6 @@ from .geometry import (
 )
 from .harmonic import VertexFunction, harmonic_basis, random_harmonic
 from .render import render_svg
-from .verify import run_suite
+from .verify import counterexample_form, run_suite
 
 __version__ = "0.1.0"

@@ -19,8 +19,7 @@ class ExactnessUnavailableError(GasketError):
 
 
 class NonConvergentError(GasketError):
-    """A certified evaluation could not reach the requested tolerance, or an
-    internal consistency check between extrapolation and tail bound failed."""
+    """A certified evaluation could not reach the requested tolerance."""
 
 
 class NotComparableError(GasketError):
@@ -37,7 +36,3 @@ class DepthTooSmallError(GasketError):
 
 class UnboundedTailError(GasketError):
     """A level sequence has no decaying tail descriptor, so the norm diverges."""
-
-
-class PathNotFiniteError(GasketError):
-    """Path has certified-infinite effective length at the requested precision."""

@@ -48,9 +48,7 @@ from .geometry import (
     ElementaryPath,
     OrientedEdge,
     Word,
-    cell_corners,
     check_word,
-    edges_at_level,
     is_prefix,
     subdivide,
     words,
@@ -128,12 +126,6 @@ def solve_unique(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) ->
 class Expr:
     """Sum/product closure of piecewise-harmonic functions and constants."""
 
-    def __call__(self, p) -> Fraction:
-        raise NotImplementedError
-
-    def atoms(self) -> list[VertexFunction]:
-        return []
-
     def max_level(self) -> int:
         return 0
 
@@ -168,9 +160,6 @@ class Expr:
 class Const(Expr):
     c: Fraction
 
-    def __call__(self, p):
-        return self.c
-
     def as_const(self):
         return self.c
 
@@ -184,12 +173,6 @@ class Const(Expr):
 @dataclass(frozen=True, eq=False)
 class Atom(Expr):
     vf: VertexFunction
-
-    def __call__(self, p):
-        return self.vf(p)
-
-    def atoms(self):
-        return [self.vf]
 
     def max_level(self):
         return self.vf.level
@@ -212,12 +195,6 @@ class Sum(Expr):
 
     def __init__(self, terms: Iterable[Expr]):
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __call__(self, p):
-        return sum(t(p) for t in self.terms)
-
-    def atoms(self):
-        return [a for t in self.terms for a in t.atoms()]
 
     def max_level(self):
         return max(t.max_level() for t in self.terms)
@@ -257,15 +234,6 @@ class Product(Expr):
             else:
                 flat.append(t)
         object.__setattr__(self, "terms", tuple(flat))
-
-    def __call__(self, p):
-        out = F1
-        for t in self.terms:
-            out *= t(p)
-        return out
-
-    def atoms(self):
-        return [a for t in self.terms for a in t.atoms()]
 
     def max_level(self):
         return max(t.max_level() for t in self.terms)
@@ -602,24 +570,26 @@ def _kernel_limit(
     return L // g, tuple(x // g for x in K)
 
 
-def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact edge-integral kernel X over one canonical side, X[j][k]
-    pairing the left factor's corner j with g's corner k: the limit of the
-    Riemann kernels ``riemann_kernel(side, 1, 0, n)`` / 25^n."""
-    den, K = _kernel_limit(riemann_kernel, (side, 1, 0), Fraction(1, 25))
-    return tuple(tuple(Fraction(x, den) for x in K[3 * j : 3 * j + 3]) for j in range(3))
-
-
 @lru_cache(maxsize=None)
 def _int_side_limits(p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, kernels): D times the exact kernel of L_1⋯L_p·dg over the sides
     i = 0, 1, 2, the limits of ``riemann_kernel(i, p, 0, n)`` / 5^((p+1)·n)
-    over integers, flat over the slots L_1..L_p, g; D is the least common
-    denominator of the three.  p = 1 gives D·``edge_kernel(i)``."""
-    rho = Fraction(1, 5 ** (p + 1))
-    limits = [_kernel_limit(riemann_kernel, (i, p, 0), rho) for i in range(3)]
-    D = math.lcm(*(den for den, _ in limits))
-    return D, tuple(tuple(x * (D // den) for x in K) for den, K in limits)
+    over integers, flat over the slots L_1..L_p, g, with one denominator D.
+    Only side 0 is built: turning the cell by i maps side 0 onto side i and
+    corner j onto corner j + i, so K_i[j_1..j_k] = K_0[j_1-i..j_k-i] mod 3."""
+    D, K0 = _kernel_limit(riemann_kernel, (0, p, 0), Fraction(1, 5 ** (p + 1)))
+    turns = [str.maketrans("012", "012"[-i:] + "012"[:-i]) for i in range(3)]  # letter j -> j - i
+    return D, tuple(tuple(K0[int(w.translate(turn), 3)] for w in words(p + 1)) for turn in turns)
+
+
+def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact edge-integral kernel X over one canonical side, X[j][k]
+    pairing the left factor's corner j with g's corner k: the limit of the
+    Riemann kernels ``riemann_kernel(side, 1, 0, n)`` / 25^n, read from
+    ``_int_side_limits(1)``."""
+    D, kernels = _int_side_limits(1)
+    K = kernels[side]
+    return tuple(tuple(Fraction(x, D) for x in K[3 * j : 3 * j + 3]) for j in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -1104,125 +1074,3 @@ def q_level(form: SmoothForm, n: int) -> Fraction:
     read from the side-integral table at level n."""
     D, rows = side_integrals_at(form, n)
     return R53**n * Fraction(sum(x * x for row in rows for x in row), D * D)
-
-
-# ---------------------------------------------------------------------------
-# the level-n exact forms used in the completion counterexample
-# ---------------------------------------------------------------------------
-
-def _slope_function() -> VertexFunction:
-    return VertexFunction.from_boundary(Fraction(-1, 2), F0, Fraction(1, 2))
-
-
-def _support_words(n: int) -> list[Word]:
-    return ["".join(w) for w in itertools.product("02", repeat=n)]
-
-
-def counterexample_form(n: int) -> SmoothForm:
-    """The n-exact form with local potentials 2^-n g(w_sigma^-1 ·) on the
-    cells sigma in {0,2}^n (g the 0-harmonic slope with boundary -1/2, 0,
-    1/2), written in the universal part as cutoff·d(extension) per cell."""
-    if n < 1:
-        raise GasketError("n must be at least 1")
-    g = _slope_function()
-    scale = Fraction(1, 2**n)
-    level = n + 1
-    terms = []
-    for sigma in _support_words(n):
-        corners = cell_corners(sigma)
-        corner_vals = {p: scale * v for p, v in zip(corners, (Fraction(-1, 2), F0, Fraction(1, 2)))}
-        chi_vals: dict = {}
-        pot_vals: dict = {}
-        for word in words(level):
-            cs = cell_corners(word)
-            if is_prefix(sigma, word):
-                t = descend(tuple(scale * v for v in (Fraction(-1, 2), F0, Fraction(1, 2))), word[n:])
-                for p, v in zip(cs, t):
-                    chi_vals[p] = F1
-                    pot_vals[p] = v
-                continue
-            shared = [p for p in cs if p in corner_vals]
-            if len(shared) == 1:
-                for p in cs:
-                    pot_vals.setdefault(p, corner_vals[shared[0]])
-        for word in words(level):
-            for p in cell_corners(word):
-                chi_vals.setdefault(p, F0)
-                pot_vals.setdefault(p, F0)
-        chi = VertexFunction(level, chi_vals)
-        pot = VertexFunction(level, pot_vals)
-        terms.append(FormTerm(Atom(chi), pot))
-    return SmoothForm(terms=tuple(terms))
-
-
-def counterexample_integral(n: int, e: OrientedEdge) -> Fraction:
-    """Exact edge integral of the n-exact form, straight from its potentials."""
-    g = _slope_function()
-    scale = Fraction(1, 2**n)
-    support = set(_support_words(n))
-
-    def walk(edge: OrientedEdge) -> Fraction:
-        word = edge.cell
-        if len(word) >= n:
-            if word[:n] not in support:
-                return F0
-            t = descend(g.triple(""), word[n:])
-            d = t[(edge.side + 1) % 3] - t[(edge.side + 2) % 3]
-            return scale * d * edge.sign
-        a, b = edge.children()
-        return walk(a) + walk(b)
-
-    return walk(e)
-
-
-def limit_assignment_integral(e: OrientedEdge) -> Fraction:
-    """The edge assignment 2^-k on the bottom edges w_sigma(e_1),
-    sigma in {0,2}^k, zero elsewhere (the norm-completion limit object)."""
-    if e.side != 1 or any(c == "1" for c in e.cell):
-        return F0
-    return Fraction(e.sign, 2 ** len(e.cell))
-
-
-def nonorm_q_level(n: int, k: int) -> Fraction:
-    """Q_k of the n-exact counterexample form, via the self-similar cell
-    factorization (the 2^n support cells carry identical pulled-back data)."""
-    if k >= n:
-        g = _slope_function()
-        return Fraction(2, 4) ** n * R53**n * g.energy_at_level(k - n)
-    total = F0
-    for e in edges_at_level(k):
-        v = counterexample_integral(n, e)
-        total += v * v
-    return R53**k * total
-
-
-@lru_cache(maxsize=None)
-def _qdiff_relative(m: int) -> Fraction:
-    """(5/3)^m sum over E_m of |limit assignment - d(slope)|^2: the common
-    pulled-back level sum shared by every support cell."""
-    g = _slope_function()
-    total = F0
-    for word, t in zip(words(m), g.triples(m)):
-        for side in range(3):
-            e = OrientedEdge(word, side)
-            dv = t[(side + 1) % 3] - t[(side + 2) % 3]
-            v = limit_assignment_integral(e) - dv
-            total += v * v
-    return R53**m * total
-
-
-def nonorm_q_level_diff(n: int, k: int) -> Fraction:
-    """Q_k[limit - omega_n], exactly."""
-    if k < n:
-        return nonorm_qdiff_brute(n, k)
-    # both objects restrict to the support cells with identical pulled data
-    return Fraction(5, 6) ** n * _qdiff_relative(k - n)
-
-
-def nonorm_qdiff_brute(n: int, k: int) -> Fraction:
-    """Brute-force Q_k[limit - omega_n] over all of E_k (for cross-checks)."""
-    total = F0
-    for e in edges_at_level(k):
-        v = limit_assignment_integral(e) - counterexample_integral(n, e)
-        total += v * v
-    return R53**k * total

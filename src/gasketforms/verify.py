@@ -4,6 +4,8 @@ Each check evaluates one family of exact identities or convergence bounds
 at its stated depth and reports name, status, the expected and
 computed values, and the error radius where one applies.  The report is
 deterministic: fixed ordering, rationals as "p/q", fixed float formatting.
+The completion counterexample of check 11 (the n-exact forms omega_n and
+their limit edge assignment) lives here, out of the library core.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from fractions import Fraction
 from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
-from .geometry import OrientedEdge, edges_at_level, lacuna_path, validate_path, words
-from .harmonic import harmonic_basis, random_harmonic
+from .errors import GasketError
+from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path, words
+from .harmonic import IntTriple, VertexFunction, descend, harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
+F1 = Fraction(1)
 R35 = Fraction(3, 5)
+R53 = Fraction(5, 3)
 
 
 def _fmt(x) -> str:
@@ -260,20 +265,116 @@ def check_effective_length() -> list[dict]:
     ]
 
 
+# ---------------------------------------------------------------------------
+# the completion counterexample: the n-exact forms omega_n and their limit
+# ---------------------------------------------------------------------------
+
+def _slope_function() -> VertexFunction:
+    return VertexFunction.from_boundary(Fraction(-1, 2), F0, Fraction(1, 2))
+
+
+def counterexample_form(n: int) -> fm.SmoothForm:
+    """The n-exact form omega_n with local potentials 2^-n g(w_sigma^-1 ·)
+    on the cells sigma in {0,2}^n (g the 0-harmonic slope with boundary
+    -1/2, 0, 1/2), written in the universal part as cutoff·d(extension) per
+    cell."""
+    if n < 1:
+        raise GasketError("n must be at least 1")
+    scale = Fraction(1, 2**n)
+    level = n + 1
+    terms = []
+    for sigma in (w for w in words(n) if "1" not in w):
+        corners = cell_corners(sigma)
+        corner_vals = {p: scale * v for p, v in zip(corners, (Fraction(-1, 2), F0, Fraction(1, 2)))}
+        chi_vals: dict = {}
+        pot_vals: dict = {}
+        for word in words(level):
+            cs = cell_corners(word)
+            if is_prefix(sigma, word):
+                t = descend(tuple(scale * v for v in (Fraction(-1, 2), F0, Fraction(1, 2))), word[n:])
+                for p, v in zip(cs, t):
+                    chi_vals[p] = F1
+                    pot_vals[p] = v
+                continue
+            shared = [p for p in cs if p in corner_vals]
+            if len(shared) == 1:
+                for p in cs:
+                    pot_vals.setdefault(p, corner_vals[shared[0]])
+        for word in words(level):
+            for p in cell_corners(word):
+                chi_vals.setdefault(p, F0)
+                pot_vals.setdefault(p, F0)
+        chi = VertexFunction(level, chi_vals)
+        pot = VertexFunction(level, pot_vals)
+        terms.append(fm.FormTerm(fm.Atom(chi), pot))
+    return fm.SmoothForm(terms=tuple(terms))
+
+
+def _check_counterexample_budget(n: int, k: int) -> None:
+    """Refuse a level sum whose table is over the budget, before any work:
+    3^n cells below level n, 3^(k - n) from n on."""
+    top = n if k < n else k - n
+    coh._check_budget(3 ** min(top, 64), f"the counterexample table at level {top}")
+
+
+def _support_q(n: int, k: int, row: IntTriple) -> Fraction:
+    """(5/3)^k sum over E_k of the squared values, for k < n, of the edge
+    assignment whose level-n side table is row / 2^(n+1) on each support
+    cell of {0,2}^n and zero elsewhere.  Both omega_n and the limit
+    assignment add over children, so the level-k table is the level-n one
+    coarsened (``forms._coarsen``)."""
+    rows = [row if "1" not in w else (0, 0, 0) for w in words(n)]
+    for _ in range(n - k):
+        rows = fm._coarsen(rows)
+    return R53**k * Fraction(sum(x * x for r in rows for x in r), 4 ** (n + 1))
+
+
+def nonorm_q_level(n: int, k: int) -> Fraction:
+    """Q_k[omega_n]: from level n on via the self-similar cell factorization
+    (the 2^n support cells carry identical pulled-back data), below n from
+    its level-n side table (-1, 2, -1) / 2^(n+1)."""
+    _check_counterexample_budget(n, k)
+    if k >= n:
+        return Fraction(2, 4) ** n * R53**n * _slope_function().energy_at_level(k - n)
+    return _support_q(n, k, (-1, 2, -1))
+
+
+def _qdiff_relative(m: int) -> Fraction:
+    """(5/3)^m sum over E_m of |limit assignment - d(slope)|^2, the level
+    sum every support cell shares once pulled back: the slope's side
+    differences against 2^-m on side 1 of the cells {0,2}^m, all values
+    scaled by den·2^m to integers."""
+    den, triples = _slope_function().int_triples(m)
+    total = 0
+    for w, (a, b, c) in zip(words(m), fm._differences(triples)):
+        limit = den if "1" not in w else 0
+        total += (a << m) ** 2 + (limit - (b << m)) ** 2 + (c << m) ** 2
+    return R53**m * Fraction(total, (den << m) ** 2)
+
+
+def nonorm_q_level_diff(n: int, k: int) -> Fraction:
+    """Q_k[limit - omega_n], exactly: below n from the level-n side table
+    (1, 0, 1) / 2^(n+1), from n on via the support cells' shared level sum."""
+    _check_counterexample_budget(n, k)
+    if k < n:
+        return _support_q(n, k, (1, 0, 1))
+    return Fraction(5, 6) ** n * _qdiff_relative(k - n)
+
+
 def check_completion_counterexample() -> list[dict]:
     ok_plateau = True
     for n in range(1, 7):
         for k in range(n, n + 5):
-            if fm.nonorm_q_level(n, k) != Fraction(3, 2) * Fraction(5, 6) ** n:
+            if nonorm_q_level(n, k) != Fraction(3, 2) * Fraction(5, 6) ** n:
                 ok_plateau = False
     ok_diff = True
     for n in range(1, 7):
         for k in range(n):
-            if fm.nonorm_q_level_diff(n, k) != Fraction(1, 2) * Fraction(10, 3) ** k * Fraction(4) ** (-n):
+            if nonorm_q_level_diff(n, k) != Fraction(1, 2) * Fraction(10, 3) ** k * Fraction(4) ** (-n):
                 ok_diff = False
     ok_sup = True
     for n in range(1, 7):
-        sup = max(fm.nonorm_q_level_diff(n, k) for k in range(n + 9))
+        sup = max(nonorm_q_level_diff(n, k) for k in range(n + 9))
         if sup > 5 * Fraction(5, 6) ** n:
             ok_sup = False
     return [

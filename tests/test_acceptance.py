@@ -3,6 +3,8 @@ depth and tolerance; each test prints its pass/fail line (visible with -s)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -94,3 +96,14 @@ def test_criterion_14_integer_detection(report):
 
 def test_suite_passes_overall(report):
     assert report["passed"]
+
+
+# SHA-256 of the stdout of ``gasketforms verify --depth 3``
+VERIFY_STDOUT_SHA256 = "646d79d91fd9acc69d0099cbbbe7b82d33a5d7f0066176f1070a8f0495c7436d"
+
+
+def test_verify_stdout_is_pinned(report):
+    """The report prints byte for byte as pinned: a change to any check's
+    name, order, status or formatted value shows here."""
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_STDOUT_SHA256

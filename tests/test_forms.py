@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gasketforms import cohomology as coh
 from gasketforms import forms as fm
+from gasketforms import verify
 from gasketforms.certified import CertifiedValue
 from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
 from gasketforms.geometry import (
@@ -23,7 +24,7 @@ from gasketforms.geometry import (
     perimeter_path,
     subdivide,
 )
-from gasketforms.harmonic import H_MATRICES, VertexFunction, harmonic_basis, random_harmonic
+from gasketforms.harmonic import H_MATRICES, VertexFunction, descend, harmonic_basis, random_harmonic
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()
@@ -430,10 +431,24 @@ def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
     assert c * fm._monomial_exact(left, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
 
 
+def _direct_side_limit(i: int, p: int) -> list[Fraction]:
+    """The (p, 0) Riemann limit over side i, built from that side's own kernels."""
+    den, K = fm._kernel_limit(fm.riemann_kernel, (i, p, 0), F(1, 5 ** (p + 1)))
+    return [F(x, den) for x in K]
+
+
 def test_side_limits_of_one_factor_are_the_edge_kernels():
-    D, kernels = fm._int_side_limits(1)
     for i in range(3):
-        assert [F(x, D) for x in kernels[i]] == [x for row in fm.edge_kernel(i) for x in row]
+        assert [x for row in fm.edge_kernel(i) for x in row] == _direct_side_limit(i, 1)
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_side_limits_are_side_zero_turned(p):
+    """Sides 1 and 2 of ``_int_side_limits``, read off side 0 by turning
+    the corners, equal the limits built from their own Riemann kernels."""
+    D, kernels = fm._int_side_limits(p)
+    for i in (1, 2):
+        assert [F(x, D) for x in kernels[i]] == _direct_side_limit(i, p)
 
 
 @settings(max_examples=10)
@@ -689,34 +704,90 @@ def test_q_level_stabilizes_for_locally_exact_forms():
 
 
 # ---------------------------------------------------------------------------
-# the completion counterexample
+# the completion counterexample (``verify``), against per-edge walkers
 # ---------------------------------------------------------------------------
+
+def counterexample_integral(n: int, e: OrientedEdge) -> Fraction:
+    """Exact edge integral of the n-exact form, straight from its potentials."""
+    g = verify._slope_function()
+    scale = F(1, 2**n)
+
+    def walk(edge: OrientedEdge) -> Fraction:
+        word = edge.cell
+        if len(word) >= n:
+            if "1" in word[:n]:
+                return F(0)
+            t = descend(g.triple(""), word[n:])
+            return scale * (t[(edge.side + 1) % 3] - t[(edge.side + 2) % 3]) * edge.sign
+        a, b = edge.children()
+        return walk(a) + walk(b)
+
+    return walk(e)
+
+
+def limit_assignment_integral(e: OrientedEdge) -> Fraction:
+    """The edge assignment 2^-k on the bottom edges w_sigma(e_1),
+    sigma in {0,2}^k, zero elsewhere (the norm-completion limit object)."""
+    if e.side != 1 or "1" in e.cell:
+        return F(0)
+    return F(e.sign, 2 ** len(e.cell))
+
+
+def nonorm_qdiff_brute(n: int, k: int) -> Fraction:
+    """Q_k[limit - omega_n] over all of E_k, edge by edge."""
+    total = sum(((limit_assignment_integral(e) - counterexample_integral(n, e)) ** 2 for e in edges_at_level(k)), F(0))
+    return F(5, 3) ** k * total
+
 
 def test_counterexample_matches_potentials():
     for n in (1, 2):
-        w = fm.counterexample_form(n)
+        w = verify.counterexample_form(n)
         for word, side in [("", 0), ("", 1), ("0", 2), ("21", 1)]:
             e = OrientedEdge(word, side)
-            assert fm.integrate_edge(w, e).value == fm.counterexample_integral(n, e)
+            assert fm.integrate_edge(w, e).value == counterexample_integral(n, e)
 
 
 def test_counterexample_factorization_vs_brute():
-    for n in (1, 2):
-        for k in range(n, n + 3):
-            assert fm.nonorm_q_level_diff(n, k) == fm.nonorm_qdiff_brute(n, k)
+    """Both routes of Q_k[limit - omega_n], the coarsened level-n table below
+    n and the shared support-cell sum from n on, equal the edge walk."""
+    for n in range(1, 5):
+        for k in range(n + 3):
+            assert verify.nonorm_q_level_diff(n, k) == nonorm_qdiff_brute(n, k), (n, k)
 
 
 def test_counterexample_level_values():
     for n in (1, 3):
         for k in range(n, n + 3):
-            assert fm.nonorm_q_level(n, k) == F(3, 2) * F(5, 6) ** n
-    assert fm.nonorm_q_level_diff(3, 1) == F(1, 2) * F(10, 3) * F(4) ** -3
+            assert verify.nonorm_q_level(n, k) == F(3, 2) * F(5, 6) ** n
+    assert verify.nonorm_q_level_diff(3, 1) == F(1, 2) * F(10, 3) * F(4) ** -3
 
 
 def test_counterexample_generic_q_route():
-    w = fm.counterexample_form(1)
+    """Q_k[omega_n] by both routes equals the generic ``q_level`` of the form
+    and the edge walk."""
+    w = verify.counterexample_form(1)
     assert fm.q_level(w, 1) == F(3, 2) * F(5, 6)
     assert fm.q_level(w, 2) == F(3, 2) * F(5, 6)
+    for n in range(1, 5):
+        w = verify.counterexample_form(n)
+        for k in range(n + 3):
+            walked = F(5, 3) ** k * sum((counterexample_integral(n, e) ** 2 for e in edges_at_level(k)), F(0))
+            assert verify.nonorm_q_level(n, k) == walked == fm.q_level(w, k), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(14, 0), (14, 13), (1, 15)])
+def test_counterexample_refuses_tables_over_the_budget(n, k, monkeypatch):
+    """A level sum whose table has more than the budget of cells (3^n below
+    level n, 3^(k - n) from n on) is refused before any table is built."""
+
+    def no_work(*args):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(verify, "words", no_work)
+    monkeypatch.setattr(verify, "_slope_function", no_work)
+    for level_sum in (verify.nonorm_q_level, verify.nonorm_q_level_diff):
+        with pytest.raises(GasketError, match="budget"):
+            level_sum(n, k)
 
 
 # ---------------------------------------------------------------------------

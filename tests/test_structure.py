@@ -15,8 +15,9 @@
   time.
 * Every exact edge integral goes through one route: the Riemann limits are
   built (``_kernel_limit(riemann_kernel, …)``) only by ``_int_side_limits``,
-  which ``_monomial_exact`` and ``side_integral_table`` contract, and by
-  ``edge_kernel``, so no second per-edge kernel route comes back unnoticed.
+  once, which ``_monomial_exact``, ``side_integral_table`` and
+  ``edge_kernel`` read, so no second per-edge kernel route comes back
+  unnoticed.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch.
 * The Hodge decomposition and the covering potentials are exact: the
@@ -130,7 +131,7 @@ def test_no_per_edge_integration_over_a_level(path):
     assert stray == []
 
 
-def test_riemann_limits_are_built_only_by_the_side_limits_and_edge_kernel():
+def test_riemann_limits_are_built_only_by_the_side_limits():
     sites = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
@@ -142,7 +143,7 @@ def test_riemann_limits_are_built_only_by_the_side_limits_and_edge_kernel():
                     if _called_name(n) == "_kernel_limit"
                     and any(getattr(a, "id", None) == "riemann_kernel" for a in n.args[:1])
                 ]
-    assert sorted(sites) == [("forms.py", "_int_side_limits"), ("forms.py", "edge_kernel")]
+    assert sites == [("forms.py", "_int_side_limits")]
 
 
 def test_energy_bound_is_called_only_by_the_period_routes():
