@@ -19,13 +19,16 @@ echelon modulo a prime, solves for its coefficients exactly
 (p, 0) Riemann limits with the factors' integer corner triples (the right
 factors moved left); ``side_integral_table`` gives the whole form's
 integrals over the sides of every cell of one level from one walk per
-function, and ``q_level`` sums their squares.  Q contracts per-cell moments
-of the corner triples with its one-cell kernels.  Certified mode is the
+function, and ``q_level`` sums their squares.  Q splits each form into
+parts by data level and sums over pairs of parts, each pair at the finer of
+its two levels and on the cells both parts live on, contracting the
+integer corner tensors with the one-cell kernels.  Certified mode is the
 exact value rounded once to a float, with half an ulp as the radius.
 
 The level-n sums themselves stay as the independent route: the dyadic
 Riemann sums I_n (``riemann_sum``) and the endpoint level sums Q~_n =
-(5/3)^n sum omega(e)·eta(e) (``q_level_sums``), both exact rationals.
+(5/3)^n sum omega(e)·eta(e) (``q_level_sums``, both forms at one level),
+both exact rationals.
 """
 
 from __future__ import annotations
@@ -299,6 +302,14 @@ class FormTerm:
             return self.left
         return Product([self.left, self.right])
 
+    def monomials(self) -> tuple[tuple[Fraction, tuple[VertexFunction, ...]], ...]:
+        """``_monomials`` of ``left_total``, expanded once per term."""
+        return self._monomials
+
+    @cached_property
+    def _monomials(self) -> tuple[tuple[Fraction, tuple[VertexFunction, ...]], ...]:
+        return tuple(_monomials(self.left_total()))
+
     def to_json(self) -> dict:
         return {"left": self.left.to_json(), "g": self.g.to_json(), "right": self.right.to_json()}
 
@@ -531,7 +542,9 @@ def _kernel_limit(
     is then checked on every coordinate in integers.  The rank mod p is at
     most the rank over the rationals, so a bad prime can only make d too
     small; the integer check refuses that with GasketError, so the builder
-    never returns a wrong limit."""
+    never returns a wrong limit.  The limit is cached here, so once the
+    levels are read an lru-cached sequence's cache is cleared: a cold build
+    keeps only its limit, and a later level sum refills the levels it reads."""
     basis: list[tuple[int, list[int]]] = []  # (pivot, row reduced mod p with 1 at its pivot)
     u: list[tuple[int, ...]] = []
     while True:
@@ -546,6 +559,8 @@ def _kernel_limit(
             break
         inv = pow(v[piv], -1, _PRIME)
         basis.append((piv, [x * inv % _PRIME for x in v]))
+    if hasattr(sequence, "cache_clear"):
+        sequence.cache_clear()
     d = len(basis)
     *u, ud = u
     pivots = [piv for piv, _ in basis]
@@ -604,16 +619,21 @@ def _normalized_terms(form: SmoothForm) -> list[tuple[Fraction, VertexFunction |
     Hodge routes take at most one left factor."""
     out = []
     for t in form.terms:
-        for c, left in _monomials(t.left_total()):
+        for c, left in t.monomials():
             if len(left) > 1:
                 raise ExactnessUnavailableError("product of two non-constant factors")
             out.append((c, left[0] if left else None, t.g))
     return out
 
 
+def _term_level(t: FormTerm) -> int:
+    """The data level of one universal term: the finest level of its functions."""
+    return max(t.g.level, t.left.max_level(), t.right.max_level())
+
+
 def _universal_level(form: SmoothForm) -> int:
     """The data level of the universal part: the finest level of its terms."""
-    return max((max(t.g.level, t.left.max_level(), t.right.max_level()) for t in form.terms), default=0)
+    return max(map(_term_level, form.terms), default=0)
 
 
 def _form_data_level(form: SmoothForm) -> int:
@@ -808,7 +828,7 @@ def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
     on every edge) is expanded into monomials (``_monomials``), each
     integrated by ``_monomial_exact``.  Every monomial is checked against
     the slot budget before any kernel is built."""
-    monos = [(c, left, t.g) for t in form.terms for c, left in _monomials(t.left_total())]
+    monos = [(c, left, t.g) for t in form.terms for c, left in t.monomials()]
     slots = max((len(left) + 1 for _, left, _ in monos), default=0)
     if slots > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Riemann kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
@@ -886,73 +906,64 @@ def q_kernel() -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in K)
 
 
-# (c, left-factor triples, g triple): the piece c·L_1⋯L_p·dg on one cell, with
-# the factors' integer corner values; c carries their denominators
-Piece = tuple[Fraction, tuple[IntTriple, ...], IntTriple]
-
-
-def _cell_pieces(form: SmoothForm, m: int) -> list[list[Piece]]:
-    """The form's pieces on every level-m cell, in word order: one per
-    monomial of a term's a·b (``_monomials``), one per lacuna form on each
-    cell inside C_sigma, and one for the exact part.  m is at least the level
-    of every nonzero part."""
-    cells: list[list[Piece]] = [[] for _ in range(3**m)]
-
-    def add(c: Fraction, tables: list[tuple[int, Sequence[IntTriple]]], start: int = 0) -> None:
-        c /= math.prod(den for den, _ in tables)
-        for pieces, *ts in zip(cells[start:], *(table for _, table in tables)):
-            pieces.append((c, tuple(ts[:-1]), ts[-1]))
-
+def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict[int, list[list[int]]]]:
+    """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
+    of the form's pieces with p left factors), one flat row per level-m cell
+    below ``root`` (every cell by default) in word order, first slot most
+    significant.  The pieces are one per monomial of a term's a·b
+    (``FormTerm.monomials``), one per lacuna form on each cell inside
+    C_sigma, and one for the exact part, with the factors' integer corner
+    values; m is at least the level of every nonzero part."""
+    first, count = int(root or "0", 3) * 3 ** (m - len(root)), 3 ** (m - len(root))
+    # (c, [(den, integer corner table)] per factor, the tables' first cell)
+    families: list[tuple[Fraction, list[tuple[int, Sequence[IntTriple]]], int]] = []
     for t in form.terms:
         g = t.g.int_triples(m)
-        for c, left in _monomials(t.left_total()):
-            add(c, [f.int_triples(m) for f in left] + [g])
+        families += [(c, [f.int_triples(m) for f in left] + [g], 0) for c, left in t.monomials()]
     for sigma, k in form.harmonic.items():
         if k:
-            for start, (den, table, _) in _dz_cells(sigma, m):
-                add(k, [(den, table)], start)
+            families += [(k, [(den, table)], start) for start, (den, table, _) in _dz_cells(sigma, m)]
     if form.exact is not None:
-        add(F1, [form.exact.int_triples(m)])
-    return cells
-
-
-def _shape_tensors(cells: list[list[Piece]]) -> tuple[int, dict[int, list[tuple[int, ...]]]]:
-    """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
-    over each cell's pieces with p left factors), stored entry by entry
-    (first slot most significant), each entry a tuple over the cells."""
-    D = math.lcm(*(c.denominator for pieces in cells for c, _, _ in pieces))
+        families.append((F1, [form.exact.int_triples(m)], 0))
+    live = []  # (c over the tables' denominators, the rows below the root, their first row)
+    for c, tables, start in families:
+        lo, hi = max(start, first), min(start + len(tables[0][1]), first + count)
+        if lo < hi:
+            rows = [table[lo - start : hi - start] for _, table in tables]
+            live.append((c / math.prod(den for den, _ in tables), rows, lo - first))
+    D = math.lcm(*(c.denominator for c, _, _ in live))
     tensors: dict[int, list[list[int]]] = {}
-    for u, pieces in enumerate(cells):
-        for c, left, g in pieces:
-            x = [c.numerator * (D // c.denominator)]
-            for t in (*left, g):
+    for c, rows, offset in live:
+        scale = c.numerator * (D // c.denominator)
+        if len(rows) - 1 not in tensors:
+            tensors[len(rows) - 1] = [[0] * 3 ** len(rows) for _ in range(count)]
+        per_cell = tensors[len(rows) - 1]
+        for u, triples in enumerate(zip(*rows), offset):
+            x = [scale]
+            for t in triples:
                 x = [a * b for a in x for b in t]
-            if len(left) not in tensors:
-                tensors[len(left)] = [[0] * len(x) for _ in cells]
-            per_cell = tensors[len(left)]
             per_cell[u] = list(map(operator.add, per_cell[u], x))
-    return D, {p: list(zip(*per_cell)) for p, per_cell in tensors.items()}
+    return D, tensors
 
 
-def _moments(cells1: list[list[Piece]], cells2: list[list[Piece]]) -> tuple[int, list[tuple[int, int, list[int]]]]:
-    """(D, [(p, r, moment)]): for each pair of left-factor counts p, r of the
-    two forms' pieces, D times the sum over the cells of the outer product
-    of their shape tensors (``_shape_tensors``), flat over the slots
-    L_1..L_p, g, M_1..M_r, k.  A pair of more than _KERNEL_SLOTS_MAX slots
-    raises GasketError before any tensor is built."""
-    p = max((len(left) for pieces in cells1 for _, left, _ in pieces), default=None)
-    r = max((len(left) for pieces in cells2 for _, left, _ in pieces), default=None)
+def _left_slots(form: SmoothForm) -> Optional[int]:
+    """The most left factors of any piece of the form; None without pieces."""
+    counts = [len(left) for t in form.terms for _, left in t.monomials()]
+    if form.exact is not None or any(form.harmonic.values()):
+        counts.append(0)
+    return max(counts, default=None)
+
+
+def _check_q_budget(omega: SmoothForm, eta: SmoothForm) -> None:
+    """Refuse a pair of forms whose pieces need a Q kernel of more than
+    _KERNEL_SLOTS_MAX slots (the left factors of both sides and the two
+    d-slots) with GasketError, before any tensor is built."""
+    p, r = _left_slots(omega), _left_slots(eta)
     if p is not None and r is not None and p + r + 2 > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Q kernel of {p + r + 2} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-    D1, entries1 = _shape_tensors(cells1)
-    D2, entries2 = (D1, entries1) if cells2 is cells1 else _shape_tensors(cells2)
-    return D1 * D2, [
-        (p, r, [sum(map(operator.mul, a, b)) for a in A for b in B])
-        for p, A in entries1.items()
-        for r, B in entries2.items()
-    ]
 
 
+@lru_cache(maxsize=None)
 def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
     """(den, K): K/den is Q on one cell of 0-harmonic data between pieces
     with p and r left factors, flat over the slots of their moment (L_1..L_p,
@@ -961,26 +972,97 @@ def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
     return _kernel_limit(q_level_kernel, (p, r), Fraction(5, 3 * 5 ** (p + r + 2)))
 
 
+def _parts(form: SmoothForm) -> list[tuple[int, Word, SmoothForm]]:
+    """The form split by data level into (level, root, part), the part's data
+    living on the level-``level`` cells below the root word: the universal
+    terms and the exact part grouped by their own levels, below the empty
+    word, and each lacuna form dz_sigma alone at level |sigma| + 1 below
+    sigma."""
+    groups: dict[int, list[FormTerm]] = {}
+    for t in form.terms:
+        groups.setdefault(_term_level(t), []).append(t)
+    U = form.exact
+    if U is not None:
+        groups.setdefault(U.level, [])
+    lacunas = [(len(s) + 1, s, SmoothForm(harmonic={s: k})) for s, k in form.harmonic.items() if k]
+    if len(groups) == 1 and not lacunas:
+        return [(next(iter(groups)), "", form)]  # one level: the form is its one part
+    return [
+        (level, "", SmoothForm(tuple(terms), exact=U if U is not None and U.level == level else None))
+        for level, terms in groups.items()
+    ] + lacunas
+
+
+def _contract_cells(K: Sequence[int], rows1: list[list[int]], rows2: list[list[int]]) -> int:
+    """Sum over the cells of the flat kernel K contracted with the outer
+    product of the two tensors on each cell (``_shape_tensors`` rows, the
+    first tensor's slots most significant).  Either summed over the cells
+    first, one moment (a dot product over the cells) per entry pair, or
+    cell by cell, one dot product of a slice of K with the longer tensor per
+    entry of the shorter one: whichever takes fewer dot products for this
+    cell count and these tensor lengths, cell by cell on a tie."""
+    la, lb = len(rows1[0]), len(rows2[0])
+    if la * lb < len(rows1) * min(la, lb):
+        moments = itertools.product(zip(*rows1), zip(*rows2))
+        return sum(k * sum(map(operator.mul, a, b)) for k, (a, b) in zip(K, moments))
+    if la <= lb:
+        slices, outer, inner = [K[a * lb : (a + 1) * lb] for a in range(la)], rows1, rows2
+    else:
+        slices, outer, inner = [K[b::lb] for b in range(lb)], rows2, rows1
+    return sum(x * sum(map(operator.mul, s, v)) for u, v in zip(outer, inner) for x, s in zip(u, slices))
+
+
+def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
+    """Q between two parts, from their shape tensors on the same level-
+    ``level`` cells: each pair of left-factor counts contracted with its
+    one-cell kernel (``_exact_q_kernel``) over the integers, divided once,
+    times (5/3)^level."""
+    (D1, tensors1), (D2, tensors2) = t1, t2
+    terms = [
+        (*_exact_q_kernel(p, r), rows1, rows2)
+        for p, rows1 in tensors1.items()
+        for r, rows2 in tensors2.items()
+    ]
+    den = math.lcm(*(kden for kden, *_ in terms))
+    total = sum(den // kden * _contract_cells(K, rows1, rows2) for kden, K, rows1, rows2 in terms)
+    return Fraction(5**level * total, 3**level * den * D1 * D2)
+
+
 def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     """Q(omega, eta) in rational arithmetic.
 
-    Both forms are cut into integer pieces on the cells of a common level m
-    where all the data is 0-harmonic (``_cell_pieces``), and the pieces are
-    summed over the cells into one moment per pair of left-factor counts
-    (``_moments``).  On one cell Q is a fixed multilinear form in the corner
-    triples, the limit of the level kernels (``_exact_q_kernel``).  Each
-    moment is contracted with its kernel over the integers and the sum is
-    divided once, times (5/3)^m.  Products of any shape within the slot
-    budget are exact; a pair of more slots raises GasketError before any
-    kernel is built."""
-    m = max(_form_data_level(omega), _form_data_level(eta))
-    cells1 = _cell_pieces(omega, m)
-    cells2 = cells1 if eta is omega else _cell_pieces(eta, m)
-    D, moments = _moments(cells1, cells2)
-    kernels = [_exact_q_kernel(p, r) for p, r, _ in moments]
-    den = math.lcm(*(kden for kden, _ in kernels))
-    total = sum(den // kden * sum(map(operator.mul, K, mom)) for (kden, K), (_, _, mom) in zip(kernels, moments))
-    return Fraction(5**m * total, 3**m * den * D)
+    Each form is split into parts by data level (``_parts``): its universal
+    terms and exact part at their own levels, and each dz_sigma at level
+    |sigma| + 1 on the cells inside C_sigma.  Q is bilinear, so it is the
+    sum over pairs of parts, each pair taken at the finer of its two levels
+    and only on the cells both parts live on (none when neither part's root
+    word is a prefix of the other's); when eta is omega, each cross pair is
+    taken once and doubled.  On those cells each part gives integer shape
+    tensors (``_shape_tensors``), and on one cell Q is a fixed multilinear
+    form in them, the limit of the level kernels (``_exact_q_kernel``),
+    contracted over the integers (``_q_pair``).
+    Products of any shape within the slot budget are exact; a pair of forms
+    of more slots raises GasketError before any tensor is built."""
+    _check_q_budget(omega, eta)
+    parts1 = _parts(omega)
+    parts2 = parts1 if eta is omega else _parts(eta)
+    tensors: dict[tuple[int, int, Word], tuple[int, dict]] = {}
+
+    def tensor(part: SmoothForm, level: int, root: Word) -> tuple[int, dict]:
+        key = (id(part), level, root)
+        if key not in tensors:
+            tensors[key] = _shape_tensors(part, level, root)
+        return tensors[key]
+
+    total = F0
+    for i, (level1, root1, part1) in enumerate(parts1):
+        for j, (level2, root2, part2) in enumerate(parts2):
+            if eta is omega and j < i or not (root1.startswith(root2) or root2.startswith(root1)):
+                continue
+            level, root = max(level1, level2), max(root1, root2, key=len)
+            value = _q_pair(tensor(part1, level, root), tensor(part2, level, root), level)
+            total += value if i == j or eta is not omega else 2 * value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1014,24 +1096,26 @@ def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], 
     """n -> the endpoint level sum Q~_n(omega, eta) = (5/3)^n sum over E_n of
     omega(e)·eta(e), exactly, for n >= m >= the data level of both forms.
 
-    The level-m cells' pieces are summed once into one moment per pair of
-    left-factor counts (``_moments``, the same moments as exact Q); each
-    level sum contracts them with the cached ``q_level_kernel`` over the
-    integers and divides once.  A pair with more than _KERNEL_SLOTS_MAX
-    slots (the left factors of both sides and the two d-slots) raises
-    GasketError before any kernel is built."""
-    cells1 = _cell_pieces(omega, m)
-    D, moments = _moments(cells1, cells1 if eta is omega else _cell_pieces(eta, m))
-    top = max((p + r + 2 for p, r, _ in moments), default=0)
+    Unlike exact Q, both whole forms are cut at the one level m: their
+    pieces on the level-m cells give one integer shape tensor per
+    left-factor count, and each level sum contracts every pair of them with
+    the cached ``q_level_kernel`` over the integers (``_contract_cells``)
+    and divides once.  A pair with more than _KERNEL_SLOTS_MAX slots raises
+    GasketError before any kernel is built (``_check_q_budget``)."""
+    _check_q_budget(omega, eta)
+    D1, tensors1 = _shape_tensors(omega, m)
+    D2, tensors2 = (D1, tensors1) if eta is omega else _shape_tensors(eta, m)
+    top = max((p + r + 2 for p in tensors1 for r in tensors2), default=0)
 
     def level_sum(n: int) -> Fraction:
         # kernel (p, r) is scaled by 5^((p + r + 2)·j); bring all to 5^(top·j)
         j = n - m
         total = sum(
-            5 ** ((top - p - r - 2) * j) * sum(map(operator.mul, q_level_kernel(p, r, j), mom))
-            for p, r, mom in moments
+            5 ** ((top - p - r - 2) * j) * _contract_cells(q_level_kernel(p, r, j), rows1, rows2)
+            for p, rows1 in tensors1.items()
+            for r, rows2 in tensors2.items()
         )
-        return Fraction(5**n * total, 3**n * 5 ** (top * j) * D)
+        return Fraction(5**n * total, 3**n * 5 ** (top * j) * D1 * D2)
 
     return level_sum
 

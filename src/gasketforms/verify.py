@@ -103,12 +103,15 @@ def check_dz_norms() -> list[dict]:
 
 
 def check_period_matrices() -> list[dict]:
+    """B_{rho,tau} read from the period table of dz_rho to depth 4, checked
+    against the combinatorial rule; A = B^-1 on every depth-5 prefix chain."""
     words4 = [w for n in range(5) for w in words(n)]
     ok_b = True
     for rho in words4:
+        periods = coh.periods_up_to(fm.dz_form(rho), 4).entries
         for tau in words4:
-            v = coh.b_entry(rho, tau)  # integration, asserted against the rule
-            if v not in (Fraction(1), Fraction(-1, 3), F0):
+            v = periods[tau].value
+            if v != coh.b_rule(rho, tau) or v not in (Fraction(1), Fraction(-1, 3), F0):
                 ok_b = False
             if tau == rho and v != 1:
                 ok_b = False
@@ -277,9 +280,11 @@ def counterexample_form(n: int) -> fm.SmoothForm:
     """The n-exact form omega_n with local potentials 2^-n g(w_sigma^-1 ·)
     on the cells sigma in {0,2}^n (g the 0-harmonic slope with boundary
     -1/2, 0, 1/2), written in the universal part as cutoff·d(extension) per
-    cell."""
+    cell.  Each of the 2^n support cells walks the 3^(n+1) level-(n+1)
+    cells, so n past the table budget (n >= 8) is refused before any work."""
     if n < 1:
         raise GasketError("n must be at least 1")
+    coh._check_budget(2 ** min(n, 64) * 3 ** min(n + 1, 64), f"the counterexample form omega_{n}")
     scale = Fraction(1, 2**n)
     level = n + 1
     terms = []

@@ -790,6 +790,20 @@ def test_counterexample_refuses_tables_over_the_budget(n, k, monkeypatch):
             level_sum(n, k)
 
 
+def test_counterexample_form_refuses_before_any_work(monkeypatch):
+    """omega_n walks 2^n·3^(n+1) cells: n = 7 is within the table budget and
+    n >= 8 is refused before any walk."""
+    assert 2**7 * 3**8 <= coh._TABLE_ENTRIES_MAX < 2**8 * 3**9
+
+    def no_work(*args):
+        raise AssertionError("cells walked before the budget check")
+
+    monkeypatch.setattr(verify, "words", no_work)
+    for n in (8, 9, 10**6):
+        with pytest.raises(GasketError, match="budget"):
+            verify.counterexample_form(n)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

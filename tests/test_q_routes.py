@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -53,9 +54,34 @@ def _quad_q(F1t, g, F2t, k):
     return acc
 
 
+def _cell_pieces(form, m):
+    """The form's pieces (c, left-factor triples, g triple) on every level-m
+    cell in word order, c carrying the integer triples' denominators: one
+    per monomial of a term's a·b, one per lacuna form on each cell inside
+    C_sigma, and one for the exact part."""
+    cells = [[] for _ in range(3**m)]
+
+    def add(c, tables, start=0):
+        c /= math.prod(den for den, _ in tables)
+        for pieces, *ts in zip(cells[start:], *(table for _, table in tables)):
+            pieces.append((c, tuple(ts[:-1]), ts[-1]))
+
+    for t in form.terms:
+        g = t.g.int_triples(m)
+        for c, left in t.monomials():
+            add(c, [f.int_triples(m) for f in left] + [g])
+    for sigma, k in form.harmonic.items():
+        if k:
+            for start, (den, table, _) in fm._dz_cells(sigma, m):
+                add(k, [(den, table)], start)
+    if form.exact is not None:
+        add(F(1), [form.exact.int_triples(m)])
+    return cells
+
+
 def exact_oracle(omega, eta):
     m = max(fm._form_data_level(omega), fm._form_data_level(eta))
-    cells1, cells2 = fm._cell_pieces(omega, m), fm._cell_pieces(eta, m)
+    cells1, cells2 = _cell_pieces(omega, m), _cell_pieces(eta, m)
     total = F0
     for p1, p2 in zip(cells1, cells2):
         for c1, f1_, g1 in p1:
@@ -70,6 +96,23 @@ def exact_oracle(omega, eta):
                     val = _quad_q(*f1_, g1, *f2_, g2)
                 total += c1 * c2 * val
     return R53**m * total
+
+
+def single_level_q(omega, eta):
+    """Exact Q with both whole forms cut at one common level m: for each pair
+    of left-factor counts, one moment per entry pair of the two shape
+    tensors summed over every level-m cell, contracted with the one-cell
+    kernel."""
+    m = max(fm._form_data_level(omega), fm._form_data_level(eta))
+    D1, tensors1 = fm._shape_tensors(omega, m)
+    D2, tensors2 = fm._shape_tensors(eta, m)
+    total = F0
+    for p, A in tensors1.items():
+        for r, B in tensors2.items():
+            kden, K = fm._exact_q_kernel(p, r)
+            moments = [sum(map(operator.mul, a, b)) for a in zip(*A) for b in zip(*B)]
+            total += F(sum(map(operator.mul, K, moments)), kden)
+    return R53**m * total / (D1 * D2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +283,30 @@ def _forms(products: bool):
 def test_exact_q_equals_the_per_cell_oracle(omega, eta):
     for a, b in ((omega, eta), (eta, omega), (omega, omega)):
         assert fm.q_inner_exact(a, b) == exact_oracle(a, b)
+
+
+@settings(max_examples=40)
+@given(_forms(products=True), _forms(products=True), st.text(alphabet="012", min_size=3, max_size=3))
+def test_q_by_parts_equals_the_single_level_contraction(omega, eta, word):
+    """Each pair of parts at its own level and on its shared cells sums to
+    the one-level contraction; the deeper lacuna form puts the parts of
+    ``deep`` at least two levels apart."""
+    deep = omega + fm.dz_form(word).scaled(F(-2, 7))
+    for a, b in ((omega, eta), (eta, omega), (omega, omega), (deep, eta), (eta, deep), (deep, deep)):
+        assert fm.q_inner_exact(a, b) == single_level_q(a, b)
+
+
+def test_q_of_parts_on_disjoint_cells_builds_no_tensor(monkeypatch):
+    """Lacuna forms below disjoint words share no cell: their Q is 0 with no
+    tensor built; a pair that shares cells still builds its tensors."""
+    built = []
+    shape_tensors = fm._shape_tensors
+    monkeypatch.setattr(fm, "_shape_tensors", lambda *args: built.append(args[1:]) or shape_tensors(*args))
+    for s, t in (("0", "1"), ("01", "2"), ("12", "10"), ("2", "02")):
+        assert fm.q_inner_exact(fm.dz_form(s), fm.dz_form(t)) == 0
+        assert built == []
+    assert fm.q_inner_exact(fm.dz_form("1"), fm.dz_form("10")) == 0
+    assert built == [(3, "10"), (3, "10")]
 
 
 def test_exact_q_refuses_products_before_any_tensor(monkeypatch):

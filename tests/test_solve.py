@@ -158,6 +158,20 @@ def test_kernel_limit_refuses_a_root_on_the_unit_circle():
         fm._kernel_limit(_alternating, (), F(1))
 
 
+@pytest.mark.parametrize("sequence, shape, rho", [
+    (fm.q_level_kernel, (0, 1), F(5, 3 * 5**3)),
+    (fm.riemann_kernel, (1, 1, 0), F(1, 25)),
+])
+def test_a_cold_limit_build_keeps_only_its_limit(sequence, shape, rho):
+    """The level kernels a cold build reads are dropped once the limit is
+    built; the levels come back on demand, and the limit is unchanged."""
+    level = sequence(*shape, 3)
+    cold = fm._kernel_limit.__wrapped__(sequence, shape, rho)
+    assert sequence.cache_info().currsize == 0
+    assert sequence(*shape, 3) == level
+    assert cold == fm._kernel_limit(sequence, shape, rho)
+
+
 def _poly(factors):
     """The coefficients, lowest degree first, of the product of the factors."""
     out = [F(1)]
