@@ -946,21 +946,20 @@ def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict
     return D, tensors
 
 
-def _left_slots(form: SmoothForm) -> Optional[int]:
-    """The most left factors of any piece of the form; None without pieces."""
-    counts = [len(left) for t in form.terms for _, left in t.monomials()]
-    if form.exact is not None or any(form.harmonic.values()):
-        counts.append(0)
-    return max(counts, default=None)
-
-
 def _check_q_budget(omega: SmoothForm, eta: SmoothForm) -> None:
     """Refuse a pair of forms whose pieces need a Q kernel of more than
-    _KERNEL_SLOTS_MAX slots (the left factors of both sides and the two
-    d-slots) with GasketError, before any tensor is built."""
-    p, r = _left_slots(omega), _left_slots(eta)
-    if p is not None and r is not None and p + r + 2 > _KERNEL_SLOTS_MAX:
-        raise GasketError(f"a Q kernel of {p + r + 2} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
+    _KERNEL_SLOTS_MAX slots (the most left factors of a piece on each side
+    and the two d-slots) with GasketError, before any tensor is built."""
+    slots = 2
+    for form in (omega, eta):
+        counts = [len(left) for t in form.terms for _, left in t.monomials()]
+        if form.exact is not None or any(form.harmonic.values()):
+            counts.append(0)
+        if not counts:
+            return  # a form without pieces pairs to 0
+        slots += max(counts)
+    if slots > _KERNEL_SLOTS_MAX:
+        raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
 
 
 @lru_cache(maxsize=None)
@@ -996,20 +995,10 @@ def _parts(form: SmoothForm) -> list[tuple[int, Word, SmoothForm]]:
 def _contract_cells(K: Sequence[int], rows1: list[list[int]], rows2: list[list[int]]) -> int:
     """Sum over the cells of the flat kernel K contracted with the outer
     product of the two tensors on each cell (``_shape_tensors`` rows, the
-    first tensor's slots most significant).  Either summed over the cells
-    first, one moment (a dot product over the cells) per entry pair, or
-    cell by cell, one dot product of a slice of K with the longer tensor per
-    entry of the shorter one: whichever takes fewer dot products for this
-    cell count and these tensor lengths, cell by cell on a tie."""
-    la, lb = len(rows1[0]), len(rows2[0])
-    if la * lb < len(rows1) * min(la, lb):
-        moments = itertools.product(zip(*rows1), zip(*rows2))
-        return sum(k * sum(map(operator.mul, a, b)) for k, (a, b) in zip(K, moments))
-    if la <= lb:
-        slices, outer, inner = [K[a * lb : (a + 1) * lb] for a in range(la)], rows1, rows2
-    else:
-        slices, outer, inner = [K[b::lb] for b in range(lb)], rows2, rows1
-    return sum(x * sum(map(operator.mul, s, v)) for u, v in zip(outer, inner) for x, s in zip(u, slices))
+    first tensor's slots most significant): one moment, a dot product over
+    the cells, per entry pair."""
+    moments = itertools.product(zip(*rows1), zip(*rows2))
+    return sum(k * sum(map(operator.mul, a, b)) for k, (a, b) in zip(K, moments))
 
 
 def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
