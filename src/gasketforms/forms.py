@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -972,24 +973,28 @@ def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _parts(form: SmoothForm) -> list[tuple[int, Word, SmoothForm]]:
-    """The form split by data level into (level, root, part), the part's data
-    living on the level-``level`` cells below the root word: the universal
-    terms and the exact part grouped by their own levels, below the empty
-    word, and each lacuna form dz_sigma alone at level |sigma| + 1 below
-    sigma."""
-    groups: dict[int, list[FormTerm]] = {}
+    """The form split by data level into (level, root, part): the universal
+    terms, the exact part and the lacuna forms dz_sigma (at level
+    |sigma| + 1) of each level, living on the level-``level`` cells below
+    the root word.  The root is the longest common prefix of the part's
+    lacuna words, or the empty word when it has universal terms or the
+    exact part."""
+    terms: dict[int, list[FormTerm]] = {}
     for t in form.terms:
-        groups.setdefault(_term_level(t), []).append(t)
+        terms.setdefault(_term_level(t), []).append(t)
+    lacunas: dict[int, dict[Word, Fraction]] = {}
+    for sigma, k in form.harmonic.items():
+        if k:
+            lacunas.setdefault(len(sigma) + 1, {})[sigma] = k
     U = form.exact
-    if U is not None:
-        groups.setdefault(U.level, [])
-    lacunas = [(len(s) + 1, s, SmoothForm(harmonic={s: k})) for s, k in form.harmonic.items() if k]
-    if len(groups) == 1 and not lacunas:
-        return [(next(iter(groups)), "", form)]  # one level: the form is its one part
-    return [
-        (level, "", SmoothForm(tuple(terms), exact=U if U is not None and U.level == level else None))
-        for level, terms in groups.items()
-    ] + lacunas
+    levels = set(terms) | set(lacunas) | ({U.level} if U is not None else set())
+    parts = []
+    for level in levels:
+        exact = U if U is not None and U.level == level else None
+        root = "" if level in terms or exact is not None else os.path.commonprefix(list(lacunas[level]))
+        part = form if len(levels) == 1 else SmoothForm(tuple(terms.get(level, ())), lacunas.get(level, {}), exact)
+        parts.append((level, root, part))
+    return parts
 
 
 def _contract_cells(K: Sequence[int], rows1: list[list[int]], rows2: list[list[int]]) -> int:
@@ -1020,9 +1025,9 @@ def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
 def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     """Q(omega, eta) in rational arithmetic.
 
-    Each form is split into parts by data level (``_parts``): its universal
-    terms and exact part at their own levels, and each dz_sigma at level
-    |sigma| + 1 on the cells inside C_sigma.  Q is bilinear, so it is the
+    Each form is split into parts by data level (``_parts``), each part on
+    the cells below its root word: a lacuna form dz_sigma alone lives on
+    the cells inside C_sigma.  Q is bilinear, so it is the
     sum over pairs of parts, each pair taken at the finer of its two levels
     and only on the cells both parts live on (none when neither part's root
     word is a prefix of the other's); when eta is omega, each cross pair is

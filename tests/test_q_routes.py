@@ -290,9 +290,13 @@ def test_exact_q_equals_the_per_cell_oracle(omega, eta):
 def test_q_by_parts_equals_the_single_level_contraction(omega, eta, word):
     """Each pair of parts at its own level and on its shared cells sums to
     the one-level contraction; the deeper lacuna form puts the parts of
-    ``deep`` at least two levels apart."""
+    ``deep`` at least two levels apart, and ``twins`` holds two lacuna words
+    of one length below their common prefix."""
     deep = omega + fm.dz_form(word).scaled(F(-2, 7))
-    for a, b in ((omega, eta), (eta, omega), (omega, omega), (deep, eta), (eta, deep), (deep, deep)):
+    twins = fm.SmoothForm(harmonic={word + "0": F(1, 3), word[:2] + "12": F(-2, 5)})
+    pairs = ((omega, eta), (eta, omega), (omega, omega), (deep, eta), (eta, deep), (deep, deep),
+             (twins, eta), (deep + twins, deep + twins))
+    for a, b in pairs:
         assert fm.q_inner_exact(a, b) == single_level_q(a, b)
 
 
