@@ -997,20 +997,18 @@ def _parts(form: SmoothForm) -> list[tuple[int, Word, SmoothForm]]:
     return parts
 
 
-def _contract_cells(K: Sequence[int], rows1: list[list[int]], rows2: list[list[int]]) -> int:
-    """Sum over the cells of the flat kernel K contracted with the outer
-    product of the two tensors on each cell (``_shape_tensors`` rows, the
-    first tensor's slots most significant): one moment, a dot product over
-    the cells, per entry pair."""
-    moments = itertools.product(zip(*rows1), zip(*rows2))
-    return sum(k * sum(map(operator.mul, a, b)) for k, (a, b) in zip(K, moments))
+def _moments(rows1: list[list[int]], rows2: list[list[int]]) -> list[int]:
+    """The moments of two tensors on the same cells (``_shape_tensors``
+    rows): per entry pair, the first tensor's slots most significant, the
+    dot product of the two entries over the cells."""
+    return [sum(map(operator.mul, a, b)) for a, b in itertools.product(zip(*rows1), zip(*rows2))]
 
 
 def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
     """Q between two parts, from their shape tensors on the same level-
     ``level`` cells: each pair of left-factor counts contracted with its
-    one-cell kernel (``_exact_q_kernel``) over the integers, divided once,
-    times (5/3)^level."""
+    one-cell kernel (``_exact_q_kernel``) through their moments over the
+    integers, divided once, times (5/3)^level."""
     (D1, tensors1), (D2, tensors2) = t1, t2
     terms = [
         (*_exact_q_kernel(p, r), rows1, rows2)
@@ -1018,7 +1016,7 @@ def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
         for r, rows2 in tensors2.items()
     ]
     den = math.lcm(*(kden for kden, *_ in terms))
-    total = sum(den // kden * _contract_cells(K, rows1, rows2) for kden, K, rows1, rows2 in terms)
+    total = sum(den // kden * sum(map(operator.mul, K, _moments(rows1, rows2))) for kden, K, rows1, rows2 in terms)
     return Fraction(5**level * total, 3**level * den * D1 * D2)
 
 
@@ -1027,16 +1025,16 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
 
     Each form is split into parts by data level (``_parts``), each part on
     the cells below its root word: a lacuna form dz_sigma alone lives on
-    the cells inside C_sigma.  Q is bilinear, so it is the
-    sum over pairs of parts, each pair taken at the finer of its two levels
-    and only on the cells both parts live on (none when neither part's root
-    word is a prefix of the other's); when eta is omega, each cross pair is
-    taken once and doubled.  On those cells each part gives integer shape
-    tensors (``_shape_tensors``), and on one cell Q is a fixed multilinear
-    form in them, the limit of the level kernels (``_exact_q_kernel``),
-    contracted over the integers (``_q_pair``).
-    Products of any shape within the slot budget are exact; a pair of forms
-    of more slots raises GasketError before any tensor is built."""
+    the cells inside C_sigma.  Q is bilinear, so it is the sum over pairs
+    of parts, each pair taken at the finer of its two levels and only on
+    the cells both parts live on (none when neither part's root word is a
+    prefix of the other's); when eta is omega, each cross pair is taken
+    once and doubled.  On those cells each part gives integer shape tensors
+    (``_shape_tensors``), and on one cell Q is a fixed multilinear form in
+    them, the limit of the level kernels (``_exact_q_kernel``), contracted
+    with their moments over the integers (``_q_pair``).  Products of any
+    shape within the slot budget are exact; a pair of forms of more slots
+    raises GasketError before any tensor is built."""
     _check_q_budget(omega, eta)
     parts1 = _parts(omega)
     parts2 = parts1 if eta is omega else _parts(eta)
@@ -1091,23 +1089,23 @@ def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], 
     omega(e)·eta(e), exactly, for n >= m >= the data level of both forms.
 
     Unlike exact Q, both whole forms are cut at the one level m: their
-    pieces on the level-m cells give one integer shape tensor per
-    left-factor count, and each level sum contracts every pair of them with
-    the cached ``q_level_kernel`` over the integers (``_contract_cells``)
-    and divides once.  A pair with more than _KERNEL_SLOTS_MAX slots raises
-    GasketError before any kernel is built (``_check_q_budget``)."""
+    shape tensors on the level-m cells are summed once into one moment per
+    pair of left-factor counts (``_moments``), and each level sum contracts
+    them with the cached ``q_level_kernel`` over the integers and divides
+    once.  A pair with more than _KERNEL_SLOTS_MAX slots raises GasketError
+    before any kernel is built (``_check_q_budget``)."""
     _check_q_budget(omega, eta)
     D1, tensors1 = _shape_tensors(omega, m)
     D2, tensors2 = (D1, tensors1) if eta is omega else _shape_tensors(eta, m)
-    top = max((p + r + 2 for p in tensors1 for r in tensors2), default=0)
+    moments = [(p, r, _moments(rows1, rows2)) for p, rows1 in tensors1.items() for r, rows2 in tensors2.items()]
+    top = max((p + r + 2 for p, r, _ in moments), default=0)
 
     def level_sum(n: int) -> Fraction:
         # kernel (p, r) is scaled by 5^((p + r + 2)·j); bring all to 5^(top·j)
         j = n - m
         total = sum(
-            5 ** ((top - p - r - 2) * j) * _contract_cells(q_level_kernel(p, r, j), rows1, rows2)
-            for p, rows1 in tensors1.items()
-            for r, rows2 in tensors2.items()
+            5 ** ((top - p - r - 2) * j) * sum(map(operator.mul, q_level_kernel(p, r, j), mom))
+            for p, r, mom in moments
         )
         return Fraction(5**n * total, 3**n * 5 ** (top * j) * D1 * D2)
 
