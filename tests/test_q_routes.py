@@ -1,6 +1,7 @@
-"""Exact Q against its per-cell oracle, Q's algebraic properties on products,
-the exact level sums (Riemann and Q) against the exact values within their
-geometric tail bounds, and the exact one-cell kernels."""
+"""Exact Q against its per-cell oracle and its one-level contraction (Q by
+parts), Q's algebraic properties on products, the exact level sums (Riemann
+and Q) against the exact values within their geometric tail bounds, and the
+exact one-cell kernels."""
 
 from __future__ import annotations
 
