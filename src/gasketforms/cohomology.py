@@ -14,8 +14,10 @@ closes in one recursion up from the table's level and U in one descent in
 word order (``hodge_decompose``), on integers over one denominator.
 
 Both read one whole-form integer side-integral table per call, coarsened
-level by level (``_period_tables``), refused past ``_TABLE_ENTRIES_MAX``
-entries before any work starts.
+level by level (``_period_tables``): the periods at the data level m, and
+past it the closed form from the cell determinants; the Hodge decomposition
+at max(m, depth).  Both are refused past ``_TABLE_ENTRIES_MAX`` entries
+before any work starts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .forms import (
     SmoothForm,
+    _check_depth,
     _coarsen,
     _form_data_level,
     _normalized_terms,
@@ -62,7 +65,6 @@ from .harmonic import IntTriple, VertexFunction
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-R35 = Fraction(3, 5)
 
 
 # Work budget of the per-word tables (periods, skeletons, dz tables of paths,
@@ -238,10 +240,13 @@ def _period_tables(form: SmoothForm, depth: int, top: int) -> tuple[int, list[li
     ``side_integral_table`` at the top, and D times the lacuna periods of the
     level-n words, counts[n] for n < top: the lacuna of tau is side i of its
     child tau+i.  DepthTooSmallError when a harmonic word is longer than the
-    depth, and GasketError past ``_TABLE_ENTRIES_MAX`` cells, before any work."""
+    depth, and GasketError past ``_TABLE_ENTRIES_MAX`` for 3^max(top, depth + 1),
+    the cells of the table or of the level below the deepest periods, before
+    any work."""
     if any(len(sigma) > depth for sigma in form.harmonic):
         raise DepthTooSmallError("harmonic support deeper than the requested period depth")
-    _check_budget(3 ** min(top, 64), f"the side-integral tables to level {top}")
+    level = max(top, depth + 1)
+    _check_budget(3 ** min(level, 64), f"the period tables to level {level}")
     D, rows = side_integral_table(form, top)
     tables = _levels_up(rows)
     return D, tables, [[r0[0] + r1[1] + r2[2] for r0, r1, r2 in zip(T[0::3], T[1::3], T[2::3])] for T in tables[1:]]
@@ -251,18 +256,31 @@ def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
     """c_sigma = integral of the form around the lacuna of C_sigma, for all
     |sigma| <= depth, exactly.
 
-    One whole-form ``side_integral_table`` at level max(m, depth + 1), m the
-    data level, is coarsened level by level: the lacuna of a level-n cell tau
-    is side i of its child tau+i, for i = 0, 1, 2.  The periods are integer
-    counts over one denominator, divided once per period.
+    Below the data level m the periods come from one whole-form
+    ``side_integral_table`` at level m, coarsened level by level: the lacuna
+    of a level-n cell tau is side i of its child tau+i, for i = 0, 1, 2, as
+    integer counts over one denominator, divided once per period.  From
+    level m on only the universal part has periods, geometric in each cell
+    below its data level mu (det H_i = 3/25): c = (16/19)·k·(3/25)^(n - mu)
+    = (32/475)·sum of c det[1; F; g], k from ``_k_at_universal_level``, one
+    value per level-mu word shared by the words below it.
 
-    Raises ExactnessUnavailableError for a product of two non-constant
-    factors, DepthTooSmallError when a harmonic word is longer than the
-    depth, and GasketError when the 3^max(m, depth + 1) cells exceed
-    ``_TABLE_ENTRIES_MAX``, all before any integration."""
+    Raises DepthTooSmallError for a negative depth first, then
+    ExactnessUnavailableError for a product of two non-constant factors,
+    DepthTooSmallError when a harmonic word is longer than the depth, and
+    GasketError when 3^max(m, depth + 1) exceeds ``_TABLE_ENTRIES_MAX``, all
+    before any integration."""
+    _check_depth(depth)
     bound = universal_energy_bound(form)
-    D, _, counts = _period_tables(form, depth, max(_form_data_level(form), depth + 1))
-    entries = {w: CertifiedValue(Fraction(c, D)) for n in range(depth + 1) for w, c in zip(words(n), counts[n])}
+    m = _form_data_level(form)
+    D, _, counts = _period_tables(form, depth, m)
+    entries = {w: CertifiedValue(Fraction(c, D)) for n in range(min(m, depth + 1)) for w, c in zip(words(n), counts[n])}
+    if depth >= m:
+        mu, kden, kdet = _k_at_universal_level(_normalized_terms(form))
+        for n in range(m, depth + 1):
+            scale, below = Fraction(16 * 3 ** (n - mu), 19 * kden * 25 ** (n - mu)), 3 ** (n - mu)
+            values = [CertifiedValue(scale * v) for v in kdet]
+            entries.update(zip(words(n), (cv for cv in values for _ in range(below))))
     return PeriodVector(depth, entries, bound)
 
 
@@ -350,11 +368,12 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
     of the two child sides through it.  All are integers over K (k),
     6·5^n·K (Phi on level n) and 6·5^depth·K (U), divided once per value.
 
-    The budget charges 3^(depth + 1)·(depth + 1) before any work; products
-    of two non-constant factors (ExactnessUnavailableError) and harmonic
-    words longer than the depth (DepthTooSmallError) are refused before any
-    table.
+    A negative depth (DepthTooSmallError) is refused first.  The budget
+    charges 3^(depth + 1)·(depth + 1) before any work; products of two
+    non-constant factors (ExactnessUnavailableError) and harmonic words
+    longer than the depth (DepthTooSmallError) are refused before any table.
     """
+    _check_depth(depth)
     _check_budget(3 ** min(depth + 1, 64) * (depth + 1), f"the Hodge decomposition to depth {depth}")
     terms = _normalized_terms(form)
     top = max(_form_data_level(form), depth)
@@ -424,13 +443,21 @@ def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> 
 
 
 def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int) -> CertifiedValue:
-    """|integral over the perimeter of C_sigma + sum of lacuna periods below|
-    together with its geometric tail bound; the periods come from one
-    ``periods_up_to(form, depth)``, with its refusals."""
+    """The integral over the perimeter of C_sigma plus every lacuna period
+    below sigma, exactly: 0 when the identity holds, with radius 0.
+
+    The periods to D = max(depth, m), m the data level, come from
+    ``periods_up_to``; past D the level sums below sigma shrink by exactly
+    9/25 per level (each cell's period is 3/25 of its parent's), so the tail
+    is (9/16) times the level-D sum.  The refusals are those of
+    ``periods_up_to(form, depth)``, after DepthTooSmallError for a depth
+    short of the cell."""
     if depth < len(sigma):
         raise DepthTooSmallError("depth must reach the cell level")
+    D = max(depth, _form_data_level(form))
     periods = periods_up_to(form, depth).entries
-    total = integrate_path(form, perimeter_path(sigma)).value
-    total += sum((cv.value for w, cv in periods.items() if w.startswith(sigma)), F0)
-    tail = Fraction(3, 4) * R35**depth * universal_energy_bound(form)
-    return CertifiedValue(abs(total), tail)
+    if D > depth:
+        periods = periods_up_to(form, D).entries
+    below = [(len(w), cv.value) for w, cv in periods.items() if w.startswith(sigma)]
+    total = integrate_path(form, perimeter_path(sigma)).value + sum((v for _, v in below), F0)
+    return CertifiedValue(total + Fraction(9, 16) * sum((v for n, v in below if n == D), F0))

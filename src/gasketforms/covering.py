@@ -47,7 +47,7 @@ from .errors import (
     GasketError,
     UnboundedTailError,
 )
-from .forms import SmoothForm, _prefix_dz
+from .forms import SmoothForm, _check_depth, _prefix_dz
 from .geometry import ElementaryPath, OrientedEdge, Word, words
 
 F0 = Fraction(0)
@@ -281,7 +281,9 @@ class HomologyElement:
 def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
     """Coordinates of a closed path: winding numbers around each lacuna,
     sum_j A_{w, w[:j]} * (integral of dz_{w[:j]}) for every |w| < depth,
-    read from the integer dz counts (3^|w| A_{w, w[:j]} is an integer)."""
+    read from the integer dz counts (3^|w| A_{w, w[:j]} is an integer).
+    DepthTooSmallError for a negative depth."""
+    _check_depth(depth)
     if depth > 0 and not path.closed:
         raise GasketError("winding numbers need a closed path")
     _check_budget((3 ** min(depth, 64) - 1) // 2, f"a homology class to depth {depth}")

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .certified import CertifiedValue
 from .errors import (
+    DepthTooSmallError,
     ExactnessUnavailableError,
     GasketError,
     NonConvergentError,
@@ -734,9 +735,16 @@ def _coarsen(rows: list[IntTriple]) -> list[IntTriple]:
     ]
 
 
+def _check_depth(depth: int) -> None:
+    """DepthTooSmallError for a negative depth or level, before any work."""
+    if depth < 0:
+        raise DepthTooSmallError(f"depth {depth} is negative")
+
+
 def side_integrals_at(form: SmoothForm, level: int) -> tuple[int, list[IntTriple]]:
     """``side_integral_table`` at any level: built at the data level when
-    that is finer, then coarsened."""
+    that is finer, then coarsened.  DepthTooSmallError for a negative level."""
+    _check_depth(level)
     D, rows = side_integral_table(form, max(_form_data_level(form), level))
     while len(rows) > 3**level:
         rows = _coarsen(rows)

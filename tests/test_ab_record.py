@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -60,3 +61,17 @@ def test_no_regressions_without_both_sides():
     args = argparse.Namespace(label="t", claim=None, pairs=[("a", [1])], trace=[])
     record = ab_record.build_record(args, bench, {}, runs)
     assert record["summary"]["a"]["regressions"] == []
+
+
+@pytest.mark.parametrize("env", [None, "1"])
+def test_host_records_whether_bytecode_is_written(env, monkeypatch):
+    """The runs inherit the recorder's environment, so its bytecode setting
+    is the runs' setting."""
+    if env is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+    args = argparse.Namespace(label="t", claim=None, pairs=[], trace=[])
+    host = ab_record.build_record(args, BENCH, {}, [])["host"]
+    assert host["PYTHONDONTWRITEBYTECODE"] == env
+    assert host["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)

@@ -83,6 +83,15 @@ def test_huge_depth_is_refused_with_exit_code_1(capsys):
         assert "budget" in err and out == ""
 
 
+def test_negative_depth_is_refused_with_exit_code_1(capsys):
+    pj = json.dumps(path_to_json(lacuna_path("0")))
+    form = json.dumps(fm.fdg(f0, f1).to_json())
+    for args in (["periods", "--form", form], ["hodge", "--form", form], ["homology", "--path", pj]):
+        assert cli.main([*args, "--depth", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert "negative" in err and out == ""
+
+
 def test_hodge_and_potential(tmp_path, capsys):
     form = json.dumps(fm.fdg(f0, f1).to_json())
     code, out = run_cli(capsys, "hodge", "--form", form, "--depth", "1")

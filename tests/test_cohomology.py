@@ -11,6 +11,7 @@ import pytest
 
 from gasketforms import cohomology as coh
 from gasketforms import forms as fm
+from gasketforms.certified import CertifiedValue
 from gasketforms.errors import NotComparableError
 from gasketforms.geometry import (
     P0,
@@ -202,14 +203,23 @@ def test_k_is_the_de_rham_extrapolation():
 
 
 def test_perimeter_identity():
-    z = fm.dz_form("1")
-    cv = coh.perimeter_identity_check(z, "1", 3)
-    assert cv.value == 0 and cv.radius == 0
-    cv = coh.perimeter_identity_check(fm.d(f0), "", 2)
-    assert cv.value == 0
-    w = fm.fdg(f0, f1)
-    cv = coh.perimeter_identity_check(w, "", 6)
-    assert cv.value <= cv.radius
+    for form, sigma, depth in ((fm.dz_form("1"), "1", 3), (fm.d(f0), "", 2), (fm.fdg(f0, f1), "", 6)):
+        assert coh.perimeter_identity_check(form, sigma, depth) == CertifiedValue.from_exact(0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_perimeter_identity_is_exact_on_random_forms(m):
+    """Universal terms of data level m, a lacuna form and an exact part: the
+    closed tail makes the identity exactly 0 at depths below, at and past m."""
+    rng = random.Random(m)
+    for _ in range(3):
+        form = fm.fdg(random_harmonic(m, rng), random_harmonic(rng.randint(0, m), rng))
+        form = form + fm.d(random_harmonic(rng.randint(0, m), rng))
+        if m:
+            form = form + fm.SmoothForm(harmonic={"2" * rng.randint(0, m - 1): F(rng.randint(1, 5), 3)})
+        for sigma in ("", "1", "02"):
+            for depth in range(max(len(sigma), max(map(len, form.harmonic), default=0)), m + 3):
+                assert coh.perimeter_identity_check(form, sigma, depth) == CertifiedValue.from_exact(0)
 
 
 def test_winding_integer_guard():

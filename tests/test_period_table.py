@@ -38,6 +38,21 @@ def _periods_by_paths(form, depth, mode="exact"):
     return coh.PeriodVector(depth, entries, bound)
 
 
+def _periods_by_table(form, depth):
+    """The table route the closed form replaced past the data level: one
+    whole-form table at level max(m, depth + 1), coarsened to level 0, each
+    period the sum of side i of the child tau+i."""
+    D, rows = fm.side_integral_table(form, max(fm._form_data_level(form), depth + 1))
+    tables = [rows]
+    while len(tables[0]) > 1:
+        tables.insert(0, fm._coarsen(tables[0]))
+    return {
+        w: F(r0[0] + r1[1] + r2[2], D)
+        for n in range(depth + 1)
+        for w, r0, r1, r2 in zip(words(n), tables[n + 1][0::3], tables[n + 1][1::3], tables[n + 1][2::3])
+    }
+
+
 def _k_tail_bound(level_sum_bound, depth):
     """The truncated route's bound for the level sums of |k| summed over all
     levels past the depth: (25/8)(3/5)^(depth+2)(5/2) times the bound."""
@@ -238,6 +253,44 @@ def test_periods_equal_the_path_oracle(case):
         return
     assert _pairs(got.entries) == _pairs(want.entries)
     assert got.depth == want.depth and got.level_sum_bound == want.level_sum_bound
+
+
+def test_periods_past_the_data_level_equal_the_table_and_path_routes():
+    """At depths m .. m + 5 the closed form equals the table route and one
+    integrate_path per lacuna: a pure lacuna form, a form whose universal
+    level (1) is below its lacuna and exact level (2), and f0 df1 at level 0."""
+    rng = random.Random(2)
+    cases = [
+        fm.SmoothForm(harmonic={"": F(1, 5), "1": F(2, 3), "2": F(-1, 4)}),
+        fm.fdg(fm.Sum([fm.Atom(random_harmonic(1, rng, span=5)), fm.Atom(f1)]), f2)
+        + fm.dz_form("0") + fm.d(random_harmonic(2, rng)),
+        fm.fdg(f0, f1),
+    ]
+    for form in cases:
+        m = fm._form_data_level(form)
+        paths = _periods_by_paths(form, m + 5).entries
+        for depth in range(m, m + 6):
+            got = {w: cv.value for w, cv in coh.periods_up_to(form, depth).entries.items()}
+            assert got == _periods_by_table(form, depth)
+            assert got == {w: cv.value for w, cv in paths.items() if len(w) <= depth}
+            assert all(cv.radius == 0 for cv in coh.periods_up_to(form, depth).entries.values())
+
+
+def test_periods_build_one_table_at_the_data_level(monkeypatch):
+    """One side-integral table per call, at the data level m = 2, at every
+    depth below, at and past m."""
+    levels = []
+
+    def counted(form, level):
+        levels.append(level)
+        return fm.side_integral_table(form, level)
+
+    monkeypatch.setattr(coh, "side_integral_table", counted)
+    form = fm.fdg(random_harmonic(1, random.Random(4)), f1) + fm.dz_form("1")
+    for depth in range(1, 6):
+        levels.clear()
+        assert len(coh.periods_up_to(form, depth).entries) == (3 ** (depth + 1) - 1) // 2
+        assert levels == [2]
 
 
 @settings(max_examples=25, deadline=None)
@@ -509,7 +562,7 @@ def test_period_and_hodge_work_budget(monkeypatch):
     for call in (coh.periods_up_to, coh.hodge_decompose):
         with pytest.raises(GasketError, match="budget"):
             call(form, 30)
-    # periods to depth 2 need the 27 cells of level 3; data of level 3 needs them at depth 0
+    # periods to depth 2 charge 3^3 = 27; data of level 3 charges its 27 cells at depth 0
     monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
     assert coh.periods_up_to(form, 2).entries
     assert coh.periods_up_to(fm.fdg(random_harmonic(3, random.Random(1)), f1), 0).entries
@@ -524,6 +577,30 @@ def test_period_and_hodge_work_budget(monkeypatch):
     assert coh.hodge_decompose(form, 2).k
     with pytest.raises(GasketError, match="budget"):
         coh.hodge_decompose(form, 3)
+
+
+def test_negative_depths_are_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(coh, "side_integral_table", no_work)
+    monkeypatch.setattr(fm, "side_integral_table", no_work)
+    monkeypatch.setattr(cov, "_dz_counts", no_work)
+    form = fm.fdg(f0, f1) + fm.dz_form("")
+    for call, arg in ((coh.periods_up_to, form), (coh.hodge_decompose, form), (fm.side_integrals_at, form),
+                      (fm.q_level, form), (cov.homology_class, lacuna_path("0"))):
+        with pytest.raises(DepthTooSmallError, match="negative"):
+            call(arg, -1)
+
+
+def test_period_budget_charges_the_depth_not_the_table(monkeypatch):
+    """The table of f0 df1 is one cell at every depth, but the budget still
+    charges 3^(depth + 1), before any table is built."""
+    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
+    assert len(coh.periods_up_to(fm.fdg(f0, f1), 2).entries) == 13
+    monkeypatch.setattr(coh, "side_integral_table", lambda *args: pytest.fail("work started"))
+    with pytest.raises(GasketError, match="budget"):
+        coh.periods_up_to(fm.fdg(f0, f1), 3)
 
 
 def test_hodge_budget_refuses_depth_11_before_any_work(monkeypatch):

@@ -20,10 +20,10 @@
   unnoticed.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch.
-* The Hodge decomposition and the covering potentials are exact: the
-  energy bound of the truncation tails, ``universal_energy_bound``, is
-  called only by ``periods_up_to`` (for ``PeriodVector.level_sum_bound``)
-  and by ``perimeter_identity_check``, so no tail comes back into them.
+* The Hodge decomposition, the covering potentials and the perimeter
+  identity are exact: the energy bound of the truncation tails,
+  ``universal_energy_bound``, is called only by ``periods_up_to`` (for
+  ``PeriodVector.level_sum_bound``), so no tail comes back into them.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def test_energy_bound_is_called_only_by_the_period_routes():
                 sites += [
                     (path.name, fn.name) for n in ast.walk(fn) if _called_name(n) == "universal_energy_bound"
                 ]
-    assert sorted(sites) == [("cohomology.py", "perimeter_identity_check"), ("cohomology.py", "periods_up_to")]
+    assert sites == [("cohomology.py", "periods_up_to")]
 
 
 def test_bench_trace_targets_resolve():

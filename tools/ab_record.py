@@ -138,7 +138,10 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
                 "parent median by more than the bound)",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
-        "host": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version()},
+        # without cached bytecode every run compiles the library from source, which moves peak_rss_mib
+        "host": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
+                 "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "revisions": revisions,
         "seeds": {w: s for w, s in args.pairs},
         "traced_seeds": {w: s for w, s in args.trace},
