@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import pathlib
-import sys
+import types
 
 import pytest
 
@@ -63,15 +63,16 @@ def test_no_regressions_without_both_sides():
     assert record["summary"]["a"]["regressions"] == []
 
 
-@pytest.mark.parametrize("env", [None, "1"])
-def test_host_records_whether_bytecode_is_written(env, monkeypatch):
-    """The runs inherit the recorder's environment, so its bytecode setting
-    is the runs' setting."""
+@pytest.mark.parametrize("flag, env", [(0, None), (1, "1")])
+def test_host_records_whether_bytecode_is_written(flag, env, monkeypatch):
+    """The runs inherit the recorder's interpreter flags and environment, so
+    its bytecode setting is the runs' setting."""
     if env is None:
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+    monkeypatch.setattr(ab_record, "sys", types.SimpleNamespace(flags=types.SimpleNamespace(dont_write_bytecode=flag)))
     args = argparse.Namespace(label="t", claim=None, pairs=[], trace=[])
     host = ab_record.build_record(args, BENCH, {}, [])["host"]
     assert host["PYTHONDONTWRITEBYTECODE"] == env
-    assert host["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    assert host["dont_write_bytecode"] is bool(flag)

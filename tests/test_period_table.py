@@ -270,10 +270,11 @@ def test_periods_past_the_data_level_equal_the_table_and_path_routes():
         m = fm._form_data_level(form)
         paths = _periods_by_paths(form, m + 5).entries
         for depth in range(m, m + 6):
-            got = {w: cv.value for w, cv in coh.periods_up_to(form, depth).entries.items()}
+            entries = coh.periods_up_to(form, depth).entries
+            got = {w: cv.value for w, cv in entries.items()}
             assert got == _periods_by_table(form, depth)
             assert got == {w: cv.value for w, cv in paths.items() if len(w) <= depth}
-            assert all(cv.radius == 0 for cv in coh.periods_up_to(form, depth).entries.values())
+            assert all(cv.radius == 0 for cv in entries.values())
 
 
 def test_periods_build_one_table_at_the_data_level(monkeypatch):
@@ -558,16 +559,21 @@ def test_too_deep_harmonic_word_raises():
 
 def test_period_and_hodge_work_budget(monkeypatch):
     form = fm.fdg(f0, f1)
-    # the refusal comes from the cell count alone: nothing is integrated
-    for call in (coh.periods_up_to, coh.hodge_decompose):
+    # the refusal comes from the cell count alone: nothing is integrated, although
+    # the table of f0 df1 is one cell at every depth
+    with monkeypatch.context() as patched:
+        patched.setattr(coh, "side_integral_table", lambda *args: pytest.fail("work started"))
+        for call in (coh.periods_up_to, coh.hodge_decompose):
+            with pytest.raises(GasketError, match="budget"):
+                call(form, 30)
+        # periods to depth 2 charge 3^3 = 27, so depth 3 is refused
+        patched.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
         with pytest.raises(GasketError, match="budget"):
-            call(form, 30)
-    # periods to depth 2 charge 3^3 = 27; data of level 3 charges its 27 cells at depth 0
+            coh.periods_up_to(form, 3)
+    # data of level 3 charges its 27 cells at depth 0
     monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
     assert coh.periods_up_to(form, 2).entries
     assert coh.periods_up_to(fm.fdg(random_harmonic(3, random.Random(1)), f1), 0).entries
-    with pytest.raises(GasketError, match="budget"):
-        coh.periods_up_to(form, 3)
     with pytest.raises(GasketError, match="budget"):
         coh.periods_up_to(fm.fdg(random_harmonic(4, random.Random(1)), f1), 0)
     # a Hodge decomposition to depth 2 charges its prefix work, 3^3 · 3 = 81
@@ -591,16 +597,6 @@ def test_negative_depths_are_refused_before_any_work(monkeypatch):
                       (fm.q_level, form), (cov.homology_class, lacuna_path("0"))):
         with pytest.raises(DepthTooSmallError, match="negative"):
             call(arg, -1)
-
-
-def test_period_budget_charges_the_depth_not_the_table(monkeypatch):
-    """The table of f0 df1 is one cell at every depth, but the budget still
-    charges 3^(depth + 1), before any table is built."""
-    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
-    assert len(coh.periods_up_to(fm.fdg(f0, f1), 2).entries) == 13
-    monkeypatch.setattr(coh, "side_integral_table", lambda *args: pytest.fail("work started"))
-    with pytest.raises(GasketError, match="budget"):
-        coh.periods_up_to(fm.fdg(f0, f1), 3)
 
 
 def test_hodge_budget_refuses_depth_11_before_any_work(monkeypatch):
