@@ -5,7 +5,7 @@ integrals, lacuna periods, winding numbers, the Hodge decomposition, and
 effective lengths / potentials on the abelian pro-covering.
 """
 
-from .certified import CertifiedValue, sqrt_upper
+from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
     PeriodVector,
@@ -22,8 +22,6 @@ from .cohomology import (
 from .covering import (
     HomologyElement,
     LevelSequence,
-    TailBound,
-    dz_sequence_edge,
     effective_length,
     group_length,
     hnorm_divergence,
@@ -42,7 +40,6 @@ from .errors import (
     NonConvergentError,
     NonIntegerResultError,
     NotComparableError,
-    UnboundedTailError,
 )
 from .forms import (
     Atom,

@@ -19,19 +19,6 @@ Number = Union[Fraction, float]
 _ZERO = Fraction(0)
 
 
-def sqrt_upper(x: Fraction, scale: int = 10**12) -> Fraction:
-    """A rational upper bound for sqrt(x), tight to ~1/scale relatively."""
-    if x < 0:
-        raise ValueError("sqrt of negative bound")
-    if x == 0:
-        return _ZERO
-    n = x.numerator * x.denominator * scale * scale
-    s = math.isqrt(n)
-    if s * s < n:
-        s += 1
-    return Fraction(s, x.denominator * scale)
-
-
 @dataclass(frozen=True)
 class CertifiedValue:
     value: Number

@@ -42,16 +42,11 @@ from .cohomology import (
     b_thirds,
     hodge_decompose,
 )
-from .errors import (
-    DepthTooSmallError,
-    GasketError,
-    UnboundedTailError,
-)
+from .errors import DepthTooSmallError, GasketError
 from .forms import SmoothForm, _check_depth, _prefix_dz
 from .geometry import ElementaryPath, OrientedEdge, Word, words
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 R35 = Fraction(3, 5)
 R53 = Fraction(5, 3)
 
@@ -61,26 +56,12 @@ R53 = Fraction(5, 3)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailBound:
-    """Geometric bounds for levels beyond the stored depth: level-n sup is at
-    most sup_coeff * sup_ratio^n and the level-n sum at most
-    sum_coeff * sum_ratio^n; ``sup_exact`` marks the sup bound as attained."""
-
-    sup_coeff: Fraction = F0
-    sup_ratio: Fraction = F1
-    sum_coeff: Fraction = F0
-    sum_ratio: Fraction = F1
-    sup_exact: bool = False
-
-
-@dataclass(frozen=True)
 class LevelSequence:
-    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth, plus an
-    optional tail descriptor; full per-word maps may be kept for inspection."""
+    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth; full
+    per-word maps may be kept for inspection."""
 
     sums: tuple[Fraction, ...]
     sups: tuple[Fraction, ...]
-    tail: Optional[TailBound] = None
     values: Optional[dict[Word, Fraction]] = None
 
     @property
@@ -88,47 +69,25 @@ class LevelSequence:
         return len(self.sums) - 1
 
     @staticmethod
-    def from_values(values: dict[Word, Fraction], depth: int, tail: Optional[TailBound] = None) -> "LevelSequence":
-        """Aggregate a finitely-supported word map; ``depth`` may be -1 when
-        every stored level is covered by the tail descriptor."""
+    def from_values(values: dict[Word, Fraction], depth: int) -> "LevelSequence":
+        """Aggregate a finitely-supported word map over the levels 0..depth."""
         sums = []
         sups = []
         for n in range(depth + 1):
             level = [abs(v) for w, v in values.items() if len(w) == n]
             sums.append(sum(level, F0))
             sups.append(max(level, default=F0))
-        return LevelSequence(tuple(sums), tuple(sups), tail, dict(values))
+        return LevelSequence(tuple(sums), tuple(sups), dict(values))
 
 
 def norm_N(seq: LevelSequence) -> CertifiedValue:
     """sup_n (5/3)^n * (level-n sum)."""
-    finite = max((R53**n * s for n, s in enumerate(seq.sums)), default=F0)
-    t = seq.tail
-    if t is None or t.sum_coeff == 0:
-        return CertifiedValue.from_exact(finite)
-    growth = R53 * t.sum_ratio
-    if growth > 1:
-        raise UnboundedTailError("level sums grow faster than (3/5)^n")
-    d = seq.depth
-    tail_sup = t.sum_coeff * R53 ** (d + 1) * t.sum_ratio ** (d + 1)
-    hi = max(finite, tail_sup)
-    return CertifiedValue((finite + hi) / 2, (hi - finite) / 2)
+    return CertifiedValue.from_exact(max((R53**n * s for n, s in enumerate(seq.sums)), default=F0))
 
 
 def norm_Nprime(seq: LevelSequence) -> CertifiedValue:
     """sum_n (3/5)^n * (level-n sup)."""
-    finite = sum((R35**n * s for n, s in enumerate(seq.sups)), F0)
-    t = seq.tail
-    if t is None or t.sup_coeff == 0:
-        return CertifiedValue.from_exact(finite)
-    r = R35 * t.sup_ratio
-    if r >= 1:
-        raise UnboundedTailError("level sups do not decay against (3/5)^n")
-    d = seq.depth
-    tail_total = t.sup_coeff * t.sup_ratio ** (d + 1) * R35 ** (d + 1) / (1 - r)
-    if t.sup_exact:
-        return CertifiedValue.from_exact(finite + tail_total)
-    return CertifiedValue(finite + tail_total / 2, tail_total / 2)
+    return CertifiedValue.from_exact(sum((R35**n * s for n, s in enumerate(seq.sups)), F0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +137,9 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
 
 def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fraction]:
     """{sigma: integral of dz_sigma along the path} for every |sigma| <= depth
-    whose value is nonzero, from the integer counts of ``_dz_counts``."""
+    whose value is nonzero, from the integer counts of ``_dz_counts``.
+    DepthTooSmallError for a negative depth, before any work."""
+    _check_depth(depth)
     den, counts = _dz_counts(list(path), depth)
     return {w: Fraction(c, den) for w, c in counts.items() if c}
 
@@ -187,39 +148,31 @@ def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fr
 # effective length
 # ---------------------------------------------------------------------------
 
-def dz_sequence_edge(e: OrientedEdge) -> LevelSequence:
-    """The sequence sigma -> integral of dz_sigma over one edge.
-
-    Exact at every level: below the edge level only the prefix word
-    contributes, and from the edge level on the sup is exactly 1/3, attained
-    by the branch words avoiding the side letter (while the level sums double
-    per level, so the N-norm of this sequence diverges).
-    """
-    n = e.level
-    tail = TailBound(sup_coeff=Fraction(1, 3), sup_ratio=F1, sup_exact=True,
-                     sum_coeff=Fraction(1, 3) * Fraction(1, 2) ** n, sum_ratio=Fraction(2))
-    return LevelSequence.from_values(dz_path_integrals([e], n - 1), n - 1, tail)
-
-
 def effective_length(path: ElementaryPath, depth: int = 8) -> CertifiedValue:
-    """N' of the lacuna-form integrals along the path.
+    """N' of the lacuna-form integrals along the path, with per-level sups
+    read from the integer dz counts.
 
-    Single edges are exact (their per-level sups stabilize at 1/3); longer
-    paths are exact up to the depth, with per-level sups read from the
-    integer dz counts, and a conservative geometric tail.
+    A single edge at level L is exact and does not read ``depth``: below L
+    only the prefix words of its cell meet it, and from L on the sup is
+    exactly 1/3, attained by the branch words avoiding the side letter, so
+    the levels from L on add (1/3)(3/5)^L·(5/2).  Longer paths are exact up
+    to the depth, with a conservative geometric tail.  DepthTooSmallError
+    for a negative depth, before any work.
     """
+    _check_depth(depth)
     edges = list(path)
     if len(edges) == 1:
-        return norm_Nprime(dz_sequence_edge(edges[0]))
+        depth = edges[0].level - 1
     den, counts = _dz_counts(edges, depth)
     sups = [0] * (depth + 1)
     for w, c in counts.items():
         a = abs(c)
         if a > sups[len(w)]:
             sups[len(w)] = a
-    per_level_cap = len(edges) * Fraction(1, 3)
-    tail_total = per_level_cap * R35 ** (depth + 1) * Fraction(5, 2)
     finite = sum((R35**k * Fraction(s, den) for k, s in enumerate(sups)), F0)
+    tail_total = len(edges) * Fraction(1, 3) * R35 ** (depth + 1) * Fraction(5, 2)
+    if len(edges) == 1:
+        return CertifiedValue.from_exact(finite + tail_total)
     return CertifiedValue(finite + tail_total / 2, tail_total / 2)
 
 
@@ -228,18 +181,19 @@ def hnorm_divergence(e: OrientedEdge, levels: int) -> list[Fraction]:
     (6/5) sum_{n <= L} (3/5)^n sum_{|sigma| = n} |int_e dz_sigma|^2.
 
     Below the edge level n0 only the prefix words of the edge's cell meet
-    it, read from its dz table; from n0 on the level sum is exactly
+    it, read from its integer dz counts; from n0 on the level sum is exactly
     2^(n - n0) / 9: one word per string avoiding the side letter, each
     integral -sign/3 (``dz_integral_edge``).
     """
     n0 = e.level
-    level_sq = [F0] * n0
-    for w, v in dz_path_integrals([e], min(levels, n0 - 1)).items():
-        level_sq[len(w)] += v * v
+    den, counts = _dz_counts([e], min(levels, n0 - 1))
+    level_sq = [0] * n0
+    for w, c in counts.items():
+        level_sq[len(w)] += c * c
     partial = F0
     out = []
     for n in range(levels + 1):
-        partial += R35**n * (level_sq[n] if n < n0 else Fraction(2 ** (n - n0), 9))
+        partial += R35**n * (Fraction(level_sq[n], den * den) if n < n0 else Fraction(2 ** (n - n0), 9))
         out.append(Fraction(6, 5) * partial)
     return out
 

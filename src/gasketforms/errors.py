@@ -32,7 +32,3 @@ class NonIntegerResultError(GasketError):
 
 class DepthTooSmallError(GasketError):
     """A requested depth is below what the input needs."""
-
-
-class UnboundedTailError(GasketError):
-    """A level sequence has no decaying tail descriptor, so the norm diverges."""

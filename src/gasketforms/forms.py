@@ -3,21 +3,18 @@
 A form is stored in three parts that are implicitly summed:
 
 * a *universal* part, a list of terms a·dg·b with a, b pointwise expressions
-  over piecewise-harmonic functions and g piecewise-harmonic; the term pairs
-  with an oriented edge e as a(e+)·(g(e+) - g(e-))·b(e-);
+  (``expr``) over piecewise-harmonic functions and g piecewise-harmonic; the
+  term pairs with an oriented edge e as a(e+)·(g(e+) - g(e-))·b(e-);
 * a *harmonic* part, a finitely supported rational combination of the unit
   lacuna forms dz_sigma (local potentials with corner values 1/6, 0, -1/6 on
   each sub-cell of C_sigma, arranged so the clockwise lacuna integral is 1);
 * an *exact* part d(U) given by a potential U.
 
 Integrals and the energy inner product Q are exact, in rational arithmetic,
-for every form within the kernel budget, products of functions included.
-Every exact kernel is the limit of a cached integer level kernel:
-``_kernel_limit`` finds the short recurrence of the sequence by one row
-echelon modulo a prime, solves for its coefficients exactly
-(``solve_unique``) and checks it in integers.  Edge integrals contract the
-(p, 0) Riemann limits with the factors' integer corner triples (the right
-factors moved left); ``side_integral_table`` gives the whole form's
+for every form within the kernel budget, products of functions included:
+they contract the exact one-cell kernels of ``kernels`` with the factors'
+integer corner triples.  Edge integrals use the (p, 0) Riemann limits (the
+right factors moved left); ``side_integral_table`` gives the whole form's
 integrals over the sides of every cell of one level from one walk per
 function, and ``q_level`` sums their squares.  Q splits each form into
 parts by data level and sums over pairs of parts, each pair at the finer of
@@ -40,245 +37,20 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .certified import CertifiedValue
-from .errors import (
-    DepthTooSmallError,
-    ExactnessUnavailableError,
-    GasketError,
-    NonConvergentError,
-)
-from .geometry import (
-    ElementaryPath,
-    OrientedEdge,
-    Word,
-    check_word,
-    is_prefix,
-    subdivide,
-    words,
-)
-from .harmonic import (
-    H_MATRICES,
-    IntTriple,
-    Triple,
-    VertexFunction,
-    descend,
-)
+from .errors import DepthTooSmallError, ExactnessUnavailableError, GasketError, NonConvergentError
+from .expr import _MONOMIALS_MAX, ONE, Atom, Const, Expr, Product, _monomials
+from .expr import Sum  # re-exported
+from .geometry import ElementaryPath, OrientedEdge, Word, check_word, is_prefix, subdivide
+from .harmonic import IntTriple, Triple, VertexFunction, descend
+from .kernels import _KERNEL_SLOTS_MAX, _exact_q_kernel, _int_side_limits, q_level_kernel, riemann_kernel
+from .kernels import edge_kernel, q_kernel, solve_unique  # re-exported
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 R53 = Fraction(5, 3)
-
-
-# ---------------------------------------------------------------------------
-# rational linear solve
-# ---------------------------------------------------------------------------
-
-def _primitive(row: list[int]) -> list[int]:
-    """Divide an integer row by its content (the gcd of its entries)."""
-    g = math.gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
-
-
-def solve_unique(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction]:
-    """Solve an overdetermined consistent system with a unique solution.
-
-    Fraction-free elimination: each augmented row is scaled once to coprime
-    integers, rows below the pivot are replaced by p·row − f·pivot_row divided
-    by their content, and the pivot of each column is the candidate of least
-    magnitude, which keeps the integers short.  Fractions appear only in back
-    substitution, so the solution is the same rationals as exact Gauss–Jordan.
-    """
-    if not rows or len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
-        raise GasketError("linear system is empty or ragged")
-    n = len(rows[0])
-    aug = []
-    for coeffs, b in zip(rows, rhs):
-        row = list(coeffs) + [b]
-        den = math.lcm(*(x.denominator for x in row))
-        aug.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    r = 0
-    for c in range(n):
-        live = [k for k in range(r, len(aug)) if aug[k][c]]
-        if not live:
-            continue
-        piv = min(live, key=lambda k: abs(aug[k][c]))
-        aug[r], aug[piv] = aug[piv], aug[r]
-        tail = aug[r][c:]
-        p = tail[0]
-        for k in range(r + 1, len(aug)):
-            f = aug[k][c]
-            if f:
-                # columns before c are zero in both rows
-                aug[k] = [0] * c + _primitive([p * x - f * y for x, y in zip(aug[k][c:], tail)])
-        r += 1
-    if any(aug[k][n] for k in range(r, len(aug))):
-        raise GasketError("inconsistent linear system")
-    if r < n:
-        raise GasketError("linear system does not pin a unique solution")
-    out = [F0] * n
-    for c in reversed(range(n)):
-        row = aug[c]
-        out[c] = (row[n] - sum(row[j] * out[j] for j in range(c + 1, n))) / Fraction(row[c])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pointwise expression algebra over piecewise-harmonic functions
-# ---------------------------------------------------------------------------
-
-class Expr:
-    """Sum/product closure of piecewise-harmonic functions and constants."""
-
-    def max_level(self) -> int:
-        return 0
-
-    def as_const(self) -> Optional[Fraction]:
-        return None
-
-    def as_vf(self) -> Optional[VertexFunction]:
-        """Reduce to a single piecewise-harmonic function if possible.
-
-        Sum and Product reduce once and keep the result: expressions and
-        the functions in them are never mutated."""
-        return None
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json(data: dict) -> "Expr":
-        kind = data["kind"]
-        if kind == "const":
-            return Const(Fraction(data["value"]))
-        if kind == "vf":
-            return Atom(VertexFunction.from_json(data["function"]))
-        if kind == "sum":
-            return Sum([Expr.from_json(t) for t in data["terms"]])
-        if kind == "product":
-            return Product([Expr.from_json(t) for t in data["terms"]])
-        raise GasketError(f"unknown expression kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    c: Fraction
-
-    def as_const(self):
-        return self.c
-
-    def as_vf(self):
-        return VertexFunction.constant(self.c)
-
-    def to_json(self):
-        return {"kind": "const", "value": f"{self.c.numerator}/{self.c.denominator}"}
-
-
-@dataclass(frozen=True, eq=False)
-class Atom(Expr):
-    vf: VertexFunction
-
-    def max_level(self):
-        return self.vf.level
-
-    def as_const(self):
-        if self.vf.is_constant():
-            return next(iter(self.vf.values.values()))
-        return None
-
-    def as_vf(self):
-        return self.vf
-
-    def to_json(self):
-        return {"kind": "vf", "function": self.vf.to_json()}
-
-
-@dataclass(frozen=True, eq=False)
-class Sum(Expr):
-    terms: tuple[Expr, ...]
-
-    def __init__(self, terms: Iterable[Expr]):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def max_level(self):
-        return max(t.max_level() for t in self.terms)
-
-    def as_vf(self):
-        return self._vf
-
-    @cached_property
-    def _vf(self) -> Optional[VertexFunction]:
-        parts = [t.as_vf() for t in self.terms]
-        if any(p is None for p in parts):
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-        return out
-
-    def as_const(self):
-        vf = self.as_vf()
-        if vf is not None and vf.is_constant():
-            return next(iter(vf.values.values()))
-        return None
-
-    def to_json(self):
-        return {"kind": "sum", "terms": [t.to_json() for t in self.terms]}
-
-
-@dataclass(frozen=True, eq=False)
-class Product(Expr):
-    terms: tuple[Expr, ...]
-
-    def __init__(self, terms: Iterable[Expr]):
-        flat: list[Expr] = []
-        for t in terms:
-            if isinstance(t, Product):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        object.__setattr__(self, "terms", tuple(flat))
-
-    def max_level(self):
-        return max(t.max_level() for t in self.terms)
-
-    def as_const(self):
-        consts = [t.as_const() for t in self.terms]
-        if any(c is None for c in consts):
-            return None
-        out = F1
-        for c in consts:
-            out *= c
-        return out
-
-    def as_vf(self):
-        return self._vf
-
-    @cached_property
-    def _vf(self) -> Optional[VertexFunction]:
-        c = F1
-        nonconst: list[VertexFunction] = []
-        for t in self.terms:
-            tc = t.as_const()
-            if tc is not None:
-                c *= tc
-                continue
-            vf = t.as_vf()
-            if vf is None:
-                return None
-            nonconst.append(vf)
-        if len(nonconst) == 0:
-            return VertexFunction.constant(c)
-        if len(nonconst) == 1:
-            return nonconst[0].scale(c)
-        return None
-
-    def to_json(self):
-        return {"kind": "product", "terms": [t.to_json() for t in self.terms]}
-
-
-ONE = Const(F1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,172 +213,6 @@ def _prefix_dz(cell: Word, side: int) -> tuple[tuple[Word, Fraction], ...]:
 
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
     return sum((dz_integral_edge(sigma, e) for e in path), F0)
-
-
-# ---------------------------------------------------------------------------
-# exact edge-integral kernels
-# ---------------------------------------------------------------------------
-
-# 5·H_i: the refinement matrices scaled to integers
-_H5 = tuple(tuple(tuple(int(5 * x) for x in row) for row in H) for H in H_MATRICES)
-
-
-def _refine_modes(T: Sequence[int], A: Sequence[Sequence[int]], k: int) -> list[int]:
-    """The flat order-k tensor T with A applied to every mode:
-    out[i_1..i_k] = sum_j T[j_1..j_k]·A[j_1][i_1]⋯A[j_k][i_k].
-
-    Each pass transforms the last mode and moves it to the front, so k passes
-    transform every mode once and restore the mode order."""
-    third = len(T) // 3
-    for _ in range(k):
-        out = [0] * len(T)
-        for r in range(third):
-            x, y, z = T[3 * r : 3 * r + 3]
-            for i in range(3):
-                out[i * third + r] = x * A[0][i] + y * A[1][i] + z * A[2][i]
-        T = out
-    return T
-
-
-# Work budget of the kernel routes.  A monomial with k slots (its factors and
-# g) contracts a dense kernel of 3^k integers, its exact limit or a cached
-# level, and a Product of Sums that do not reduce expands into the product of
-# their monomial counts; larger forms are refused before any kernel is built.
-_KERNEL_SLOTS_MAX = 6
-_MONOMIALS_MAX = 256
-
-
-@lru_cache(maxsize=None)
-def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
-    """Level-n dyadic Riemann kernel of L_1⋯L_p(t)·(g(t) - g(s))·R_1⋯R_q(s)
-    over one canonical side, t its target corner and s its source corner.
-
-    A dense flat tensor over {0,1,2}^(p+1+q), slots in the order L_1..L_p, g,
-    R_1..R_q with the first slot most significant, scaled by 5^((p+1+q)·n) to
-    integers: contracted with the factors' corner triples on a cell it gives
-    5^((p+1+q)·n)·I_n over that cell's side.  The level-0 sum seeds it; each
-    level applies the side's two child letters (5·H_i on every mode) and adds,
-    because the side's sub-edges lie in those two children."""
-    k = p + 1 + q
-    if k > _KERNEL_SLOTS_MAX:
-        raise GasketError(f"a Riemann kernel of {k} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-    s, t = (side + 2) % 3, (side + 1) % 3
-    if n == 0:
-        R = [0] * 3**k  # flat index: the slots' corners read as base-3 digits
-        R[int(f"{t}" * (p + 1) + f"{s}" * q, 3)] = 1
-        R[int(f"{t}" * p + f"{s}" * (q + 1), 3)] = -1
-        return tuple(R)
-    prev = riemann_kernel(side, p, q, n - 1)
-    return tuple(x + y for x, y in zip(_refine_modes(prev, _H5[s], k), _refine_modes(prev, _H5[t], k)))
-
-
-def _roots_inside_unit_disc(poly: Sequence[Fraction]) -> bool:
-    """Whether every root of the real polynomial ``poly`` (lowest degree
-    first, leading coefficient nonzero) lies strictly inside the unit disc,
-    by the Schur–Cohn (Jury) test in exact arithmetic.  Made monic, p of
-    degree n >= 1 passes iff |p(0)| < 1 and (p(x) - p(0)·x^n·p(1/x)) / x, of
-    degree n - 1 with leading coefficient 1 - p(0)^2, passes (Rouché's
-    theorem on the unit circle); a constant has no roots."""
-    while len(poly) > 1:
-        poly = [x / poly[-1] for x in poly]
-        a0 = poly[0]
-        if abs(a0) >= 1:
-            return False
-        poly = [x - a0 * y for x, y in zip(poly[1:], reversed(poly[:-1]))]
-    return True
-
-
-# the prime of the modular row echelon that finds a recurrence's degree
-_PRIME = 2**61 - 1
-
-
-@lru_cache(maxsize=None)
-def _kernel_limit(
-    sequence: Callable[..., tuple[int, ...]], shape: tuple[int, ...], rho: Fraction
-) -> tuple[int, tuple[int, ...]]:
-    """(den, K): the limit of w_j = sequence(*shape, j)·rho^j, entry by entry
-    as K/den with den the least common denominator.
-
-    The w_j are a Krylov sequence T^j·w_0 of one refinement operator.  At the
-    least d with w_d = sum_j c_j·w_j (j < d) the span of w_0..w_(d-1) is
-    T-invariant, so P(x) = x^d - sum_j c_j·x^j annihilates the sequence and
-    its recurrence holds for every j.  The sequence converges exactly when 1
-    is a simple root of P and every other root lies strictly inside the unit
-    disc; then, with P = (x - 1)·P~, the limit is the projection
-    P~(T)·w_0 / P~(1) = sum_j p~_j·w_j / P~(1).  Both are checked, the disc
-    by the exact Schur–Cohn test on P~ (``_roots_inside_unit_disc``):
-    GasketError when either fails.
-
-    d is found by one incremental row echelon of the integer level kernels
-    u_j = w_j / rho^j modulo ``_PRIME``.  Its d pivot coordinates give a
-    square system that is nonsingular mod p, so over the rationals too;
-    ``solve_unique`` solves it for u_d = sum_j c'_j·u_j, and the recurrence
-    is then checked on every coordinate in integers.  The rank mod p is at
-    most the rank over the rationals, so a bad prime can only make d too
-    small; the integer check refuses that with GasketError, so the builder
-    never returns a wrong limit.  The limit is cached here, so once the
-    levels are read an lru-cached sequence's cache is cleared: a cold build
-    keeps only its limit, and a later level sum refills the levels it reads."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row reduced mod p with 1 at its pivot)
-    u: list[tuple[int, ...]] = []
-    while True:
-        u.append(sequence(*shape, len(u)))
-        v = [x % _PRIME for x in u[-1]]
-        for piv, row in basis:
-            f = v[piv]
-            if f:
-                v = [(a - f * b) % _PRIME for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            break
-        inv = pow(v[piv], -1, _PRIME)
-        basis.append((piv, [x * inv % _PRIME for x in v]))
-    if hasattr(sequence, "cache_clear"):
-        sequence.cache_clear()
-    d = len(basis)
-    *u, ud = u
-    pivots = [piv for piv, _ in basis]
-    c = solve_unique([[uj[i] for uj in u] for i in pivots], [ud[i] for i in pivots]) if d else []
-    L = math.lcm(*(x.denominator for x in c))
-    cl = [x.numerator * (L // x.denominator) for x in c]
-    if any(sum(map(operator.mul, cl, column)) != L * y for *column, y in zip(*u, ud)):
-        raise GasketError("kernel sequence fails its recurrence in integers: the modular degree is too small")
-    # w_d = sum_j c'_j·rho^(d-j)·w_j; P, lowest degree first
-    poly = [-x * rho ** (d - j) for j, x in enumerate(c)] + [F1]
-    quotient = [sum(poly[k + 1 :]) for k in range(d)]  # P~ = P / (x - 1) when P(1) = 0
-    if sum(poly) != 0 or sum(quotient) == 0:
-        raise GasketError("kernel sequence does not converge: 1 is not a simple root of its recurrence")
-    if not _roots_inside_unit_disc(quotient):
-        raise GasketError("kernel sequence does not converge: its recurrence has a root other than 1 off the open unit disc")
-    # K = sum_j p~_j·rho^j·u_j / P~(1), over integers with one denominator
-    coeffs = [q * rho**j / sum(quotient) for j, q in enumerate(quotient)]
-    L = math.lcm(*(x.denominator for x in coeffs))
-    ints = [x.numerator * (L // x.denominator) for x in coeffs]
-    K = [sum(map(operator.mul, ints, column)) for column in zip(*u)]
-    g = math.gcd(L, *K)
-    return L // g, tuple(x // g for x in K)
-
-
-@lru_cache(maxsize=None)
-def _int_side_limits(p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, kernels): D times the exact kernel of L_1⋯L_p·dg over the sides
-    i = 0, 1, 2, the limits of ``riemann_kernel(i, p, 0, n)`` / 5^((p+1)·n)
-    over integers, flat over the slots L_1..L_p, g, with one denominator D.
-    Only side 0 is built: turning the cell by i maps side 0 onto side i and
-    corner j onto corner j + i, so K_i[j_1..j_k] = K_0[j_1-i..j_k-i] mod 3."""
-    D, K0 = _kernel_limit(riemann_kernel, (0, p, 0), Fraction(1, 5 ** (p + 1)))
-    turns = [str.maketrans("012", "012"[-i:] + "012"[:-i]) for i in range(3)]  # letter j -> j - i
-    return D, tuple(tuple(K0[int(w.translate(turn), 3)] for w in words(p + 1)) for turn in turns)
-
-
-def edge_kernel(side: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact edge-integral kernel X over one canonical side, X[j][k]
-    pairing the left factor's corner j with g's corner k: the limit of the
-    Riemann kernels ``riemann_kernel(side, 1, 0, n)`` / 25^n, read from
-    ``_int_side_limits(1)``."""
-    D, kernels = _int_side_limits(1)
-    K = kernels[side]
-    return tuple(tuple(Fraction(x, D) for x in K[3 * j : 3 * j + 3]) for j in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -796,28 +402,6 @@ def _monomial_exact(left: Sequence[VertexFunction], g: VertexFunction, e: Orient
     return Fraction(total, den * D)
 
 
-def _monomials(expr: Expr) -> list[tuple[Fraction, tuple[VertexFunction, ...]]]:
-    """expr as a sum of rational multiples of products of piecewise-harmonic
-    functions; a factor that reduces to one function stays one factor.
-    Raises GasketError beyond _MONOMIALS_MAX monomials, before expanding."""
-    c = expr.as_const()
-    if c is not None:
-        return [(c, ())] if c else []
-    vf = expr.as_vf()
-    if vf is not None:
-        return [(F1, (vf,))]
-    parts = [_monomials(t) for t in expr.terms]  # a Product: Const and Atom always reduce
-    count = sum(map(len, parts)) if isinstance(expr, Sum) else math.prod(map(len, parts))
-    if count > _MONOMIALS_MAX:
-        raise GasketError(f"{count} monomials exceed the Riemann budget of {_MONOMIALS_MAX}")
-    if isinstance(expr, Sum):
-        return [mono for part in parts for mono in part]
-    out = [(F1, ())]
-    for part in parts:
-        out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in part]
-    return out
-
-
 def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
     """The level-n dyadic Riemann sum I_n(e) of the universal part, exactly;
     n must be at least the data level of every term.  A term beyond the work
@@ -908,13 +492,6 @@ def integrate_path(form: SmoothForm, path: ElementaryPath, mode: str = "exact") 
 # Q: exact route
 # ---------------------------------------------------------------------------
 
-def q_kernel() -> tuple[Fraction, ...]:
-    """Quadrilinear kernel W with W[f,g,h,k] = Q(f dg, h dk) on 0-harmonic
-    basis 4-tuples: the (1, 1) limit ``_exact_q_kernel``."""
-    den, K = _exact_q_kernel(1, 1)
-    return tuple(Fraction(x, den) for x in K)
-
-
 def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict[int, list[list[int]]]]:
     """(D, per left-factor count p the integer tensors D·sum c·L_1⊗⋯⊗L_p⊗g
     of the form's pieces with p left factors), one flat row per level-m cell
@@ -969,15 +546,6 @@ def _check_q_budget(omega: SmoothForm, eta: SmoothForm) -> None:
         slots += max(counts)
     if slots > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Q kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-
-
-@lru_cache(maxsize=None)
-def _exact_q_kernel(p: int, r: int) -> tuple[int, tuple[int, ...]]:
-    """(den, K): K/den is Q on one cell of 0-harmonic data between pieces
-    with p and r left factors, flat over the slots of their moment (L_1..L_p,
-    g, M_1..M_r, k): the limit of the renormalized level kernels
-    (5/3)^j·``q_level_kernel(p, r, j)`` / 5^((p+r+2)·j)."""
-    return _kernel_limit(q_level_kernel, (p, r), Fraction(5, 3 * 5 ** (p + r + 2)))
 
 
 def _parts(form: SmoothForm) -> list[tuple[int, Word, SmoothForm]]:
@@ -1068,29 +636,6 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
 # ---------------------------------------------------------------------------
 # Q: the level sums, and the certified value
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def q_level_kernel(p: int, r: int, j: int) -> tuple[int, ...]:
-    """One cell's share of the Q level sum j levels below it: the sum over
-    its 3^j sub-cells and their sides of [L_1⋯L_p(t)·(g(t) - g(s))]·
-    [M_1⋯M_r(t)·(k(t) - k(s))], t and s the side's target and source corners.
-
-    Stored like ``riemann_kernel``: dense and flat over {0,1,2}^(p+r+2),
-    slots L_1..L_p, g, M_1..M_r, k, scaled by 5^((p+r+2)·j) to integers.
-    Each level applies all three letters (5·H_i on every mode) and adds.
-    ``q_level_sums`` checks the slot budget before it builds any."""
-    d = p + r + 2
-    if j == 0:
-        K = [0] * 3**d
-        for i in range(3):
-            t, s = (i + 1) % 3, (i + 2) % 3
-            sign = {t: 1, s: -1}
-            for a, b in itertools.product((t, s), repeat=2):
-                K[int(f"{t}" * p + f"{a}" + f"{t}" * r + f"{b}", 3)] += sign[a] * sign[b]
-        return tuple(K)
-    prev = q_level_kernel(p, r, j - 1)
-    return tuple(map(sum, zip(*(_refine_modes(prev, H, d) for H in _H5))))
-
 
 def q_level_sums(omega: SmoothForm, eta: SmoothForm, m: int) -> Callable[[int], Fraction]:
     """n -> the endpoint level sum Q~_n(omega, eta) = (5/3)^n sum over E_n of

@@ -11,6 +11,7 @@ their limit edge assignment) lives here, out of the library core.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,12 @@ def check_dz_norms() -> list[dict]:
     return [_item("dz-norms-depth3", bad == 0, "(5/6)(5/3)^n", f"{count - bad}/{count} exact")]
 
 
+def _int_matrix(M: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(L, L·M) with L the common denominator of the entries."""
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in M]
+
+
 def check_period_matrices() -> list[dict]:
     """B_{rho,tau} read from the period table of dz_rho to depth 4, checked
     against the combinatorial rule; A = B^-1 on every depth-5 prefix chain."""
@@ -122,12 +129,15 @@ def check_period_matrices() -> list[dict]:
     kern = coh.TriangularKernel()
     for sigma in words(5):
         chain, B, A = kern.chain_matrices(sigma)
+        # both checks in integers, over common denominators that divide 3^|sigma| and 3
+        la, A_int = _int_matrix(A)
+        lb, B_int = _int_matrix(B)
         for r in range(len(chain)):
             for c in range(len(chain)):
-                if not (0 <= A[r][c] <= 1):
+                if not (0 <= A_int[r][c] <= la):
                     ok_a = False
-                prod = sum(A[r][m] * B[m][c] for m in range(len(chain)))
-                if prod != (1 if r == c else 0):
+                prod = sum(A_int[r][m] * B_int[m][c] for m in range(len(chain)))
+                if prod != (la * lb if r == c else 0):
                     ok_ab = False
     return [
         _item("period-matrix-entries-depth4", ok_b, "B in {1, -1/3, 0}, unitriangular", ok_b),

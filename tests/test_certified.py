@@ -1,15 +1,30 @@
 """Certified-value arithmetic and soundness helpers."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gasketforms.certified import CertifiedValue, sqrt_upper
+from gasketforms.certified import CertifiedValue
 
 F = Fraction
+
+
+def sqrt_upper(x: Fraction, scale: int = 10**12) -> Fraction:
+    """A rational upper bound for sqrt(x), tight to ~1/scale relatively (the
+    tail bounds of the test oracles take it)."""
+    if x < 0:
+        raise ValueError("sqrt of negative bound")
+    if x == 0:
+        return F(0)
+    n = x.numerator * x.denominator * scale * scale
+    s = math.isqrt(n)
+    if s * s < n:
+        s += 1
+    return Fraction(s, x.denominator * scale)
 
 
 def test_exact_flag():

@@ -86,7 +86,7 @@ def test_huge_depth_is_refused_with_exit_code_1(capsys):
 def test_negative_depth_is_refused_with_exit_code_1(capsys):
     pj = json.dumps(path_to_json(lacuna_path("0")))
     form = json.dumps(fm.fdg(f0, f1).to_json())
-    for args in (["periods", "--form", form], ["hodge", "--form", form], ["homology", "--path", pj]):
+    for args in (["periods", "--form", form], ["hodge", "--form", form], ["homology", "--path", pj], ["efflen", "--path", pj]):
         assert cli.main([*args, "--depth", "-1"]) == 1
         out, err = capsys.readouterr()
         assert "negative" in err and out == ""

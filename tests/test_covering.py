@@ -15,7 +15,7 @@ from gasketforms import cohomology as coh
 from gasketforms import covering as cov
 from gasketforms import forms as fm
 from gasketforms.certified import CertifiedValue
-from gasketforms.errors import DepthTooSmallError, GasketError, UnboundedTailError
+from gasketforms.errors import DepthTooSmallError, GasketError
 from gasketforms.geometry import (
     OrientedEdge,
     edges_at_level,
@@ -40,25 +40,32 @@ def test_norms_of_unit_vectors():
 
 
 def test_norm_of_edge_dz_sequence():
+    """The dz integrals over e1 to depth n: from level 0 on, 2^n words of
+    each level n carry -1/3, so N' of the truncation plus its closed tail
+    (1/3)(3/5)^(n+1)(5/2) is the exact effective length 5/6, while N grows
+    like (10/3)^n / 3 without bound."""
     e1 = OrientedEdge("", 1)
-    seq = cov.dz_sequence_edge(e1)
-    cv = cov.norm_Nprime(seq)
-    assert cv.exact and cv.value == F(5, 6)
-    with pytest.raises(UnboundedTailError):
-        cov.norm_N(seq)
+    lam = cov.effective_length(validate_path([e1]))
+    assert lam.exact and lam.value == F(5, 6)
+    for n in range(6):
+        seq = cov.LevelSequence.from_values(cov.dz_path_integrals([e1], n), n)
+        assert seq.sups == (F(1, 3),) * (n + 1)
+        assert cov.norm_Nprime(seq).value + F(1, 3) * F(3, 5) ** (n + 1) * F(5, 2) == lam.value
+        assert cov.norm_N(seq).value == F(10, 3) ** n / 3
 
 
 def test_norm_N_of_periods_is_finite():
+    """The lacuna periods of f0 df1 past its data level shrink by 9/25 per
+    level in their level sums, so (5/3)^n times them decays and N is
+    attained at a finite level: the truncations to depths 3 to 6 agree."""
     w = fm.fdg(f0, f1)
-    pv = coh.periods_up_to(w, 3)
-    values = {s: cv.value for s, cv in pv.entries.items()}
-    tail = cov.TailBound(
-        sum_coeff=F(5, 4) * F(3, 5) * pv.level_sum_bound, sum_ratio=F(3, 5),
-        sup_coeff=F(5, 4) * F(3, 5) * pv.level_sum_bound, sup_ratio=F(3, 5),
-    )
-    seq = cov.LevelSequence.from_values(values, 3, tail)
-    cv = cov.norm_N(seq)
-    assert cv.value + cv.radius < 10  # finite, with a sound enclosure
+    norms = set()
+    for depth in range(3, 7):
+        values = {s: cv.value for s, cv in coh.periods_up_to(w, depth).entries.items()}
+        cv = cov.norm_N(cov.LevelSequence.from_values(values, depth))
+        assert cv.exact and cv.value < 10
+        norms.add(cv.value)
+    assert len(norms) == 1
 
 
 def test_effective_length_of_edges():

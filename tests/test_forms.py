@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gasketforms import cohomology as coh
 from gasketforms import forms as fm
+from gasketforms import kernels as kn
 from gasketforms import verify
 from gasketforms.certified import CertifiedValue
 from gasketforms.errors import ExactnessUnavailableError, GasketError, NonConvergentError
@@ -433,7 +434,7 @@ def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
 
 def _direct_side_limit(i: int, p: int) -> list[Fraction]:
     """The (p, 0) Riemann limit over side i, built from that side's own kernels."""
-    den, K = fm._kernel_limit(fm.riemann_kernel, (i, p, 0), F(1, 5 ** (p + 1)))
+    den, K = kn._kernel_limit(kn.riemann_kernel, (i, p, 0), F(1, 5 ** (p + 1)))
     return [F(x, den) for x in K]
 
 
@@ -446,7 +447,7 @@ def test_side_limits_of_one_factor_are_the_edge_kernels():
 def test_side_limits_are_side_zero_turned(p):
     """Sides 1 and 2 of ``_int_side_limits``, read off side 0 by turning
     the corners, equal the limits built from their own Riemann kernels."""
-    D, kernels = fm._int_side_limits(p)
+    D, kernels = kn._int_side_limits(p)
     for i in (1, 2):
         assert [F(x, D) for x in kernels[i]] == _direct_side_limit(i, p)
 

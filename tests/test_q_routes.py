@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
-from gasketforms.certified import sqrt_upper
+from gasketforms import kernels as kn
 from gasketforms.errors import GasketError
 from gasketforms.geometry import OrientedEdge
 from gasketforms.harmonic import graph_energy, harmonic_basis, random_harmonic
+from test_certified import sqrt_upper
 
 F = Fraction
 F0 = F(0)
@@ -110,7 +111,7 @@ def single_level_q(omega, eta):
     total = F0
     for p, A in tensors1.items():
         for r, B in tensors2.items():
-            kden, K = fm._exact_q_kernel(p, r)
+            kden, K = kn._exact_q_kernel(p, r)
             moments = [sum(map(operator.mul, a, b)) for a in zip(*A) for b in zip(*B)]
             total += F(sum(map(operator.mul, K, moments)), kden)
     return R53**m * total / (D1 * D2)
@@ -380,7 +381,7 @@ def test_riemann_sums_approach_the_exact_integral_within_the_tail_bound(form, e)
 # ---------------------------------------------------------------------------
 
 def _kernel(p, r):
-    den, K = fm._exact_q_kernel(p, r)
+    den, K = kn._exact_q_kernel(p, r)
     return [F(x, den) for x in K]
 
 

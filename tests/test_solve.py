@@ -1,8 +1,9 @@
-"""`solve_unique` against a Fraction Gauss–Jordan oracle; the limit builder
-`_kernel_limit`, which finds a kernel sequence's recurrence degree modulo a
-prime and asks `solve_unique` only for its coefficients, against the linear
-solve it replaced; and the exact kernels, limits of the cached level
-kernels, pinned by their defining identities."""
+"""`kernels.solve_unique` against a Fraction Gauss–Jordan oracle; the limit
+builder `_kernel_limit`, which finds a kernel sequence's recurrence degree
+modulo a prime, asks `solve_unique` only for its coefficients and runs the
+rest in integers, against the linear solve it replaced; the fraction-free
+unit-disc test against the Fraction recursion; and the exact kernels,
+limits of the cached level kernels, pinned by their defining identities."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gasketforms import forms as fm
+from gasketforms import kernels as kn
 from gasketforms.errors import GasketError
 from gasketforms.harmonic import H_MATRICES
 
@@ -91,7 +92,7 @@ def systems(draw, min_n: int = 1, drop_core_row: bool = False, min_extra: int = 
 @given(systems())
 def test_solve_matches_reference(system):
     rows, rhs, x, _ = system
-    assert fm.solve_unique(rows, rhs) == reference_solve(rows, rhs) == x
+    assert kn.solve_unique(rows, rhs) == reference_solve(rows, rhs) == x
 
 
 @given(systems(min_extra=1), st.data())
@@ -100,7 +101,7 @@ def test_perturbed_rhs_is_inconsistent(system, data):
     k = data.draw(st.sampled_from([i for i, e in enumerate(extra) if e]))
     rhs = list(rhs)
     rhs[k] += data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
-    for solve in (fm.solve_unique, reference_solve):
+    for solve in (kn.solve_unique, reference_solve):
         with pytest.raises(GasketError, match="inconsistent"):
             solve(rows, rhs)
 
@@ -108,7 +109,7 @@ def test_perturbed_rhs_is_inconsistent(system, data):
 @given(systems(min_n=2, drop_core_row=True))
 def test_rank_deficient_is_not_unique(system):
     rows, rhs, _, _ = system
-    for solve in (fm.solve_unique, reference_solve):
+    for solve in (kn.solve_unique, reference_solve):
         with pytest.raises(GasketError, match="does not pin a unique solution"):
             solve(rows, rhs)
 
@@ -120,7 +121,7 @@ def test_rank_deficient_is_not_unique(system):
 ])
 def test_empty_or_ragged_system_is_refused(rows, rhs):
     with pytest.raises(GasketError, match="empty or ragged"):
-        fm.solve_unique(rows, rhs)
+        kn.solve_unique(rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +151,26 @@ def _alternating(j):
 
 
 def test_kernel_limit_of_a_convergent_sequence():
-    assert fm._kernel_limit(_halving, (), F(1, 2)) == (1, (1, 1, 1))
+    assert kn._kernel_limit(_halving, (), F(1, 2)) == (1, (1, 1, 1))
 
 
 def test_kernel_limit_refuses_a_root_on_the_unit_circle():
     with pytest.raises(GasketError, match="unit disc"):
-        fm._kernel_limit(_alternating, (), F(1))
+        kn._kernel_limit(_alternating, (), F(1))
 
 
 @pytest.mark.parametrize("sequence, shape, rho", [
-    (fm.q_level_kernel, (0, 1), F(5, 3 * 5**3)),
-    (fm.riemann_kernel, (1, 1, 0), F(1, 25)),
+    (kn.q_level_kernel, (0, 1), F(5, 3 * 5**3)),
+    (kn.riemann_kernel, (1, 1, 0), F(1, 25)),
 ])
 def test_a_cold_limit_build_keeps_only_its_limit(sequence, shape, rho):
     """The level kernels a cold build reads are dropped once the limit is
     built; the levels come back on demand, and the limit is unchanged."""
     level = sequence(*shape, 3)
-    cold = fm._kernel_limit.__wrapped__(sequence, shape, rho)
+    cold = kn._kernel_limit.__wrapped__(sequence, shape, rho)
     assert sequence.cache_info().currsize == 0
     assert sequence(*shape, 3) == level
-    assert cold == fm._kernel_limit(sequence, shape, rho)
+    assert cold == kn._kernel_limit(sequence, shape, rho)
 
 
 def _poly(factors):
@@ -178,6 +179,12 @@ def _poly(factors):
     for f in factors:
         out = [sum(f[i] * out[k - i] for i in range(len(f)) if 0 <= k - i < len(out)) for k in range(len(out) + len(f) - 1)]
     return out
+
+
+def _integers(poly):
+    """The rational polynomial scaled by its common denominator to integers."""
+    den = math.lcm(*(x.denominator for x in poly))
+    return [int(x * den) for x in poly]
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -190,13 +197,30 @@ def test_unit_disc_test_on_known_roots(real, pairs, lead):
     test passes exactly when all of them lie strictly inside the unit disc."""
     factors = [(-r, F(1)) for r in real] + [(a * a + b * b, -2 * a, F(1)) for a, b in pairs] + [(lead,)]
     inside = all(abs(r) < 1 for r in real) and all(a * a + b * b < 1 for a, b in pairs)
-    assert fm._roots_inside_unit_disc(_poly(factors)) == inside
+    assert kn._roots_inside_unit_disc(_integers(_poly(factors))) == inside
+
+
+def _fraction_schur_cohn(poly):
+    """The Schur–Cohn recursion made monic at every step, in Fractions (test
+    oracle only)."""
+    while len(poly) > 1:
+        poly = [F(x, 1) / poly[-1] for x in poly]
+        a0 = poly[0]
+        if abs(a0) >= 1:
+            return False
+        poly = [x - a0 * y for x, y in zip(poly[1:], reversed(poly[:-1]))]
+    return True
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=9).filter(lambda p: p[-1]))
+def test_unit_disc_test_equals_the_fraction_recursion(poly):
+    assert kn._roots_inside_unit_disc(poly) == _fraction_schur_cohn(poly)
 
 
 @pytest.mark.parametrize("sequence", [_doubling, _linear])
 def test_kernel_limit_refuses_without_a_simple_root_at_one(sequence):
     with pytest.raises(GasketError, match="not a simple root"):
-        fm._kernel_limit(sequence, (), F(1))
+        kn._kernel_limit(sequence, (), F(1))
 
 
 def _linear_solve_limit(sequence, shape, rho):
@@ -207,13 +231,13 @@ def _linear_solve_limit(sequence, shape, rho):
     for d in range(len(sequence(*shape, 0)) + 1):
         w.append([x * rho**d for x in sequence(*shape, d)])
         try:
-            c = fm.solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+            c = kn.solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
             break
         except GasketError:
             continue
     poly = [-x for x in c] + [F(1)]
     quotient = [sum(poly[k + 1 :]) for k in range(d)]
-    assert sum(poly) == 0 and sum(quotient) != 0 and fm._roots_inside_unit_disc(quotient)
+    assert sum(poly) == 0 and sum(quotient) != 0 and kn._roots_inside_unit_disc(_integers(quotient))
     K = [sum(map(operator.mul, quotient, column)) / sum(quotient) for column in zip(*w[:d])]
     den = math.lcm(*(x.denominator for x in K))
     return den, tuple(int(x * den) for x in K)
@@ -222,14 +246,14 @@ def _linear_solve_limit(sequence, shape, rho):
 # every exact kernel in use: the Riemann (p, 0) limits of edge integrals
 # (p = 1 is ``edge_kernel``) and the Q one-cell kernels up to (2, 2)
 _LIMITS = [
-    *[(fm.riemann_kernel, (side, p, 0), F(1, 5 ** (p + 1))) for p in range(4) for side in range(3)],
-    *[(fm.q_level_kernel, (p, r), F(5, 3 * 5 ** (p + r + 2))) for p in range(3) for r in range(3)],
+    *[(kn.riemann_kernel, (side, p, 0), F(1, 5 ** (p + 1))) for p in range(4) for side in range(3)],
+    *[(kn.q_level_kernel, (p, r), F(5, 3 * 5 ** (p + r + 2))) for p in range(3) for r in range(3)],
 ]
 
 
 @pytest.mark.parametrize("sequence, shape, rho", _LIMITS, ids=lambda x: getattr(x, "__name__", str(x)))
 def test_kernel_limit_equals_the_linear_solve(sequence, shape, rho):
-    assert fm._kernel_limit(sequence, shape, rho) == _linear_solve_limit(sequence, shape, rho)
+    assert kn._kernel_limit(sequence, shape, rho) == _linear_solve_limit(sequence, shape, rho)
 
 
 @pytest.mark.parametrize("side", range(3))
@@ -239,7 +263,7 @@ def test_right_slots_integrate_as_left_slots(side, p, q):
     (p + q, 0) limit with the g slot moved last: L·dg·R integrates as
     (L·R)·dg."""
     def limit(p, q):
-        den, K = fm._kernel_limit(fm.riemann_kernel, (side, p, q), F(1, 5 ** (p + q + 1)))
+        den, K = kn._kernel_limit(kn.riemann_kernel, (side, p, q), F(1, 5 ** (p + q + 1)))
         return [F(x, den) for x in K]
 
     mixed, left = limit(p, q), limit(p + q, 0)
@@ -257,9 +281,9 @@ def test_a_bad_prime_fails_the_integer_check(monkeypatch):
     """A prime under which the level kernels lose rank makes the degree too
     small; the integer recurrence check refuses it instead of returning a
     wrong limit."""
-    monkeypatch.setattr(fm, "_PRIME", 2)
+    monkeypatch.setattr(kn, "_PRIME", 2)
     with pytest.raises(GasketError, match="integers"):
-        fm._kernel_limit.__wrapped__(_modular_trap, (), F(1))
+        kn._kernel_limit.__wrapped__(_modular_trap, (), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +295,26 @@ def _w(W, a, b, c, d):
 
 
 def test_q_kernel_pinned():
-    text = ",".join(f"{x.numerator}/{x.denominator}" for x in fm.q_kernel())
+    text = ",".join(f"{x.numerator}/{x.denominator}" for x in kn.q_kernel())
     assert hashlib.sha256(text.encode()).hexdigest() == Q_KERNEL_SHA256
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
 def test_q_kernel_corner_relabelling(perm):
-    W = fm.q_kernel()
+    W = kn.q_kernel()
     for a, b, c, d in itertools.product(range(3), repeat=4):
         assert _w(W, perm[a], perm[b], perm[c], perm[d]) == _w(W, a, b, c, d)
 
 
 def test_q_kernel_transpose_symmetry():
-    W = fm.q_kernel()
+    W = kn.q_kernel()
     for a, b, c, d in itertools.product(range(3), repeat=4):
         assert _w(W, a, b, c, d) == _w(W, c, d, a, b)
 
 
 def test_q_kernel_self_similar_fixed_point():
     """W = (5/3)·Σ_i W∘H_i^{⊗4}, entry by entry in rationals."""
-    W = fm.q_kernel()
+    W = kn.q_kernel()
     slots = range(3)
     for a, b, c, d in itertools.product(slots, repeat=4):
         acc = F(0)
@@ -304,7 +328,7 @@ def test_q_kernel_self_similar_fixed_point():
 
 @pytest.mark.parametrize("side", range(3))
 def test_edge_kernel_identities(side):
-    X = fm.edge_kernel(side)
+    X = kn.edge_kernel(side)
     src, tgt = (side + 2) % 3, (side + 1) % 3
     # refinement fixed point: X = Σ over the two child cells on the side of H^T X H
     for j, k in itertools.product(range(3), repeat=2):

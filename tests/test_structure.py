@@ -8,14 +8,18 @@
   module of the library imports numpy, so the float engines stay gone and
   numpy stays out of the runtime dependencies.
 * Every exact kernel is the limit of a cached level kernel: the limit
-  builder ``forms._kernel_limit`` is the only caller of ``solve_unique``, so
-  no hand-built kernel system comes back unnoticed.
+  builder ``kernels._kernel_limit`` is the only caller of ``solve_unique``,
+  so no hand-built kernel system comes back unnoticed.
+* The kernel module runs on integers: no ``Fraction`` is built in
+  ``kernels.py`` outside ``solve_unique``'s back substitution, the rational
+  views ``edge_kernel`` and ``q_kernel``, and the constant ratio rho a
+  limit is keyed by.
 * Integrals over a whole level come from one side-integral table: no loop
   or comprehension over ``edges_at_level`` integrates its edges one at a
   time.
 * Every exact edge integral goes through one route: the Riemann limits are
-  built (``_kernel_limit(riemann_kernel, …)``) only by ``_int_side_limits``,
-  once, which ``_monomial_exact``, ``side_integral_table`` and
+  built (``_kernel_limit(riemann_kernel, …)``) only by
+  ``kernels._int_side_limits``, once, which ``_monomial_exact``, ``side_integral_table`` and
   ``edge_kernel`` read, so no second per-edge kernel route comes back
   unnoticed.
 * Every library function the benchmark traces still exists under its
@@ -55,7 +59,7 @@ def _is_letter_product(node: ast.AST) -> bool:
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"geometry.py", "harmonic.py", "forms.py"}
+    assert {p.name for p in MODULES} >= {"geometry.py", "harmonic.py", "expr.py", "kernels.py", "forms.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -105,7 +109,7 @@ def test_solve_unique_is_called_only_by_the_limit_builder():
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_unique"
         ]
-    assert sites == [("forms.py", True)]
+    assert sites == [("kernels.py", True)]
 
 
 def _called_name(node: ast.AST) -> str | None:
@@ -143,7 +147,18 @@ def test_riemann_limits_are_built_only_by_the_side_limits():
                     if _called_name(n) == "_kernel_limit"
                     and any(getattr(a, "id", None) == "riemann_kernel" for a in n.args[:1])
                 ]
-    assert sites == [("forms.py", "_int_side_limits")]
+    assert sites == [("kernels.py", "_int_side_limits")]
+
+
+def test_kernels_build_fractions_only_in_the_solve_and_the_views():
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    views = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in {"solve_unique", "edge_kernel", "q_kernel"}]
+    assert len(views) == 3
+    allowed = {id(n) for v in views for n in ast.walk(v)}
+    # the ratio rho of a limit is its cache key, handed over as a Fraction
+    allowed |= {id(n.args[2]) for n in ast.walk(tree) if _called_name(n) == "_kernel_limit" and len(n.args) == 3}
+    stray = [n.lineno for n in ast.walk(tree) if _called_name(n) == "Fraction" and id(n) not in allowed]
+    assert stray == []
 
 
 def test_energy_bound_is_called_only_by_the_period_routes():
