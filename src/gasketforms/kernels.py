@@ -205,13 +205,14 @@ def _kernel_limit(
     square system that is nonsingular mod p, so over the rationals too;
     ``solve_unique`` solves it for u_d = sum_j c'_j·u_j, and the recurrence,
     times the common denominator L of the c'_j, is then checked on every
-    coordinate in integers.  The rank mod p is at most the rank over the rationals, so a bad prime can
-    only make d too small; the integer check refuses that with GasketError,
-    so the builder never returns a wrong limit.  With rho = N/R, P scaled by
-    L·R^d, P~ (by synthetic division) and the projection are integers over
-    one denominator.  The limit is cached here, so once the levels are read
-    an lru-cached sequence's cache is cleared: a cold build keeps only its
-    limit, and a later level sum refills the levels it reads."""
+    coordinate in integers.  The rank mod p is at most the rank over the
+    rationals, so a bad prime can only make d too small; the integer check
+    refuses that with GasketError, so the builder never returns a wrong
+    limit.  With rho = N/R, P scaled by L·R^d, P~ (by synthetic division)
+    and the projection are integers over one denominator.  The limit is
+    cached here, so once the levels are read an lru-cached sequence's cache
+    is cleared: a cold build keeps only its limit, and a later level sum
+    refills the levels it reads."""
     basis: list[tuple[int, list[int]]] = []  # (pivot, row reduced mod p with 1 at its pivot)
     u: list[tuple[int, ...]] = []
     while True:
@@ -245,8 +246,8 @@ def _kernel_limit(
     if not _roots_inside_unit_disc(quotient):
         raise GasketError("kernel sequence does not converge: its recurrence has a root other than 1 off the open unit disc")
     # K = sum_j q_j·rho^j·u_j / sum_j q_j, scaled by R^(d-1) to integers; the
-    # denominator is positive, as P~(1) is the product of 1 - r over the other
-    # roots r, all inside the unit disc
+    # denominator is positive, as P~(1) is L·R^d times the product of 1 - r
+    # over the other roots r, all inside the unit disc
     ints = [q * N**j * R ** (d - 1 - j) for j, q in enumerate(quotient)]
     K = [sum(map(operator.mul, ints, column)) for column in zip(*u)]
     den = R ** (d - 1) * sum(quotient)

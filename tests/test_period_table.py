@@ -15,7 +15,9 @@ from gasketforms import covering as cov
 from gasketforms import forms as fm
 from gasketforms.certified import CertifiedValue
 from gasketforms.errors import DepthTooSmallError, ExactnessUnavailableError, GasketError
-from gasketforms.geometry import P0, OrientedEdge, edges_at_level, is_prefix, lacuna_path, validate_path, vertex_id, words
+from gasketforms.geometry import (
+    P0, OrientedEdge, edges_at_level, is_prefix, lacuna_path, validate_path, vertex_id, words,
+)
 from gasketforms.harmonic import H_MATRICES, harmonic_basis, random_harmonic
 
 F = Fraction
@@ -595,8 +597,8 @@ def test_negative_depths_are_refused_before_any_work(monkeypatch):
     form = fm.fdg(f0, f1) + fm.dz_form("")
     for call, arg in ((coh.periods_up_to, form), (coh.hodge_decompose, form), (fm.side_integrals_at, form),
                       (fm.q_level, form), (cov.homology_class, lacuna_path("0")),
-                      (cov.effective_length, lacuna_path("0")), (cov.effective_length, validate_path([OrientedEdge("", 1)])),
-                      (cov.dz_path_integrals, lacuna_path("0"))):
+                      (cov.effective_length, lacuna_path("0")), (cov.dz_path_integrals, lacuna_path("0")),
+                      (cov.effective_length, validate_path([OrientedEdge("", 1)]))):
         with pytest.raises(DepthTooSmallError, match="negative"):
             call(arg, -1)
 

@@ -152,7 +152,8 @@ def test_riemann_limits_are_built_only_by_the_side_limits():
 
 def test_kernels_build_fractions_only_in_the_solve_and_the_views():
     tree = ast.parse((SRC / "kernels.py").read_text())
-    views = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in {"solve_unique", "edge_kernel", "q_kernel"}]
+    names = {"solve_unique", "edge_kernel", "q_kernel"}
+    views = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
     assert len(views) == 3
     allowed = {id(n) for v in views for n in ast.walk(v)}
     # the ratio rho of a limit is its cache key, handed over as a Fraction
