@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .certified import CertifiedValue
 from .errors import (
@@ -40,6 +39,7 @@ from .forms import (
     _check_depth,
     _coarsen,
     _form_data_level,
+    _dz_den,
     _normalized_terms,
     _prefix_dz,
     _valued,
@@ -51,10 +51,10 @@ from .forms import (
 )
 from .geometry import (
     ElementaryPath,
-    OrientedEdge,
     Point,
     Word,
     cell_corners,
+    check_word,
     is_prefix,
     lacuna_path,
     perimeter_path,
@@ -136,14 +136,6 @@ class TriangularKernel:
         return chain, B, A
 
 
-def _dz_den(edges: Iterable[OrientedEdge]) -> int:
-    """A common denominator of the integrals of every dz form over the
-    edges: -1/3 for a word through an edge's cell, and up to 6·5^(L-1) for a
-    proper prefix of a level-L cell (``_prefix_dz``)."""
-    top = max((e.level for e in edges), default=0)
-    return 6 * 5 ** (top - 1) if top else 3
-
-
 def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
     """The winding number of sigma from integer dz counts over den (counts[w]
     = den·integral of dz_w along a path, missing words zero): 3^|sigma|·A is
@@ -170,15 +162,18 @@ def winding_number(path: ElementaryPath, sigma: Word) -> int:
     ``_prefix_dz`` value, and every prefix tau + r of sigma whose r avoids
     the letter i the value -s/3 (``dz_integral_edge``), counted over
     ``_dz_den``."""
+    check_word(sigma)
     if not path.closed:
         raise GasketError("winding numbers need a closed path")
     den = _dz_den(path)
     counts = {sigma[:j]: 0 for j in range(len(sigma) + 1)}
     for e in path:
         tau = e.cell
-        for w, v in _prefix_dz(tau, e.side):
+        pden, prefix_counts = _prefix_dz(tau, e.side)
+        scale = e.sign * (den // pden)
+        for w, c in prefix_counts:
             if w in counts:
-                counts[w] += e.sign * v.numerator * (den // v.denominator)
+                counts[w] += scale * c
         if is_prefix(tau, sigma):
             rest = sigma[len(tau):]
             stop = rest.find(str(e.side))

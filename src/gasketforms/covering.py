@@ -36,15 +36,14 @@ from .certified import CertifiedValue
 from .cohomology import (
     HodgeDecomposition,
     _check_budget,
-    _dz_den,
     _winding,
     b_rule,
     b_thirds,
     hodge_decompose,
 )
 from .errors import DepthTooSmallError, GasketError
-from .forms import SmoothForm, _check_depth, _prefix_dz
-from .geometry import ElementaryPath, OrientedEdge, Word, words
+from .forms import SmoothForm, _check_depth, _dz_den, _prefix_dz
+from .geometry import ElementaryPath, OrientedEdge, Word, check_word, words
 
 F0 = Fraction(0)
 R35 = Fraction(3, 5)
@@ -57,12 +56,10 @@ R53 = Fraction(5, 3)
 
 @dataclass(frozen=True)
 class LevelSequence:
-    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth; full
-    per-word maps may be kept for inspection."""
+    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth."""
 
     sums: tuple[Fraction, ...]
     sups: tuple[Fraction, ...]
-    values: Optional[dict[Word, Fraction]] = None
 
     @property
     def depth(self) -> int:
@@ -70,14 +67,14 @@ class LevelSequence:
 
     @staticmethod
     def from_values(values: dict[Word, Fraction], depth: int) -> "LevelSequence":
-        """Aggregate a finitely-supported word map over the levels 0..depth."""
-        sums = []
-        sups = []
-        for n in range(depth + 1):
-            level = [abs(v) for w, v in values.items() if len(w) == n]
-            sums.append(sum(level, F0))
-            sups.append(max(level, default=F0))
-        return LevelSequence(tuple(sums), tuple(sups), dict(values))
+        """Aggregate a finitely-supported word map over the levels 0..depth,
+        in one pass over the map."""
+        sums, sups = [F0] * (depth + 1), [F0] * (depth + 1)
+        for w, v in values.items():
+            if len(w) <= depth:
+                sums[len(w)] += abs(v)
+                sups[len(w)] = max(sups[len(w)], abs(v))
+        return LevelSequence(tuple(sums), tuple(sups))
 
 
 def norm_N(seq: LevelSequence) -> CertifiedValue:
@@ -125,10 +122,12 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     den = _dz_den(edges)
     counts: dict[Word, int] = {}
     for e in edges:
-        for w, v in _prefix_dz(e.cell, e.side):
+        pden, prefix_counts = _prefix_dz(e.cell, e.side)
+        scale = e.sign * (den // pden)
+        for w, c in prefix_counts:
             if len(w) > depth:
                 break
-            counts[w] = counts.get(w, 0) + e.sign * v.numerator * (den // v.denominator)
+            counts[w] = counts.get(w, 0) + scale * c
         third = e.sign * den // 3
         for w in map(e.cell.__add__, _avoiding(str(e.side), depth - e.level)):
             counts[w] = counts.get(w, 0) - third
@@ -211,8 +210,8 @@ class HomologyElement:
     coords: dict[Word, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for w, c in list(self.coords.items()):
-            if len(w) >= self.depth:
+        for w in self.coords:
+            if len(check_word(w)) >= self.depth:
                 raise GasketError("coordinate word at or beyond the depth")
 
     def is_zero(self) -> bool:
@@ -259,7 +258,7 @@ def lacuna_class(sigma: Word, depth: Optional[int] = None) -> HomologyElement:
 
 def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
     """The deck homomorphism of the potential z_sigma evaluated on g."""
-    if len(sigma) >= g.depth:
+    if len(check_word(sigma)) >= g.depth:
         raise GasketError("phi needs |sigma| below the class depth")
     return sum((c * b_rule(sigma, tau) for tau, c in g.coords.items()), F0)
 

@@ -44,7 +44,7 @@ from .errors import DepthTooSmallError, ExactnessUnavailableError, GasketError, 
 from .expr import _MONOMIALS_MAX, ONE, Atom, Const, Expr, Product, _monomials
 from .expr import Sum  # re-exported
 from .geometry import ElementaryPath, OrientedEdge, Word, check_word, is_prefix, subdivide
-from .harmonic import IntTriple, Triple, VertexFunction, descend
+from .harmonic import IntTriple, Triple, VertexFunction, _step5
 from .kernels import _KERNEL_SLOTS_MAX, _exact_q_kernel, _int_side_limits, q_level_kernel, riemann_kernel
 from .kernels import edge_kernel, q_kernel, solve_unique  # re-exported
 
@@ -196,19 +196,35 @@ def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
             return Fraction(-s, 3)
         return F0
     if is_prefix(sigma, tau):
-        sub = int(tau[len(sigma)])
-        t = descend(dz_cell_triple(sub), tau[len(sigma) + 1:])
-        return s * (t[(i + 1) % 3] - t[(i + 2) % 3])
+        den, counts = _prefix_dz(tau, i)
+        return next((Fraction(s * c, den) for w, c in counts if w == sigma), F0)
     return F0
 
 
+def _dz_den(edges: Iterable[OrientedEdge]) -> int:
+    """A common denominator of the integrals of every dz form over the
+    edges: -1/3 for a word through an edge's cell, and 6·5^(L-1) for a
+    proper prefix of a level-L cell (``_prefix_dz``)."""
+    top = max((e.level for e in edges), default=0)
+    return 6 * 5 ** (top - 1) if top else 3
+
+
 @lru_cache(maxsize=None)
-def _prefix_dz(cell: Word, side: int) -> tuple[tuple[Word, Fraction], ...]:
-    """(cell[:k], integral of dz_{cell[:k]} over the edge (cell, side, +1))
-    for the k < |cell| whose value is nonzero, shortest first."""
-    e = OrientedEdge(cell, side)
-    values = ((cell[:k], dz_integral_edge(cell[:k], e)) for k in range(len(cell)))
-    return tuple((w, v) for w, v in values if v != 0)
+def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[tuple[Word, int], ...]]:
+    """(den, ((cell[:k], den · integral of dz_{cell[:k]} over the edge (cell,
+    side, +1)), ...)) for the k < |cell| whose count is nonzero, shortest
+    first: 6 times the potential on cell[:k+1] descended by ``_step5`` over
+    the rest of the cell, times 5^k; den is ``_dz_den`` of the edge."""
+    den = _dz_den([OrientedEdge(cell, side)])
+    counts = []
+    for k in range(len(cell)):
+        t = tuple(int(6 * x) for x in dz_cell_triple(int(cell[k])))
+        for letter in cell[k + 1:]:
+            t = _step5(letter, *t)
+        c = 5**k * (t[(side + 1) % 3] - t[(side + 2) % 3])
+        if c:
+            counts.append((cell[:k], c))
+    return den, tuple(counts)
 
 
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
@@ -475,17 +491,15 @@ def integrate_edge(
 
 
 def integrate_path(form: SmoothForm, path: ElementaryPath, mode: str = "exact") -> CertifiedValue:
-    """Sum of edge integrals; radii add.  Float midpoints are summed exactly
-    and rounded once, with half an ulp of the sum added to the radius, so the
-    value does not depend on the order of the edges: the reversed path gives
-    exactly the negated value and the same radius."""
-    parts = [integrate_edge(form, e, mode) for e in path]
-    total = sum((Fraction(cv.value) for cv in parts), F0)
-    radius = sum((cv.radius for cv in parts), F0)
-    if all(isinstance(cv.value, Fraction) for cv in parts):
-        return CertifiedValue(total, radius)
-    v = float(total)
-    return CertifiedValue(v, radius + Fraction(math.ulp(v)) / 2)
+    """Sum of the exact edge integrals, in certified mode rounded once
+    (``_valued``); a form without universal terms keeps its exact value, as
+    in ``integrate_edge``.  The sum does not depend on the order of the
+    edges: the reversed path gives exactly the negated value and the same
+    radius."""
+    total = sum((integrate_edge(form, e).value for e in path), F0)
+    if mode == "certified" and not form.terms:
+        return CertifiedValue.from_exact(total)
+    return _valued(total, mode)
 
 
 # ---------------------------------------------------------------------------

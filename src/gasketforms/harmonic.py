@@ -82,26 +82,6 @@ def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
     return s + a + c, s + b + c, 5 * c
 
 
-def descend(t: Triple, word: Word) -> Triple:
-    """Corner values on the sub-cell ``word`` of a cell with corner values t."""
-    if not word:
-        return tuple(t)  # type: ignore[return-value]
-    D, (a, b, c) = _integers(t)
-    for letter in word:
-        a, b, c = _step5(letter, a, b, c)
-    den = D * 5 ** len(word)
-    return Fraction(a, den), Fraction(b, den), Fraction(c, den)
-
-
-def graph_energy(u: Triple, v: Triple) -> Fraction:
-    """Level-0 bilinear graph energy sum over the three edges of a triangle."""
-    return (
-        (u[0] - u[1]) * (v[0] - v[1])
-        + (u[1] - u[2]) * (v[1] - v[2])
-        + (u[0] - u[2]) * (v[0] - v[2])
-    )
-
-
 @dataclass
 class VertexFunction:
     """An m-harmonic function: exact values on V_m, harmonic below."""
@@ -190,11 +170,6 @@ class VertexFunction:
             pass
         return self._level_seed()[0] * 5 ** (n - self.level), rows
 
-    def triples(self, n: int) -> list[Triple]:
-        """Corner values of the level-n cells, in word order."""
-        den, ints = self.int_triples(n)
-        return [(Fraction(a, den), Fraction(b, den), Fraction(c, den)) for a, b, c in ints]
-
     def extend(self, n: int) -> "VertexFunction":
         den, rows = self.int_triples(n)
         vals: dict[Point, Fraction] = {}
@@ -209,10 +184,13 @@ class VertexFunction:
         return self.energy_with_at_level(self, n)
 
     def energy_with_at_level(self, other: "VertexFunction", n: int) -> Fraction:
+        """(5/3)^n sum over E_n of du·dv from both integer level-n tables, divided once."""
         if n < max(self.level, other.level):
             raise GasketError("level too coarse for both functions")
-        pairs = zip(self.triples(n), other.triples(n))
-        return Fraction(5, 3) ** n * sum((graph_energy(u, v) for u, v in pairs), F0)
+        (Du, tu), (Dv, tv) = self.int_triples(n), other.int_triples(n)
+        pairs = zip(tu, tv)
+        total = sum((a - b) * (x - y) + (b - c) * (y - z) + (a - c) * (x - z) for (a, b, c), (x, y, z) in pairs)
+        return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
 
     def energy(self) -> Fraction:
         if self._energy_cache is None:

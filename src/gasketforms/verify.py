@@ -20,7 +20,7 @@ from . import covering as cov
 from . import forms as fm
 from .errors import GasketError
 from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path, words
-from .harmonic import IntTriple, VertexFunction, descend, harmonic_basis, random_harmonic
+from .harmonic import IntTriple, VertexFunction, harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -296,6 +296,7 @@ def counterexample_form(n: int) -> fm.SmoothForm:
         raise GasketError("n must be at least 1")
     coh._check_budget(2 ** min(n, 64) * 3 ** min(n + 1, 64), f"the counterexample form omega_{n}")
     scale = Fraction(1, 2**n)
+    slope = _slope_function().scale(scale)
     level = n + 1
     terms = []
     for sigma in (w for w in words(n) if "1" not in w):
@@ -306,8 +307,7 @@ def counterexample_form(n: int) -> fm.SmoothForm:
         for word in words(level):
             cs = cell_corners(word)
             if is_prefix(sigma, word):
-                t = descend(tuple(scale * v for v in (Fraction(-1, 2), F0, Fraction(1, 2))), word[n:])
-                for p, v in zip(cs, t):
+                for p, v in zip(cs, slope.triple(word[n:])):
                     chi_vals[p] = F1
                     pot_vals[p] = v
                 continue

@@ -122,8 +122,9 @@ def test_hodge_is_exact_and_takes_no_tolerance(capsys):
     ["verify", "--depth", "1"],
 ], ids=["integrate", "verify"])
 def test_integrate_and_verify_take_no_tolerance(args, capsys):
-    """A certified radius is half an ulp per edge and no verification check
-    reads a tolerance, so neither subcommand takes one."""
+    """A certified path integral is the exact sum rounded once, with half an
+    ulp as its radius, and no verification check reads a tolerance, so
+    neither subcommand takes one."""
     with pytest.raises(SystemExit) as refused:
         cli.main([*args, "--tolerance", "1e-6"])
     assert refused.value.code == 2
@@ -157,6 +158,11 @@ def test_render_with_form_coloring_and_path(tmp_path, capsys):
 def test_bad_input_exit_code(capsys):
     code = cli.main(["winding", "--path", '["/1/+"]', "--sigma", "0"])  # not closed
     assert code == 1
+    closed = json.dumps(["10/0/+", "11/1/+", "12/2/+"])
+    for sigma in ("05", "1x"):
+        assert cli.main(["winding", "--path", closed, "--sigma", sigma]) == 1
+        out, err = capsys.readouterr()
+        assert "invalid word" in err and out == ""
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

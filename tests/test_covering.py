@@ -354,6 +354,19 @@ def test_homology_class_of_open_path_is_refused(path, depth):
             cov.homology_class(path, depth)
 
 
+def test_invalid_lacuna_words_are_refused():
+    closed = lacuna_path("1")
+    for bad in ("05", "1x", "9"):
+        with pytest.raises(GasketError, match="invalid word"):
+            coh.winding_number(closed, bad)
+        with pytest.raises(GasketError, match="invalid word"):
+            cov.lacuna_class(bad)
+        with pytest.raises(GasketError, match="invalid word"):
+            cov.HomologyElement(4, {bad: 1})
+        with pytest.raises(GasketError, match="invalid word"):
+            cov.phi_hom(bad, cov.lacuna_class("0", 4))
+
+
 @settings(max_examples=25)
 @given(walks(), st.integers(0, 8), st.booleans(), st.randoms(use_true_random=False))
 def test_potential_difference_matches_per_word_sum(path, depth, exact, rng):

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from gasketforms import forms as fm
 from gasketforms import geometry as geo
 from gasketforms.geometry import OrientedEdge, cell_corners, vertices_at_level
-from gasketforms.harmonic import H_MATRICES, VertexFunction, descend
+from gasketforms.harmonic import H_MATRICES, VertexFunction
 
 values = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-triples = st.tuples(values, values, values)
 
 
 def words(min_size: int, max_size: int):
@@ -35,11 +34,6 @@ def reference_descend(t, word):
         H = H_MATRICES[int(letter)]
         t = tuple(H[j][0] * t[0] + H[j][1] * t[1] + H[j][2] * t[2] for j in range(3))
     return tuple(t)
-
-
-@given(triples, words(0, 8))
-def test_descend_matches_fraction_reference(t, word):
-    assert descend(t, word) == reference_descend(t, word)
 
 
 @given(vertex_functions(), words(0, 4), st.data())
@@ -94,18 +88,23 @@ def test_words_are_lexicographic(n):
     assert list(geo.words(n)) == ["".join(t) for t in itertools.product("012", repeat=n)]
 
 
+def _rational_table(vf, n):
+    den, rows = vf.int_triples(n)
+    return [tuple(Fraction(x, den) for x in t) for t in rows]
+
+
 @given(vertex_functions(), st.integers(0, 3))
 def test_triples_match_triple(u, above):
     n = u.level + above
-    assert u.triples(n) == [u.triple(w) for w in geo.words(n)]
+    assert _rational_table(u, n) == [u.triple(w) for w in geo.words(n)]
 
 
 @given(vertex_functions(), st.integers(0, 2))
 def test_extension_matches_triples(u, above):
     n = u.level + above
     ext = u.extend(n).values
-    for w, t in zip(geo.words(n), u.triples(n)):
-        assert tuple(ext[p] for p in cell_corners(w)) == t
+    for w in geo.words(n):
+        assert tuple(ext[p] for p in cell_corners(w)) == u.triple(w)
 
 
 @given(vertex_functions(), vertex_functions(), st.integers(0, 2))
@@ -123,9 +122,19 @@ def test_oscillation_of_coarse_cell(u, data):
     assert u.oscillation(word) == max(vals) - min(vals)
 
 
-def _rational_table(vf, n):
-    den, rows = vf.int_triples(n)
-    return [tuple(Fraction(x, den) for x in t) for t in rows]
+@given(words(1, 8), st.integers(0, 2))
+def test_prefix_dz_counts_match_fraction_descent(cell, side):
+    # count/den is the side difference of the dz potential of cell[:k] on the
+    # sub-cell cell[:k+1], descended over the rest of the cell in Fractions
+    den, counts = fm._prefix_dz(cell, side)
+    assert den == fm._dz_den([OrientedEdge(cell, side)])
+    want = {}
+    for k in range(len(cell)):
+        t = reference_descend(fm.dz_cell_triple(int(cell[k])), cell[k + 1:])
+        want[cell[:k]] = t[(side + 1) % 3] - t[(side + 2) % 3]
+    assert all(isinstance(c, int) for _, c in counts)
+    assert [w for w, _ in counts] == [w for w, v in want.items() if v]
+    assert {w: Fraction(c, den) for w, c in counts} == {w: v for w, v in want.items() if v}
 
 
 @given(vertex_functions())

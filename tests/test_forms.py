@@ -25,7 +25,7 @@ from gasketforms.geometry import (
     perimeter_path,
     subdivide,
 )
-from gasketforms.harmonic import H_MATRICES, VertexFunction, descend, harmonic_basis, random_harmonic
+from gasketforms.harmonic import H_MATRICES, VertexFunction, harmonic_basis, random_harmonic
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()
@@ -394,6 +394,21 @@ def test_riemann_budget_refuses_before_building():
     assert len(fm.riemann_kernel(0, 3, 2, 1)) == 3**6
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_certified_path_is_the_exact_sum_rounded_once(rng):
+    # one rounding of the exact total: the radius is half an ulp of the sum,
+    # not one per edge
+    form = fm.fdg(random_harmonic(rng.randint(0, 2), rng), random_harmonic(rng.randint(0, 2), rng))
+    form = form + fm.SmoothForm(harmonic={"": F(rng.randint(1, 5), 7)})
+    path = perimeter_path(rng.choice(["", "1", "20"]))
+    exact = sum((fm.integrate_edge(form, e).value for e in path), F(0))
+    cv = fm.integrate_path(form, path, mode="certified")
+    assert cv == fm._valued(exact, "certified")
+    assert cv.radius == F(math.ulp(float(exact))) / 2 and cv.contains(exact)
+    assert fm.integrate_path(form, path).value == exact
+
+
 def test_trace_property_certified():
     w = fm.fdg(f0, f2)
     left = fm.multiply_form(f1, w, side="left")
@@ -718,7 +733,7 @@ def counterexample_integral(n: int, e: OrientedEdge) -> Fraction:
         if len(word) >= n:
             if "1" in word[:n]:
                 return F(0)
-            t = descend(g.triple(""), word[n:])
+            t = g.triple(word[n:])
             return scale * (t[(edge.side + 1) % 3] - t[(edge.side + 2) % 3]) * edge.sign
         a, b = edge.children()
         return walk(a) + walk(b)

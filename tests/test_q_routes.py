@@ -19,7 +19,7 @@ from gasketforms import forms as fm
 from gasketforms import kernels as kn
 from gasketforms.errors import GasketError
 from gasketforms.geometry import OrientedEdge
-from gasketforms.harmonic import graph_energy, harmonic_basis, random_harmonic
+from gasketforms.harmonic import harmonic_basis, random_harmonic
 from test_certified import sqrt_upper
 
 F = Fraction
@@ -32,6 +32,15 @@ f0, f1, f2 = harmonic_basis()
 # oracle: exact Q cell by cell and piece pair by piece pair, for pieces with
 # at most one left factor
 # ---------------------------------------------------------------------------
+
+def graph_energy(u, v):
+    """Level-0 bilinear graph energy summed over the three edges of a triangle."""
+    return (
+        (u[0] - u[1]) * (v[0] - v[1])
+        + (u[1] - u[2]) * (v[1] - v[2])
+        + (u[0] - u[2]) * (v[0] - v[2])
+    )
+
 
 def _pair_energy(u, vals):
     """E(u, v) through the vertex-Laplacian weights 2u_j - u_(j+1) - u_(j+2)

@@ -22,6 +22,10 @@
   ``kernels._int_side_limits``, once, which ``_monomial_exact``, ``side_integral_table`` and
   ``edge_kernel`` read, so no second per-edge kernel route comes back
   unnoticed.
+* Corner values descend once, on integers: no Fraction twin of the walk
+  (``descend``, ``triples``, ``graph_energy``) is defined again, and the
+  common denominator of the dz counts, ``_dz_den``, is defined only in
+  ``forms.py`` beside the table it describes.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch.
 * The Hodge decomposition, the covering potentials and the perimeter
@@ -172,6 +176,17 @@ def test_energy_bound_is_called_only_by_the_period_routes():
                     (path.name, fn.name) for n in ast.walk(fn) if _called_name(n) == "universal_energy_bound"
                 ]
     assert sites == [("cohomology.py", "periods_up_to")]
+
+
+def test_one_integer_descent_and_one_dz_denominator():
+    gone = {"descend", "triples", "graph_energy", "_dz_den"}
+    defined = [
+        (path.name, n.name)
+        for path in MODULES
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.FunctionDef) and n.name in gone
+    ]
+    assert defined == [("forms.py", "_dz_den")]
 
 
 def test_bench_trace_targets_resolve():
