@@ -38,8 +38,8 @@ from .forms import (
     SmoothForm,
     _check_depth,
     _coarsen,
-    _form_data_level,
     _dz_den,
+    _form_data_level,
     _normalized_terms,
     _prefix_dz,
     _valued,

@@ -211,10 +211,12 @@ def _dz_den(edges: Iterable[OrientedEdge]) -> int:
 
 @lru_cache(maxsize=None)
 def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[tuple[Word, int], ...]]:
-    """(den, ((cell[:k], den · integral of dz_{cell[:k]} over the edge (cell,
-    side, +1)), ...)) for the k < |cell| whose count is nonzero, shortest
-    first: 6 times the potential on cell[:k+1] descended by ``_step5`` over
-    the rest of the cell, times 5^k; den is ``_dz_den`` of the edge."""
+    """(den, counts): counts holds (cell[:k], den times the integral of
+    dz_{cell[:k]} over the edge (cell, side, +1)) for each k < |cell| with a
+    nonzero count, shortest first, and den is ``_dz_den`` of the edge.  A
+    count is the side difference of 6 times the potential on cell[:k+1]
+    (integer corners), descended by ``_step5`` over the rest of the cell,
+    times 5^k."""
     den = _dz_den([OrientedEdge(cell, side)])
     counts = []
     for k in range(len(cell)):
