@@ -177,8 +177,9 @@ def multiply_form(h: VertexFunction | Expr, form: SmoothForm, side: str = "left"
 
 # corner values of the local potential of dz_sigma on sub-cell sigma+i: the
 # cell's shared vertex with C_sigma gets 0 and the lacuna edge runs from -1/6
-# to +1/6 in the clockwise direction of the lacuna.
-_ZETA = (F0, Fraction(1, 6), Fraction(-1, 6))
+# to +1/6 in the clockwise direction of the lacuna; _ZETA6 is 6 times them.
+_ZETA6 = (0, 1, -1)
+_ZETA = tuple(Fraction(z, 6) for z in _ZETA6)
 
 
 def dz_cell_triple(i: int) -> Triple:
@@ -215,12 +216,13 @@ def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[tuple[Word, int], ...]
     dz_{cell[:k]} over the edge (cell, side, +1)) for each k < |cell| with a
     nonzero count, shortest first, and den is ``_dz_den`` of the edge.  A
     count is the side difference of 6 times the potential on cell[:k+1]
-    (integer corners), descended by ``_step5`` over the rest of the cell,
-    times 5^k."""
+    (``_ZETA6``), descended by ``_step5`` over the rest of the cell, times
+    5^k."""
     den = _dz_den([OrientedEdge(cell, side)])
     counts = []
     for k in range(len(cell)):
-        t = tuple(int(6 * x) for x in dz_cell_triple(int(cell[k])))
+        sub = int(cell[k])
+        t = tuple(_ZETA6[(j - sub) % 3] for j in range(3))
         for letter in cell[k + 1:]:
             t = _step5(letter, *t)
         c = 5**k * (t[(side + 1) % 3] - t[(side + 2) % 3])
