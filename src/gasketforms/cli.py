@@ -175,7 +175,7 @@ def _dispatch(args) -> int:
         if args.form:
             form = _load_form(args.form)
             top = max(fm._form_data_level(form), args.level)
-            coh._check_budget(3 ** min(top + 1, 64), f"a coloring by edge integrals at level {args.level}")
+            fm._check_budget(3 ** min(top + 1, 64), f"a coloring by edge integrals at level {args.level}")
             D, rows = fm.side_integrals_at(form, args.level)
             magnitudes = {e: abs(rows[int(e.cell or "0", 3)][e.side]) / D for e in edges_at_level(args.level)}
         svg = render_svg(args.level, size=args.size, highlight_cells=args.highlight_cell,

@@ -3,7 +3,8 @@ Hodge decomposition.
 
 B_{rho,tau} is the integral of dz_rho around the lacuna of C_tau; it is lower
 unitriangular for the prefix order with entries in {1, -1/3, 0}, and its
-inverse A solves a three-term chain recursion with entries in [0, 1].  The
+inverse A has entries in [0, 1], one integer row 3^|sigma|·A per word
+(``a_row``) solving B's rule backward along the prefix chain.  The
 winding form of a word sigma is sum_{rho <= sigma} A_{sigma,rho} dz_rho; its
 closed-path integrals are integers that count turns around one lacuna only.
 
@@ -16,8 +17,8 @@ word order (``hodge_decompose``), on integers over one denominator.
 Both read one whole-form integer side-integral table per call, coarsened
 level by level (``_period_tables``): the periods at the data level m, and
 past it the closed form from the cell determinants; the Hodge decomposition
-at max(m, depth).  Both are refused past ``_TABLE_ENTRIES_MAX`` entries
-before any work starts.
+at max(m, depth).  Both are refused past ``forms._TABLE_ENTRIES_MAX``
+entries before any work starts.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .forms import (
     SmoothForm,
+    _check_budget,
     _check_depth,
     _coarsen,
     _dz_den,
@@ -64,17 +66,6 @@ from .geometry import (
 from .harmonic import IntTriple, VertexFunction
 
 F0 = Fraction(0)
-F1 = Fraction(1)
-
-
-# Work budget of the per-word tables (periods, skeletons, dz tables of paths,
-# homology classes): a table of more entries is refused before any work.
-_TABLE_ENTRIES_MAX = 2**20
-
-
-def _check_budget(count: int, what: str) -> None:
-    if count > _TABLE_ENTRIES_MAX:
-        raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
 
 
 def b_thirds(rho: Word, tau: Word) -> int:
@@ -104,53 +95,57 @@ def b_entry(rho: Word, tau: Word) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def a_row(sigma: Word) -> tuple[int, ...]:
+    """The integers 3^|sigma|·A_{sigma, sigma[:t]} for t = 0..|sigma|, each in
+    [0, 3^|sigma|], in one pass from the end over suffix sums.  B's rule read
+    backward: A_{sigma, sigma[:t]} is 1/3 of the sum of A_{sigma, sigma[:j]}
+    over t < j <= f_t, f_t the next index of the letter sigma[t] in sigma,
+    or |sigma| when it does not recur."""
+    n = len(sigma)
+    suffix = [0] * n + [3**n, 0]  # suffix[j] = the sum of the row from j on
+    last: dict[str, int] = {}
+    for t in range(n - 1, -1, -1):
+        f = last.get(sigma[t], n)
+        suffix[t] = suffix[t + 1] + (suffix[t + 1] - suffix[f + 1]) // 3
+        last[sigma[t]] = t
+    return tuple(a - b for a, b in zip(suffix, suffix[1:]))
+
+
+@lru_cache(maxsize=None)
 def a_entry(sigma: Word, tau: Word) -> Fraction:
-    """Entry of A = B^-1 on the prefix chain of sigma; NotComparableError
-    when tau is not a prefix of sigma."""
+    """Entry of A = B^-1 on the prefix chain of sigma, read from ``a_row``;
+    NotComparableError when tau is not a prefix of sigma."""
     if not is_prefix(tau, sigma):
         raise NotComparableError(f"{tau!r} is not a prefix of {sigma!r}")
-    if tau == sigma:
-        return F1
-    acc = F0
-    for j in range(len(tau) + 1, len(sigma) + 1):
-        rho = sigma[:j]
-        if b_thirds(rho, tau):
-            acc += a_entry(sigma, rho)
-    return acc / 3
+    return Fraction(a_row(sigma)[len(tau)], 3 ** len(sigma))
 
 
 class TriangularKernel:
     """Lazy view of the B and A matrices over prefix chains."""
 
-    def b(self, rho: Word, tau: Word) -> Fraction:
-        return b_entry(rho, tau)
-
-    def a(self, sigma: Word, tau: Word) -> Fraction:
-        return a_entry(sigma, tau)
-
     def chain_matrices(self, sigma: Word):
         """(B, A) restricted to the chain of prefixes of sigma."""
         chain = [sigma[:j] for j in range(len(sigma) + 1)]
-        B = [[self.b(r, t) for t in chain] for r in chain]
+        B = [[b_entry(r, t) for t in chain] for r in chain]
         A = [[a_entry(r, t) if is_prefix(t, r) else F0 for t in chain] for r in chain]
         return chain, B, A
 
 
 def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
     """The winding number of sigma from integer dz counts over den (counts[w]
-    = den·integral of dz_w along a path, missing words zero): 3^|sigma|·A is
-    an integer, so the sum over the prefixes is one integer, divided once.
-    NonIntegerResultError when the division leaves a remainder."""
-    scale = 3 ** len(sigma)
+    = den·integral of dz_w along a path, missing words zero): the ``a_row``
+    of sigma paired with the counts of its prefixes is one integer over
+    3^|sigma|·den, divided once.  NonIntegerResultError when the division
+    leaves a remainder."""
     acc = 0
-    for j in range(len(sigma) + 1):
+    for j, a in enumerate(a_row(sigma)):
         c = counts.get(sigma[:j])
         if c:
-            a = a_entry(sigma, sigma[:j])
-            acc += a.numerator * (scale // a.denominator) * c
-    winding, rest = divmod(acc, scale * den)
+            acc += a * c
+    scale = 3 ** len(sigma) * den
+    winding, rest = divmod(acc, scale)
     if rest:
-        raise NonIntegerResultError(f"winding came out {Fraction(acc, scale * den)} for sigma={sigma!r}")
+        raise NonIntegerResultError(f"winding came out {Fraction(acc, scale)} for sigma={sigma!r}")
     return winding
 
 

@@ -33,16 +33,9 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .certified import CertifiedValue
-from .cohomology import (
-    HodgeDecomposition,
-    _check_budget,
-    _winding,
-    b_rule,
-    b_thirds,
-    hodge_decompose,
-)
+from .cohomology import HodgeDecomposition, _winding, b_thirds, hodge_decompose
 from .errors import DepthTooSmallError, GasketError
-from .forms import SmoothForm, _check_depth, _dz_den, _prefix_dz
+from .forms import SmoothForm, _check_budget, _check_depth, _dz_den, _prefix_dz
 from .geometry import ElementaryPath, OrientedEdge, Word, check_word, words
 
 F0 = Fraction(0)
@@ -112,7 +105,7 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     dz_{tau[:k]} on the sub-cell tau[:k+1]), and tau + r for every string r
     avoiding the letter i, each with value -s/3; see ``dz_integral_edge``.
     Refused with ``GasketError`` when the table would exceed
-    ``cohomology._TABLE_ENTRIES_MAX`` entries.
+    ``forms._TABLE_ENTRIES_MAX`` entries.
     """
     size = sum(
         min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
@@ -260,7 +253,7 @@ def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
     """The deck homomorphism of the potential z_sigma evaluated on g."""
     if len(check_word(sigma)) >= g.depth:
         raise GasketError("phi needs |sigma| below the class depth")
-    return sum((c * b_rule(sigma, tau) for tau, c in g.coords.items()), F0)
+    return Fraction(sum(c * b_thirds(sigma, tau) for tau, c in g.coords.items()), 3)
 
 
 def _phi_sup_at_level(g: HomologyElement, k: int) -> int:

@@ -308,8 +308,10 @@ def side_integral_table(form: SmoothForm, level: int) -> tuple[int, list[IntTrip
     exact part give potential differences, and a lacuna form dz_sigma gives
     the potential differences of ``_dz_table`` on the cells inside C_sigma.
     Each column's rational scale is folded into D once, so a caller divides
-    once per value it reads.  A product of two non-constant factors raises
-    ExactnessUnavailableError before any walk."""
+    once per value it reads.  A table of more than ``_TABLE_ENTRIES_MAX``
+    cells raises GasketError, and a product of two non-constant factors
+    ExactnessUnavailableError, before any walk."""
+    _check_budget(3 ** min(level, 64), f"the side-integral table at level {level}")
     terms = [(c, F, g) for c, F, g in _normalized_terms(form) if c != 0]
     if _form_data_level(form) > level:
         raise GasketError("side-integral table below the data level")
@@ -365,6 +367,16 @@ def _check_depth(depth: int) -> None:
     """DepthTooSmallError for a negative depth or level, before any work."""
     if depth < 0:
         raise DepthTooSmallError(f"depth {depth} is negative")
+
+
+# Work budget of the per-cell and per-word tables (side integrals, periods, dz
+# tables of paths, homology classes): a larger table is refused before any work.
+_TABLE_ENTRIES_MAX = 2**20
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > _TABLE_ENTRIES_MAX:
+        raise GasketError(f"{what} needs {count} entries, over the budget of {_TABLE_ENTRIES_MAX}")
 
 
 def side_integrals_at(form: SmoothForm, level: int) -> tuple[int, list[IntTriple]]:

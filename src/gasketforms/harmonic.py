@@ -184,10 +184,11 @@ class VertexFunction:
         return self.energy_with_at_level(self, n)
 
     def energy_with_at_level(self, other: "VertexFunction", n: int) -> Fraction:
-        """(5/3)^n sum over E_n of du·dv from both integer level-n tables, divided once."""
+        """(5/3)^n sum over E_n of du·dv from one integer level-n walk per function, divided once."""
         if n < max(self.level, other.level):
             raise GasketError("level too coarse for both functions")
-        (Du, tu), (Dv, tv) = self.int_triples(n), other.int_triples(n)
+        Du, tu = self.int_triples(n)
+        Dv, tv = (Du, tu) if other is self else other.int_triples(n)
         pairs = zip(tu, tv)
         total = sum((a - b) * (x - y) + (b - c) * (y - z) + (a - c) * (x - z) for (a, b, c), (x, y, z) in pairs)
         return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
@@ -275,12 +276,14 @@ class VertexFunction:
 
     @staticmethod
     def from_json(data: dict) -> "VertexFunction":
-        vals = {parse_vertex_id(vid): Fraction(s) for vid, s in data["values"]}
-        vf = VertexFunction(int(data["level"]), vals)
-        expected = set(vertices_at_level(vf.level))
-        if set(vals) != expected:
+        """Refuses a negative level or a count other than |V_n| = (3^(n+1) + 3)/2 before listing V_n."""
+        level = int(data["level"])
+        if level < 0 or len(data["values"]) != (3 ** (min(level, 64) + 1) + 3) // 2:
             raise GasketError("vertex set does not match the declared level")
-        return vf
+        vals = {parse_vertex_id(vid): Fraction(s) for vid, s in data["values"]}
+        if set(vals) != set(vertices_at_level(level)):
+            raise GasketError("vertex set does not match the declared level")
+        return VertexFunction(level, vals)
 
 
 def harmonic_basis() -> tuple[VertexFunction, VertexFunction, VertexFunction]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from .cohomology import _check_budget
+from .forms import _check_budget
 from .geometry import ElementaryPath, OrientedEdge, Word, cell_corners, lacuna_path, words
 
 _SQRT3 = math.sqrt(3.0)

@@ -11,7 +11,6 @@ their limit edge assignment) lives here, out of the library core.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -103,15 +102,11 @@ def check_dz_norms() -> list[dict]:
     return [_item("dz-norms-depth3", bad == 0, "(5/6)(5/3)^n", f"{count - bad}/{count} exact")]
 
 
-def _int_matrix(M: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(L, L·M) with L the common denominator of the entries."""
-    L = math.lcm(*(x.denominator for row in M for x in row))
-    return L, [[x.numerator * (L // x.denominator) for x in row] for row in M]
-
-
 def check_period_matrices() -> list[dict]:
     """B_{rho,tau} read from the period table of dz_rho to depth 4, checked
-    against the combinatorial rule; A = B^-1 on every depth-5 prefix chain."""
+    against the combinatorial rule; A = B^-1 on every depth-5 prefix chain,
+    in integers: row r of 3^|r|·A (``a_row``) lies in [0, 3^|r|], and times
+    3·B (``b_thirds``) it is 3^(|r|+1) on the diagonal and 0 elsewhere."""
     words4 = [w for n in range(5) for w in words(n)]
     ok_b = True
     for rho in words4:
@@ -126,18 +121,15 @@ def check_period_matrices() -> list[dict]:
                 ok_b = False
     ok_a = True
     ok_ab = True
-    kern = coh.TriangularKernel()
     for sigma in words(5):
-        chain, B, A = kern.chain_matrices(sigma)
-        # both checks in integers, over common denominators that divide 3^|sigma| and 3
-        la, A_int = _int_matrix(A)
-        lb, B_int = _int_matrix(B)
-        for r in range(len(chain)):
-            for c in range(len(chain)):
-                if not (0 <= A_int[r][c] <= la):
-                    ok_a = False
-                prod = sum(A_int[r][m] * B_int[m][c] for m in range(len(chain)))
-                if prod != (la * lb if r == c else 0):
+        chain = [sigma[:j] for j in range(len(sigma) + 1)]
+        for r in chain:
+            row = coh.a_row(r)
+            if not all(0 <= a <= 3 ** len(r) for a in row):
+                ok_a = False
+            for c in chain:
+                prod = sum(a * coh.b_thirds(m, c) for m, a in zip(chain, row))
+                if prod != (3 ** (len(r) + 1) if r == c else 0):
                     ok_ab = False
     return [
         _item("period-matrix-entries-depth4", ok_b, "B in {1, -1/3, 0}, unitriangular", ok_b),
@@ -294,7 +286,7 @@ def counterexample_form(n: int) -> fm.SmoothForm:
     cells, so n past the table budget (n >= 8) is refused before any work."""
     if n < 1:
         raise GasketError("n must be at least 1")
-    coh._check_budget(2 ** min(n, 64) * 3 ** min(n + 1, 64), f"the counterexample form omega_{n}")
+    fm._check_budget(2 ** min(n, 64) * 3 ** min(n + 1, 64), f"the counterexample form omega_{n}")
     scale = Fraction(1, 2**n)
     slope = _slope_function().scale(scale)
     level = n + 1
@@ -329,7 +321,7 @@ def _check_counterexample_budget(n: int, k: int) -> None:
     """Refuse a level sum whose table is over the budget, before any work:
     3^n cells below level n, 3^(k - n) from n on."""
     top = n if k < n else k - n
-    coh._check_budget(3 ** min(top, 64), f"the counterexample table at level {top}")
+    fm._check_budget(3 ** min(top, 64), f"the counterexample table at level {top}")
 
 
 def _support_q(n: int, k: int, row: IntTriple) -> Fraction:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasketforms import cli
+from gasketforms import cli, harmonic
 from gasketforms import forms as fm
 from gasketforms.geometry import lacuna_path, path_to_json
 from gasketforms.harmonic import harmonic_basis
@@ -163,6 +163,24 @@ def test_bad_input_exit_code(capsys):
         assert cli.main(["winding", "--path", closed, "--sigma", sigma]) == 1
         out, err = capsys.readouterr()
         assert "invalid word" in err and out == ""
+
+
+@pytest.mark.parametrize("level", [40, 10**6, -1])
+def test_vertex_count_mismatch_exits_1_before_enumerating(level, monkeypatch, capsys):
+    """A function JSON whose value count cannot fill V_level is refused, by
+    ``energy`` and by ``integrate`` with it as g, before V_level is listed."""
+    def no_enumeration(n):
+        raise AssertionError(f"V_{n} enumerated")
+
+    monkeypatch.setattr(harmonic, "vertices_at_level", no_enumeration)
+    g = {"level": level, "values": []}
+    form = fm.fdg(fm.ONE, f1).to_json()
+    form["universal"][0]["g"] = g
+    for args in (["energy", "--input", json.dumps(g)],
+                 ["integrate", "--form", json.dumps(form), "--path", json.dumps(path_to_json(lacuna_path("")))]):
+        assert cli.main(args) == 1
+        out, err = capsys.readouterr()
+        assert "vertex set does not match" in err and out == ""
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -6,8 +6,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketforms import cohomology as coh
 from gasketforms import forms as fm
@@ -72,6 +75,59 @@ def test_a_range_and_inverse_on_chains():
             for c in range(n):
                 assert 0 <= A[r][c] <= 1
                 assert sum(A[r][m] * B[m][c] for m in range(n)) == (1 if r == c else 0)
+
+
+@lru_cache(maxsize=None)
+def pairwise_a(sigma: str, tau: str) -> F:
+    """Oracle: A_{sigma,tau} by the pairwise recursion A_{sigma,tau} = (1/3)
+    sum of A_{sigma,rho} over the prefixes rho of sigma below tau with
+    B_{rho,tau} = -1/3, for tau a prefix of sigma."""
+    if tau == sigma:
+        return F(1)
+    rhos = (sigma[:j] for j in range(len(tau) + 1, len(sigma) + 1))
+    return sum((pairwise_a(sigma, rho) for rho in rhos if coh.b_thirds(rho, tau)), F(0)) / 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("012", max_size=10))
+def test_a_row_matches_the_pairwise_recursion(sigma):
+    row = coh.a_row(sigma)
+    assert len(row) == len(sigma) + 1 and all(type(a) is int for a in row)
+    for t, a in enumerate(row):
+        assert F(a, 3 ** len(sigma)) == pairwise_a(sigma, sigma[:t]) == coh.a_entry(sigma, sigma[:t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text("012", max_size=12))
+def test_integer_rows_invert_b_on_chains(sigma):
+    """Row r of 3^|r|·A times 3·B is 3^(|r|+1) on the diagonal and 0
+    elsewhere, in integers, on the whole prefix chain of sigma."""
+    chain = [sigma[:j] for j in range(len(sigma) + 1)]
+    for r in chain:
+        row = coh.a_row(r)
+        assert all(0 <= a <= 3 ** len(r) for a in row)
+        for c in chain:
+            prod = sum(a * coh.b_thirds(m, c) for m, a in zip(chain, row))
+            assert prod == (3 ** (len(r) + 1) if r == c else 0)
+
+
+def test_chain_matrices_match_the_pairwise_recursion():
+    """(B, A) on every chain to length 4: B by the rule, A by the pairwise
+    oracle and zero off the prefix order, as Fractions."""
+    kern = coh.TriangularKernel()
+    for n in range(5):
+        for sigma in map("".join, itertools.product("012", repeat=n)):
+            chain, B, A = kern.chain_matrices(sigma)
+            assert chain == [sigma[:j] for j in range(n + 1)]
+            assert B == [[coh.b_rule(r, t) for t in chain] for r in chain]
+            assert A == [[pairwise_a(r, t) if r.startswith(t) else 0 for t in chain] for r in chain]
+            assert all(type(x) is F for rows in (A, B) for row in rows for x in row)
+
+
+def test_triangular_kernel_has_no_entry_methods():
+    """Entries are read through ``b_entry`` and ``a_entry``; the kernel only
+    assembles chains."""
+    assert not hasattr(coh.TriangularKernel, "a") and not hasattr(coh.TriangularKernel, "b")
 
 
 def _planar_winding(path, point) -> int:

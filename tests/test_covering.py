@@ -447,9 +447,9 @@ def test_dz_table_work_budget(monkeypatch):
     with pytest.raises(GasketError, match="budget"):
         cov.potential_difference(fm.fdg(f0, f1), path, 30)  # before any Hodge decomposition
     # three level-0 edges to depth 2: 3 * (2^3 - 1) avoid-letter words
-    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 21)
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 21)
     assert cov.dz_path_integrals(path, 2)
-    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 20)
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 20)
     with pytest.raises(GasketError, match="budget"):
         cov.dz_path_integrals(path, 2)
 

@@ -719,6 +719,29 @@ def test_q_level_stabilizes_for_locally_exact_forms():
     assert fm.q_level(z, 2) == F(5, 6)
 
 
+def test_side_table_budget_refuses_before_any_walk(monkeypatch):
+    """The side-integral table charges its 3^level cells before any walk:
+    level 12 fits the budget, level 13 is refused, also when q_level and
+    side_integrals_at reach it from a coarse form."""
+    assert 3**12 <= fm._TABLE_ENTRIES_MAX < 3**13
+    form = fm.fdg(f0, f1)
+    q2 = fm.q_level(form, 2)
+
+    def no_walk(self, n):
+        raise AssertionError("cells walked before the budget check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(VertexFunction, "_levels", no_walk)
+        for call in (fm.q_level, fm.side_integrals_at, fm.side_integral_table):
+            for level in (13, 40, 10**6):
+                with pytest.raises(GasketError, match="budget"):
+                    call(form, level)
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 9)
+    assert fm.q_level(form, 2) == q2
+    with pytest.raises(GasketError, match="budget"):
+        fm.q_level(form, 3)
+
+
 # ---------------------------------------------------------------------------
 # the completion counterexample (``verify``), against per-edge walkers
 # ---------------------------------------------------------------------------
@@ -809,7 +832,7 @@ def test_counterexample_refuses_tables_over_the_budget(n, k, monkeypatch):
 def test_counterexample_form_refuses_before_any_work(monkeypatch):
     """omega_n walks 2^n·3^(n+1) cells: n = 7 is within the table budget and
     n >= 8 is refused before any walk."""
-    assert 2**7 * 3**8 <= coh._TABLE_ENTRIES_MAX < 2**8 * 3**9
+    assert 2**7 * 3**8 <= fm._TABLE_ENTRIES_MAX < 2**8 * 3**9
 
     def no_work(*args):
         raise AssertionError("cells walked before the budget check")

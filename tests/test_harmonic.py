@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gasketforms import geometry, harmonic
+from gasketforms.errors import GasketError
 from gasketforms.geometry import P0, P1, P2, midpoint, vertices_at_level
 from gasketforms.harmonic import (
     VertexFunction,
@@ -136,6 +137,37 @@ def test_json_roundtrip():
     u = random_harmonic(2, rng)
     v = VertexFunction.from_json(u.to_json())
     assert v.level == u.level and v.values == u.values
+
+
+def test_json_refuses_a_wrong_vertex_count_before_enumerating(monkeypatch):
+    """A negative level, or a value count other than |V_n| = (3^(n+1) + 3)/2,
+    is refused before V_n is enumerated, at any level."""
+    good = random_harmonic(1, random.Random(3)).to_json()
+
+    def no_enumeration(n):
+        raise AssertionError(f"V_{n} enumerated")
+
+    monkeypatch.setattr(harmonic, "vertices_at_level", no_enumeration)
+    for data in ({"level": 40, "values": []}, {"level": 10**9, "values": []}, {"level": -1, "values": []},
+                 {"level": 2, "values": good["values"]}, {"level": 0, "values": good["values"]}):
+        with pytest.raises(GasketError, match="vertex set"):
+            VertexFunction.from_json(data)
+
+
+def test_energy_at_level_walks_once(monkeypatch):
+    """energy_at_level(n) pairs one level-n walk with itself."""
+    u = random_harmonic(3, random.Random(31))
+    energy = u.energy()
+    walks = []
+    levels = VertexFunction._levels
+
+    def counted(self, n):
+        walks.append(n)
+        return levels(self, n)
+
+    monkeypatch.setattr(VertexFunction, "_levels", counted)
+    assert u.energy_at_level(6) == energy
+    assert walks == [6]
 
 
 def test_triples_read_the_seed_without_cell_corners(monkeypatch):

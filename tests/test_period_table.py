@@ -569,11 +569,11 @@ def test_period_and_hodge_work_budget(monkeypatch):
             with pytest.raises(GasketError, match="budget"):
                 call(form, 30)
         # periods to depth 2 charge 3^3 = 27, so depth 3 is refused
-        patched.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
+        patched.setattr(fm, "_TABLE_ENTRIES_MAX", 27)
         with pytest.raises(GasketError, match="budget"):
             coh.periods_up_to(form, 3)
     # data of level 3 charges its 27 cells at depth 0
-    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 27)
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 27)
     assert coh.periods_up_to(form, 2).entries
     assert coh.periods_up_to(fm.fdg(random_harmonic(3, random.Random(1)), f1), 0).entries
     with pytest.raises(GasketError, match="budget"):
@@ -581,7 +581,7 @@ def test_period_and_hodge_work_budget(monkeypatch):
     # a Hodge decomposition to depth 2 charges its prefix work, 3^3 · 3 = 81
     with pytest.raises(GasketError, match="budget"):
         coh.hodge_decompose(form, 2)
-    monkeypatch.setattr(coh, "_TABLE_ENTRIES_MAX", 81)
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 81)
     assert coh.hodge_decompose(form, 2).k
     with pytest.raises(GasketError, match="budget"):
         coh.hodge_decompose(form, 3)
@@ -608,7 +608,7 @@ def test_hodge_budget_refuses_depth_11_before_any_work(monkeypatch):
     the refusal comes before the periods.  The covering set-up depth 4
     (3^5 · 5) stays well inside."""
     form = fm.fdg(f0, f1)
-    assert 3**12 <= coh._TABLE_ENTRIES_MAX < 3**12 * 12
+    assert 3**12 <= fm._TABLE_ENTRIES_MAX < 3**12 * 12
     with monkeypatch.context() as patched:
         patched.setattr(coh, "_period_tables", lambda *args, **kwargs: pytest.fail("work started"))
         with pytest.raises(GasketError, match="budget"):
