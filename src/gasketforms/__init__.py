@@ -21,14 +21,11 @@ from .cohomology import (
 )
 from .covering import (
     HomologyElement,
-    LevelSequence,
     effective_length,
     group_length,
     hnorm_divergence,
     homology_class,
     lacuna_class,
-    norm_N,
-    norm_Nprime,
     phi_hom,
     potential_difference,
 )

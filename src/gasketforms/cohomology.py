@@ -61,6 +61,7 @@ from .geometry import (
     lacuna_path,
     perimeter_path,
     vertex_id,
+    vertex_table,
     words,
 )
 from .harmonic import IntTriple, VertexFunction
@@ -415,9 +416,9 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
     # comes first in word order when j < a; corner j of j...j is a corner of V_0
     potential: dict[Point, CertifiedValue] = {}
     for w, (_, U) in zip(words(depth), cells):
-        for j, p, value in zip("012", cell_corners(w), U):
+        for j, q, value in zip("012", cell_corners(w), U):
             if w.rstrip(j)[-1:] < j:
-                potential[p] = CertifiedValue(Fraction(value, uden))
+                potential[vertex_table(depth)[q]] = CertifiedValue(Fraction(value, uden))
 
     k = {w: CertifiedValue(Fraction(v, K)) for n in range(depth + 1) for w, v in zip(words(n), kints[n])}
     # past the depth: side i of rho carries -(1/3)(S(rho, i) - k_rho), over 3K

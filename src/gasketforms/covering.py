@@ -1,5 +1,5 @@
-"""Sequence norms, effective lengths, finite-level homology, and potentials
-on the abelian pro-covering.
+"""Effective lengths, finite-level homology, and potentials on the abelian
+pro-covering.
 
 Sequences indexed by words carry two dual norms: N takes the sup over levels
 of (5/3)^n times the level sum, N' sums (3/5)^n times the level sup.  A path
@@ -40,44 +40,6 @@ from .geometry import ElementaryPath, OrientedEdge, Word, check_word, words
 
 F0 = Fraction(0)
 R35 = Fraction(3, 5)
-R53 = Fraction(5, 3)
-
-
-# ---------------------------------------------------------------------------
-# level sequences and the two norms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelSequence:
-    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth."""
-
-    sums: tuple[Fraction, ...]
-    sups: tuple[Fraction, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.sums) - 1
-
-    @staticmethod
-    def from_values(values: dict[Word, Fraction], depth: int) -> "LevelSequence":
-        """Aggregate a finitely-supported word map over the levels 0..depth,
-        in one pass over the map."""
-        sums, sups = [F0] * (depth + 1), [F0] * (depth + 1)
-        for w, v in values.items():
-            if len(w) <= depth:
-                sums[len(w)] += abs(v)
-                sups[len(w)] = max(sups[len(w)], abs(v))
-        return LevelSequence(tuple(sums), tuple(sups))
-
-
-def norm_N(seq: LevelSequence) -> CertifiedValue:
-    """sup_n (5/3)^n * (level-n sum)."""
-    return CertifiedValue.from_exact(max((R53**n * s for n, s in enumerate(seq.sums)), default=F0))
-
-
-def norm_Nprime(seq: LevelSequence) -> CertifiedValue:
-    """sum_n (3/5)^n * (level-n sup)."""
-    return CertifiedValue.from_exact(sum((R35**n * s for n, s in enumerate(seq.sups)), F0))
 
 
 # ---------------------------------------------------------------------------

@@ -468,12 +468,12 @@ def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
             total += k * dz_integral_edge(sigma, e)
     U = form.exact
     if U is not None:
-        if e.level >= U.level:
-            den, t = U.int_triple(e.cell)
-            total += Fraction(e.sign * (t[(e.side + 1) % 3] - t[(e.side + 2) % 3]), den)
-        else:
-            # both endpoints lie in V_{e.level}, a subset of V_{U.level}
-            total += U.values[e.target] - U.values[e.source]
+        # corner j of a coarse cell is corner j of its descendant j...j at U's level
+        pad = max(U.level - e.level, 0)
+        j, i = (e.side + 1) % 3, (e.side + 2) % 3  # target and source corners at sign +1
+        den, t = U.int_triple(e.cell + str(j) * pad)
+        s = U.int_triple(e.cell + str(i) * pad)[1] if pad else t
+        total += Fraction(e.sign * (t[j] - s[i]), den)
     return total
 
 
@@ -529,18 +529,19 @@ def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict
     significant.  The pieces are one per monomial of a term's a·b
     (``FormTerm.monomials``), one per lacuna form on each cell inside
     C_sigma, and one for the exact part, with the factors' integer corner
-    values; m is at least the level of every nonzero part."""
+    values, each function walked only below the root (``int_triples``); m
+    is at least the level of every nonzero part."""
     first, count = int(root or "0", 3) * 3 ** (m - len(root)), 3 ** (m - len(root))
     # (c, [(den, integer corner table)] per factor, the tables' first cell)
     families: list[tuple[Fraction, list[tuple[int, Sequence[IntTriple]]], int]] = []
     for t in form.terms:
-        g = t.g.int_triples(m)
-        families += [(c, [f.int_triples(m) for f in left] + [g], 0) for c, left in t.monomials()]
+        g = t.g.int_triples(m, root)
+        families += [(c, [f.int_triples(m, root) for f in left] + [g], first) for c, left in t.monomials()]
     for sigma, k in form.harmonic.items():
         if k:
             families += [(k, [(den, table)], start) for start, (den, table, _) in _dz_cells(sigma, m)]
     if form.exact is not None:
-        families.append((F1, [form.exact.int_triples(m)], 0))
+        families.append((F1, [form.exact.int_triples(m, root)], first))
     live = []  # (c over the tables' denominators, the rows below the root, their first row)
     for c, tables, start in families:
         lo, hi = max(start, first), min(start + len(tables[0][1]), first + count)

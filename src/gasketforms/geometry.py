@@ -3,10 +3,12 @@
 The gasket is the attractor of the three similitudes w_i(x) = p_i + (x - p_i)/2
 with p_0 = (0,0), p_1 = (1/2, sqrt(3)/2), p_2 = (1,0).  A *word* over {0,1,2}
 addresses the cell C_sigma = w_sigma(K); the empty word addresses the whole
-gasket.  Every vertex produced by the construction has rational x and a
-y-coordinate that is a rational multiple of sqrt(3), so points are stored as
-two exact rationals and all identities (vertex gluing, path consecutiveness,
-orientation) are decided by exact equality.
+gasket.  Every vertex of V_n is (X, Y·sqrt(3))/2^(n+1) with integers X and
+Y, so inside the package a vertex is the integer pair (X, Y) of the level-n
+lattice (``cell_corners``), and all identities (vertex gluing, path
+consecutiveness) are decided by integer equality.  A ``Point`` of two exact
+rationals is built only where the API hands a vertex out (``point``,
+``vertex_table``); ``lattice`` converts one back.
 
 Conventions used throughout the package:
 
@@ -32,8 +34,10 @@ from typing import Iterator, Sequence
 from .errors import GasketError, NonConsecutiveError
 
 Word = str  # letters in {0,1,2}; "" is the empty word
+Lattice = tuple[int, int]  # (X, Y): the point (X, Y·sqrt(3))/2^(n+1) of the level-n lattice
 
 _LETTERS = "012"
+_ROOT: tuple[Lattice, Lattice, Lattice] = ((0, 0), (1, 1), (2, 0))  # p_0, p_1, p_2 at level 0
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,21 @@ class Point:
         return f"Point({self.x}, {self.y}*sqrt3)"
 
 
-P0 = Point(Fraction(0), Fraction(0))
-P1 = Point(Fraction(1, 2), Fraction(1, 2))
-P2 = Point(Fraction(1), Fraction(0))
-CORNERS = (P0, P1, P2)
+def point(q: Lattice, n: int) -> Point:
+    """The Point of the level-n lattice pair q."""
+    return Point(Fraction(q[0], 2 ** (n + 1)), Fraction(q[1], 2 ** (n + 1)))
 
-HALF = Fraction(1, 2)
+
+def lattice(p: Point, n: int) -> Lattice:
+    """The level-n lattice pair of p; GasketError when p is off that lattice."""
+    x, y = p.x * 2 ** (n + 1), p.y * 2 ** (n + 1)
+    if x.denominator != 1 or y.denominator != 1:
+        raise GasketError(f"{p} is not on the level-{n} lattice")
+    return x.numerator, y.numerator
+
+
+CORNERS = tuple(point(q, 0) for q in _ROOT)
+P0, P1, P2 = CORNERS
 
 
 def check_word(word: Word) -> Word:
@@ -66,64 +79,36 @@ def is_prefix(tau: Word, sigma: Word) -> bool:
     return sigma.startswith(tau)
 
 
-def apply_map(i: int, p: Point) -> Point:
-    """The contraction w_i."""
-    c = CORNERS[i]
-    return Point(c.x + (p.x - c.x) * HALF, c.y + (p.y - c.y) * HALF)
-
-
-def apply_word(word: Word, p: Point) -> Point:
-    """w_sigma = w_{sigma_1} o ... o w_{sigma_m} (innermost map is the last letter)."""
-    for c in reversed(word):
-        p = apply_map(int(c), p)
-    return p
-
-
 @lru_cache(maxsize=None)
-def cell_corners(word: Word) -> tuple[Point, Point, Point]:
-    """The three vertices w_sigma(p_j), j = 0,1,2."""
+def cell_corners(word: Word) -> tuple[Lattice, Lattice, Lattice]:
+    """The level-|word| lattice pairs of the three vertices w_sigma(p_j),
+    j = 0,1,2: the tail's corners plus the first letter's root corner
+    shifted left by the tail's length."""
     if not word:
-        return CORNERS
-    sub = cell_corners(word[1:])
-    i = int(word[0])
-    return tuple(apply_map(i, p) for p in sub)  # type: ignore[return-value]
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) * HALF, (a.y + b.y) * HALF)
-
-
-def signed_area2(a: Point, b: Point, c: Point) -> Fraction:
-    """Twice the signed area of (a,b,c) in units of sqrt(3); > 0 iff ccw."""
-    return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)
-
-
-def barycentric(p: Point) -> tuple[Fraction, Fraction, Fraction]:
-    """Coordinates of p with respect to (p_0, p_1, p_2)."""
-    l1 = 2 * p.y
-    l2 = p.x - p.y
-    return (1 - l1 - l2, l1, l2)
-
-
-def in_hull(p: Point) -> bool:
-    return all(l >= 0 for l in barycentric(p))
+        return _ROOT
+    k = len(word) - 1
+    cx, cy = _ROOT[int(word[0])]
+    return tuple((x + (cx << k), y + (cy << k)) for x, y in cell_corners(word[1:]))  # type: ignore[return-value]
 
 
 def locate_vertex(p: Point, level: int) -> tuple[Word, int]:
     """(word, j): a cell of length >= level that has p as its corner j.
 
     One pass down the cell tree, carrying p in the coordinates of the current
-    cell.  Where two cells qualify the smallest letter wins, which keeps the
-    result deterministic.
+    cell as an integer pair over a lattice fine enough for p and the level.
+    Where two cells qualify the smallest letter wins, which keeps the result
+    deterministic.
     """
-    word, q = "", p
-    while len(word) <= level + 64:
-        if len(word) >= level and q in CORNERS:
-            return word, CORNERS.index(q)
-        for i, c in enumerate(CORNERS):
-            r = Point(2 * q.x - c.x, 2 * q.y - c.y)
-            if in_hull(r):
-                word, q = word + _LETTERS[i], r
+    n = max(level, p.x.denominator.bit_length(), p.y.denominator.bit_length())
+    word, (x, y) = "", lattice(p, n)
+    corners = [(cx << n, cy << n) for cx, cy in _ROOT]
+    while len(word) <= n:
+        if len(word) >= level and (x, y) in corners:
+            return word, corners.index((x, y))
+        for i, (cx, cy) in enumerate(corners):
+            rx, ry = 2 * x - cx, 2 * y - cy
+            if 0 <= ry <= rx and rx + ry <= 2 << n:  # inside the triangle of p_0, p_1, p_2
+                word, x, y = word + _LETTERS[i], rx, ry
                 break
         else:
             break
@@ -148,7 +133,8 @@ class OrientedEdge:
     def level(self) -> int:
         return len(self.cell)
 
-    def _ends(self) -> tuple[Point, Point]:
+    def _ends(self) -> tuple[Lattice, Lattice]:
+        """(source, target) on the edge's level lattice."""
         corners = cell_corners(self.cell)
         s = corners[(self.side + 2) % 3]
         t = corners[(self.side + 1) % 3]
@@ -156,16 +142,16 @@ class OrientedEdge:
 
     @property
     def source(self) -> Point:
-        return self._ends()[0]
+        return point(self._ends()[0], self.level)
 
     @property
     def target(self) -> Point:
-        return self._ends()[1]
+        return point(self._ends()[1], self.level)
 
     @property
     def midpoint(self) -> Point:
-        s, t = self._ends()
-        return midpoint(s, t)
+        (sx, sy), (tx, ty) = self._ends()
+        return point((sx + tx, sy + ty), self.level + 1)
 
     def reversed(self) -> "OrientedEdge":
         return OrientedEdge(self.cell, self.side, -self.sign)
@@ -218,12 +204,16 @@ def edges_at_level(n: int) -> Iterator[OrientedEdge]:
             yield OrientedEdge(word, side)
 
 
+@lru_cache(maxsize=None)
+def vertex_table(n: int) -> dict[Lattice, Point]:
+    """V_n: each vertex's level-n lattice pair mapped to its Point, sorted
+    by (X, Y), which is the (x, y) order of the points."""
+    return {q: point(q, n) for q in sorted({q for w in words(n) for q in cell_corners(w)})}
+
+
 def vertices_at_level(n: int) -> list[Point]:
     """V_n, sorted by coordinates."""
-    seen = set()
-    for word in words(n):
-        seen.update(cell_corners(word))
-    return sorted(seen, key=lambda p: (p.x, p.y))
+    return list(vertex_table(n).values())
 
 
 @dataclass(frozen=True)
@@ -253,14 +243,15 @@ class ElementaryPath:
 
 
 def validate_path(edges: Sequence[OrientedEdge]) -> ElementaryPath:
-    """Check consecutiveness by exact point equality and set the closed flag."""
+    """Check consecutiveness on the lattice of the finest edge level and set the closed flag."""
     if not edges:
         raise GasketError("a path needs at least one edge")
+    n = max(e.level for e in edges)
+    ends = [tuple((x << n - e.level, y << n - e.level) for x, y in e._ends()) for e in edges]
     for k in range(1, len(edges)):
-        if edges[k].source != edges[k - 1].target:
+        if ends[k][0] != ends[k - 1][1]:
             raise NonConsecutiveError(k)
-    closed = edges[-1].target == edges[0].source
-    return ElementaryPath(tuple(edges), closed)
+    return ElementaryPath(tuple(edges), ends[-1][1] == ends[0][0])
 
 
 def perimeter_path(word: Word) -> ElementaryPath:
@@ -287,7 +278,8 @@ class CellGeometry:
 
 def cell_geometry(word: Word) -> CellGeometry:
     check_word(word)
-    return CellGeometry(word, cell_corners(word), perimeter_path(word), lacuna_path(word))
+    vertices = tuple(point(q, len(word)) for q in cell_corners(word))
+    return CellGeometry(word, vertices, perimeter_path(word), lacuna_path(word))  # type: ignore[arg-type]
 
 
 def vertex_id(p: Point) -> str:

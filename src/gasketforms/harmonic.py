@@ -29,12 +29,14 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import GasketError
 from .geometry import (
+    CORNERS,
     Point,
     Word,
     cell_corners,
     locate_vertex,
     vertex_id,
     parse_vertex_id,
+    vertex_table,
     vertices_at_level,
     words,
 )
@@ -95,8 +97,7 @@ class VertexFunction:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_boundary(a, b, c) -> "VertexFunction":
-        corners = cell_corners("")
-        vals = dict(zip(corners, (Fraction(a), Fraction(b), Fraction(c))))
+        vals = dict(zip(CORNERS, (Fraction(a), Fraction(b), Fraction(c))))
         return VertexFunction(0, vals)
 
     @staticmethod
@@ -141,20 +142,27 @@ class VertexFunction:
         """(D, the integer corner triples of the level-m cells in word order)
         over the least common denominator D of the values; computed once."""
         if self._seed is None:
-            D, scaled = _integers(list(self.values.values()))
-            ints = dict(zip(self.values, scaled))
-            self._seed = D, [tuple(ints[p] for p in cell_corners(w)) for w in words(self.level)]
+            table = vertex_table(self.level)
+            D, scaled = _integers([self.values[p] for p in table.values()])
+            ints = dict(zip(table, scaled))
+            self._seed = D, [tuple(ints[q] for q in cell_corners(w)) for w in words(self.level)]
         return self._seed
 
-    def _levels(self, n: int) -> Iterator[list[IntTriple]]:
-        """The integer corner triples of the cells of levels m..n, one list per
-        level in word order; level k is over D·5^(k - m).  Each level holds
-        the three children of every cell of the one before, in letter order."""
-        if n < self.level:
+    def _levels(self, n: int, root: Word = "") -> Iterator[list[IntTriple]]:
+        """The integer corner triples of the cells below ``root`` of levels
+        max(m, |root|)..n, one list per level in word order; level k is over
+        D·5^(k - m).  The first level is the root's own triple
+        (``int_triple``) or, for a root coarser than m, its slice of the
+        level seed; each later level holds the three children of every cell
+        of the one before, in letter order."""
+        start = max(self.level, len(root))
+        if n < start:
             raise GasketError("target level below stored level")
-        rows = list(self._level_seed()[1])
+        count = 3 ** (start - len(root))
+        first = int(root or "0", 3) * count
+        rows = [self.int_triple(root)[1]] if start == len(root) else self._level_seed()[1][first : first + count]
         yield rows
-        for _ in range(n - self.level):
+        for _ in range(n - start):
             children: list[IntTriple] = []
             for a, b, c in rows:
                 s = a + b + c
@@ -163,21 +171,20 @@ class VertexFunction:
             rows = children
             yield rows
 
-    def int_triples(self, n: int) -> tuple[int, list[IntTriple]]:
-        """(den, integer corner values of the level-n cells in word order);
-        the corner values are those integers over den."""
-        for rows in self._levels(n):
+    def int_triples(self, n: int, root: Word = "") -> tuple[int, list[IntTriple]]:
+        """(den, integer corner values of the level-n cells below ``root``,
+        every cell by default, in word order); the corner values are those
+        integers over den."""
+        for rows in self._levels(n, root):
             pass
         return self._level_seed()[0] * 5 ** (n - self.level), rows
 
     def extend(self, n: int) -> "VertexFunction":
         den, rows = self.int_triples(n)
-        vals: dict[Point, Fraction] = {}
+        ints: dict[tuple[int, int], int] = {}
         for word, t in zip(words(n), rows):
-            for p, x in zip(cell_corners(word), t):
-                if p not in vals:
-                    vals[p] = Fraction(x, den)
-        return VertexFunction(n, vals)
+            ints.update(zip(cell_corners(word), t))
+        return VertexFunction(n, {p: Fraction(ints[q], den) for q, p in vertex_table(n).items()})
 
     def energy_at_level(self, n: int) -> Fraction:
         """(5/3)^n sum over E_n of |du|^2; equal to energy() for all n >= level."""
@@ -213,25 +220,25 @@ class VertexFunction:
 
     # -- pointwise bounds ----------------------------------------------------
     def oscillation(self, word: Word) -> Fraction:
-        """max - min over C_word; exact by the maximum principle."""
-        if len(word) >= self.level:
-            t = self.triple(word)
-            return max(t) - min(t)
-        vals = [self.values[p] for w in words(self.level - len(word)) for p in cell_corners(word + w)]
-        return max(vals) - min(vals)
+        """max - min over C_word, read off the corner values of the cells
+        below it at the stored level, or of the cell itself when it is finer;
+        exact by the maximum principle."""
+        den, rows = self.int_triples(max(self.level, len(word)), word)
+        vals = [x for t in rows for x in t]
+        return Fraction(max(vals) - min(vals), den)
 
     def laplacian_weights(self) -> dict[Point, Fraction]:
-        """Vertex weights (5/3)^m sum_{y ~ x} (u(x) - u(y)) on V_m."""
-        acc: dict[Point, Fraction] = {p: F0 for p in self.values}
-        for word in words(self.level):
-            corners = cell_corners(word)
-            t = [self.values[p] for p in corners]
-            for j in range(3):
-                for l in range(j + 1, 3):
-                    acc[corners[j]] += t[j] - t[l]
-                    acc[corners[l]] += t[l] - t[j]
-        scale = Fraction(5, 3) ** self.level
-        return {p: scale * v for p, v in acc.items()}
+        """Vertex weights (5/3)^m sum_{y ~ x} (u(x) - u(y)) on V_m: each cell
+        adds 3u(x) - (the sum of its corner values) at each corner x."""
+        D, seed = self._level_seed()
+        table = vertex_table(self.level)
+        acc = dict.fromkeys(table, 0)
+        for word, t in zip(words(self.level), seed):
+            s = sum(t)
+            for q, x in zip(cell_corners(word), t):
+                acc[q] += 3 * x - s
+        scale = Fraction(5, 3) ** self.level / D
+        return {table[q]: scale * v for q, v in acc.items()}
 
     def pairing(self, evaluate: Callable[[Point], Fraction]) -> Fraction:
         """E(self, v) = sum_x v(x) * weight(x) for any finite-energy v.

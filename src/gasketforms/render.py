@@ -1,8 +1,8 @@
 """SVG export of gasket approximations.
 
-Cells are drawn as upward triangles on an integer lattice: at level n every
-vertex is (a/2^n, b*sqrt(3)/2^n), so scaling by 2^n puts all x-coordinates
-and all sqrt(3)-multipliers on integers and the only floating constant is a
+Cells are drawn as upward triangles on an integer lattice: every vertex of
+V_n is (X, Y·sqrt(3))/2^(n+1) (``geometry.cell_corners``), so the drawing
+uses the pairs (X, Y) of one lattice and the only floating constant is a
 single sqrt(3) inside the top-level transform.
 """
 
@@ -12,21 +12,13 @@ import math
 from typing import Iterable, Optional
 
 from .forms import _check_budget
-from .geometry import ElementaryPath, OrientedEdge, Word, cell_corners, lacuna_path, words
+from .geometry import ElementaryPath, Lattice, OrientedEdge, Word, cell_corners, lacuna_path, lattice, point, words
 
 _SQRT3 = math.sqrt(3.0)
 
 
-def _lattice(p, scale: int) -> tuple[int, int]:
-    x = p.x * scale
-    y = p.y * scale
-    if x.denominator != 1 or y.denominator != 1:
-        raise ValueError("coordinate does not land on the integer lattice")
-    return int(x), int(y)
-
-
-def _poly(points, scale) -> str:
-    return " ".join(f"{x},{y}" for x, y in (_lattice(p, scale) for p in points))
+def _poly(pairs: Iterable[Lattice]) -> str:
+    return " ".join(f"{x},{y}" for x, y in pairs)
 
 
 def render_svg(
@@ -42,10 +34,9 @@ def render_svg(
     per-edge coloring by magnitude.  More than ``_TABLE_ENTRIES_MAX`` cells
     raise GasketError before anything is drawn."""
     _check_budget(3 ** min(level, 64), f"a render at level {level}")
-    # V_n sits on the (1/2^(n+1))-lattice (the top vertex already has
-    # half-integer coordinates); one extra doubling also covers lacuna
-    # outlines one level down
-    scale = 2 ** (level + 2)
+    # the level-(level + 1) lattice also covers lacuna outlines one level down
+    fine = level + 1
+    scale = 2 ** (fine + 1)
     sx = size / scale
     sy = size / scale * _SQRT3
     height = int(math.ceil(size * _SQRT3 / 2)) + 2
@@ -55,16 +46,16 @@ def render_svg(
         f'<g transform="translate(0,{height - 1}) scale({sx:.10g},{-sy:.10g})">',
     ]
     for word in words(level):
-        pts = _poly(cell_corners(word), scale)
+        pts = _poly((2 * x, 2 * y) for x, y in cell_corners(word))
         parts.append(f'<polygon class="cell" points="{pts}" fill="#d8d8d8" stroke="none"/>')
     for word in highlight_cells:
-        pts = _poly(cell_corners(word), scale)
+        pts = _poly(lattice(point(q, len(word)), fine) for q in cell_corners(word))
         parts.append(f'<polygon class="highlight" points="{pts}" fill="#7fb3d5"/>')
     if edge_magnitudes:
         top = max(abs(v) for v in edge_magnitudes.values()) or 1.0
         for e, v in sorted(edge_magnitudes.items(), key=lambda kv: str(kv[0])):
-            s = _lattice(e.source, scale)
-            t = _lattice(e.target, scale)
+            s = lattice(e.source, fine)
+            t = lattice(e.target, fine)
             shade = int(240 * (1 - abs(v) / top))
             color = f"rgb(255,{shade},{shade})"
             parts.append(
@@ -74,12 +65,12 @@ def render_svg(
             )
     for word in lacunas:
         lp = lacuna_path(word)
-        pts = _poly([e.source for e in lp.edges], scale)
+        pts = _poly(lattice(e.source, fine) for e in lp.edges)
         parts.append(f'<polygon class="lacuna" points="{pts}" fill="none" stroke="#c0392b" '
                      'stroke-width="1.5" vector-effect="non-scaling-stroke"/>')
     if path is not None:
         pts = [path.edges[0].source] + [e.target for e in path.edges]
-        coords = _poly(pts, scale)
+        coords = _poly(lattice(p, fine) for p in pts)
         parts.append(f'<polyline class="path" points="{coords}" fill="none" stroke="#1a5276" '
                      'stroke-width="2" vector-effect="non-scaling-stroke"/>')
     parts.append("</g></svg>")

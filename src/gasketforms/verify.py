@@ -18,7 +18,8 @@ from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
 from .errors import GasketError
-from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path, words
+from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path
+from .geometry import vertex_table, words
 from .harmonic import IntTriple, VertexFunction, harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
@@ -291,28 +292,26 @@ def counterexample_form(n: int) -> fm.SmoothForm:
     slope = _slope_function().scale(scale)
     level = n + 1
     terms = []
+    table = vertex_table(level)
     for sigma in (w for w in words(n) if "1" not in w):
-        corners = cell_corners(sigma)
-        corner_vals = {p: scale * v for p, v in zip(corners, (Fraction(-1, 2), F0, Fraction(1, 2)))}
+        # sigma's corners on the level-(n + 1) lattice
+        corners = [(x << 1, y << 1) for x, y in cell_corners(sigma)]
+        corner_vals = dict(zip(corners, (-scale / 2, F0, scale / 2)))
         chi_vals: dict = {}
         pot_vals: dict = {}
         for word in words(level):
             cs = cell_corners(word)
             if is_prefix(sigma, word):
-                for p, v in zip(cs, slope.triple(word[n:])):
-                    chi_vals[p] = F1
-                    pot_vals[p] = v
+                for q, v in zip(cs, slope.triple(word[n:])):
+                    chi_vals[q] = F1
+                    pot_vals[q] = v
                 continue
-            shared = [p for p in cs if p in corner_vals]
+            shared = [q for q in cs if q in corner_vals]
             if len(shared) == 1:
-                for p in cs:
-                    pot_vals.setdefault(p, corner_vals[shared[0]])
-        for word in words(level):
-            for p in cell_corners(word):
-                chi_vals.setdefault(p, F0)
-                pot_vals.setdefault(p, F0)
-        chi = VertexFunction(level, chi_vals)
-        pot = VertexFunction(level, pot_vals)
+                for q in cs:
+                    pot_vals.setdefault(q, corner_vals[shared[0]])
+        chi = VertexFunction(level, {p: chi_vals.get(q, F0) for q, p in table.items()})
+        pot = VertexFunction(level, {p: pot_vals.get(q, F0) for q, p in table.items()})
         terms.append(fm.FormTerm(fm.Atom(chi), pot))
     return fm.SmoothForm(terms=tuple(terms))
 

@@ -22,6 +22,7 @@ from gasketforms.geometry import (
     cell_corners,
     lacuna_path,
     perimeter_path,
+    point,
     validate_path,
 )
 from gasketforms.harmonic import harmonic_basis, random_harmonic
@@ -146,9 +147,10 @@ def _planar_winding(path, point) -> int:
 
 
 def _lacuna_center(sigma):
-    c = cell_corners(sigma + "0")[1]  # one lacuna vertex
-    d = cell_corners(sigma + "1")[2]  # another
-    e = cell_corners(sigma + "2")[0]
+    n = len(sigma) + 1
+    c = point(cell_corners(sigma + "0")[1], n)  # one lacuna vertex
+    d = point(cell_corners(sigma + "1")[2], n)  # another
+    e = point(cell_corners(sigma + "2")[0], n)
     return type(c)((c.x + d.x + e.x) / 3, (c.y + d.y + e.y) / 3)
 
 

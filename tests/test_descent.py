@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gasketforms import forms as fm
 from gasketforms import geometry as geo
-from gasketforms.geometry import OrientedEdge, cell_corners, vertices_at_level
+from gasketforms.geometry import OrientedEdge, cell_corners, point, vertices_at_level
 from gasketforms.harmonic import H_MATRICES, VertexFunction
 
 values = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -39,7 +39,7 @@ def reference_descend(t, word):
 @given(vertex_functions(), words(0, 4), st.data())
 def test_triple_matches_fraction_reference(u, rest, data):
     prefix = data.draw(words(u.level, u.level))
-    corners = tuple(u.values[p] for p in cell_corners(prefix))
+    corners = tuple(u.values[point(q, len(prefix))] for q in cell_corners(prefix))
     want = reference_descend(corners, rest)
     den, ints = u.int_triple(prefix + rest)
     assert all(isinstance(x, int) for x in ints)
@@ -104,7 +104,7 @@ def test_extension_matches_triples(u, above):
     n = u.level + above
     ext = u.extend(n).values
     for w in geo.words(n):
-        assert tuple(ext[p] for p in cell_corners(w)) == u.triple(w)
+        assert tuple(ext[point(q, n)] for q in cell_corners(w)) == u.triple(w)
 
 
 @given(vertex_functions(), vertex_functions(), st.integers(0, 2))

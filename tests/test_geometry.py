@@ -1,10 +1,16 @@
-"""Addressing, exact planar geometry, edges, and paths."""
+"""Addressing, exact planar geometry, edges, and paths.
+
+The integer lattice of ``geometry`` is checked against a plane oracle kept
+here: the similitudes w_i on ``Point``s of two exact rationals."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gasketforms.errors import GasketError, NonConsecutiveError
 from gasketforms.geometry import (
@@ -14,17 +20,15 @@ from gasketforms.geometry import (
     P1,
     P2,
     Point,
-    apply_word,
-    barycentric,
     cell_corners,
     cell_geometry,
     edges_at_level,
     lacuna_path,
+    lattice,
     locate_vertex,
-    midpoint,
     perimeter_path,
+    point,
     refine_edge,
-    signed_area2,
     subdivide,
     validate_path,
     vertex_id,
@@ -32,9 +36,42 @@ from gasketforms.geometry import (
     vertices_at_level,
     path_from_json,
     path_to_json,
+    words,
 )
 
 H = Fraction(1, 2)
+
+
+# -- the plane oracle --------------------------------------------------------
+
+def midpoint(a: Point, b: Point) -> Point:
+    return Point((a.x + b.x) * H, (a.y + b.y) * H)
+
+
+def apply_word(word: str, p: Point) -> Point:
+    """w_sigma = w_{sigma_1} o ... o w_{sigma_m} (innermost map is the last letter)."""
+    for c in reversed(word):
+        p = midpoint(CORNERS[int(c)], p)
+    return p
+
+
+def signed_area2(a: Point, b: Point, c: Point) -> Fraction:
+    """Twice the signed area of (a,b,c) in units of sqrt(3); > 0 iff ccw."""
+    return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)
+
+
+def barycentric(p: Point) -> tuple[Fraction, Fraction, Fraction]:
+    """Coordinates of p with respect to (p_0, p_1, p_2)."""
+    l1 = 2 * p.y
+    l2 = p.x - p.y
+    return (1 - l1 - l2, l1, l2)
+
+
+def corner_points(word: str) -> tuple[Point, ...]:
+    return tuple(point(q, len(word)) for q in cell_corners(word))
+
+
+# -- tests -------------------------------------------------------------------
 
 
 def test_top_cell_vertices():
@@ -55,7 +92,7 @@ def test_top_lacuna_vertices_are_midpoints():
 def test_fixed_point_of_first_map():
     for m in range(1, 6):
         assert apply_word("0" * m, P0) == P0
-        assert cell_corners("0" * m)[0] == P0
+        assert cell_corners("0" * m)[0] == (0, 0)
 
 
 def test_refine_bottom_edge():
@@ -106,9 +143,9 @@ def test_subdivision_counts_and_consecutiveness():
 
 def test_child_cells_inside_parent_and_shared_vertex():
     for w in ["", "1", "02"]:
-        parent = set(cell_corners(w))
+        parent = set(corner_points(w))
         for i in range(3):
-            child = cell_corners(w + str(i))
+            child = corner_points(w + str(i))
             for p in child:
                 lam = barycentric(p)
                 # stays inside the parent's hull
@@ -149,9 +186,80 @@ def test_locate_vertex():
         for p in vertices_at_level(n):
             for level in range(4):
                 word, j = locate_vertex(p, level)
-                assert len(word) >= level and cell_corners(word)[j] == p
+                assert len(word) >= level and corner_points(word)[j] == p
     # the junction of cells 0 and 1 resolves to the smaller letter
     assert locate_vertex(midpoint(P0, P1), 1) == ("0", 1)
     for q in (Point(Fraction(1, 3), Fraction(0)), Point(Fraction(2), Fraction(0))):
         with pytest.raises(GasketError):
             locate_vertex(q, 0)
+
+
+def test_lattice_corners_equal_the_plane_oracle_to_level_6():
+    for n in range(7):
+        for w in words(n):
+            assert corner_points(w) == tuple(apply_word(w, c) for c in CORNERS)
+
+
+@given(st.text(alphabet="012", max_size=12))
+def test_lattice_corners_equal_the_plane_oracle(w):
+    assert corner_points(w) == tuple(apply_word(w, c) for c in CORNERS)
+
+
+@given(st.integers(-2**14, 2**14), st.integers(-2**14, 2**14), st.integers(0, 12), st.integers(0, 4))
+def test_point_and_lattice_round_trip(x, y, n, finer):
+    p = point((x, y), n)
+    assert lattice(p, n) == (x, y)
+    assert lattice(p, n + finer) == (x << finer, y << finer)
+    assert point(lattice(p, n + finer), n + finer) == p
+
+
+@given(st.integers(0, 8), st.sampled_from([Fraction(1, 3), Fraction(1, 2**12), Fraction(7, 5)]))
+def test_an_off_lattice_point_is_refused(n, x):
+    for p in (Point(x, Fraction(0)), Point(Fraction(0), x)):
+        with pytest.raises(GasketError):
+            lattice(p, n)
+
+
+def _adjacency(level: int) -> dict:
+    out: dict = {}
+    for e in edges_at_level(level):
+        out.setdefault(e.source, []).append(e)
+        out.setdefault(e.target, []).append(e.reversed())
+    return out
+
+
+ADJACENCY = [_adjacency(n) for n in range(4)]
+
+
+@given(st.integers(0, 2**32))
+def test_consecutiveness_agrees_with_point_equality(seed):
+    """A random walk on a random-level graph, with some edges refined (so
+    its levels mix) and, half the time, one edge replaced by a random edge:
+    ``validate_path`` accepts exactly the walks whose Points chain, and
+    closes exactly the loops."""
+    rng = random.Random(seed)
+    adj = ADJACENCY[rng.randrange(4)]
+    p = rng.choice(sorted(adj, key=vertex_id))
+    edges = []
+    for _ in range(rng.randint(1, 6)):
+        edges.append(rng.choice(adj[p]))
+        p = edges[-1].target
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(edges))
+        edges[k : k + 1] = refine_edge(edges[k])[:2]
+    if rng.random() < 0.5:
+        word = "".join(rng.choice("012") for _ in range(rng.randint(0, 4)))
+        edges[rng.randrange(len(edges))] = OrientedEdge(word, rng.randrange(3), rng.choice((1, -1)))
+    if all(b.source == a.target for a, b in zip(edges, edges[1:])):
+        assert validate_path(edges).closed == (edges[-1].target == edges[0].source)
+    else:
+        with pytest.raises(NonConsecutiveError):
+            validate_path(edges)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_vertices_are_sorted_by_coordinates(n):
+    pts = vertices_at_level(n)
+    assert pts == sorted(pts, key=lambda p: (p.x, p.y))
+    assert len(pts) == (3 ** (n + 1) + 3) // 2
+    assert set(pts) == {p for w in words(n) for p in corner_points(w)}

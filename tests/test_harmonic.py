@@ -9,7 +9,7 @@ import pytest
 
 from gasketforms import geometry, harmonic
 from gasketforms.errors import GasketError
-from gasketforms.geometry import P0, P1, P2, midpoint, vertices_at_level
+from gasketforms.geometry import P0, P1, P2, Point, vertices_at_level
 from gasketforms.harmonic import (
     VertexFunction,
     harmonic_basis,
@@ -17,6 +17,10 @@ from gasketforms.harmonic import (
 )
 
 F = Fraction
+
+
+def midpoint(a: Point, b: Point) -> Point:
+    return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
 def test_extension_matrix_entries():
@@ -161,9 +165,9 @@ def test_energy_at_level_walks_once(monkeypatch):
     walks = []
     levels = VertexFunction._levels
 
-    def counted(self, n):
+    def counted(self, n, *rest):
         walks.append(n)
-        return levels(self, n)
+        return levels(self, n, *rest)
 
     monkeypatch.setattr(VertexFunction, "_levels", counted)
     assert u.energy_at_level(6) == energy

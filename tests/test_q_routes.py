@@ -19,7 +19,7 @@ from gasketforms import forms as fm
 from gasketforms import kernels as kn
 from gasketforms.errors import GasketError
 from gasketforms.geometry import OrientedEdge
-from gasketforms.harmonic import harmonic_basis, random_harmonic
+from gasketforms.harmonic import VertexFunction, harmonic_basis, random_harmonic
 from test_certified import sqrt_upper
 
 F = Fraction
@@ -309,6 +309,40 @@ def test_q_by_parts_equals_the_single_level_contraction(omega, eta, word):
              (twins, eta), (deep + twins, deep + twins))
     for a, b in pairs:
         assert fm.q_inner_exact(a, b) == single_level_q(a, b)
+
+
+@settings(max_examples=40)
+@given(_forms(products=True), st.text(alphabet="012", max_size=4), st.integers(0, 2))
+def test_shape_tensors_below_a_root_are_the_whole_level_sliced(form, root, extra):
+    """Below a root, each function is walked from the root's own triple, or
+    from its slice of the level seed when the root is coarser: the tensors
+    are the whole-level walk's rows below the root, as rationals."""
+    m = max(fm._form_data_level(form), len(root)) + extra
+    D, tensors = fm._shape_tensors(form, m, root)
+    Dw, whole = fm._shape_tensors(form, m)
+    count = 3 ** (m - len(root))
+    first = int(root or "0", 3) * count
+    assert tensors.keys() <= whole.keys()
+    for p, rows in whole.items():
+        got = tensors.get(p, [[0] * 3 ** (p + 1)] * count)
+        assert [[F(x, D) for x in r] for r in got] == [[F(x, Dw) for x in r] for r in rows[first : first + count]]
+
+
+def test_shape_tensors_walk_only_below_a_deep_root(monkeypatch):
+    """Q against dz_sigma for |sigma| = 10 reads the three level-11 cells
+    inside C_sigma: no function walks a level wider than that."""
+    widths = []
+    levels = VertexFunction._levels
+
+    def counted(self, n, root=""):
+        for rows in levels(self, n, root):
+            widths.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(VertexFunction, "_levels", counted)
+    omega = fm.fdg(f0, f1)
+    assert fm.q_inner_exact(fm.dz_form("0" * 10), omega) == fm.q_inner_exact(omega, fm.dz_form("0" * 10))
+    assert widths and max(widths) == 3
 
 
 def test_q_of_parts_on_disjoint_cells_builds_no_tensor(monkeypatch):

@@ -27,7 +27,11 @@
   common denominator of the dz counts, ``_dz_den``, is defined only in
   ``forms.py`` beside the table it describes.
 * Every library function the benchmark traces still exists under its
-  traced name, so a traced run does not stop at its first patch.
+  traced name, so a traced run does not stop at its first patch, and every
+  function whose cache it reports still has ``cache_info``.
+* Vertices are integer lattice pairs inside the library: a ``Point`` of
+  two ``Fraction``s is built only at the API boundary, by
+  ``geometry.point`` and ``geometry.parse_vertex_id``.
 * The Hodge decomposition, the covering potentials and the perimeter
   identity are exact: the energy bound of the truncation tails,
   ``universal_energy_bound``, is called only by ``periods_up_to`` (for
@@ -189,14 +193,47 @@ def test_one_integer_descent_and_one_dz_denominator():
     assert defined == [("forms.py", "_dz_den")]
 
 
-def test_bench_trace_targets_resolve():
-    """Each (span, owner, attribute) the benchmark worker traces names a
-    function the owner defines itself, looked up as the tracer does."""
+def _bench_worker():
     path = SRC.parent.parent / "bench" / "worker.py"
     spec = importlib.util.spec_from_file_location("bench_worker", path)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    targets = worker._trace_targets(gasketforms)
+    return worker
+
+
+def test_bench_trace_targets_resolve():
+    """Each (span, owner, attribute) the benchmark worker traces names a
+    function the owner defines itself, looked up as the tracer does."""
+    targets = _bench_worker()._trace_targets(gasketforms)
     assert targets
     for name, owner, attr, _, _ in targets:
         assert callable(owner.__dict__[attr]), name
+
+
+def test_bench_caches_resolve():
+    """Every library function whose cache the benchmark worker reports
+    (``_caches``) still has ``cache_info``."""
+    names = {key.rsplit(".", 1)[0] for key in _bench_worker()._caches()}
+    assert names
+    for name in names:
+        module, attr = name.split(".")
+        assert hasattr(getattr(getattr(gasketforms, module), attr), "cache_info"), name
+
+
+def test_points_are_built_only_at_the_api_boundary():
+    """Vertices are lattice pairs inside the library: ``geometry.py`` builds
+    a Fraction only in ``point`` and ``parse_vertex_id``, and no other
+    module builds a Point."""
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    boundary = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in {"point", "parse_vertex_id"}]
+    assert len(boundary) == 2
+    allowed = {id(n) for fn in boundary for n in ast.walk(fn)}
+    assert [n.lineno for n in ast.walk(tree) if _called_name(n) == "Fraction" and id(n) not in allowed] == []
+    stray = [
+        f"{path.name}:{n.lineno}"
+        for path in MODULES
+        if path.name != "geometry.py"
+        for n in ast.walk(ast.parse(path.read_text()))
+        if _called_name(n) == "Point"
+    ]
+    assert stray == []
