@@ -51,8 +51,10 @@ class Point:
         return f"Point({self.x}, {self.y}*sqrt3)"
 
 
+@lru_cache(maxsize=4096)
 def point(q: Lattice, n: int) -> Point:
-    """The Point of the level-n lattice pair q."""
+    """The Point of the level-n lattice pair q; recent ones are cached, so
+    reading an edge's ends again builds no Fraction."""
     return Point(Fraction(q[0], 2 ** (n + 1)), Fraction(q[1], 2 ** (n + 1)))
 
 
