@@ -3,12 +3,10 @@
 The gasket is the attractor of the three similitudes w_i(x) = p_i + (x - p_i)/2
 with p_0 = (0,0), p_1 = (1/2, sqrt(3)/2), p_2 = (1,0).  A *word* over {0,1,2}
 addresses the cell C_sigma = w_sigma(K); the empty word addresses the whole
-gasket.  Every vertex of V_n is (X, Y·sqrt(3))/2^(n+1) with integers X and
-Y, so inside the package a vertex is the integer pair (X, Y) of the level-n
-lattice (``cell_corners``), and all identities (vertex gluing, path
-consecutiveness) are decided by integer equality.  A ``Point`` of two exact
-rationals is built only where the API hands a vertex out (``point``,
-``vertex_table``); ``lattice`` converts one back.
+gasket.  Every vertex of V_n is (X, Y·sqrt(3))/2^(n+1) with integers X, Y;
+inside the package a vertex is that pair (``cell_corners``) and all identities
+(vertex gluing, path consecutiveness) are integer equalities.  A ``Point`` of
+two exact rationals is built only where the API hands a vertex out.
 
 Conventions used throughout the package:
 
@@ -51,19 +49,9 @@ class Point:
         return f"Point({self.x}, {self.y}*sqrt3)"
 
 
-@lru_cache(maxsize=4096)
 def point(q: Lattice, n: int) -> Point:
-    """The Point of the level-n lattice pair q; recent ones are cached, so
-    reading an edge's ends again builds no Fraction."""
+    """The Point of the level-n lattice pair q."""
     return Point(Fraction(q[0], 2 ** (n + 1)), Fraction(q[1], 2 ** (n + 1)))
-
-
-def lattice(p: Point, n: int) -> Lattice:
-    """The level-n lattice pair of p; GasketError when p is off that lattice."""
-    x, y = p.x * 2 ** (n + 1), p.y * 2 ** (n + 1)
-    if x.denominator != 1 or y.denominator != 1:
-        raise GasketError(f"{p} is not on the level-{n} lattice")
-    return x.numerator, y.numerator
 
 
 CORNERS = tuple(point(q, 0) for q in _ROOT)
@@ -97,12 +85,14 @@ def locate_vertex(p: Point, level: int) -> tuple[Word, int]:
     """(word, j): a cell of length >= level that has p as its corner j.
 
     One pass down the cell tree, carrying p in the coordinates of the current
-    cell as an integer pair over a lattice fine enough for p and the level.
-    Where two cells qualify the smallest letter wins, which keeps the result
-    deterministic.
+    cell as an integer pair on a fine enough lattice.  Where two cells
+    qualify the smallest letter wins, which keeps the result deterministic.
     """
     n = max(level, p.x.denominator.bit_length(), p.y.denominator.bit_length())
-    word, (x, y) = "", lattice(p, n)
+    fx, fy = p.x * 2 ** (n + 1), p.y * 2 ** (n + 1)
+    if fx.denominator != 1 or fy.denominator != 1:
+        raise GasketError(f"{p} is not a vertex of the gasket")
+    word, x, y = "", fx.numerator, fy.numerator
     corners = [(cx << n, cy << n) for cx, cy in _ROOT]
     while len(word) <= n:
         if len(word) >= level and (x, y) in corners:
@@ -136,7 +126,6 @@ class OrientedEdge:
         return len(self.cell)
 
     def _ends(self) -> tuple[Lattice, Lattice]:
-        """(source, target) on the edge's level lattice."""
         corners = cell_corners(self.cell)
         s = corners[(self.side + 2) % 3]
         t = corners[(self.side + 1) % 3]
@@ -208,8 +197,7 @@ def edges_at_level(n: int) -> Iterator[OrientedEdge]:
 
 @lru_cache(maxsize=None)
 def vertex_table(n: int) -> dict[Lattice, Point]:
-    """V_n: each vertex's level-n lattice pair mapped to its Point, sorted
-    by (X, Y), which is the (x, y) order of the points."""
+    """V_n: each lattice pair mapped to its Point, in (X, Y) order, which is (x, y) order."""
     return {q: point(q, n) for q in sorted({q for w in words(n) for q in cell_corners(w)})}
 
 

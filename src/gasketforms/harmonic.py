@@ -220,9 +220,8 @@ class VertexFunction:
 
     # -- pointwise bounds ----------------------------------------------------
     def oscillation(self, word: Word) -> Fraction:
-        """max - min over C_word, read off the corner values of the cells
-        below it at the stored level, or of the cell itself when it is finer;
-        exact by the maximum principle."""
+        """max - min over C_word from the corner values below it; exact by
+        the maximum principle."""
         den, rows = self.int_triples(max(self.level, len(word)), word)
         vals = [x for t in rows for x in t]
         return Fraction(max(vals) - min(vals), den)

@@ -11,14 +11,22 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+from .errors import GasketError
 from .forms import _check_budget
-from .geometry import ElementaryPath, Lattice, OrientedEdge, Word, cell_corners, lacuna_path, lattice, point, words
+from .geometry import ElementaryPath, Lattice, OrientedEdge, Word, cell_corners, lacuna_path, words
 
 _SQRT3 = math.sqrt(3.0)
 
 
 def _poly(pairs: Iterable[Lattice]) -> str:
     return " ".join(f"{x},{y}" for x, y in pairs)
+
+
+def _on(fine: int, n: int, pairs: Iterable[Lattice]) -> list[Lattice]:
+    """Level-n lattice pairs on the level-``fine`` drawing lattice."""
+    if n > fine:
+        raise GasketError(f"level-{n} vertices are off the level-{fine} drawing lattice")
+    return [(x << fine - n, y << fine - n) for x, y in pairs]
 
 
 def render_svg(
@@ -46,16 +54,15 @@ def render_svg(
         f'<g transform="translate(0,{height - 1}) scale({sx:.10g},{-sy:.10g})">',
     ]
     for word in words(level):
-        pts = _poly((2 * x, 2 * y) for x, y in cell_corners(word))
+        pts = _poly(_on(fine, level, cell_corners(word)))
         parts.append(f'<polygon class="cell" points="{pts}" fill="#d8d8d8" stroke="none"/>')
     for word in highlight_cells:
-        pts = _poly(lattice(point(q, len(word)), fine) for q in cell_corners(word))
+        pts = _poly(_on(fine, len(word), cell_corners(word)))
         parts.append(f'<polygon class="highlight" points="{pts}" fill="#7fb3d5"/>')
     if edge_magnitudes:
         top = max(abs(v) for v in edge_magnitudes.values()) or 1.0
         for e, v in sorted(edge_magnitudes.items(), key=lambda kv: str(kv[0])):
-            s = lattice(e.source, fine)
-            t = lattice(e.target, fine)
+            s, t = _on(fine, e.level, e._ends())
             shade = int(240 * (1 - abs(v) / top))
             color = f"rgb(255,{shade},{shade})"
             parts.append(
@@ -65,12 +72,12 @@ def render_svg(
             )
     for word in lacunas:
         lp = lacuna_path(word)
-        pts = _poly(lattice(e.source, fine) for e in lp.edges)
+        pts = _poly(_on(fine, len(word) + 1, (e._ends()[0] for e in lp.edges)))
         parts.append(f'<polygon class="lacuna" points="{pts}" fill="none" stroke="#c0392b" '
                      'stroke-width="1.5" vector-effect="non-scaling-stroke"/>')
     if path is not None:
-        pts = [path.edges[0].source] + [e.target for e in path.edges]
-        coords = _poly(lattice(p, fine) for p in pts)
+        ends = [_on(fine, e.level, e._ends()) for e in path.edges]
+        coords = _poly([ends[0][0]] + [t for _, t in ends])
         parts.append(f'<polyline class="path" points="{coords}" fill="none" stroke="#1a5276" '
                      'stroke-width="2" vector-effect="non-scaling-stroke"/>')
     parts.append("</g></svg>")

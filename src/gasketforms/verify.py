@@ -18,8 +18,7 @@ from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
 from .errors import GasketError
-from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path
-from .geometry import vertex_table, words
+from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path, vertex_table, words
 from .harmonic import IntTriple, VertexFunction, harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
@@ -294,8 +293,7 @@ def counterexample_form(n: int) -> fm.SmoothForm:
     terms = []
     table = vertex_table(level)
     for sigma in (w for w in words(n) if "1" not in w):
-        # sigma's corners on the level-(n + 1) lattice
-        corners = [(x << 1, y << 1) for x, y in cell_corners(sigma)]
+        corners = [(x << 1, y << 1) for x, y in cell_corners(sigma)]  # on the level-(n + 1) lattice
         corner_vals = dict(zip(corners, (-scale / 2, F0, scale / 2)))
         chi_vals: dict = {}
         pot_vals: dict = {}

@@ -10,7 +10,10 @@ import pytest
 
 from gasketforms import cli, harmonic
 from gasketforms import forms as fm
-from gasketforms.geometry import lacuna_path, path_to_json
+from gasketforms.errors import GasketError
+from gasketforms.geometry import OrientedEdge, Point, cell_corners, lacuna_path, path_to_json, point, subdivide
+from gasketforms.geometry import validate_path
+from gasketforms.render import render_svg
 from gasketforms.harmonic import harmonic_basis
 
 f0, f1, f2 = harmonic_basis()
@@ -153,6 +156,41 @@ def test_render_with_form_coloring_and_path(tmp_path, capsys):
     lines = [el for el in root.iter() if el.tag.endswith("}line")]
     assert len(lines) == 3**3
     assert any(el.tag.endswith("polyline") for el in root.iter())
+
+
+def _drawn(p: Point, fine: int) -> str:
+    """The SVG coordinates of p on the level-``fine`` drawing lattice."""
+    x, y = p.x * 2 ** (fine + 1), p.y * 2 ** (fine + 1)
+    assert x.denominator == y.denominator == 1
+    return f"{x.numerator},{y.numerator}"
+
+
+def test_render_draws_every_item_at_its_points():
+    """Highlights, lacunas, form edges and a mixed-level path are drawn at
+    their ``Point``s scaled to the level + 1 lattice; an item finer than
+    that lattice is refused."""
+    level, fine = 2, 3
+    path = validate_path([OrientedEdge("0", 1), *subdivide(OrientedEdge("2", 1), 3), OrientedEdge("2", 0)])
+    edges = [OrientedEdge("", 0), OrientedEdge("12", 2, -1), OrientedEdge("012", 1)]
+    cells = ["", "1", "012"]
+    svg = render_svg(level, highlight_cells=cells, lacunas=["", "21"], path=path,
+                     edge_magnitudes={e: 1.0 + k for k, e in enumerate(edges)})
+    for w in cells:
+        pts = " ".join(_drawn(point(q, len(w)), fine) for q in cell_corners(w))
+        assert f'class="highlight" points="{pts}"' in svg
+    for w in ("", "21"):
+        pts = " ".join(_drawn(e.source, fine) for e in lacuna_path(w))
+        assert f'class="lacuna" points="{pts}"' in svg
+    for e in edges:
+        (x1, y1), (x2, y2) = (_drawn(p, fine).split(",") for p in (e.source, e.target))
+        assert f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"' in svg
+    pts = " ".join(_drawn(p, fine) for p in [path.source] + [e.target for e in path])
+    assert f'class="path" points="{pts}"' in svg
+    for kwargs in ({"highlight_cells": ["0120"]}, {"lacunas": ["012"]},
+                   {"path": validate_path([OrientedEdge("0120", 1)])},
+                   {"edge_magnitudes": {OrientedEdge("2101", 0): 1.0}}):
+        with pytest.raises(GasketError):
+            render_svg(level, **kwargs)
 
 
 def test_bad_input_exit_code(capsys):

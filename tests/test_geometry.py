@@ -24,7 +24,6 @@ from gasketforms.geometry import (
     cell_geometry,
     edges_at_level,
     lacuna_path,
-    lattice,
     locate_vertex,
     perimeter_path,
     point,
@@ -205,19 +204,24 @@ def test_lattice_corners_equal_the_plane_oracle(w):
     assert corner_points(w) == tuple(apply_word(w, c) for c in CORNERS)
 
 
-@given(st.integers(-2**14, 2**14), st.integers(-2**14, 2**14), st.integers(0, 12), st.integers(0, 4))
-def test_point_and_lattice_round_trip(x, y, n, finer):
-    p = point((x, y), n)
-    assert lattice(p, n) == (x, y)
-    assert lattice(p, n + finer) == (x << finer, y << finer)
-    assert point(lattice(p, n + finer), n + finer) == p
+@given(st.text(alphabet="012", max_size=12), st.integers(0, 2), st.integers(0, 12))
+def test_point_round_trips_through_locate_vertex(w, j, level):
+    """A corner's Point, handed out at its own lattice level, is located
+    again at every level: the cell found has the same Point as a corner."""
+    p = point(cell_corners(w)[j], len(w))
+    word, i = locate_vertex(p, level)
+    assert len(word) >= level and point(cell_corners(word)[i], len(word)) == p
 
 
-@given(st.integers(0, 8), st.sampled_from([Fraction(1, 3), Fraction(1, 2**12), Fraction(7, 5)]))
-def test_an_off_lattice_point_is_refused(n, x):
-    for p in (Point(x, Fraction(0)), Point(Fraction(0), x)):
-        with pytest.raises(GasketError):
-            lattice(p, n)
+@given(st.integers(0, 8), st.sampled_from([
+    Point(Fraction(1, 3), Fraction(0)),  # off every dyadic lattice
+    Point(Fraction(0), Fraction(7, 5)),
+    Point(Fraction(1, 2), Fraction(1, 8)),  # dyadic, inside the removed middle triangle
+    Point(Fraction(-1, 2**12), Fraction(0)),  # dyadic, outside the gasket
+]))
+def test_an_off_lattice_point_is_refused(level, p):
+    with pytest.raises(GasketError):
+        locate_vertex(p, level)
 
 
 def _adjacency(level: int) -> dict:

@@ -223,7 +223,7 @@ def test_bench_caches_resolve():
 def test_points_are_built_only_at_the_api_boundary():
     """Vertices are lattice pairs inside the library: ``geometry.py`` builds
     a Fraction only in ``point`` and ``parse_vertex_id``, and no other
-    module builds a Point."""
+    module builds a Point, directly or through ``point``."""
     tree = ast.parse((SRC / "geometry.py").read_text())
     boundary = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in {"point", "parse_vertex_id"}]
     assert len(boundary) == 2
@@ -234,6 +234,6 @@ def test_points_are_built_only_at_the_api_boundary():
         for path in MODULES
         if path.name != "geometry.py"
         for n in ast.walk(ast.parse(path.read_text()))
-        if _called_name(n) == "Point"
+        if _called_name(n) in {"Point", "point"}
     ]
     assert stray == []
