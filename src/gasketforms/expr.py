@@ -37,7 +37,7 @@ class Expr:
         """The value, when the expression reduces to a constant function."""
         vf = self.as_vf()
         if vf is not None and vf.is_constant():
-            return next(iter(vf.values.values()))
+            return Fraction(vf.seed[0][0], vf.den)
         return None
 
     def as_vf(self) -> Optional[VertexFunction]:

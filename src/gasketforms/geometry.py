@@ -195,10 +195,19 @@ def edges_at_level(n: int) -> Iterator[OrientedEdge]:
             yield OrientedEdge(word, side)
 
 
+def level_corners(n: int) -> list[tuple[Lattice, Lattice, Lattice]]:
+    """``cell_corners`` of the level-n cells in word order, in one walk: child
+    i's corner j is its parent's corner i plus its corner j on the next lattice."""
+    rows = [_ROOT]
+    for _ in range(n):
+        rows = [tuple((xi + xj, yi + yj) for xj, yj in c) for c in rows for xi, yi in c]
+    return rows  # type: ignore[return-value]
+
+
 @lru_cache(maxsize=None)
 def vertex_table(n: int) -> dict[Lattice, Point]:
     """V_n: each lattice pair mapped to its Point, in (X, Y) order, which is (x, y) order."""
-    return {q: point(q, n) for q in sorted({q for w in words(n) for q in cell_corners(w)})}
+    return {q: point(q, n) for q in sorted({q for c in level_corners(n) for q in c})}
 
 
 def vertices_at_level(n: int) -> list[Point]:

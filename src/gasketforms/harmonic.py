@@ -23,22 +23,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping
 
 from .errors import GasketError
 from .geometry import (
     CORNERS,
     Point,
     Word,
-    cell_corners,
+    level_corners,
     locate_vertex,
     vertex_id,
     parse_vertex_id,
     vertex_table,
     vertices_at_level,
-    words,
 )
 
 F0 = Fraction(0)
@@ -67,12 +67,6 @@ Triple = tuple[Fraction, Fraction, Fraction]
 IntTriple = tuple[int, int, int]
 
 
-def _integers(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, [D·v for v in vals]) over the least common denominator D."""
-    D = math.lcm(*(v.denominator for v in vals))
-    return D, [v.numerator * (D // v.denominator) for v in vals]
-
-
 def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
     """5·H_i on an integer triple: row i is 5 t_i, row j != i is
     2 t_i + 2 t_j + t_k = s + t_i + t_j with s = a + b + c."""
@@ -84,21 +78,35 @@ def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
     return s + a + c, s + b + c, 5 * c
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexFunction:
-    """An m-harmonic function: exact values on V_m, harmonic below."""
+    """An m-harmonic function: the integer corner triples ``seed`` of the
+    level-m cells in word order over ``den``, in lowest terms (gcd(den, every
+    entry) = 1, so equal functions compare and hash equal); harmonic below."""
 
     level: int
-    values: dict[Point, Fraction]
+    den: int
+    seed: tuple[IntTriple, ...]
 
-    _energy_cache: Fraction | None = field(default=None, repr=False, compare=False)
-    _seed: tuple[int, list[IntTriple]] | None = field(default=None, repr=False, compare=False)
+    def __post_init__(self):
+        g = math.gcd(self.den, *(x for t in self.seed for x in t))
+        seed = self.seed if g == 1 else [(a // g, b // g, c // g) for a, b, c in self.seed]
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "seed", tuple(seed))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
+    def from_values(level: int, values: Mapping[Point, Fraction]) -> "VertexFunction":
+        """The function with the given values on V_level (the only keys read)."""
+        table = vertex_table(level)
+        vals = [Fraction(values[p]) for p in table.values()]
+        D = math.lcm(*(v.denominator for v in vals))
+        ints = {q: v.numerator * (D // v.denominator) for q, v in zip(table, vals)}
+        return VertexFunction(level, D, [tuple(ints[q] for q in c) for c in level_corners(level)])
+
+    @staticmethod
     def from_boundary(a, b, c) -> "VertexFunction":
-        vals = dict(zip(CORNERS, (Fraction(a), Fraction(b), Fraction(c))))
-        return VertexFunction(0, vals)
+        return VertexFunction.from_values(0, dict(zip(CORNERS, (a, b, c))))
 
     @staticmethod
     def constant(c) -> "VertexFunction":
@@ -106,9 +114,13 @@ class VertexFunction:
 
     @staticmethod
     def basis(i: int) -> "VertexFunction":
-        vals = [F0, F0, F0]
-        vals[i] = F1
-        return VertexFunction.from_boundary(*vals)
+        return VertexFunction(0, 1, [tuple(int(j == i) for j in range(3))])
+
+    @property
+    def values(self) -> dict[Point, Fraction]:
+        """The values on V_m, keyed by Point: a new dict on every read."""
+        ints = {q: x for c, t in zip(level_corners(self.level), self.seed) for q, x in zip(c, t)}
+        return {p: Fraction(ints[q], self.den) for q, p in vertex_table(self.level).items()}
 
     # -- cell access -------------------------------------------------------
     def int_triple(self, word: Word) -> tuple[int, IntTriple]:
@@ -118,12 +130,11 @@ class VertexFunction:
         Requires |word| >= level."""
         if len(word) < self.level:
             raise GasketError("cell is coarser than the stored level")
-        D, seed = self._level_seed()
-        a, b, c = seed[int(word[: self.level] or "0", 3)]
+        a, b, c = self.seed[int(word[: self.level] or "0", 3)]
         rest = word[self.level :]
         for letter in rest:
             a, b, c = _step5(letter, a, b, c)
-        return D * 5 ** len(rest), (a, b, c)
+        return self.den * 5 ** len(rest), (a, b, c)
 
     def triple(self, word: Word) -> Triple:
         """Corner values on C_word, ``int_triple`` divided once per value;
@@ -132,35 +143,23 @@ class VertexFunction:
         return Fraction(a, den), Fraction(b, den), Fraction(c, den)
 
     def __call__(self, p: Point) -> Fraction:
-        if p in self.values:
-            return self.values[p]
         word, j = locate_vertex(p, self.level)
         return self.triple(word)[j]
 
     # -- the cell walk, extension and energy ----------------------------------
-    def _level_seed(self) -> tuple[int, list[IntTriple]]:
-        """(D, the integer corner triples of the level-m cells in word order)
-        over the least common denominator D of the values; computed once."""
-        if self._seed is None:
-            table = vertex_table(self.level)
-            D, scaled = _integers([self.values[p] for p in table.values()])
-            ints = dict(zip(table, scaled))
-            self._seed = D, [tuple(ints[q] for q in cell_corners(w)) for w in words(self.level)]
-        return self._seed
-
     def _levels(self, n: int, root: Word = "") -> Iterator[list[IntTriple]]:
         """The integer corner triples of the cells below ``root`` of levels
         max(m, |root|)..n, one list per level in word order; level k is over
         D·5^(k - m).  The first level is the root's own triple
         (``int_triple``) or, for a root coarser than m, its slice of the
-        level seed; each later level holds the three children of every cell
-        of the one before, in letter order."""
+        seed; each later level holds the three children of every cell of
+        the one before, in letter order."""
         start = max(self.level, len(root))
         if n < start:
             raise GasketError("target level below stored level")
         count = 3 ** (start - len(root))
         first = int(root or "0", 3) * count
-        rows = [self.int_triple(root)[1]] if start == len(root) else self._level_seed()[1][first : first + count]
+        rows = [self.int_triple(root)[1]] if start == len(root) else list(self.seed[first : first + count])
         yield rows
         for _ in range(n - start):
             children: list[IntTriple] = []
@@ -177,14 +176,10 @@ class VertexFunction:
         integers over den."""
         for rows in self._levels(n, root):
             pass
-        return self._level_seed()[0] * 5 ** (n - self.level), rows
+        return self.den * 5 ** (n - self.level), rows
 
     def extend(self, n: int) -> "VertexFunction":
-        den, rows = self.int_triples(n)
-        ints: dict[tuple[int, int], int] = {}
-        for word, t in zip(words(n), rows):
-            ints.update(zip(cell_corners(word), t))
-        return VertexFunction(n, {p: Fraction(ints[q], den) for q, p in vertex_table(n).items()})
+        return VertexFunction(n, *self.int_triples(n))
 
     def energy_at_level(self, n: int) -> Fraction:
         """(5/3)^n sum over E_n of |du|^2; equal to energy() for all n >= level."""
@@ -201,16 +196,17 @@ class VertexFunction:
         return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
 
     def energy(self) -> Fraction:
-        if self._energy_cache is None:
-            self._energy_cache = self.energy_at_level(self.level)
-        return self._energy_cache
+        return self._energy
+
+    @cached_property
+    def _energy(self) -> Fraction:
+        return self.energy_at_level(self.level)
 
     def energy_levels(self, n_max: int) -> list[Fraction]:
         """[E_m, ..., E_{n_max}], each level summed as the walk builds it."""
-        D = self._level_seed()[0]
         return [
             Fraction(5, 3) ** (self.level + d)
-            * Fraction(sum((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2 for a, b, c in rows), (D * 5**d) ** 2)
+            * Fraction(sum((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2 for a, b, c in rows), (self.den * 5**d) ** 2)
             for d, rows in enumerate(self._levels(n_max))
         ]
 
@@ -229,14 +225,13 @@ class VertexFunction:
     def laplacian_weights(self) -> dict[Point, Fraction]:
         """Vertex weights (5/3)^m sum_{y ~ x} (u(x) - u(y)) on V_m: each cell
         adds 3u(x) - (the sum of its corner values) at each corner x."""
-        D, seed = self._level_seed()
         table = vertex_table(self.level)
         acc = dict.fromkeys(table, 0)
-        for word, t in zip(words(self.level), seed):
+        for c, t in zip(level_corners(self.level), self.seed):
             s = sum(t)
-            for q, x in zip(cell_corners(word), t):
+            for q, x in zip(c, t):
                 acc[q] += 3 * x - s
-        scale = Fraction(5, 3) ** self.level / D
+        scale = Fraction(5, 3) ** self.level / self.den
         return {table[q]: scale * v for q, v in acc.items()}
 
     def pairing(self, evaluate: Callable[[Point], Fraction]) -> Fraction:
@@ -248,29 +243,25 @@ class VertexFunction:
         return sum(evaluate(p) * w for p, w in self.laplacian_weights().items())
 
     # -- algebra -------------------------------------------------------------
-    def _align(self, other: "VertexFunction") -> tuple["VertexFunction", "VertexFunction"]:
-        m = max(self.level, other.level)
-        return self.extend(m) if self.level < m else self, other.extend(m) if other.level < m else other
-
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
-        a, b = self._align(other)
-        return VertexFunction(a.level, {p: v + b.values[p] for p, v in a.values.items()})
+        n = max(self.level, other.level)
+        (Da, ta), (Db, tb) = self.int_triples(n), other.int_triples(n)
+        D = math.lcm(Da, Db)
+        p, q = D // Da, D // Db
+        return VertexFunction(n, D, [(p * a + q * x, p * b + q * y, p * c + q * z) for (a, b, c), (x, y, z) in zip(ta, tb)])
 
     def __sub__(self, other: "VertexFunction") -> "VertexFunction":
-        a, b = self._align(other)
-        return VertexFunction(a.level, {p: v - b.values[p] for p, v in a.values.items()})
+        return self + -other
 
     def __neg__(self) -> "VertexFunction":
-        return VertexFunction(self.level, {p: -v for p, v in self.values.items()})
+        return VertexFunction(self.level, self.den, [(-a, -b, -c) for a, b, c in self.seed])
 
     def scale(self, c) -> "VertexFunction":
-        c = Fraction(c)
-        return VertexFunction(self.level, {p: c * v for p, v in self.values.items()})
+        p, q = Fraction(c).as_integer_ratio()
+        return VertexFunction(self.level, self.den * q, [(p * a, p * b, p * c) for a, b, c in self.seed])
 
     def is_constant(self) -> bool:
-        vals = iter(self.values.values())
-        first = next(vals)
-        return all(v == first for v in vals)
+        return len({x for t in self.seed for x in t}) == 1
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:
@@ -289,7 +280,7 @@ class VertexFunction:
         vals = {parse_vertex_id(vid): Fraction(s) for vid, s in data["values"]}
         if set(vals) != set(vertices_at_level(level)):
             raise GasketError("vertex set does not match the declared level")
-        return VertexFunction(level, vals)
+        return VertexFunction.from_values(level, vals)
 
 
 def harmonic_basis() -> tuple[VertexFunction, VertexFunction, VertexFunction]:
@@ -302,4 +293,4 @@ def random_harmonic(level: int, rng: random.Random, span: int = 9) -> VertexFunc
         p: Fraction(rng.randint(-span, span), rng.randint(1, span))
         for p in vertices_at_level(level)
     }
-    return VertexFunction(level, vals)
+    return VertexFunction.from_values(level, vals)

@@ -308,8 +308,8 @@ def counterexample_form(n: int) -> fm.SmoothForm:
             if len(shared) == 1:
                 for q in cs:
                     pot_vals.setdefault(q, corner_vals[shared[0]])
-        chi = VertexFunction(level, {p: chi_vals.get(q, F0) for q, p in table.items()})
-        pot = VertexFunction(level, {p: pot_vals.get(q, F0) for q, p in table.items()})
+        chi = VertexFunction.from_values(level, {p: chi_vals.get(q, F0) for q, p in table.items()})
+        pot = VertexFunction.from_values(level, {p: pot_vals.get(q, F0) for q, p in table.items()})
         terms.append(fm.FormTerm(fm.Atom(chi), pot))
     return fm.SmoothForm(terms=tuple(terms))
 

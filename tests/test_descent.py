@@ -25,7 +25,7 @@ def vertex_functions(draw, max_level: int = 3) -> VertexFunction:
     level = draw(st.integers(0, max_level))
     points = vertices_at_level(level)
     vals = draw(st.lists(values, min_size=len(points), max_size=len(points)))
-    return VertexFunction(level, dict(zip(points, vals)))
+    return VertexFunction.from_values(level, dict(zip(points, vals)))
 
 
 def reference_descend(t, word):

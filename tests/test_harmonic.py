@@ -175,15 +175,16 @@ def test_energy_at_level_walks_once(monkeypatch):
 
 
 def test_triples_read_the_seed_without_cell_corners(monkeypatch):
-    """Once a function's level seed is built, ``triple`` and ``int_triple``
-    index it by the word's prefix and descend on integers: no Point lookup."""
+    """``triple`` and ``int_triple`` index the stored seed by the word's
+    prefix and descend on integers: no corner walk, no Point lookup."""
     u = random_harmonic(2, random.Random(7))
     want = {w: u.triple(w) for w in ("00", "12", "012", "22101")}
 
-    def refuse(word):
-        raise AssertionError(f"cell_corners({word!r}) called after the seed was built")
+    def refuse(arg):
+        raise AssertionError(f"corners of {arg!r} read by a seeded function")
 
-    monkeypatch.setattr(harmonic, "cell_corners", refuse)
+    monkeypatch.setattr(harmonic, "level_corners", refuse)
+    monkeypatch.setattr(harmonic, "vertex_table", refuse)
     monkeypatch.setattr(geometry, "cell_corners", refuse)
     for w, t in want.items():
         den, ints = u.int_triple(w)
