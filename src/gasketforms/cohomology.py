@@ -55,10 +55,10 @@ from .geometry import (
     ElementaryPath,
     Point,
     Word,
-    cell_corners,
     check_word,
     is_prefix,
     lacuna_path,
+    level_corners,
     perimeter_path,
     vertex_id,
     vertex_table,
@@ -412,13 +412,9 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
                 children.append((f, corners))
         cells = children
     uden = 6 * 5**depth * K
-    # corner j of the cell tau+a+j...j is also corner a of tau+j+a...a, which
-    # comes first in word order when j < a; corner j of j...j is a corner of V_0
-    potential: dict[Point, CertifiedValue] = {}
-    for w, (_, U) in zip(words(depth), cells):
-        for j, q, value in zip("012", cell_corners(w), U):
-            if w.rstrip(j)[-1:] < j:
-                potential[vertex_table(depth)[q]] = CertifiedValue(Fraction(value, uden))
+    # cells that share a vertex give it the same U, since every residual is exact
+    ints = {q: x for c, (_, U) in zip(level_corners(depth), cells) for q, x in zip(c, U)}
+    potential = {p: CertifiedValue(Fraction(ints[q], uden)) for q, p in vertex_table(depth).items()}
 
     k = {w: CertifiedValue(Fraction(v, K)) for n in range(depth + 1) for w, v in zip(words(n), kints[n])}
     # past the depth: side i of rho carries -(1/3)(S(rho, i) - k_rho), over 3K

@@ -136,11 +136,15 @@ class SmoothForm:
 
     @staticmethod
     def from_json(data: dict) -> "SmoothForm":
-        return SmoothForm(
-            tuple(FormTerm.from_json(t) for t in data.get("universal", [])),
-            {check_word(w): Fraction(s) for w, s in data.get("harmonic", [])},
-            VertexFunction.from_json(data["exact"]) if data.get("exact") else None,
-        )
+        """A missing field or a malformed value raises GasketError."""
+        try:
+            return SmoothForm(
+                tuple(FormTerm.from_json(t) for t in data.get("universal", [])),
+                {check_word(w): Fraction(s) for w, s in data.get("harmonic", [])},
+                VertexFunction.from_json(data["exact"]) if data.get("exact") else None,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise GasketError(f"malformed form JSON: {exc!r}") from exc
 
 
 def d(u: VertexFunction) -> SmoothForm:
@@ -538,7 +542,12 @@ def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict
         g = t.g.int_triples(m, root)
         families += [(c, [f.int_triples(m, root) for f in left] + [g], first) for c, left in t.monomials()]
     for sigma, k in form.harmonic.items():
-        if k:
+        if k and len(root) > len(sigma) and root.startswith(sigma):
+            # the root lies inside one child C_sigma+i: walk its dz potential only below the root
+            child = root[: len(sigma) + 1]
+            dz = VertexFunction.from_boundary(*dz_cell_triple(int(child[-1])))
+            families.append((k, [dz.int_triples(m - len(child), root[len(child) :])], first))
+        elif k:
             families += [(k, [(den, table)], start) for start, (den, table, _) in _dz_cells(sigma, m)]
     if form.exact is not None:
         families.append((F1, [form.exact.int_triples(m, root)], first))

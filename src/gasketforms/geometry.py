@@ -287,10 +287,14 @@ def vertex_id(p: Point) -> str:
 
 
 def parse_vertex_id(text: str) -> Point:
-    xs, ys = text.split(":")
-    xn, xd = xs.split("/")
-    yn, yd = ys.split("/")
-    return Point(Fraction(int(xn), int(xd)), Fraction(int(yn), int(yd)))
+    """The Point of a ``vertex_id``; GasketError for malformed text."""
+    try:
+        xs, ys = text.split(":")
+        xn, xd = xs.split("/")
+        yn, yd = ys.split("/")
+        return Point(Fraction(int(xn), int(xd)), Fraction(int(yn), int(yd)))
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise GasketError(f"cannot parse vertex id {text!r}") from exc
 
 
 def path_to_json(path: ElementaryPath) -> list[str]:

@@ -1,19 +1,22 @@
 """Piecewise-harmonic finite-energy functions on the gasket.
 
-A function is stored by its exact rational values on the vertex set V_m of one
-graph approximation; below that level it is understood as the harmonic
-extension, computed cell by cell with the 3x3 matrices H_i that map the corner
-values of a cell to the corner values of its sub-cell i.  The matrices encode
-the classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
+A function is stored by its exact values on the vertex set V_m of one graph
+approximation, held as one frozen integer table: the corner values of the
+3^m level-m cells in word order, as integers over one denominator D in
+lowest terms.  Below level m it is understood as the harmonic extension,
+computed cell by cell with the 3x3 matrices H_i that map the corner values
+of a cell to the corner values of its sub-cell i.  The matrices encode the
+classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
 preserved, and all entries are nonnegative, so the maximum principle holds
 exactly on rational data.  Scaled by 5 the matrices have integer entries, so
-descent runs on integer triples over one common denominator D and converts
-back once, as values over D·5^k after k letters.  One level-by-level walk
-(``VertexFunction._levels``) drives extension, energies and the per-cell
-triple tables: it expands the integer triples of one level into those of the
-next in word order, starting from the level-m triples, which each function
-computes once; a single cell's triple (``VertexFunction.int_triple``) is its
-prefix's seed triple descended letter by letter on integers.
+descent runs on the integer triples and converts back once, as values over
+D·5^k after k letters.  One level-by-level walk (``VertexFunction._levels``)
+drives extension, sums, energies and the per-cell triple tables: it expands
+the integer triples of one level into those of the next in word order; a
+single cell's triple (``VertexFunction.int_triple``) is its prefix's stored
+triple descended letter by letter on integers.  Point-keyed values exist
+only at the boundary: ``VertexFunction.from_values`` reads them and the
+``values`` view builds them on demand.
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
@@ -273,11 +276,15 @@ class VertexFunction:
 
     @staticmethod
     def from_json(data: dict) -> "VertexFunction":
-        """Refuses a negative level or a count other than |V_n| = (3^(n+1) + 3)/2 before listing V_n."""
-        level = int(data["level"])
-        if level < 0 or len(data["values"]) != (3 ** (min(level, 64) + 1) + 3) // 2:
-            raise GasketError("vertex set does not match the declared level")
-        vals = {parse_vertex_id(vid): Fraction(s) for vid, s in data["values"]}
+        """Refuses a negative level or a count other than |V_n| = (3^(n+1) + 3)/2 before listing V_n;
+        a missing field or a malformed value raises GasketError."""
+        try:
+            level = int(data["level"])
+            if level < 0 or len(data["values"]) != (3 ** (min(level, 64) + 1) + 3) // 2:
+                raise GasketError("vertex set does not match the declared level")
+            vals = {parse_vertex_id(vid): Fraction(s) for vid, s in data["values"]}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise GasketError(f"malformed vertex-function JSON: {exc!r}") from exc
         if set(vals) != set(vertices_at_level(level)):
             raise GasketError("vertex set does not match the declared level")
         return VertexFunction.from_values(level, vals)

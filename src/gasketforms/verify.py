@@ -18,7 +18,7 @@ from . import cohomology as coh
 from . import covering as cov
 from . import forms as fm
 from .errors import GasketError
-from .geometry import OrientedEdge, cell_corners, edges_at_level, is_prefix, lacuna_path, validate_path, vertex_table, words
+from .geometry import OrientedEdge, edges_at_level, lacuna_path, level_corners, validate_path, words
 from .harmonic import IntTriple, VertexFunction, harmonic_basis, random_harmonic
 
 F0 = Fraction(0)
@@ -282,35 +282,39 @@ def counterexample_form(n: int) -> fm.SmoothForm:
     """The n-exact form omega_n with local potentials 2^-n g(w_sigma^-1 ·)
     on the cells sigma in {0,2}^n (g the 0-harmonic slope with boundary
     -1/2, 0, 1/2), written in the universal part as cutoff·d(extension) per
-    cell.  Each of the 2^n support cells walks the 3^(n+1) level-(n+1)
-    cells, so n past the table budget (n >= 8) is refused before any work."""
+    cell.  Each of the 2^n terms holds two integer tables of the 3^(n+1)
+    level-(n+1) cells, so n past the table budget (n >= 8) is refused before
+    any work."""
     if n < 1:
         raise GasketError("n must be at least 1")
     fm._check_budget(2 ** min(n, 64) * 3 ** min(n + 1, 64), f"the counterexample form omega_{n}")
-    scale = Fraction(1, 2**n)
-    slope = _slope_function().scale(scale)
-    level = n + 1
+    slope = _slope_function().scale(Fraction(1, 2**n))
+    den = slope.int_triple("0")[0]
+    corners = level_corners(n + 1)
+    owners: dict[tuple[int, int], list[int]] = {}  # the cells each vertex is a corner of
+    for u, c in enumerate(corners):
+        for q in c:
+            owners.setdefault(q, []).append(u)
+
+    def table(vals: dict) -> list[IntTriple]:
+        rows = [(0, 0, 0)] * len(corners)
+        for u in {u for q in vals for u in owners[q]}:
+            rows[u] = tuple(vals.get(q, 0) for q in corners[u])
+        return rows
+
     terms = []
-    table = vertex_table(level)
     for sigma in (w for w in words(n) if "1" not in w):
-        corners = [(x << 1, y << 1) for x, y in cell_corners(sigma)]  # on the level-(n + 1) lattice
-        corner_vals = dict(zip(corners, (-scale / 2, F0, scale / 2)))
-        chi_vals: dict = {}
-        pot_vals: dict = {}
-        for word in words(level):
-            cs = cell_corners(word)
-            if is_prefix(sigma, word):
-                for q, v in zip(cs, slope.triple(word[n:])):
-                    chi_vals[q] = F1
-                    pot_vals[q] = v
-                continue
-            shared = [q for q in cs if q in corner_vals]
-            if len(shared) == 1:
-                for q in cs:
-                    pot_vals.setdefault(q, corner_vals[shared[0]])
-        chi = VertexFunction.from_values(level, {p: chi_vals.get(q, F0) for q, p in table.items()})
-        pot = VertexFunction.from_values(level, {p: pot_vals.get(q, F0) for q, p in table.items()})
-        terms.append(fm.FormTerm(fm.Atom(chi), pot))
+        first = int(sigma, 3) * 3  # the cells sigma+i
+        pot = {q: x for i in range(3) for q, x in zip(corners[first + i], slope.int_triple(str(i))[1])}
+        chi = dict.fromkeys(pot, 1)
+        # a cell outside C_sigma meets it in at most one of its corners, whose
+        # potential value it takes at all of its own corners
+        for j in range(3):
+            q0 = corners[first + j][j]
+            for u in owners[q0]:
+                for q in corners[u]:
+                    pot.setdefault(q, pot[q0])
+        terms.append(fm.FormTerm(fm.Atom(VertexFunction(n + 1, 1, table(chi))), VertexFunction(n + 1, den, table(pot))))
     return fm.SmoothForm(terms=tuple(terms))
 
 

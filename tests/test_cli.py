@@ -221,6 +221,21 @@ def test_vertex_count_mismatch_exits_1_before_enumerating(level, monkeypatch, ca
         assert "vertex set does not match" in err and out == ""
 
 
+_V0 = [["1/2:1/2", "0/1"], ["1/1:0/1", "0/1"]]  # V_0 less p_0
+
+
+@pytest.mark.parametrize("args", [
+    ["energy", "--input", json.dumps({"level": 0, "values": [["0/1:0/1", "1/0"], *_V0]})],
+    ["energy", "--input", json.dumps({"level": 0})],
+    ["energy", "--input", json.dumps({"level": 0, "values": [["0/0:0/1", "1/1"], *_V0]})],
+    ["integrate", "--form", json.dumps({"harmonic": [["0", "1/0"]]}), "--path", json.dumps(["/1/+"])],
+], ids=["zero-denominator-value", "missing-values", "zero-denominator-vertex", "zero-denominator-harmonic"])
+def test_malformed_json_exits_1_with_an_error_line(args, capsys):
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "run_suite",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -160,3 +163,56 @@ def test_extension_and_json_round_trip_keep_the_walk(u, gap):
         assert _rational_table(copy, level) == table
         if level >= n:
             assert _rational_table(ext, level) == table
+
+
+# ---------------------------------------------------------------------------
+# the stored integer table against a Fraction oracle on ``values``
+# ---------------------------------------------------------------------------
+
+def reference_values(u: VertexFunction, n: int) -> dict:
+    """u on V_n in Fractions: the corners of each level-n cell, its prefix's
+    corner values read from ``u.values`` and descended by the H_i matrices."""
+    vals = u.values
+    out = {}
+    for w in geo.words(n):
+        corners = tuple(vals[point(q, u.level)] for q in cell_corners(w[: u.level]))
+        out.update(zip((point(q, n) for q in cell_corners(w)), reference_descend(corners, w[u.level :])))
+    return out
+
+
+@given(vertex_functions(max_level=4), vertex_functions(max_level=4), values, st.integers(0, 2))
+def test_algebra_matches_fraction_oracle(u, w, c, gap):
+    n = max(u.level, w.level)
+    ou, ow = reference_values(u, n), reference_values(w, n)
+    assert (u + w).values == {p: ou[p] + ow[p] for p in ou}
+    assert (u - w).values == {p: ou[p] - ow[p] for p in ou}
+    assert (-u).values == {p: -v for p, v in u.values.items()}
+    assert u.scale(c).values == {p: c * v for p, v in u.values.items()}
+    assert u.extend(u.level + gap).values == reference_values(u, u.level + gap)
+
+
+@given(vertex_functions(max_level=4), st.integers(1, 2))
+def test_round_trips_and_equal_functions_compare_equal(u, gap):
+    n = u.level + gap
+    ext = u.extend(n)
+    copies = [VertexFunction.from_values(u.level, u.values), VertexFunction.from_json(u.to_json()),
+              u.scale(3).scale(Fraction(1, 3)), (u + u) - u, -(-u)]
+    for v in copies:
+        assert v == u and hash(v) == hash(u)
+        assert v.values == u.values
+    rebuilt = VertexFunction.from_values(n, reference_values(u, n))
+    assert rebuilt == ext and hash(rebuilt) == hash(ext)
+    assert math.gcd(ext.den, *(x for t in ext.seed for x in t)) == 1
+
+
+@given(vertex_functions(max_level=3))
+def test_values_is_a_read_only_view(u):
+    energy, triple, before = u.energy(), u.triple("0" * u.level), u.values
+    vals = u.values
+    first = next(iter(vals))
+    vals[first] += 7
+    assert u.values == before and u(first) == before[first]
+    assert u.energy() == energy and u.triple("0" * u.level) == triple
+    for field, value in (("level", u.level + 1), ("den", 1), ("seed", ()), ("values", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(u, field, value)

@@ -330,9 +330,11 @@ def test_shape_tensors_below_a_root_are_the_whole_level_sliced(form, root, extra
 
 def test_shape_tensors_walk_only_below_a_deep_root(monkeypatch):
     """Q against dz_sigma for |sigma| = 10 reads the three level-11 cells
-    inside C_sigma: no function walks a level wider than that."""
-    widths = []
+    inside C_sigma: no function walks a level wider than that, and a lacuna
+    part above the root (dz_"") builds no whole-subtree dz table."""
+    widths, tables = [], []
     levels = VertexFunction._levels
+    dz_table = fm._dz_table
 
     def counted(self, n, root=""):
         for rows in levels(self, n, root):
@@ -340,9 +342,28 @@ def test_shape_tensors_walk_only_below_a_deep_root(monkeypatch):
             yield rows
 
     monkeypatch.setattr(VertexFunction, "_levels", counted)
-    omega = fm.fdg(f0, f1)
-    assert fm.q_inner_exact(fm.dz_form("0" * 10), omega) == fm.q_inner_exact(omega, fm.dz_form("0" * 10))
+    monkeypatch.setattr(fm, "_dz_table", lambda i, depth: tables.append(depth) or dz_table(i, depth))
+    deep = fm.dz_form("0" * 10)
+    for omega in (fm.fdg(f0, f1), fm.dz_form("")):
+        assert fm.q_inner_exact(deep, omega) == fm.q_inner_exact(omega, deep)
     assert widths and max(widths) == 3
+    assert tables and set(tables) == {0}
+
+
+@given(st.dictionaries(st.text("012", max_size=3), st.integers(1, 9), min_size=1, max_size=3),
+       st.text("012", max_size=4))
+def test_shape_tensors_below_a_root_slice_the_whole_table(lacunas, root):
+    """A lacuna form's tensors below any root are the rows of its whole
+    table on the cells below that root (the walk below a deep root included)."""
+    form = fm.SmoothForm(harmonic={s: F(k) for s, k in lacunas.items()})
+    m = max(max(map(len, lacunas)) + 1, len(root))
+    D, whole = fm._shape_tensors(form, m)
+    Dr, below = fm._shape_tensors(form, m, root)
+    first, count = int(root or "0", 3) * 3 ** (m - len(root)), 3 ** (m - len(root))
+    for p, rows in whole.items():
+        want = [[F(x, D) for x in row] for row in rows[first : first + count]]
+        got = [[F(x, Dr) for x in row] for row in below[p]] if p in below else [[F0] * len(row) for row in want]
+        assert got == want
 
 
 def test_q_of_parts_on_disjoint_cells_builds_no_tensor(monkeypatch):

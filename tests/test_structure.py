@@ -32,6 +32,10 @@
 * Vertices are integer lattice pairs inside the library: a ``Point`` of
   two ``Fraction``s is built only at the API boundary, by
   ``geometry.point`` and ``geometry.parse_vertex_id``.
+* A piecewise-harmonic function is one frozen integer table:
+  ``VertexFunction``'s fields are ``level``, ``den`` and ``seed``, and no
+  library module reads its Point-keyed ``values`` view except
+  ``VertexFunction.to_json``.
 * The Hodge decomposition, the covering potentials and the perimeter
   identity are exact: the energy bound of the truncation tails,
   ``universal_energy_bound``, is called only by ``periods_up_to`` (for
@@ -41,12 +45,14 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 import gasketforms
+from gasketforms.harmonic import VertexFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gasketforms"
 MODULES = sorted(SRC.glob("*.py"))
@@ -237,3 +243,27 @@ def test_points_are_built_only_at_the_api_boundary():
         if _called_name(n) in {"Point", "point"}
     ]
     assert stray == []
+
+
+def test_vertex_function_is_one_frozen_integer_table():
+    """Fields (level, den, seed), frozen; a function's ``values`` view (an
+    attribute read, not a dict's ``values()`` call) is read in ``src/`` only
+    by ``VertexFunction.to_json``."""
+    assert [f.name for f in dataclasses.fields(VertexFunction)] == ["level", "den", "seed"]
+    assert VertexFunction.__dataclass_params__.frozen
+    reads = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        allowed = {
+            id(n)
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "VertexFunction"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "to_json"
+            for n in ast.walk(fn)
+        }
+        reads += [
+            (path.name, id(n) in allowed)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "values" and id(n) not in called
+        ]
+    assert reads == [("harmonic.py", True)]
