@@ -160,7 +160,7 @@ class OrientedEdge:
 
     @staticmethod
     def parse(text: str) -> "OrientedEdge":
-        parts = text.split("/")
+        parts = text.split("/") if isinstance(text, str) else []
         if len(parts) != 3 or parts[2] not in "+-":
             raise GasketError(f"cannot parse edge {text!r}")
         return OrientedEdge(check_word(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)

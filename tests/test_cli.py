@@ -229,7 +229,9 @@ _V0 = [["1/2:1/2", "0/1"], ["1/1:0/1", "0/1"]]  # V_0 less p_0
     ["energy", "--input", json.dumps({"level": 0})],
     ["energy", "--input", json.dumps({"level": 0, "values": [["0/0:0/1", "1/1"], *_V0]})],
     ["integrate", "--form", json.dumps({"harmonic": [["0", "1/0"]]}), "--path", json.dumps(["/1/+"])],
-], ids=["zero-denominator-value", "missing-values", "zero-denominator-vertex", "zero-denominator-harmonic"])
+    ["winding", "--sigma", "", "--path", json.dumps(["0/1/+", None])],
+], ids=["zero-denominator-value", "missing-values", "zero-denominator-vertex", "zero-denominator-harmonic",
+        "non-string-edge"])
 def test_malformed_json_exits_1_with_an_error_line(args, capsys):
     assert cli.main(args) == 1
     out, err = capsys.readouterr()
