@@ -6,7 +6,8 @@ unitriangular for the prefix order with entries in {1, -1/3, 0}, and its
 inverse A has entries in [0, 1], one integer row 3^|sigma|·A per word
 (``a_row``) solving B's rule backward along the prefix chain.  The
 winding form of a word sigma is sum_{rho <= sigma} A_{sigma,rho} dz_rho; its
-closed-path integrals are integers that count turns around one lacuna only.
+closed-path integrals are integers that count turns around one lacuna only,
+read from the integer edge counts of the lacuna rule (``forms._dz_count``).
 
 The Hodge decomposition is exact: k = A* c over every word, and a skeleton
 primitive U of the exact part anchored at the corner p_0.  Below the data
@@ -40,10 +41,10 @@ from .forms import (
     _check_budget,
     _check_depth,
     _coarsen,
+    _dz_count,
     _dz_den,
     _form_data_level,
     _normalized_terms,
-    _prefix_dz,
     _valued,
     dz_form,
     dz_integral_path,
@@ -151,31 +152,16 @@ def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
 
 
 def winding_number(path: ElementaryPath, sigma: Word) -> int:
-    """Integral of the winding form of sigma along a closed path, from the
-    integer counts den·integral of dz_rho of the prefixes rho of sigma.
-
-    An edge (cell tau, side i, sign s) gives a proper prefix of tau its
-    ``_prefix_dz`` value, and every prefix tau + r of sigma whose r avoids
-    the letter i the value -s/3 (``dz_integral_edge``), counted over
+    """Integral of the winding form of sigma along a closed path: the
+    ``a_row`` of sigma paired with the integer counts den·integral of
+    dz_rho (``_dz_count``) of the prefixes rho of sigma, den the path's
     ``_dz_den``."""
     check_word(sigma)
     if not path.closed:
         raise GasketError("winding numbers need a closed path")
     den = _dz_den(path)
-    counts = {sigma[:j]: 0 for j in range(len(sigma) + 1)}
-    for e in path:
-        tau = e.cell
-        pden, prefix_counts = _prefix_dz(tau, e.side)
-        scale = e.sign * (den // pden)
-        for w, c in prefix_counts:
-            if w in counts:
-                counts[w] += scale * c
-        if is_prefix(tau, sigma):
-            rest = sigma[len(tau):]
-            stop = rest.find(str(e.side))
-            third = e.sign * den // 3
-            for k in range(len(rest) + 1 if stop < 0 else stop + 1):
-                counts[tau + rest[:k]] -= third
+    prefixes = [sigma[:j] for j in range(len(sigma) + 1)]
+    counts = {w: sum(c * (den // d) for c, d in (_dz_count(w, e) for e in path)) for w in prefixes}
     return _winding(sigma, counts, den)
 
 

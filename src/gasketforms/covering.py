@@ -9,7 +9,8 @@ coefficients are N-finite, through the pairing |sum a b| <= N(a) N'(b).
 
 A path's lacuna-form integrals sigma -> int_path dz_sigma come from one
 table, built in a single pass over the path's edges as integer counts over
-one denominator (``_dz_counts``; ``dz_path_integrals`` divides them);
+one denominator by the lacuna rule of ``forms`` (``forms._dz_counts``;
+``dz_path_integrals`` divides them);
 effective lengths (its N' norm), homology classes (A applied to it) and
 potential differences (its pairing with the harmonic coefficients) all read
 that table and divide once per result.  Potential differences are exact:
@@ -29,13 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .certified import CertifiedValue
 from .cohomology import HodgeDecomposition, _winding, b_thirds, hodge_decompose
 from .errors import DepthTooSmallError, GasketError
-from .forms import SmoothForm, _check_budget, _check_depth, _dz_den, _prefix_dz
+from .forms import SmoothForm, _check_budget, _check_depth, _dz_counts
 from .geometry import ElementaryPath, OrientedEdge, Word, check_word, words
 
 F0 = Fraction(0)
@@ -45,49 +45,6 @@ R35 = Fraction(3, 5)
 # ---------------------------------------------------------------------------
 # the dz table of a path
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _avoiding(letter: str, max_len: int) -> tuple[str, ...]:
-    """The strings of length 0..max_len over the two letters other than
-    ``letter``, shortest first."""
-    if max_len <= 0:
-        return ("",) if max_len == 0 else ()
-    shorter = _avoiding(letter, max_len - 1)  # ends with the 2^(max_len-1) of length max_len-1
-    others = [c for c in "012" if c != letter]
-    return shorter + tuple(r + c for r in shorter[len(shorter) // 2:] for c in others)
-
-
-def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, int]]:
-    """(D, {sigma: D * integral of dz_sigma along the edges}) for every
-    |sigma| <= depth that meets an edge (zero counts included), in one pass
-    over the edges in integers.
-
-    An edge (cell tau, side i, sign s) meets the lacunas of two kinds of
-    words: a proper prefix tau[:k] (through the local potential of
-    dz_{tau[:k]} on the sub-cell tau[:k+1]), and tau + r for every string r
-    avoiding the letter i, each with value -s/3; see ``dz_integral_edge``.
-    Refused with ``GasketError`` when the table would exceed
-    ``forms._TABLE_ENTRIES_MAX`` entries.
-    """
-    size = sum(
-        min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
-        for e in edges
-    )
-    _check_budget(size, f"the dz table to depth {depth}")
-    den = _dz_den(edges)
-    counts: dict[Word, int] = {}
-    for e in edges:
-        pden, prefix_counts = _prefix_dz(e.cell, e.side)
-        scale = e.sign * (den // pden)
-        for w, c in prefix_counts:
-            if len(w) > depth:
-                break
-            counts[w] = counts.get(w, 0) + scale * c
-        third = e.sign * den // 3
-        for w in map(e.cell.__add__, _avoiding(str(e.side), depth - e.level)):
-            counts[w] = counts.get(w, 0) - third
-    return den, counts
-
 
 def dz_path_integrals(path: Iterable[OrientedEdge], depth: int) -> dict[Word, Fraction]:
     """{sigma: integral of dz_sigma along the path} for every |sigma| <= depth

@@ -10,6 +10,13 @@ A form is stored in three parts that are implicitly summed:
   each sub-cell of C_sigma, arranged so the clockwise lacuna integral is 1);
 * an *exact* part d(U) given by a potential U.
 
+This module alone knows how an edge (cell tau, side i, sign s) meets the
+lacuna forms: a proper prefix of tau through the potential ``_DZ``
+descended over the rest of tau (``_prefix_dz``), every word tau + r whose
+tail r avoids the letter i with -s/3, and no other word.  ``_dz_count``
+reads one word's integer count (edge integrals, winding numbers), and
+``_dz_counts`` a path's whole table to a depth (the covering layers).
+
 Integrals and the energy inner product Q are exact, in rational arithmetic,
 for every form within the kernel budget, products of functions included:
 they contract the exact one-cell kernels of ``kernels`` with the factors'
@@ -44,7 +51,7 @@ from .errors import DepthTooSmallError, ExactnessUnavailableError, GasketError, 
 from .expr import _MONOMIALS_MAX, ONE, Atom, Const, Expr, Product, _monomials
 from .expr import Sum  # re-exported
 from .geometry import ElementaryPath, OrientedEdge, Word, check_word, is_prefix, subdivide
-from .harmonic import IntTriple, Triple, VertexFunction, _step5
+from .harmonic import IntTriple, VertexFunction
 from .kernels import _KERNEL_SLOTS_MAX, _exact_q_kernel, _int_side_limits, q_level_kernel, riemann_kernel
 from .kernels import edge_kernel, q_kernel, solve_unique  # re-exported
 
@@ -179,31 +186,10 @@ def multiply_form(h: VertexFunction | Expr, form: SmoothForm, side: str = "left"
 # the lacuna potentials and their exact edge integrals
 # ---------------------------------------------------------------------------
 
-# corner values of the local potential of dz_sigma on sub-cell sigma+i: the
-# cell's shared vertex with C_sigma gets 0 and the lacuna edge runs from -1/6
-# to +1/6 in the clockwise direction of the lacuna; _ZETA6 is 6 times them.
-_ZETA6 = (0, 1, -1)
-_ZETA = tuple(Fraction(z, 6) for z in _ZETA6)
-
-
-def dz_cell_triple(i: int) -> Triple:
-    return tuple(_ZETA[(j - i) % 3] for j in range(3))  # type: ignore[return-value]
-
-
-def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
-    """Exact integral of dz_sigma over one oriented edge."""
-    tau, i, s = e.cell, e.side, e.sign
-    if is_prefix(tau, sigma):
-        # the edge is a perimeter edge of a cell containing C_sigma's scope:
-        # nonzero iff the remainder of sigma avoids the side letter
-        rest = sigma[len(tau):]
-        if str(i) not in rest:
-            return Fraction(-s, 3)
-        return F0
-    if is_prefix(sigma, tau):
-        den, counts = _prefix_dz(tau, i)
-        return next((Fraction(s * c, den) for w, c in counts if w == sigma), F0)
-    return F0
+# _DZ[i] is the potential of dz_sigma on the sub-cell sigma+i, over 6: the
+# cell's shared vertex with C_sigma (corner i) gets 0 and the lacuna edge runs
+# from -1/6 to +1/6 in the clockwise direction of the lacuna.
+_DZ = tuple(VertexFunction(0, 6, [tuple((0, 1, -1)[(j - i) % 3] for j in range(3))]) for i in range(3))
 
 
 def _dz_den(edges: Iterable[OrientedEdge]) -> int:
@@ -215,28 +201,76 @@ def _dz_den(edges: Iterable[OrientedEdge]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[tuple[Word, int], ...]]:
-    """(den, counts): counts holds (cell[:k], den times the integral of
-    dz_{cell[:k]} over the edge (cell, side, +1)) for each k < |cell| with a
-    nonzero count, shortest first, and den is ``_dz_den`` of the edge.  A
-    count is the side difference of 6 times the potential on cell[:k+1]
-    (``_ZETA6``), descended by ``_step5`` over the rest of the cell, times
-    5^k."""
-    den = _dz_den([OrientedEdge(cell, side)])
+def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[int, ...]]:
+    """(den, counts): counts[k] is den times the integral of dz_{cell[:k]}
+    over the edge (cell, side, +1) for each k < |cell|, zeros included, and
+    den is ``_dz_den`` of the edge.  A count is the side difference of the
+    potential ``_DZ`` on cell[:k+1], descended over the rest of the cell,
+    times 5^k."""
     counts = []
     for k in range(len(cell)):
-        sub = int(cell[k])
-        t = tuple(_ZETA6[(j - sub) % 3] for j in range(3))
-        for letter in cell[k + 1:]:
-            t = _step5(letter, *t)
-        c = 5**k * (t[(side + 1) % 3] - t[(side + 2) % 3])
-        if c:
-            counts.append((cell[:k], c))
-    return den, tuple(counts)
+        _, t = _DZ[int(cell[k])].int_triple(cell[k + 1:])
+        counts.append(5**k * (t[(side + 1) % 3] - t[(side + 2) % 3]))
+    return _dz_den([OrientedEdge(cell, side)]), tuple(counts)
+
+
+def _dz_count(sigma: Word, e: OrientedEdge) -> tuple[int, int]:
+    """(count, den): den (``_dz_den`` of the edge) times the integral of
+    dz_sigma over the edge (cell tau, side i, sign s).  The edge meets a
+    proper prefix of tau with its ``_prefix_dz`` count, every word tau + r
+    whose tail r avoids the letter i with -s/3, and no other word."""
+    den, counts = _prefix_dz(e.cell, e.side)
+    if is_prefix(e.cell, sigma):
+        return (0 if str(e.side) in sigma[e.level:] else -e.sign * den // 3), den
+    if is_prefix(sigma, e.cell):
+        return e.sign * counts[len(sigma)], den
+    return 0, den
+
+
+@lru_cache(maxsize=None)
+def _avoiding(letter: str, max_len: int) -> tuple[str, ...]:
+    """The strings of length 0..max_len over the two letters other than
+    ``letter``, shortest first."""
+    if max_len <= 0:
+        return ("",) if max_len == 0 else ()
+    shorter = _avoiding(letter, max_len - 1)  # ends with the 2^(max_len-1) of length max_len-1
+    others = [c for c in "012" if c != letter]
+    return shorter + tuple(r + c for r in shorter[len(shorter) // 2:] for c in others)
+
+
+def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, int]]:
+    """(D, {sigma: D * integral of dz_sigma along the edges}) for every
+    |sigma| <= depth that meets an edge (zero counts included), in one pass
+    over the edges in integers: each edge adds the ``_prefix_dz`` counts of
+    its cell's proper prefixes and -s/3 for every word through its cell
+    whose tail avoids its side letter (``_dz_count``).  Refused with
+    ``GasketError`` when the table would exceed ``_TABLE_ENTRIES_MAX``
+    entries."""
+    size = sum(
+        min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
+        for e in edges
+    )
+    _check_budget(size, f"the dz table to depth {depth}")
+    den = _dz_den(edges)
+    counts: dict[Word, int] = {}
+    for e in edges:
+        pden, prefix_counts = _prefix_dz(e.cell, e.side)
+        scale = e.sign * (den // pden)
+        for k in range(min(e.level, depth + 1)):
+            counts[e.cell[:k]] = counts.get(e.cell[:k], 0) + scale * prefix_counts[k]
+        third = e.sign * den // 3
+        for w in map(e.cell.__add__, _avoiding(str(e.side), depth - e.level)):
+            counts[w] = counts.get(w, 0) - third
+    return den, counts
+
+
+def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
+    """Exact integral of dz_sigma over one oriented edge (``_dz_count``)."""
+    return Fraction(*_dz_count(sigma, e))
 
 
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
-    return sum((dz_integral_edge(sigma, e) for e in path), F0)
+    return sum((Fraction(*_dz_count(sigma, e)) for e in path), F0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +320,7 @@ DzTable = tuple[int, tuple[IntTriple, ...], tuple[IntTriple, ...]]
 def _dz_table(i: int, depth: int) -> DzTable:
     """(den, integer corner values, their ``_differences``) of the dz
     potential on the level-depth sub-cells of the cell sigma+i, in word order."""
-    den, table = VertexFunction.from_boundary(*dz_cell_triple(i)).int_triples(depth)
+    den, table = _DZ[i].int_triples(depth)
     return den, tuple(table), tuple(_differences(table))
 
 
@@ -465,11 +499,14 @@ def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
 
 
 def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
-    """Harmonic and exact parts integrate exactly in either mode."""
+    """Harmonic and exact parts integrate exactly in either mode; a lacuna
+    form adds its nonzero ``_dz_count``."""
     total = F0
     for sigma, k in form.harmonic.items():
-        if k != 0:
-            total += k * dz_integral_edge(sigma, e)
+        if k:
+            c, den = _dz_count(sigma, e)
+            if c:
+                total += k * Fraction(c, den)
     U = form.exact
     if U is not None:
         # corner j of a coarse cell is corner j of its descendant j...j at U's level
@@ -545,8 +582,7 @@ def _shape_tensors(form: SmoothForm, m: int, root: Word = "") -> tuple[int, dict
         if k and len(root) > len(sigma) and root.startswith(sigma):
             # the root lies inside one child C_sigma+i: walk its dz potential only below the root
             child = root[: len(sigma) + 1]
-            dz = VertexFunction.from_boundary(*dz_cell_triple(int(child[-1])))
-            families.append((k, [dz.int_triples(m - len(child), root[len(child) :])], first))
+            families.append((k, [_DZ[int(child[-1])].int_triples(m - len(child), root[len(child) :])], first))
         elif k:
             families += [(k, [(den, table)], start) for start, (den, table, _) in _dz_cells(sigma, m)]
     if form.exact is not None:

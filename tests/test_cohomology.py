@@ -26,6 +26,7 @@ from gasketforms.geometry import (
     validate_path,
 )
 from gasketforms.harmonic import harmonic_basis, random_harmonic
+from test_covering import walks
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()
@@ -161,6 +162,15 @@ def test_winding_against_planar_oracle(sigma):
     center = _lacuna_center(sigma)
     for path in [lacuna_path(sigma), perimeter_path(sigma), perimeter_path("")]:
         assert coh.winding_number(path, sigma) == -_planar_winding(path, center)
+
+
+@settings(max_examples=60)
+@given(walks(closed=True), st.text(alphabet="012", max_size=3))
+def test_winding_of_random_closed_walks_against_planar_oracle(path, sigma):
+    """The same planar oracle on random closed walks of the level 0-4 graphs:
+    it reads only the walk's vertices and the lacuna centre, not the lacuna
+    rule."""
+    assert coh.winding_number(path, sigma) == -_planar_winding(path, _lacuna_center(sigma))
 
 
 def test_winding_kronecker_and_concatenation():

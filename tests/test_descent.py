@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
@@ -125,18 +125,52 @@ def test_oscillation_of_coarse_cell(u, data):
     assert u.oscillation(word) == max(vals) - min(vals)
 
 
+def dz_literal(i):
+    """The dz potential on the sub-cell sigma+i as literal Fractions: corner
+    values 0, 1/6, -1/6 rotated so that corner i gets 0."""
+    zeta = (Fraction(0), Fraction(1, 6), Fraction(-1, 6))
+    return tuple(zeta[(j - i) % 3] for j in range(3))
+
+
 @given(words(1, 8), st.integers(0, 2))
 def test_prefix_dz_counts_match_fraction_descent(cell, side):
-    # count/den is the side difference of the dz potential of cell[:k] on the
-    # sub-cell cell[:k+1], descended over the rest of the cell in Fractions
+    # counts[k]/den is the side difference of the dz potential of cell[:k] on
+    # the sub-cell cell[:k+1], descended over the rest of the cell in Fractions
     den, counts = fm._prefix_dz(cell, side)
     assert den == fm._dz_den([OrientedEdge(cell, side)])
-    want = {}
+    want = []
     for k in range(len(cell)):
-        t = reference_descend(fm.dz_cell_triple(int(cell[k])), cell[k + 1:])
-        want[cell[:k]] = t[(side + 1) % 3] - t[(side + 2) % 3]
-    assert all(isinstance(c, int) for _, c in counts)
-    assert counts == tuple((w, v * den) for w, v in want.items() if v)
+        t = reference_descend(dz_literal(int(cell[k])), cell[k + 1:])
+        want.append((t[(side + 1) % 3] - t[(side + 2) % 3]) * den)
+    assert all(isinstance(c, int) for c in counts)
+    assert counts == tuple(want)
+
+
+@settings(max_examples=60)
+@given(words(0, 4), st.integers(0, 2), st.sampled_from([1, -1]), st.sampled_from(["coarse", "fine", "any"]), st.data())
+def test_dz_integral_edge_matches_the_literal_potential(sigma, side, sign, kind, data):
+    """Every branch of the lacuna rule against the potential itself, on edges
+    of levels 0-6 whose cell is a prefix of sigma (the coarse perimeter), a
+    word below sigma, or any word: the edge cut to level max(L, |sigma| + 1),
+    each sub-edge inside C_sigma adding the difference of the literal dz
+    potential of its child of C_sigma, descended in Fractions; a sub-edge
+    outside C_sigma adds nothing."""
+    if kind == "coarse":
+        cell = sigma[: data.draw(st.integers(0, len(sigma)))]
+    elif kind == "fine":
+        cell = sigma + data.draw(words(1, 6 - len(sigma)))
+    else:
+        cell = data.draw(words(0, 6))
+    e = OrientedEdge(cell, side, sign)
+    want = Fraction(0)
+    for sub in geo.subdivide(e, max(len(cell), len(sigma) + 1)):
+        if sub.cell.startswith(sigma):
+            rest = sub.cell[len(sigma):]
+            t = reference_descend(dz_literal(int(rest[0])), rest[1:])
+            want += sub.sign * (t[(sub.side + 1) % 3] - t[(sub.side + 2) % 3])
+    assert fm.dz_integral_edge(sigma, e) == want
+    count, den = fm._dz_count(sigma, e)
+    assert (count, den) == (want * den, fm._dz_den([e]))
 
 
 @given(vertex_functions())

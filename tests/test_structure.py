@@ -26,6 +26,9 @@
   (``descend``, ``triples``, ``graph_energy``) is defined again, and the
   common denominator of the dz counts, ``_dz_den``, is defined only in
   ``forms.py`` beside the table it describes.
+* The lacuna rule lives in ``forms.py``: no other module names its prefix
+  counts (``_prefix_dz``) or avoiding tails (``_avoiding``), and the dz
+  potential is written once, as ``forms._DZ``.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch, and every
   function whose cache it reports still has ``cache_info``.
@@ -197,6 +200,27 @@ def test_one_integer_descent_and_one_dz_denominator():
         if isinstance(n, ast.FunctionDef) and n.name in gone
     ]
     assert defined == [("forms.py", "_dz_den")]
+
+
+def test_the_lacuna_rule_lives_in_forms():
+    """Only ``forms.py`` names the prefix counts and the avoiding tails, and
+    no second copy of the dz potential (``_ZETA``, ``_ZETA6``,
+    ``dz_cell_triple``) is defined anywhere."""
+    private = {"_prefix_dz", "_avoiding"}
+    gone = {"_ZETA", "_ZETA6", "dz_cell_triple"}
+    refs, defined = [], []
+    for path in MODULES:
+        for n in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(n, "id", None), getattr(n, "attr", None)}
+            if isinstance(n, ast.ImportFrom):
+                names |= {a.name for a in n.names}
+            if names & private and path.name != "forms.py":
+                refs.append(f"{path.name}:{n.lineno}")
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in gone:
+                defined.append(f"{path.name}:{n.lineno}")
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id in gone:
+                defined.append(f"{path.name}:{n.lineno}")
+    assert refs == [] and defined == []
 
 
 def _bench_worker():
