@@ -105,11 +105,16 @@ class FormTerm:
 
 @dataclass(frozen=True, eq=False)
 class SmoothForm:
-    """universal terms + harmonic dz coefficients + exact potential."""
+    """universal terms + harmonic dz coefficients + exact potential; a lacuna
+    word with a letter outside 0, 1, 2 raises GasketError."""
 
     terms: tuple[FormTerm, ...] = ()
     harmonic: dict[Word, Fraction] = field(default_factory=dict)
     exact: VertexFunction | None = None
+
+    def __post_init__(self):
+        for w in self.harmonic:
+            check_word(w)
 
     def __add__(self, other: "SmoothForm") -> "SmoothForm":
         harm = dict(self.harmonic)
@@ -147,7 +152,7 @@ class SmoothForm:
         try:
             return SmoothForm(
                 tuple(FormTerm.from_json(t) for t in data.get("universal", [])),
-                {check_word(w): Fraction(s) for w, s in data.get("harmonic", [])},
+                {w: Fraction(s) for w, s in data.get("harmonic", [])},
                 VertexFunction.from_json(data["exact"]) if data.get("exact") else None,
             )
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -166,7 +171,6 @@ def fdg(f: VertexFunction | Expr, g: VertexFunction) -> SmoothForm:
 
 def dz_form(sigma: Word) -> SmoothForm:
     """The harmonic lacuna form dz_sigma (unit clockwise lacuna period)."""
-    check_word(sigma)
     return SmoothForm(harmonic={sigma: F1})
 
 
@@ -265,11 +269,13 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
 
 
 def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
-    """Exact integral of dz_sigma over one oriented edge (``_dz_count``)."""
-    return Fraction(*_dz_count(sigma, e))
+    """Exact integral of dz_sigma over one oriented edge (``_dz_count``);
+    an invalid word raises GasketError."""
+    return Fraction(*_dz_count(check_word(sigma), e))
 
 
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
+    check_word(sigma)
     return sum((Fraction(*_dz_count(sigma, e)) for e in path), F0)
 
 

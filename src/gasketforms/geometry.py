@@ -59,7 +59,7 @@ P0, P1, P2 = CORNERS
 
 
 def check_word(word: Word) -> Word:
-    if any(c not in _LETTERS for c in word):
+    if not isinstance(word, str) or any(c not in _LETTERS for c in word):
         raise GasketError(f"invalid word {word!r}: letters must be in 0,1,2")
     return word
 

@@ -85,13 +85,17 @@ def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
 class VertexFunction:
     """An m-harmonic function: the integer corner triples ``seed`` of the
     level-m cells in word order over ``den``, in lowest terms (gcd(den, every
-    entry) = 1, so equal functions compare and hash equal); harmonic below."""
+    entry) = 1, so equal functions compare and hash equal); harmonic below.
+    A negative level, a den <= 0 or a seed of other than 3^level triples
+    raises GasketError."""
 
     level: int
     den: int
     seed: tuple[IntTriple, ...]
 
     def __post_init__(self):
+        if self.level < 0 or self.den <= 0 or len(self.seed) != 3 ** min(self.level, 64):
+            raise GasketError("a cell table needs a level >= 0, a positive den and 3^level triples")
         g = math.gcd(self.den, *(x for t in self.seed for x in t))
         seed = self.seed if g == 1 else [(a // g, b // g, c // g) for a, b, c in self.seed]
         object.__setattr__(self, "den", self.den // g)

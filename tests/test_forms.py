@@ -847,6 +847,22 @@ def test_counterexample_form_refuses_before_any_work(monkeypatch):
 # serialization
 # ---------------------------------------------------------------------------
 
+def test_invalid_lacuna_words_are_refused():
+    """A lacuna word with a letter outside 0, 1, 2 is refused when the form is
+    built, from JSON too, and by the public dz integrals."""
+    for bad in ("9", "0x", "12 ", 9):
+        with pytest.raises(GasketError, match="invalid word"):
+            fm.SmoothForm(harmonic={bad: F(1)})
+        with pytest.raises(GasketError, match="invalid word"):
+            fm.dz_form(bad)
+        with pytest.raises(GasketError, match="invalid word"):
+            fm.dz_integral_edge(bad, OrientedEdge("0", 1))
+        with pytest.raises(GasketError, match="invalid word"):
+            fm.dz_integral_path(bad, lacuna_path(""))
+    with pytest.raises(GasketError, match="invalid word"):
+        fm.SmoothForm.from_json({"harmonic": [["9", "1"]]})
+
+
 def test_form_json_roundtrip():
     w = fm.fdg(f0, f1) + fm.dz_form("01").scaled(F(3, 7)) + fm.d(f2)
     back = fm.SmoothForm.from_json(w.to_json())

@@ -158,6 +158,16 @@ def test_json_refuses_a_wrong_vertex_count_before_enumerating(monkeypatch):
             VertexFunction.from_json(data)
 
 
+def test_malformed_cell_tables_are_refused():
+    """A negative level, a den <= 0 or a seed of other than 3^level triples is
+    refused at construction, at any level, without exponentiating a huge one."""
+    for level, den, seed in ((1, 1, [(0, 0, 1)]), (0, 0, [(0, 0, 1)]), (0, -2, [(0, 0, 1)]),
+                             (-1, 1, [(0, 0, 1)]), (0, 1, []), (10**9, 1, [(0, 0, 1)])):
+        with pytest.raises(GasketError, match="cell table"):
+            VertexFunction(level, den, seed)
+    assert VertexFunction(1, 2, [(0, 0, 1)] * 3).den == 2
+
+
 def test_energy_at_level_walks_once(monkeypatch):
     """energy_at_level(n) pairs one level-n walk with itself."""
     u = random_harmonic(3, random.Random(31))
