@@ -50,7 +50,7 @@ from .certified import CertifiedValue
 from .errors import DepthTooSmallError, ExactnessUnavailableError, GasketError, NonConvergentError
 from .expr import _MONOMIALS_MAX, ONE, Atom, Const, Expr, Product, _monomials
 from .expr import Sum  # re-exported
-from .geometry import ElementaryPath, OrientedEdge, Word, check_word, is_prefix, subdivide
+from .geometry import ElementaryPath, OrientedEdge, Word, check_word, subdivide
 from .harmonic import IntTriple, VertexFunction
 from .kernels import _KERNEL_SLOTS_MAX, _exact_q_kernel, _int_side_limits, q_level_kernel, riemann_kernel
 from .kernels import edge_kernel, q_kernel, solve_unique  # re-exported
@@ -205,16 +205,16 @@ def _dz_den(edges: Iterable[OrientedEdge]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[int, ...]]:
-    """(den, counts): counts[k] is den times the integral of dz_{cell[:k]}
-    over the edge (cell, side, +1) for each k < |cell|, zeros included, and
-    den is ``_dz_den`` of the edge.  A count is the side difference of the
-    potential ``_DZ`` on cell[:k+1], descended over the rest of the cell,
-    times 5^k."""
+def _prefix_dz(cell: Word, side: int) -> tuple[int, tuple[tuple[Word, int], ...]]:
+    """(den, counts): counts[k] is (cell[:k], den times the integral of
+    dz_{cell[:k]} over the edge (cell, side, +1)) for each k < |cell|, zeros
+    included, and den is ``_dz_den`` of the edge.  A count is the side
+    difference of the potential ``_DZ`` on cell[:k+1], descended over the
+    rest of the cell, times 5^k."""
     counts = []
     for k in range(len(cell)):
         _, t = _DZ[int(cell[k])].int_triple(cell[k + 1:])
-        counts.append(5**k * (t[(side + 1) % 3] - t[(side + 2) % 3]))
+        counts.append((cell[:k], 5**k * (t[(side + 1) % 3] - t[(side + 2) % 3])))
     return _dz_den([OrientedEdge(cell, side)]), tuple(counts)
 
 
@@ -224,10 +224,10 @@ def _dz_count(sigma: Word, e: OrientedEdge) -> tuple[int, int]:
     proper prefix of tau with its ``_prefix_dz`` count, every word tau + r
     whose tail r avoids the letter i with -s/3, and no other word."""
     den, counts = _prefix_dz(e.cell, e.side)
-    if is_prefix(e.cell, sigma):
+    if sigma.startswith(e.cell):
         return (0 if str(e.side) in sigma[e.level:] else -e.sign * den // 3), den
-    if is_prefix(sigma, e.cell):
-        return e.sign * counts[len(sigma)], den
+    if e.cell.startswith(sigma):
+        return e.sign * counts[len(sigma)][1], den
     return 0, den
 
 
@@ -260,8 +260,8 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     for e in edges:
         pden, prefix_counts = _prefix_dz(e.cell, e.side)
         scale = e.sign * (den // pden)
-        for k in range(min(e.level, depth + 1)):
-            counts[e.cell[:k]] = counts.get(e.cell[:k], 0) + scale * prefix_counts[k]
+        for w, c in prefix_counts[: max(depth + 1, 0)]:
+            counts[w] = counts.get(w, 0) + scale * c
         third = e.sign * den // 3
         for w in map(e.cell.__add__, _avoiding(str(e.side), depth - e.level)):
             counts[w] = counts.get(w, 0) - third

@@ -134,15 +134,16 @@ def dz_literal(i):
 
 @given(words(1, 8), st.integers(0, 2))
 def test_prefix_dz_counts_match_fraction_descent(cell, side):
-    # counts[k]/den is the side difference of the dz potential of cell[:k] on
-    # the sub-cell cell[:k+1], descended over the rest of the cell in Fractions
+    # counts[k] is (cell[:k], den times the side difference of the dz
+    # potential of cell[:k] on the sub-cell cell[:k+1], descended over the
+    # rest of the cell in Fractions), zeros included
     den, counts = fm._prefix_dz(cell, side)
     assert den == fm._dz_den([OrientedEdge(cell, side)])
     want = []
     for k in range(len(cell)):
         t = reference_descend(dz_literal(int(cell[k])), cell[k + 1:])
-        want.append((t[(side + 1) % 3] - t[(side + 2) % 3]) * den)
-    assert all(isinstance(c, int) for c in counts)
+        want.append((cell[:k], (t[(side + 1) % 3] - t[(side + 2) % 3]) * den))
+    assert all(isinstance(c, int) for _, c in counts)
     assert counts == tuple(want)
 
 
