@@ -21,13 +21,14 @@ carries per cell and side.
 Points of the covering are never materialized: homology classes are integer
 coordinate vectors over lacuna generators (winding numbers), the deck-group
 homomorphisms phi_sigma are rows of the period matrix B, and group lengths
-are N' norms of those rows, computed exactly by a stabilization argument for
-the per-level sups.
+are N' norms of those rows, computed exactly in one integer descent of the
+prefix tree: B's rule leaves three integer slots per word, and the level
+past the class support gives the sups of every deeper level, which are
+constant from three levels past it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -175,54 +176,49 @@ def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
     return Fraction(sum(c * b_thirds(sigma, tau) for tau, c in g.coords.items()), 3)
 
 
-def _phi_sup_at_level(g: HomologyElement, k: int) -> int:
-    """3 * the sup of |phi_sigma(g)| over |sigma| = k, an integer."""
-    return max(
-        (abs(sum(c * b_thirds(w, tau) for tau, c in g.coords.items())) for w in words(k)),
-        default=0,
-    )
-
-
 def group_length(g: HomologyElement) -> CertifiedValue:
-    """N' of the sequence phi_sigma(g): the deck-group length of g.
+    """N' of the sequence phi_sigma(g): the deck-group length of g, exact.
 
-    Exact: per-level sups are enumerated through the class support and the
-    achievable sets of surviving branch letters stabilize three levels past
-    the support, leaving a closed geometric tail.  The sups are taken in
-    thirds, as integers, and the total is divided by 3 once.
+    One descent of the prefix tree to the level L + 1 past the support L.
+    B's rule gives 3·phi_rho(g) = 3·c_rho - sum_b c(rho[:j_b]), j_b the last
+    index of the letter b in rho, so each word carries three integer slots,
+    and extending rho by the letter a sets slot a to c_rho.  Levels 0..L
+    take their sups directly.  Past the support, 3·phi of a word through pi
+    at level L + 1 is minus the sum of pi's slots over the letters its tail
+    does not use: no letter at L + 1, one at L + 2, one or two from L + 3
+    on (three give 0), so every sup from L + 3 on is the same.  GasketError
+    when the 3^(L+1) words of the last level are over the table budget,
+    before any work.
     """
     L = g.support_level()
     if L < 0:
         return CertifiedValue.from_exact(0)
-    total = F0
-    # levels covered by direct enumeration
+    _check_budget(3 ** min(L + 1, 64), f"a group length at support level {L}")
+    coords: list[dict[int, int]] = [{} for _ in range(L + 1)]
+    for w, c in g.coords.items():
+        if c:
+            coords[len(w)][int(w or "0", 3)] = c
+    sups = []  # 3·the sup of |phi| per level, integers
+    slots = [(0, 0, 0)]  # per word of the level, in lexicographic order
     for k in range(L + 1):
-        total += R35**k * _phi_sup_at_level(g, k)
-
-    # beyond the support: 3 phi = -(sum of coordinates of the surviving
-    # prefix chain); which subsets survive depends only on the length-(L+1)
-    # prefix pi (tau survives it when B_{pi,tau} = -1/3, keeping its
-    # coordinate and branch letter) and the set of letters used by the tail
-    prefix_data = [
-        [(c, pi[len(tau)]) for tau, c in g.coords.items() if c and b_thirds(pi, tau)]
-        for pi in words(L + 1)
-    ]
-
-    def sup_with_tail_length(ell: int) -> int:
-        """3 * the sup of |phi| at level L + 1 + ell, an integer: a tail of
-        ell letters uses none of them when ell = 0, else 1 to min(ell, 3)."""
-        return max(
-            abs(sum(c for c, b in alive if b not in used))
-            for alive in prefix_data
-            for r in ((0,) if ell == 0 else range(1, min(ell, 3) + 1))
-            for used in itertools.combinations("012", r)
-        )
-
-    for k in range(L + 1, L + 4):
-        total += R35**k * sup_with_tail_length(k - L - 1)
-    stable = sup_with_tail_length(3)
-    total += stable * R35 ** (L + 4) * Fraction(5, 2)
-    return CertifiedValue.from_exact(total / 3)
+        level = [(coords[k].get(i, 0), s) for i, s in enumerate(slots)]
+        sups.append(max(abs(3 * c - sum(s)) for c, s in level))
+        if k < L:
+            slots = [t for c, (x, y, z) in level for t in ((c, y, z), (x, c, z), (x, y, c))]
+    # the words of level L + 1, one at a time: tails using no, one, two letters
+    none = one = two = 0
+    for c, (x, y, z) in level:
+        for a, b, d in ((c, y, z), (x, c, z), (x, y, c)):
+            t = a + b + d
+            none = max(none, abs(t))
+            one = max(one, abs(t - a), abs(t - b), abs(t - d))
+            two = max(two, abs(a), abs(b), abs(d))
+    sups += [none, one, max(one, two)]
+    # sum_k (3/5)^k sups_k / 3, plus the tail from L + 4 on, (3/5)^(L+4)·(5/2)
+    # times the last sup, over one denominator
+    n = L + 4
+    total = sum(2 * 3**k * 5 ** (n - k) * s for k, s in enumerate(sups)) + 5 * 3**n * sups[-1]
+    return CertifiedValue.from_exact(Fraction(total, 6 * 5**n))
 
 
 # ---------------------------------------------------------------------------

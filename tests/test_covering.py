@@ -179,12 +179,13 @@ def test_group_length_matches_direct_enumeration():
         g = cov.HomologyElement(2, {w: rng.randint(-2, 2) for w in words})
         expected = cov.group_length(g).value
 
+        items, b_thirds = list(g.coords.items()), coh.b_thirds
+
         def phi3(s):
-            # b_rule is 1, -1/3 or 0, so 3·phi_s(g) is an integer
+            # 3·phi_s(g), an integer: b_thirds is 3·B by the same rule as b_rule
             total = 0
-            for tau, c in g.coords.items():
-                b = coh.b_rule(s, tau)
-                total += c * (3 * b.numerator // b.denominator)
+            for tau, c in items:
+                total += c * b_thirds(s, tau)
             return total
 
         brute = F(0)
@@ -194,6 +195,85 @@ def test_group_length_matches_direct_enumeration():
         # the remaining tail is at most (max|coords| sum) * (3/5)^12 * 5/2
         slack = F(3, 5) ** 12 * F(5, 2) * sum(abs(c) for c in g.coords.values())
         assert brute <= expected <= brute + slack
+
+
+def _group_length_by_subsets(g):
+    """Oracle: per-level sups of 3·phi enumerated through the support, then
+    the surviving prefix chains of the level past it with every set of
+    letters a tail can use (no letter, then one to min(ell, 3) letters)."""
+    L = g.support_level()
+    if L < 0:
+        return CertifiedValue.from_exact(0)
+    total = F(0)
+    for k in range(L + 1):
+        sup = max(abs(sum(c * coh.b_thirds(w, tau) for tau, c in g.coords.items())) for w in words(k))
+        total += F(3, 5) ** k * sup
+    prefix_data = [
+        [(c, pi[len(tau)]) for tau, c in g.coords.items() if c and coh.b_thirds(pi, tau)]
+        for pi in words(L + 1)
+    ]
+
+    def sup_with_tail_length(ell):
+        return max(
+            abs(sum(c for c, b in alive if b not in used))
+            for alive in prefix_data
+            for r in ((0,) if ell == 0 else range(1, min(ell, 3) + 1))
+            for used in itertools.combinations("012", r)
+        )
+
+    for k in range(L + 1, L + 4):
+        total += F(3, 5) ** k * sup_with_tail_length(k - L - 1)
+    total += sup_with_tail_length(3) * F(3, 5) ** (L + 4) * F(5, 2)
+    return CertifiedValue.from_exact(total / 3)
+
+
+@st.composite
+def classes(draw):
+    """A class of depth 1-6 with coordinates, zeros included, on one to
+    three words of every length below the depth."""
+    depth = draw(st.integers(1, 6))
+    coords = {}
+    for n in range(depth):
+        for w in draw(st.lists(st.text(alphabet="012", min_size=n, max_size=n), min_size=1, max_size=3)):
+            coords[w] = draw(st.integers(-3, 3))
+    return cov.HomologyElement(depth, coords)
+
+
+@settings(max_examples=150)
+@given(classes())
+def test_group_length_equals_the_subset_enumeration(g):
+    length = cov.group_length(g)
+    expected = _group_length_by_subsets(g)
+    assert length.exact and length.radius == 0
+    assert length.value == expected.value
+
+
+def test_group_length_reads_no_b_entries(monkeypatch):
+    """The descent carries B's rule in its slots: it never asks for an entry."""
+    cases = [cov.lacuna_class(""), cov.HomologyElement(3, {"": 2, "1": -1, "02": 1}), cov.HomologyElement(5, {"2101": 1})]
+    expected = [cov.group_length(g).value for g in cases]
+
+    def no_entry(rho, tau):
+        raise AssertionError("group_length read an entry of B")
+
+    monkeypatch.setattr(cov, "b_thirds", no_entry)
+    with pytest.raises(AssertionError):
+        cov.phi_hom("", cases[0])  # the patch reaches covering's name
+    assert [cov.group_length(g).value for g in cases] == expected
+
+
+def test_group_length_budget_refuses_before_the_descent(monkeypatch):
+    """The 3^(L+1) words of the last level are charged before any work: a
+    support at length 11 fits the budget, at length 12 and 29 it is refused
+    (a descent to length 30 would not return)."""
+    assert 3**12 <= fm._TABLE_ENTRIES_MAX < 3**13
+    for n in (12, 29):
+        with pytest.raises(GasketError, match="budget"):
+            cov.group_length(cov.HomologyElement(n + 1, {"": 1, "0" * n: 1}))
+    monkeypatch.setattr(fm, "_TABLE_ENTRIES_MAX", 27)
+    assert cov.group_length(cov.HomologyElement(3, {"12": 1})).exact
+    with pytest.raises(GasketError, match="budget"):
+        cov.group_length(cov.HomologyElement(4, {"120": 1}))
 
 
 def test_potential_difference_reference_values():
