@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasketforms import cohomology as coh
@@ -229,18 +229,22 @@ def _group_length_by_subsets(g):
 
 @st.composite
 def classes(draw):
-    """A class of depth 1-6 with coordinates, zeros included, on one to
-    three words of every length below the depth."""
+    """A class of depth 1-6 with coordinates, zeros included, on every
+    prefix of one word (a chain, whose coordinates share slots) and on up to
+    two more words of every length below the depth."""
     depth = draw(st.integers(1, 6))
+    chain = draw(st.text(alphabet="012", min_size=depth - 1, max_size=depth - 1))
     coords = {}
     for n in range(depth):
-        for w in draw(st.lists(st.text(alphabet="012", min_size=n, max_size=n), min_size=1, max_size=3)):
+        for w in [chain[:n]] + draw(st.lists(st.text(alphabet="012", min_size=n, max_size=n), max_size=2)):
             coords[w] = draw(st.integers(-3, 3))
     return cov.HomologyElement(depth, coords)
 
 
 @settings(max_examples=150)
 @given(classes())
+# the sup past the support with no tail letter (5) is above the one-letter sup (4)
+@example(cov.HomologyElement(3, {"": -2, "0": -1, "01": -2}))
 def test_group_length_equals_the_subset_enumeration(g):
     length = cov.group_length(g)
     expected = _group_length_by_subsets(g)
