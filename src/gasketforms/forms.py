@@ -662,11 +662,28 @@ def _moments(rows1: list[list[int]], rows2: list[list[int]]) -> list[int]:
     return [sum(map(operator.mul, a, b)) for a, b in itertools.product(zip(*rows1), zip(*rows2))]
 
 
+def _contract_cells(K: Sequence[int], rows1: list[list[int]], rows2: list[list[int]]) -> int:
+    """The flat kernel K contracted with the outer product of two tensors on
+    the same cells (``_shape_tensors`` rows, the first tensor's slots most
+    significant), summed over the cells.  Either by moments (``_moments``),
+    one dot product over the cells per entry pair, or cell by cell, one dot
+    product of a slice of K with the longer tensor per entry of the shorter
+    one: whichever takes fewer dot products, cell by cell on a tie."""
+    la, lb = len(rows1[0]), len(rows2[0])
+    if la * lb < len(rows1) * min(la, lb):
+        return sum(map(operator.mul, K, _moments(rows1, rows2)))
+    if la <= lb:
+        slices, outer, inner = [K[a * lb : (a + 1) * lb] for a in range(la)], rows1, rows2
+    else:
+        slices, outer, inner = [K[b::lb] for b in range(lb)], rows2, rows1
+    return sum(x * sum(map(operator.mul, s, v)) for u, v in zip(outer, inner) for x, s in zip(u, slices))
+
+
 def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
     """Q between two parts, from their shape tensors on the same level-
     ``level`` cells: each pair of left-factor counts contracted with its
-    one-cell kernel (``_exact_q_kernel``) through their moments over the
-    integers, divided once, times (5/3)^level."""
+    one-cell kernel (``_exact_q_kernel``) over the integers in the cheaper
+    order (``_contract_cells``), divided once, times (5/3)^level."""
     (D1, tensors1), (D2, tensors2) = t1, t2
     terms = [
         (*_exact_q_kernel(p, r), rows1, rows2)
@@ -674,7 +691,7 @@ def _q_pair(t1: tuple[int, dict], t2: tuple[int, dict], level: int) -> Fraction:
         for r, rows2 in tensors2.items()
     ]
     den = math.lcm(*(kden for kden, *_ in terms))
-    total = sum(den // kden * sum(map(operator.mul, K, _moments(rows1, rows2))) for kden, K, rows1, rows2 in terms)
+    total = sum(den // kden * _contract_cells(K, rows1, rows2) for kden, K, rows1, rows2 in terms)
     return Fraction(5**level * total, 3**level * den * D1 * D2)
 
 
@@ -690,7 +707,8 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     once and doubled.  On those cells each part gives integer shape tensors
     (``_shape_tensors``), and on one cell Q is a fixed multilinear form in
     them, the limit of the level kernels (``_exact_q_kernel``), contracted
-    with their moments over the integers (``_q_pair``).  Products of any
+    over the integers cell by cell or by moments, whichever is cheaper
+    (``_q_pair``).  Products of any
     shape within the slot budget are exact; a pair of forms of more slots
     raises GasketError before any tensor is built."""
     _check_q_budget(omega, eta)

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import GasketError
 from .forms import _check_budget
-from .geometry import ElementaryPath, Lattice, OrientedEdge, Word, cell_corners, lacuna_path, words
+from .geometry import ElementaryPath, Lattice, OrientedEdge, Word, cell_corners, check_word, lacuna_path, words
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -39,8 +39,14 @@ def render_svg(
 ) -> str:
     """An SVG document showing the 3^level cells of the given approximation,
     with optional highlighted cells, a path overlay, lacuna outlines, and
-    per-edge coloring by magnitude.  More than ``_TABLE_ENTRIES_MAX`` cells
-    raise GasketError before anything is drawn."""
+    per-edge coloring by magnitude.  A negative level, a size below 1, an
+    invalid highlight or lacuna word, or more than ``_TABLE_ENTRIES_MAX``
+    cells raise GasketError before anything is drawn."""
+    if level < 0:
+        raise GasketError(f"render level {level} is negative")
+    if size < 1:
+        raise GasketError(f"render size {size} is below 1")
+    highlight_cells, lacunas = [check_word(w) for w in highlight_cells], [check_word(w) for w in lacunas]
     _check_budget(3 ** min(level, 64), f"a render at level {level}")
     # the level-(level + 1) lattice also covers lacuna outlines one level down
     fine = level + 1

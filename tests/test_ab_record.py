@@ -52,7 +52,35 @@ def test_build_record_lists_regressions_past_the_bound():
     assert b["regressions"][0] == {"metric": "ops_per_s", "parent": 100, "change": 70, "bound": 0.25,
                                    "worse_by": pytest.approx(0.3)}
     assert record["claim"]["pairs_won_by_change"] == "3/3"
-    assert "regressions" in record["what"]
+    assert "regressions" in record["what"] and "bound_used" in record["what"]
+
+
+def test_bound_used_is_the_change_as_a_fraction_of_the_bound(capsys):
+    """Worse by 30% of a 25% bound uses 1.2 of it, 9.5% of a 10% bound 0.95,
+    2.5% of a 10% bound 0.25; 50% better reads -2.  Only the entries above
+    0.5 are printed, next to the regressions."""
+    seeds = [1, 2, 3]
+    runs = _runs("a", seeds, {"ops_per_s": 100, "op_p90_ms": 10, "peak_rss_mib": 20},
+                 {"ops_per_s": 150, "op_p90_ms": 13, "peak_rss_mib": 21.9})
+    runs += _runs("b", seeds, {"ops_per_s": 100, "op_p90_ms": 10, "peak_rss_mib": 20},
+                  {"ops_per_s": 100, "op_p90_ms": 9, "peak_rss_mib": 20.5})
+    args = argparse.Namespace(label="t", claim=None, pairs=[("a", seeds), ("b", seeds)], trace=[])
+    record = ab_record.build_record(args, BENCH, {}, runs)
+    a, b = record["summary"]["a"]["bound_used"], record["summary"]["b"]["bound_used"]
+    assert a == {"ops_per_s": pytest.approx(-2), "op_p90_ms": pytest.approx(1.2), "peak_rss_mib": pytest.approx(0.95)}
+    assert b == {"ops_per_s": 0, "op_p90_ms": pytest.approx(-0.4), "peak_rss_mib": pytest.approx(0.25)}
+    ab_record.report(record)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("a regressions: [{'metric': 'op_p90_ms'")
+    assert err[1] == "a bound used above 0.5: {'op_p90_ms': 1.2, 'peak_rss_mib': 0.95}"
+    assert err[2:] == ["b regressions: none", "b bound used above 0.5: none"]
+
+
+def test_bound_used_is_none_on_a_parent_median_of_0():
+    runs = _runs("a", [1], {"ops_per_s": 0}, {"ops_per_s": 0})
+    bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][:1]}
+    args = argparse.Namespace(label="t", claim=None, pairs=[("a", [1])], trace=[])
+    assert ab_record.build_record(args, bench, {}, runs)["summary"]["a"]["bound_used"] == {"ops_per_s": None}
 
 
 def test_no_regressions_without_both_sides():
@@ -61,6 +89,7 @@ def test_no_regressions_without_both_sides():
     args = argparse.Namespace(label="t", claim=None, pairs=[("a", [1])], trace=[])
     record = ab_record.build_record(args, bench, {}, runs)
     assert record["summary"]["a"]["regressions"] == []
+    assert record["summary"]["a"]["bound_used"] == {}
 
 
 @pytest.mark.parametrize("flag, env", [(0, None), (1, "1")])

@@ -158,6 +158,21 @@ def test_render_with_form_coloring_and_path(tmp_path, capsys):
     assert any(el.tag.endswith("polyline") for el in root.iter())
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--level", "2", "--highlight-cell", "3"], "invalid word '3'"),
+    (["--level", "2", "--lacuna", "9"], "invalid word '9'"),
+    (["--level", "1", "--size", "0"], "size 0 is below 1"),
+    (["--level", "1", "--size", "-5"], "size -5 is below 1"),
+    (["--level", "-1"], "level -1 is negative"),
+], ids=["highlight-3", "lacuna-9", "size-0", "size-minus-5", "level-minus-1"])
+def test_render_refuses_invalid_input_with_exit_code_1(args, message, capsys):
+    """A render of an invalid word, size or level draws nothing and names
+    the input it refuses."""
+    assert cli.main(["render", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def _drawn(p: Point, fine: int) -> str:
     """The SVG coordinates of p on the level-``fine`` drawing lattice."""
     x, y = p.x * 2 ** (fine + 1), p.y * 2 ** (fine + 1)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
@@ -377,6 +377,57 @@ def test_q_of_parts_on_disjoint_cells_builds_no_tensor(monkeypatch):
         assert built == []
     assert fm.q_inner_exact(fm.dz_form("1"), fm.dz_form("10")) == 0
     assert built == [(3, "10"), (3, "10")]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(1, 30), st.sampled_from([3, 9, 27, 81]), st.sampled_from([3, 9, 27, 81]))
+@example(seed=1, cells=30, la=3, lb=3)  # by moments: 9 < 90
+@example(seed=2, cells=3, la=27, lb=27)  # cell by cell: 81 < 729
+@example(seed=3, cells=27, la=27, lb=9)  # a tie (243), cell by cell, the second tensor shorter
+@example(seed=4, cells=9, la=3, lb=9)  # a tie (27), cell by cell, the first tensor shorter
+def test_contract_cells_equals_the_moments_in_either_order(seed, cells, la, lb):
+    """Cell by cell or by moments, the kernel contraction of two integer
+    tensors on the same cells is the kernel dotted with their moments."""
+    rng = random.Random(seed)
+    rows1 = [[rng.randint(-9, 9) for _ in range(la)] for _ in range(cells)]
+    rows2 = [[rng.randint(-9, 9) for _ in range(lb)] for _ in range(cells)]
+    K = [rng.randint(-10**6, 10**6) for _ in range(la * lb)]
+    assert fm._contract_cells(K, rows1, rows2) == sum(map(operator.mul, K, fm._moments(rows1, rows2)))
+
+
+def _level_one_product():
+    """A product form a·b·dh of level 1: one (2, 2) shape pair of 27-entry
+    tensors on 3 cells, the shape of the bench's certified products."""
+    rng = random.Random(7)
+    a, h = random_harmonic(1, rng, span=5), random_harmonic(1, rng, span=5)
+    return fm.fdg(fm.Product([fm.Atom(a), fm.Atom(random_harmonic(0, rng, span=5))]), h)
+
+
+def test_a_level_one_product_self_pair_takes_no_moments(monkeypatch):
+    """27·27 moments take 729 dot products and 3 cells take 81: the (2, 2)
+    self-pair is contracted cell by cell."""
+    prod = _level_one_product()
+    D, tensors = fm._shape_tensors(prod, 1)
+    assert list(tensors) == [2] and len(tensors[2]) == 3 and len(tensors[2][0]) == 27
+    want = single_level_q(prod, prod)
+
+    def no_moments(*args):
+        raise AssertionError("moments were taken")
+
+    monkeypatch.setattr(fm, "_moments", no_moments)
+    assert fm.q_inner_exact(prod, prod) == want
+
+
+def test_q_level_sums_keep_their_moments(monkeypatch):
+    """The level sums take the moments once and reuse them at every level."""
+    taken = []
+    moments = fm._moments
+    monkeypatch.setattr(fm, "_moments", lambda *args: taken.append(1) or moments(*args))
+    prod = _level_one_product()
+    level_sum = fm.q_level_sums(prod, prod, 1)
+    assert taken == [1]
+    assert level_sum(1) > 0 and level_sum(3) > 0
+    assert taken == [1]
 
 
 def test_exact_q_refuses_products_before_any_tensor(monkeypatch):

@@ -17,8 +17,11 @@ per-side medians and quartiles of every end-to-end metric, the digests and
 failure counts of every pair, and, with ``--claim``, how many pairs the change
 won on the claimed metric.  Per workload, ``regressions`` lists every
 end-to-end metric whose change median is worse than the parent's by more than
-its ``BENCHMARK.json`` bound (a fraction of the parent median); the lists are
-also printed to stderr at the end.
+its ``BENCHMARK.json`` bound (a fraction of the parent median), and
+``bound_used`` gives, per metric, how much worse the change median is as a
+fraction of that bound (1 at the bound, negative when the change is better).
+At the end, the regressions and every metric that uses more than half of its
+bound are printed to stderr.
 """
 
 from __future__ import annotations
@@ -82,20 +85,44 @@ def cpu_model() -> str:
         return platform.machine()
 
 
+def _medians(entry: dict, end_to_end: list):
+    """(metric, parent median, change median, how much worse the change
+    median is) for each end-to-end metric that both sides of one workload
+    summary measured."""
+    for m in end_to_end:
+        sides = entry.get(m["name"], {})
+        if len(sides) == 2:
+            parent, change = sides["parent"]["median"], sides["change"]["median"]
+            yield m, parent, change, change - parent if m["better"] == "lower" else parent - change
+
+
 def regressions(entry: dict, end_to_end: list) -> list:
     """The end-to-end metrics of one workload summary whose change median is
     worse than the parent median by more than the metric's relative bound."""
-    out = []
-    for m in end_to_end:
-        sides = entry.get(m["name"], {})
-        if len(sides) < 2:
-            continue
-        parent, change = sides["parent"]["median"], sides["change"]["median"]
-        worse = change - parent if m["better"] == "lower" else parent - change
-        if worse > m["bound"] * abs(parent):
-            out.append({"metric": m["name"], "parent": parent, "change": change, "bound": m["bound"],
-                        "worse_by": worse / abs(parent) if parent else None})
-    return out
+    return [
+        {"metric": m["name"], "parent": parent, "change": change, "bound": m["bound"],
+         "worse_by": worse / abs(parent) if parent else None}
+        for m, parent, change, worse in _medians(entry, end_to_end)
+        if worse > m["bound"] * abs(parent)
+    ]
+
+
+def bound_used(entry: dict, end_to_end: list) -> dict:
+    """Per end-to-end metric of one workload summary, how much worse the
+    change median is than the parent median, as a fraction of the metric's
+    relative bound: 1 at the bound, negative when the change is better, None
+    on a parent median of 0."""
+    return {m["name"]: worse / abs(parent) / m["bound"] if parent else None
+            for m, parent, change, worse in _medians(entry, end_to_end)}
+
+
+def report(record: dict) -> None:
+    """Print to stderr, per workload, the regressions and every metric that
+    uses more than half of its bound."""
+    for workload, entry in record["summary"].items():
+        print(f"{workload} regressions: {entry['regressions'] or 'none'}", file=sys.stderr)
+        used = {k: round(v, 3) for k, v in entry["bound_used"].items() if v is not None and v > 0.5}
+        print(f"{workload} bound used above 0.5: {used or 'none'}", file=sys.stderr)
 
 
 def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
@@ -129,13 +156,15 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
             wins = sum(p["change_wins"] for p in entry["pairs"])
             entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
         entry["regressions"] = regressions(entry, bench["end_to_end"])
+        entry["bound_used"] = bound_used(entry, bench["end_to_end"])
     claim = (f"the claim is {claim_metric} on {claim_workload}, every other end-to-end metric"
              if claim_metric else "no claim: every end-to-end metric")
     record = {
         "label": args.label,
         "what": f"interleaved parent/change runs; {claim} is compared with its BENCHMARK.json bound "
                 "(per workload, 'regressions' lists the metrics whose change median is worse than the "
-                "parent median by more than the bound)",
+                "parent median by more than the bound, and 'bound_used' gives, per metric, how much worse "
+                "the change median is as a fraction of the bound: negative when the change is better)",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
         # without cached bytecode every run compiles the library from source, which moves peak_rss_mib
@@ -190,8 +219,7 @@ def main() -> int:
                     with open(args.out, "w") as f:
                         json.dump(record, f, indent=1)
                         f.write("\n")
-    for workload, entry in record["summary"].items():
-        print(f"{workload} regressions: {entry['regressions'] or 'none'}", file=sys.stderr)
+    report(record)
     return 0
 
 
