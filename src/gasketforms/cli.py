@@ -18,7 +18,7 @@ from . import forms as fm
 from .errors import GasketError
 from .geometry import ElementaryPath, edges_at_level, path_from_json
 from .harmonic import VertexFunction
-from .render import render_svg
+from .render import _check_render_input, render_svg
 from .verify import run_suite
 
 
@@ -170,6 +170,7 @@ def _dispatch(args) -> int:
         return 0 if report["passed"] else 2
 
     if args.command == "render":
+        _check_render_input(args.level, args.size, args.highlight_cell, args.lacuna)  # before the form's table
         path = _load_path(args.path) if args.path else None
         magnitudes = None
         if args.form:

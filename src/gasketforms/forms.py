@@ -708,9 +708,9 @@ def q_inner_exact(omega: SmoothForm, eta: SmoothForm) -> Fraction:
     (``_shape_tensors``), and on one cell Q is a fixed multilinear form in
     them, the limit of the level kernels (``_exact_q_kernel``), contracted
     over the integers cell by cell or by moments, whichever is cheaper
-    (``_q_pair``).  Products of any
-    shape within the slot budget are exact; a pair of forms of more slots
-    raises GasketError before any tensor is built."""
+    (``_q_pair``).  Products of any shape within the slot budget are exact;
+    a pair of forms of more slots raises GasketError before any tensor is
+    built."""
     _check_q_budget(omega, eta)
     parts1 = _parts(omega)
     parts2 = parts1 if eta is omega else _parts(eta)

@@ -29,6 +29,18 @@ def _on(fine: int, n: int, pairs: Iterable[Lattice]) -> list[Lattice]:
     return [(x << fine - n, y << fine - n) for x, y in pairs]
 
 
+def _check_render_input(
+    level: int, size: int, highlight_cells: Iterable[Word], lacunas: Iterable[Word]
+) -> tuple[list[Word], list[Word]]:
+    """The highlight and lacuna words as lists; a negative level, a size
+    below 1 or an invalid word raises GasketError."""
+    if level < 0:
+        raise GasketError(f"render level {level} is negative")
+    if size < 1:
+        raise GasketError(f"render size {size} is below 1")
+    return [check_word(w) for w in highlight_cells], [check_word(w) for w in lacunas]
+
+
 def render_svg(
     level: int,
     size: int = 512,
@@ -42,11 +54,7 @@ def render_svg(
     per-edge coloring by magnitude.  A negative level, a size below 1, an
     invalid highlight or lacuna word, or more than ``_TABLE_ENTRIES_MAX``
     cells raise GasketError before anything is drawn."""
-    if level < 0:
-        raise GasketError(f"render level {level} is negative")
-    if size < 1:
-        raise GasketError(f"render size {size} is below 1")
-    highlight_cells, lacunas = [check_word(w) for w in highlight_cells], [check_word(w) for w in lacunas]
+    highlight_cells, lacunas = _check_render_input(level, size, highlight_cells, lacunas)
     _check_budget(3 ** min(level, 64), f"a render at level {level}")
     # the level-(level + 1) lattice also covers lacuna outlines one level down
     fine = level + 1

@@ -173,6 +173,21 @@ def test_render_refuses_invalid_input_with_exit_code_1(args, message, capsys):
     assert out == "" and message in err
 
 
+def test_render_refuses_invalid_input_before_the_form_table(capsys, monkeypatch):
+    """With --form, the refusal comes before the side-integral table is built."""
+    def no_table(*args):
+        raise AssertionError("a side-integral table was built")
+
+    monkeypatch.setattr(fm, "side_integrals_at", no_table)
+    form = json.dumps(fm.dz_form("").to_json())
+    for args, message in ((["--level", "11", "--size", "0"], "size 0 is below 1"),
+                          (["--level", "-1"], "level -1 is negative"),
+                          (["--level", "2", "--lacuna", "9"], "invalid word '9'")):
+        assert cli.main(["render", *args, "--form", form]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def _drawn(p: Point, fine: int) -> str:
     """The SVG coordinates of p on the level-``fine`` drawing lattice."""
     x, y = p.x * 2 ** (fine + 1), p.y * 2 ** (fine + 1)
