@@ -25,7 +25,6 @@ from .covering import (
     group_length,
     hnorm_divergence,
     homology_class,
-    lacuna_class,
     phi_hom,
     potential_difference,
 )
@@ -52,24 +51,19 @@ from .forms import (
     fdg,
     integrate_edge,
     integrate_path,
-    multiply_form,
-    q_inner,
     q_inner_certified,
     q_inner_exact,
     q_level,
 )
 from .geometry import (
-    CellGeometry,
     ElementaryPath,
     OrientedEdge,
     Point,
-    cell_geometry,
     edges_at_level,
     lacuna_path,
     path_from_json,
     path_to_json,
     perimeter_path,
-    refine_edge,
     subdivide,
     validate_path,
     vertices_at_level,

@@ -37,9 +37,6 @@ class CertifiedValue:
         return CertifiedValue(Fraction(v), _ZERO)
 
     # -- interval views ------------------------------------------------------
-    def lower(self) -> Number:
-        return self.value - self.radius
-
     def upper(self) -> Number:
         return self.value + self.radius
 

@@ -170,8 +170,9 @@ def _dispatch(args) -> int:
         return 0 if report["passed"] else 2
 
     if args.command == "render":
-        _check_render_input(args.level, args.size, args.highlight_cell, args.lacuna)  # before the form's table
         path = _load_path(args.path) if args.path else None
+        # before the form's table
+        _check_render_input(args.level, args.size, args.highlight_cell, args.lacuna, path.edges if path is not None else ())
         magnitudes = None
         if args.form:
             form = _load_form(args.form)

@@ -45,7 +45,6 @@ from .forms import (
     _dz_den,
     _form_data_level,
     _normalized_terms,
-    _valued,
     dz_form,
     dz_integral_path,
     integrate_path,
@@ -408,11 +407,10 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
     return HodgeDecomposition(depth, k, potential, F0, F0, (3 * K, tuple(beyond)))
 
 
-def harmonic_coefficient(form: SmoothForm, sigma: Word, mode: str = "exact") -> CertifiedValue:
-    """Projection-route coefficient Q(dz_sigma, omega) / Q[dz_sigma], exactly;
-    certified mode rounds it once."""
+def harmonic_coefficient(form: SmoothForm, sigma: Word) -> CertifiedValue:
+    """Projection-route coefficient Q(dz_sigma, omega) / Q[dz_sigma], exactly."""
     norm = Fraction(5, 6) * Fraction(5, 3) ** len(sigma)
-    return _valued(q_inner_exact(dz_form(sigma), form) / norm, mode)
+    return CertifiedValue(q_inner_exact(dz_form(sigma), form) / norm)
 
 
 def perimeter_identity_check(form: SmoothForm, sigma: Word, depth: int) -> CertifiedValue:

@@ -163,12 +163,6 @@ def homology_class(path: ElementaryPath, depth: int) -> HomologyElement:
     return HomologyElement(depth, coords)
 
 
-def lacuna_class(sigma: Word, depth: Optional[int] = None) -> HomologyElement:
-    if depth is None:
-        depth = len(sigma) + 1
-    return HomologyElement(depth, {sigma: 1})
-
-
 def phi_hom(sigma: Word, g: HomologyElement) -> Fraction:
     """The deck homomorphism of the potential z_sigma evaluated on g."""
     if len(check_word(sigma)) >= g.depth:
@@ -233,8 +227,8 @@ def potential_difference(
 ) -> CertifiedValue:
     """Integral of the form along the path through its covering potential,
     exactly: the skeleton primitive's variation, plus sum over |sigma| <=
-    depth of k_sigma times the path's integer dz count (radii r_sigma·|count|),
-    plus the lacuna forms past the depth, one ``beyond`` entry per edge."""
+    depth of k_sigma times the path's integer dz count, plus the lacuna
+    forms past the depth, one ``beyond`` entry per edge."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
     if decomposition is not None and decomposition.depth != depth:
@@ -244,13 +238,12 @@ def potential_difference(
     edges = list(path)
     den, counts = _dz_counts(edges, depth)
     dec = decomposition if decomposition is not None else hodge_decompose(form, depth)
-    value, radius = F0, F0
+    value = F0
     for sigma, c in counts.items():
         kcv = dec.k.get(sigma)
         if c and kcv is not None:
             value += kcv.value * c
-            radius += kcv.radius * abs(c)
     bden, tables = dec.beyond
     past = sum(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side] for e in edges) if tables else 0
     total = dec.potential[path.target] - dec.potential[path.source]
-    return total + CertifiedValue(value / den + Fraction(past, bden), radius / den)
+    return total + CertifiedValue(value / den + Fraction(past, bden))

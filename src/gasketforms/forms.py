@@ -37,6 +37,7 @@ both exact rationals.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -174,18 +175,6 @@ def dz_form(sigma: Word) -> SmoothForm:
     return SmoothForm(harmonic={sigma: F1})
 
 
-def multiply_form(h: VertexFunction | Expr, form: SmoothForm, side: str = "left") -> SmoothForm:
-    """h·omega or omega·h for a purely universal form."""
-    if form.harmonic or form.exact is not None:
-        raise GasketError("module action implemented for universal parts only")
-    hx = h if isinstance(h, Expr) else Atom(h)
-    if side == "left":
-        terms = tuple(FormTerm(Product([hx, t.left]), t.g, t.right) for t in form.terms)
-    else:
-        terms = tuple(FormTerm(t.left, t.g, Product([t.right, hx])) for t in form.terms)
-    return SmoothForm(terms=terms)
-
-
 # ---------------------------------------------------------------------------
 # the lacuna potentials and their exact edge integrals
 # ---------------------------------------------------------------------------
@@ -251,8 +240,8 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     ``GasketError`` when the table would exceed ``_TABLE_ENTRIES_MAX``
     entries."""
     size = sum(
-        min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
-        for e in edges
+        n * (min(level, depth + 1) + (2 ** min(depth - level + 1, 64) - 1 if depth >= level else 0))
+        for level, n in collections.Counter(e.level for e in edges).items()
     )
     _check_budget(size, f"the dz table to depth {depth}")
     den = _dz_den(edges)
@@ -780,22 +769,6 @@ def q_inner_certified(
     if strict and cv.radius > Fraction(tolerance):
         raise NonConvergentError(f"certified Q radius {float(cv.radius):.3g} exceeds the tolerance")
     return cv
-
-
-def q_inner(
-    omega: SmoothForm,
-    eta: SmoothForm | None = None,
-    mode: str = "exact",
-    tolerance: Fraction = Fraction(1, 10**9),
-    strict: bool = True,
-) -> CertifiedValue:
-    if eta is None:
-        eta = omega
-    if mode == "exact":
-        return CertifiedValue.from_exact(q_inner_exact(omega, eta))
-    if mode == "certified":
-        return q_inner_certified(omega, eta, tolerance, strict=strict)
-    raise GasketError(f"unknown mode {mode!r}")
 
 
 def q_level(form: SmoothForm, n: int) -> Fraction:

@@ -166,12 +166,6 @@ class OrientedEdge:
         return OrientedEdge(check_word(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)
 
 
-def refine_edge(e: OrientedEdge) -> tuple[OrientedEdge, OrientedEdge, Point]:
-    """Split an edge at its midpoint into two consecutive finer edges."""
-    first, second = e.children()
-    return first, second, e.midpoint
-
-
 def subdivide(e: OrientedEdge, level: int) -> list[OrientedEdge]:
     """The 2^(level - e.level) consecutive descendants of e at the given level."""
     if level < e.level:
@@ -265,20 +259,6 @@ def lacuna_path(word: Word) -> ElementaryPath:
     orientations they chain into a clockwise loop.
     """
     return validate_path([OrientedEdge(word + _LETTERS[i], i) for i in range(3)])
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    word: Word
-    vertices: tuple[Point, Point, Point]
-    perimeter: ElementaryPath
-    lacuna: ElementaryPath
-
-
-def cell_geometry(word: Word) -> CellGeometry:
-    check_word(word)
-    vertices = tuple(point(q, len(word)) for q in cell_corners(word))
-    return CellGeometry(word, vertices, perimeter_path(word), lacuna_path(word))  # type: ignore[arg-type]
 
 
 def vertex_id(p: Point) -> str:

@@ -217,10 +217,6 @@ class VertexFunction:
             for d, rows in enumerate(self._levels(n_max))
         ]
 
-    def energy_with(self, other: "VertexFunction") -> Fraction:
-        m = max(self.level, other.level)
-        return self.energy_with_at_level(other, m)
-
     # -- pointwise bounds ----------------------------------------------------
     def oscillation(self, word: Word) -> Fraction:
         """max - min over C_word from the corner values below it; exact by

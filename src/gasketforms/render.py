@@ -23,22 +23,28 @@ def _poly(pairs: Iterable[Lattice]) -> str:
 
 
 def _on(fine: int, n: int, pairs: Iterable[Lattice]) -> list[Lattice]:
-    """Level-n lattice pairs on the level-``fine`` drawing lattice."""
-    if n > fine:
-        raise GasketError(f"level-{n} vertices are off the level-{fine} drawing lattice")
+    """Level-n lattice pairs on the level-``fine`` drawing lattice (n <= fine)."""
     return [(x << fine - n, y << fine - n) for x, y in pairs]
 
 
 def _check_render_input(
-    level: int, size: int, highlight_cells: Iterable[Word], lacunas: Iterable[Word]
+    level: int, size: int, highlight_cells: Iterable[Word], lacunas: Iterable[Word], edges: Iterable[OrientedEdge]
 ) -> tuple[list[Word], list[Word]]:
-    """The highlight and lacuna words as lists; a negative level, a size
-    below 1 or an invalid word raises GasketError."""
+    """The highlight and lacuna words as lists.  A negative level, a size
+    below 1, an invalid word, or an item off the level-(level + 1) drawing
+    lattice (a highlight cell or an edge finer than it, a lacuna of a cell
+    finer than the level) raises GasketError."""
     if level < 0:
         raise GasketError(f"render level {level} is negative")
     if size < 1:
         raise GasketError(f"render size {size} is below 1")
-    return [check_word(w) for w in highlight_cells], [check_word(w) for w in lacunas]
+    cells, holes = [check_word(w) for w in highlight_cells], [check_word(w) for w in lacunas]
+    off = [f"highlight cell {w!r}" for w in cells if len(w) > level + 1]
+    off += [f"lacuna {w!r}" for w in holes if len(w) > level]
+    off += [f"edge {e}" for e in edges if e.level > level + 1]
+    if off:
+        raise GasketError(f"{off[0]} is off the level-{level + 1} drawing lattice")
+    return cells, holes
 
 
 def render_svg(
@@ -52,9 +58,11 @@ def render_svg(
     """An SVG document showing the 3^level cells of the given approximation,
     with optional highlighted cells, a path overlay, lacuna outlines, and
     per-edge coloring by magnitude.  A negative level, a size below 1, an
-    invalid highlight or lacuna word, or more than ``_TABLE_ENTRIES_MAX``
-    cells raise GasketError before anything is drawn."""
-    highlight_cells, lacunas = _check_render_input(level, size, highlight_cells, lacunas)
+    invalid highlight or lacuna word, an item off the drawing lattice
+    (``_check_render_input``), or more than ``_TABLE_ENTRIES_MAX`` cells
+    raise GasketError before anything is drawn."""
+    edges = [*(path.edges if path is not None else ()), *(edge_magnitudes or ())]
+    highlight_cells, lacunas = _check_render_input(level, size, highlight_cells, lacunas, edges)
     _check_budget(3 ** min(level, 64), f"a render at level {level}")
     # the level-(level + 1) lattice also covers lacuna outlines one level down
     fine = level + 1

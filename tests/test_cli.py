@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasketforms import cli, harmonic
+from gasketforms import cli, harmonic, render
 from gasketforms import forms as fm
 from gasketforms.errors import GasketError
 from gasketforms.geometry import OrientedEdge, Point, cell_corners, lacuna_path, path_to_json, point, subdivide
@@ -164,10 +164,14 @@ def test_render_with_form_coloring_and_path(tmp_path, capsys):
     (["--level", "1", "--size", "0"], "size 0 is below 1"),
     (["--level", "1", "--size", "-5"], "size -5 is below 1"),
     (["--level", "-1"], "level -1 is negative"),
-], ids=["highlight-3", "lacuna-9", "size-0", "size-minus-5", "level-minus-1"])
+    (["--level", "11", "--highlight-cell", "0" * 16], "highlight cell '0000000000000000' is off the level-12"),
+    (["--level", "2", "--lacuna", "012"], "lacuna '012' is off the level-3"),
+    (["--level", "2", "--path", '["0120/1/+"]'], "edge 0120/1/+ is off the level-3"),
+], ids=["highlight-3", "lacuna-9", "size-0", "size-minus-5", "level-minus-1",
+        "highlight-off-lattice", "lacuna-off-lattice", "path-off-lattice"])
 def test_render_refuses_invalid_input_with_exit_code_1(args, message, capsys):
-    """A render of an invalid word, size or level draws nothing and names
-    the input it refuses."""
+    """A render of an invalid word, size or level, or of an item off its
+    drawing lattice, draws nothing and names the input it refuses."""
     assert cli.main(["render", *args]) == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err
@@ -182,7 +186,8 @@ def test_render_refuses_invalid_input_before_the_form_table(capsys, monkeypatch)
     form = json.dumps(fm.dz_form("").to_json())
     for args, message in ((["--level", "11", "--size", "0"], "size 0 is below 1"),
                           (["--level", "-1"], "level -1 is negative"),
-                          (["--level", "2", "--lacuna", "9"], "invalid word '9'")):
+                          (["--level", "2", "--lacuna", "9"], "invalid word '9'"),
+                          (["--level", "2", "--path", '["0120/1/+"]'], "off the level-3")):
         assert cli.main(["render", *args, "--form", form]) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err
@@ -197,8 +202,7 @@ def _drawn(p: Point, fine: int) -> str:
 
 def test_render_draws_every_item_at_its_points():
     """Highlights, lacunas, form edges and a mixed-level path are drawn at
-    their ``Point``s scaled to the level + 1 lattice; an item finer than
-    that lattice is refused."""
+    their ``Point``s scaled to the level + 1 lattice."""
     level, fine = 2, 3
     path = validate_path([OrientedEdge("0", 1), *subdivide(OrientedEdge("2", 1), 3), OrientedEdge("2", 0)])
     edges = [OrientedEdge("", 0), OrientedEdge("12", 2, -1), OrientedEdge("012", 1)]
@@ -216,11 +220,22 @@ def test_render_draws_every_item_at_its_points():
         assert f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"' in svg
     pts = " ".join(_drawn(p, fine) for p in [path.source] + [e.target for e in path])
     assert f'class="path" points="{pts}"' in svg
-    for kwargs in ({"highlight_cells": ["0120"]}, {"lacunas": ["012"]},
-                   {"path": validate_path([OrientedEdge("0120", 1)])},
-                   {"edge_magnitudes": {OrientedEdge("2101", 0): 1.0}}):
-        with pytest.raises(GasketError):
-            render_svg(level, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"highlight_cells": ["0120"]}, {"lacunas": ["012"]},
+    {"path": validate_path([OrientedEdge("0120", 1)])},
+    {"edge_magnitudes": {OrientedEdge("2101", 0): 1.0}},
+], ids=["highlight", "lacuna", "path", "edge-magnitudes"])
+def test_render_refuses_off_lattice_items_before_drawing(kwargs, monkeypatch):
+    """An item finer than the level + 1 drawing lattice is refused with
+    GasketError before any cell is drawn."""
+    def no_corners(word):
+        raise AssertionError("a cell was drawn")
+
+    monkeypatch.setattr(render, "cell_corners", no_corners)
+    with pytest.raises(GasketError, match="off the level-3 drawing lattice"):
+        render_svg(2, **kwargs)
 
 
 def test_bad_input_exit_code(capsys):

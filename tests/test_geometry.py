@@ -21,13 +21,11 @@ from gasketforms.geometry import (
     P2,
     Point,
     cell_corners,
-    cell_geometry,
     edges_at_level,
     lacuna_path,
     locate_vertex,
     perimeter_path,
     point,
-    refine_edge,
     subdivide,
     validate_path,
     vertex_id,
@@ -74,16 +72,16 @@ def corner_points(word: str) -> tuple[Point, ...]:
 
 
 def test_top_cell_vertices():
-    cg = cell_geometry("")
-    assert cg.vertices == (Point(Fraction(0), Fraction(0)),
-                           Point(H, H),
-                           Point(Fraction(1), Fraction(0)))
+    assert corner_points("") == (Point(Fraction(0), Fraction(0)),
+                                 Point(H, H),
+                                 Point(Fraction(1), Fraction(0)))
+    assert [e.source for e in perimeter_path("")] == [P0, P2, P1]
 
 
 def test_top_lacuna_vertices_are_midpoints():
     # oracle: apply x -> p_i + (x - p_i)/2 to the corner set directly
     mids = {midpoint(P0, P1), midpoint(P0, P2), midpoint(P1, P2)}
-    lac = cell_geometry("").lacuna
+    lac = lacuna_path("")
     assert {e.source for e in lac.edges} == mids
     assert lac.closed
 
@@ -96,7 +94,7 @@ def test_fixed_point_of_first_map():
 
 def test_refine_bottom_edge():
     e = OrientedEdge("", 1)  # p0 -> p2
-    a, b, mid = refine_edge(e)
+    (a, b), mid = e.children(), e.midpoint
     assert mid == Point(H, Fraction(0))
     assert a.source == P0 and a.target == mid
     assert b.source == mid and b.target == P2
@@ -106,14 +104,13 @@ def test_refine_left_edge_midpoint():
     # the edge p0 -> p1 is side 2 reversed
     e = OrientedEdge("", 2, -1)
     assert e.source == P0 and e.target == P1
-    _, _, mid = refine_edge(e)
-    assert mid == Point(Fraction(1, 4), Fraction(1, 4))
+    assert e.midpoint == Point(Fraction(1, 4), Fraction(1, 4))
 
 
 def test_refine_reversal_antisymmetry():
     e = OrientedEdge("", 1)
-    a, b, _ = refine_edge(e)
-    ra, rb, _ = refine_edge(e.reversed())
+    a, b = e.children()
+    ra, rb = e.reversed().children()
     assert ra == b.reversed() and rb == a.reversed()
 
 
@@ -250,7 +247,7 @@ def test_consecutiveness_agrees_with_point_equality(seed):
         p = edges[-1].target
     for _ in range(rng.randint(0, 3)):
         k = rng.randrange(len(edges))
-        edges[k : k + 1] = refine_edge(edges[k])[:2]
+        edges[k : k + 1] = edges[k].children()
     if rng.random() < 0.5:
         word = "".join(rng.choice("012") for _ in range(rng.randint(0, 4)))
         edges[rng.randrange(len(edges))] = OrientedEdge(word, rng.randrange(3), rng.choice((1, -1)))

@@ -59,12 +59,12 @@ def test_energies_of_basis():
     assert f0.energy() == 2
     # cross-check through the extension oracle at level 1
     assert f0.energy_at_level(1) == 2
-    assert f0.energy_with(f1) == -1
+    assert f0.energy_with_at_level(f1, 0) == -1
     # pairing against a constant vanishes
     rng = random.Random(7)
     for _ in range(5):
         u = random_harmonic(rng.randint(0, 2), rng)
-        assert u.energy_with(VertexFunction.constant(4)) == 0
+        assert u.energy_with_at_level(VertexFunction.constant(4), u.level) == 0
 
 
 def test_energy_invariance_exact():
@@ -126,7 +126,7 @@ def test_pairing_equals_energy():
     for _ in range(5):
         u = random_harmonic(1, rng)
         v = random_harmonic(2, rng)
-        assert u.pairing(v) == u.energy_with(v)
+        assert u.pairing(v) == u.energy_with_at_level(v, 2)
 
 
 def test_evaluation_at_deep_vertices():

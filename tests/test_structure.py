@@ -39,6 +39,10 @@
   ``VertexFunction``'s fields are ``level``, ``den`` and ``seed``, and no
   library module reads its Point-keyed ``values`` view except
   ``VertexFunction.to_json``.
+* Every exported name has a caller: a name ``__init__.py`` imports is
+  referenced in ``src/`` outside its own definition and ``__init__.py``, or
+  under ``bench/``, or is kept on ``_EXPORTS_WITHOUT_CALLERS`` for a reason,
+  so no name that only the tests call is exported again unnoticed.
 * The Hodge decomposition, the covering potentials and the perimeter
   identity are exact: the energy bound of the truncation tails,
   ``universal_energy_bound``, is called only by ``periods_up_to`` (for
@@ -291,3 +295,45 @@ def test_vertex_function_is_one_frozen_integer_table():
             if isinstance(n, ast.Attribute) and n.attr == "values" and id(n) not in called
         ]
     assert reads == [("harmonic.py", True)]
+
+
+# exported names that neither the library nor the benchmark calls, kept for
+# the reason given
+_EXPORTS_WITHOUT_CALLERS = {
+    "q_level": "the paper's level energy Q_n",
+    "counterexample_form": "the paper's completion counterexample, the oracle of nonorm_q_level",
+    "perimeter_identity_check": "the perimeter identity of result (i)",
+    "path_to_json": "the inverse of the CLI's path format",
+    "dz_integral_edge": "the integral of one lacuna form over one edge, the unit of every dz table",
+}
+
+
+def _referenced(path: Path, skip_own: bool) -> set[str]:
+    """The names, attributes and identifier strings a file reads; with
+    ``skip_own``, not those inside the top-level definition of the same name."""
+    out = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None) if skip_own else None
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                name = n.value  # the benchmark names its trace targets by string
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def test_every_export_has_a_caller():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+    used = set().union(
+        *(_referenced(path, True) for path in MODULES if path.name != "__init__.py"),
+        *(_referenced(path, False) for path in (SRC.parent.parent / "bench").glob("*.py")),
+    )
+    assert sorted(exported - used - set(_EXPORTS_WITHOUT_CALLERS)) == []
+    assert sorted(set(_EXPORTS_WITHOUT_CALLERS) - (exported - used)) == []  # no stale reason
