@@ -265,7 +265,8 @@ class HodgeDecomposition:
     """Harmonic coefficients k_sigma for |sigma| <= depth and the skeleton
     primitive U on V_depth, both exact.  ``potential_radius``,
     ``residual_bound`` and every radius are 0; the fields are kept for the
-    JSON and the benchmark.
+    JSON and the benchmark, and ``potential_difference`` refuses a k entry
+    with a radius.
     ``beyond`` = (den, tables) carries what a path pairing adds past the
     depth: tables[n][u][i] is den times the integral, over side i of the u-th
     level-n cell, of the lacuna forms deeper than the depth, the sum over

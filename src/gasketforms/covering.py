@@ -228,7 +228,9 @@ def potential_difference(
     """Integral of the form along the path through its covering potential,
     exactly: the skeleton primitive's variation, plus sum over |sigma| <=
     depth of k_sigma times the path's integer dz count, plus the lacuna
-    forms past the depth, one ``beyond`` entry per edge."""
+    forms past the depth, one ``beyond`` entry per edge.  A k entry the
+    path meets must be exact (``HodgeDecomposition``): one with a radius is
+    refused with ``GasketError``."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
     if decomposition is not None and decomposition.depth != depth:
@@ -242,6 +244,8 @@ def potential_difference(
     for sigma, c in counts.items():
         kcv = dec.k.get(sigma)
         if c and kcv is not None:
+            if kcv.radius:
+                raise GasketError(f"k[{sigma!r}] has a nonzero radius; a decomposition's k must be exact")
             value += kcv.value * c
     bden, tables = dec.beyond
     past = sum(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side] for e in edges) if tables else 0

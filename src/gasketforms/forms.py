@@ -37,7 +37,6 @@ both exact rationals.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -240,8 +239,8 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     ``GasketError`` when the table would exceed ``_TABLE_ENTRIES_MAX``
     entries."""
     size = sum(
-        n * (min(level, depth + 1) + (2 ** min(depth - level + 1, 64) - 1 if depth >= level else 0))
-        for level, n in collections.Counter(e.level for e in edges).items()
+        min(e.level, depth + 1) + (2 ** min(depth - e.level + 1, 64) - 1 if depth >= e.level else 0)
+        for e in edges
     )
     _check_budget(size, f"the dz table to depth {depth}")
     den = _dz_den(edges)

@@ -521,6 +521,17 @@ def test_potential_difference_matches_per_word_sum(path, depth, exact, rng):
     assert pd.exact == exact
 
 
+def test_potential_difference_refuses_a_k_radius():
+    # a radius on a k entry the path meets would be dropped from the result
+    path = validate_path([OrientedEdge("", 0)])
+    potential = {path.source: CertifiedValue.from_exact(0), path.target: CertifiedValue.from_exact(0)}
+    k = {w: CertifiedValue.from_exact(F(1)) for w in _words_to(1)}
+    assert cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0))).exact
+    k[""] = CertifiedValue(F(1), F(1, 3))
+    with pytest.raises(GasketError, match="nonzero radius"):
+        cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0)))
+
+
 def test_potential_difference_is_exact_when_no_k_meets_the_path():
     path = validate_path([OrientedEdge("0", 1)])  # dz_2 vanishes on C_0
     potential = {path.source: CertifiedValue.from_exact(1), path.target: CertifiedValue.from_exact(3)}
