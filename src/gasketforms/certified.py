@@ -34,7 +34,7 @@ class CertifiedValue:
 
     @staticmethod
     def from_exact(v) -> "CertifiedValue":
-        return CertifiedValue(Fraction(v), _ZERO)
+        return CertifiedValue(v if type(v) is Fraction else Fraction(v), _ZERO)
 
     # -- interval views ------------------------------------------------------
     def upper(self) -> Number:

@@ -9,6 +9,8 @@ losslessly.  Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -41,15 +43,17 @@ def _load_path(arg: str) -> ElementaryPath:
 
 
 def _emit(args, payload: dict, csv_rows=None):
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """CSV rows or indented JSON to ``--out`` or stdout; the JSON streams in
+    blocks of encoder chunks, never one string, in few writes."""
+    out = getattr(args, "out", None)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+            fh.write("\n".join(",".join(str(c) for c in row) for row in csv_rows))
+        else:
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+            while block := "".join(itertools.islice(chunks, 4096)):
+                fh.write(block)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -20,10 +20,13 @@ reads one word's integer count (edge integrals, winding numbers), and
 Integrals and the energy inner product Q are exact, in rational arithmetic,
 for every form within the kernel budget, products of functions included:
 they contract the exact one-cell kernels of ``kernels`` with the factors'
-integer corner triples.  Edge integrals use the (p, 0) Riemann limits (the
-right factors moved left); ``side_integral_table`` gives the whole form's
-integrals over the sides of every cell of one level from one walk per
-function, and ``q_level`` sums their squares.  Q splits each form into
+integer corner triples.  A path integral (``_integral``; an edge is a
+one-edge path) sums integer counts over all its edges, one denominator per
+part (lacuna, exact, each monomial), and divides once; a monomial uses the
+(p, 0) Riemann limits (the right factors moved left).
+``side_integral_table`` gives the whole form's integrals over the sides of
+every cell of one level from one walk per function, and ``q_level`` sums
+their squares.  Q splits each form into
 parts by data level and sums over pairs of parts, each pair at the finer of
 its two levels and on the cells both parts live on, contracting the
 integer corner tensors with the one-cell kernels.  Certified mode is the
@@ -256,6 +259,16 @@ def _dz_counts(edges: list[OrientedEdge], depth: int) -> tuple[int, dict[Word, i
     return den, counts
 
 
+def _dz_path_count(sigma: Word, edges: Iterable[OrientedEdge], den: int) -> int:
+    """den times the integral of dz_sigma along the edges: their
+    ``_dz_count``s brought onto den, a multiple of every edge's ``_dz_den``."""
+    total = 0
+    for e in edges:
+        c, eden = _dz_count(sigma, e)
+        total += c * (den // eden)
+    return total
+
+
 def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
     """Exact integral of dz_sigma over one oriented edge (``_dz_count``);
     an invalid word raises GasketError."""
@@ -263,8 +276,11 @@ def dz_integral_edge(sigma: Word, e: OrientedEdge) -> Fraction:
 
 
 def dz_integral_path(sigma: Word, path: ElementaryPath) -> Fraction:
-    check_word(sigma)
-    return sum((Fraction(*_dz_count(sigma, e)) for e in path), F0)
+    """Exact integral of dz_sigma along the path: the edges' integer counts
+    over the path's ``_dz_den``, divided once; an invalid word raises
+    GasketError."""
+    den = _dz_den(path)
+    return Fraction(_dz_path_count(check_word(sigma), path, den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +466,6 @@ def _monomial_riemann(
     return total / 5 ** (len(slots) * (n - m))
 
 
-def _monomial_exact(left: Sequence[VertexFunction], g: VertexFunction, e: OrientedEdge) -> Fraction:
-    """Exact integral of L_1⋯L_p·dg over one oriented edge, the one per-edge
-    exact route for every p: the side limits ``_int_side_limits(p)``
-    contracted like ``_monomial_riemann`` on every sub-edge of e at the data
-    level.  The sub-edges share one level, so their counts share one
-    denominator and their sum is divided once."""
-    slots = (*left, g)
-    m = max(e.level, *(f.level for f in slots))
-    D, kernels = _int_side_limits(len(left))
-    total = den = 0
-    for sub in subdivide(e, m):
-        value, den = _contract(kernels[sub.side], slots, sub.cell)
-        total += sub.sign * value
-    return Fraction(total, den * D)
-
-
 def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
     """The level-n dyadic Riemann sum I_n(e) of the universal part, exactly;
     n must be at least the data level of every term.  A term beyond the work
@@ -479,37 +479,57 @@ def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
     return sum((c * _monomial_riemann(left, g, right, e, n) for c, left, g, right in monos), F0)
 
 
-def _integrate_universal_exact(form: SmoothForm, e: OrientedEdge) -> Fraction:
-    """The universal part's exact integral over one edge.  Each term's a·b
-    (``left_total``: the right factors move left, which integrates the same
-    on every edge) is expanded into monomials (``_monomials``), each
-    integrated by ``_monomial_exact``.  Every monomial is checked against
-    the slot budget before any kernel is built."""
-    monos = [(c, left, t.g) for t in form.terms for c, left in t.monomials()]
-    slots = max((len(left) + 1 for _, left, _ in monos), default=0)
+def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
+    """Exact integral of the form along the edges, in integers: each part
+    sums one count over one denominator across the edges, and the parts are
+    divided once together.  A lacuna form dz_sigma counts the edges'
+    ``_dz_count``s over their ``_dz_den``; the exact part dU the signed
+    corner differences of U over U.den·5^(top - U.level); a monomial
+    c·L_1⋯L_p·dg of a term's a·b (``FormTerm.monomials``) contracts the side
+    limits ``_int_side_limits(p)`` with the factors' integer corner triples
+    on every sub-edge at m_e = max(e.level, data level), scaled by
+    5^((top - m_e)·slots).  Top is the finest level of the part's edges or
+    data.  Every monomial is checked against the slot budget before any
+    kernel is built."""
+    monos = [(c, (*left, t.g)) for t in form.terms for c, left in t.monomials()]
+    slots = max([len(fs) for _, fs in monos], default=0)
     if slots > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Riemann kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
-    return sum((c * _monomial_exact(left, g, e) for c, left, g in monos), F0)
-
-
-def _integrate_fixed_parts(form: SmoothForm, e: OrientedEdge) -> Fraction:
-    """Harmonic and exact parts integrate exactly in either mode; a lacuna
-    form adds its nonzero ``_dz_count``."""
-    total = F0
-    for sigma, k in form.harmonic.items():
-        if k:
-            c, den = _dz_count(sigma, e)
-            if c:
-                total += k * Fraction(c, den)
+    top = max([e.level for e in edges])
+    parts = []  # (c, count, den): the integral is the sum of the c·count/den
+    if form.harmonic:
+        den = _dz_den(edges)
+        for sigma, k in form.harmonic.items():
+            if k:
+                parts.append((k, _dz_path_count(sigma, edges, den), den))
     U = form.exact
     if U is not None:
-        # corner j of a coarse cell is corner j of its descendant j...j at U's level
-        pad = max(U.level - e.level, 0)
-        j, i = (e.side + 1) % 3, (e.side + 2) % 3  # target and source corners at sign +1
-        den, t = U.int_triple(e.cell + str(j) * pad)
-        s = U.int_triple(e.cell + str(i) * pad)[1] if pad else t
-        total += Fraction(e.sign * (t[j] - s[i]), den)
-    return total
+        level, count = max(top, U.level), 0
+        for e in edges:
+            # corner j of a coarse cell is corner j of its descendant j...j at U's level
+            pad = max(U.level - e.level, 0)
+            j, i = (e.side + 1) % 3, (e.side + 2) % 3  # target and source corners at sign +1
+            _, t = U.int_triple(e.cell + str(j) * pad)
+            s = U.int_triple(e.cell + str(i) * pad)[1] if pad else t
+            count += e.sign * (t[j] - s[i]) * 5 ** (level - e.level - pad)
+        parts.append((F1, count, U.den * 5 ** (level - U.level)))
+    for c, fs in monos:
+        m = max(f.level for f in fs)
+        level, count = max(top, m), 0
+        D, kernels = _int_side_limits(len(fs) - 1)
+        for e in edges:
+            m_e = max(e.level, m)
+            scale = 5 ** ((level - m_e) * len(fs))  # onto the denominator at the top level
+            for sub in subdivide(e, m_e):
+                count += sub.sign * scale * _contract(kernels[sub.side], fs, sub.cell)[0]
+        parts.append((c, count, D * math.prod(f.den * 5 ** (level - f.level) for f in fs)))
+    total, den = 0, 1
+    for c, n, d in parts:
+        if n:
+            d *= c.denominator
+            lcm = math.lcm(den, d)
+            total, den = total * (lcm // den) + c.numerator * n * (lcm // d), lcm
+    return Fraction(total, den)
 
 
 def _valued(v: Fraction, mode: str) -> CertifiedValue:
@@ -529,28 +549,25 @@ def integrate_edge(
     mode: str = "exact",
     tolerance: Fraction = Fraction(1, 10**9),
 ) -> CertifiedValue:
-    """Integral of a smooth form over one oriented edge.
-
-    Certified mode returns the exact integral rounded once (``_valued``); a
-    form without universal terms keeps its exact value.  ``tolerance`` is
-    not read: a caller that asks for less than half an ulp sees the miss in
-    the radius."""
-    fixed = _integrate_fixed_parts(form, e)
-    if mode == "certified" and not form.terms:
-        return CertifiedValue.from_exact(fixed)
-    return _valued(fixed + _integrate_universal_exact(form, e), mode)
+    """Integral of a smooth form over one oriented edge: the one-edge path
+    (``integrate_path``).  ``tolerance`` is not read: a caller that asks for
+    less than half an ulp sees the miss in the radius."""
+    return _integrated(form, (e,), mode)
 
 
 def integrate_path(form: SmoothForm, path: ElementaryPath, mode: str = "exact") -> CertifiedValue:
-    """Sum of the exact edge integrals, in certified mode rounded once
-    (``_valued``); a form without universal terms keeps its exact value, as
-    in ``integrate_edge``.  The sum does not depend on the order of the
-    edges: the reversed path gives exactly the negated value and the same
-    radius."""
-    total = sum((integrate_edge(form, e).value for e in path), F0)
+    """Exact integral along the path (``_integral``), in certified mode
+    rounded once (``_valued``); a form without universal terms keeps its
+    exact value.  The value does not depend on the order of the edges: the
+    reversed path gives exactly the negated value and the same radius."""
+    return _integrated(form, path.edges, mode)
+
+
+def _integrated(form: SmoothForm, edges: Sequence[OrientedEdge], mode: str) -> CertifiedValue:
+    v = _integral(form, edges)
     if mode == "certified" and not form.terms:
-        return CertifiedValue.from_exact(total)
-    return _valued(total, mode)
+        return CertifiedValue.from_exact(v)
+    return _valued(v, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class Point:
     x: Fraction
     y: Fraction
 
+    def __hash__(self):
+        # from the integer parts: Fraction.__hash__ takes a modular inverse per call
+        return hash((self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator))
+
     def __repr__(self):
         return f"Point({self.x}, {self.y}*sqrt3)"
 

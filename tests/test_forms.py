@@ -24,6 +24,8 @@ from gasketforms.geometry import (
     lacuna_path,
     perimeter_path,
     subdivide,
+    validate_path,
+    words,
 )
 from gasketforms.harmonic import H_MATRICES, VertexFunction, harmonic_basis, random_harmonic
 
@@ -436,15 +438,15 @@ def _fraction_kernel_integral(coeff, F_vf, g, e):
 @given(st.integers(0, 10**6), st.booleans(), st.text(alphabet="012", max_size=3), st.integers(0, 2),
        st.sampled_from([1, -1]))
 def test_integer_kernels_match_fraction_kernels(seed, plain, cell, side, sign):
-    """``_monomial_exact`` of p = 0 and p = 1 monomials against the Fraction
-    kernels."""
+    """The integer route (``_integral``) of p = 0 and p = 1 monomials
+    against the Fraction kernels."""
     rng = random.Random(seed)
     g = random_harmonic(rng.randint(0, 2), rng, span=7)
     F_vf = None if plain else random_harmonic(rng.randint(0, 2), rng, span=7)
     c = F(rng.randint(-9, 9), rng.randint(1, 9))
     e = OrientedEdge(cell, side, sign)
-    left = () if F_vf is None else (F_vf,)
-    assert c * fm._monomial_exact(left, g, e) == _fraction_kernel_integral(c, F_vf, g, e)
+    left = fm.Const(c) if F_vf is None else fm.Product([fm.Const(c), fm.Atom(F_vf)])
+    assert fm._integral(fm.fdg(left, g), (e,)) == _fraction_kernel_integral(c, F_vf, g, e)
 
 
 def _direct_side_limit(i: int, p: int) -> list[Fraction]:
@@ -475,7 +477,8 @@ def test_product_monomial_is_additive_over_children(seed, cell, side, sign):
     rng = random.Random(seed)
     a, b, g = (random_harmonic(rng.randint(0, 2), rng, span=7) for _ in range(3))
     e = OrientedEdge(cell, side, sign)
-    assert fm._monomial_exact((a, b), g, e) == sum((fm._monomial_exact((a, b), g, c) for c in e.children()), F(0))
+    form = fm.fdg(fm.Product([fm.Atom(a), fm.Atom(b)]), g)
+    assert fm._integral(form, (e,)) == sum((fm._integral(form, (c,)) for c in e.children()), F(0))
 
 
 def test_constant_factors_build_no_function(monkeypatch):
@@ -526,6 +529,105 @@ def test_exactness_unavailable_for_products():
     for route in (lambda: coh.periods_up_to(w, 1), lambda: coh.hodge_decompose(w, 1)):
         with pytest.raises(ExactnessUnavailableError):
             route()
+
+
+# ---------------------------------------------------------------------------
+# path integrals in integers (``_integral``), against independent routes
+# ---------------------------------------------------------------------------
+
+def _random_form(rng, products: bool):
+    """A form with a lacuna part, an exact part and a one-factor term of
+    random levels, plus, with ``products``, a two-factor left factor and a
+    right factor."""
+    vf = lambda: random_harmonic(rng.randint(0, 2), rng, span=7)  # noqa: E731
+    lacunas = ["".join(rng.choice("012") for _ in range(rng.randint(0, 2))) for _ in range(2)]
+    form = fm.SmoothForm(harmonic={w: F(rng.randint(-9, 9), rng.randint(1, 9)) for w in lacunas}, exact=vf())
+    form = form + fm.fdg(fm.Product([fm.Const(F(rng.randint(-5, 5), 3)), fm.Atom(vf())]), vf())
+    if products:
+        form = form + fm.fdg(fm.Product([fm.Atom(vf()), fm.Atom(vf())]), vf())
+        form = form + fm.SmoothForm((fm.FormTerm(fm.Atom(vf()), vf(), fm.Atom(vf())),))
+    return form
+
+
+def _random_path(rng, level: int, length: int):
+    """A consecutive walk of ``length`` edges on the level-``level`` graph."""
+    edges = [OrientedEdge(w, i, s) for w in words(level) for i in range(3) for s in (1, -1)]
+    walk = [rng.choice(edges)]
+    for _ in range(length - 1):
+        walk.append(rng.choice([e for e in edges if e.source == walk[-1].target]))
+    return validate_path(walk)
+
+
+def _refined(rng, path, times: int):
+    """The path with ``times`` random edges replaced by their two children:
+    the same curve through edges of mixed levels."""
+    edges = list(path.edges)
+    for _ in range(times):
+        k = rng.randrange(len(edges))
+        edges[k : k + 1] = edges[k].children()
+    return validate_path(edges)
+
+
+def _edge_oracle(form, e) -> F:
+    """The exact integral over one edge in Fractions: ``dz_integral_edge``
+    per lacuna word, U at the two end points, and each monomial's side
+    limits divided out and contracted with the ``triple``s of its factors
+    on every sub-edge at the data level."""
+    total = sum((k * fm.dz_integral_edge(w, e) for w, k in form.harmonic.items()), F(0))
+    if form.exact is not None:
+        total += form.exact(e.target) - form.exact(e.source)
+    for t in form.terms:
+        for c, left in t.monomials():
+            slots = (*left, t.g)
+            D, kernels = kn._int_side_limits(len(left))
+            for sub in subdivide(e, max(e.level, *(f.level for f in slots))):
+                triples = [f.triple(sub.cell) for f in slots]
+                total += sub.sign * c * sum(
+                    F(kernels[sub.side][int("".join(map(str, js)), 3)], D) * math.prod(x[j] for x, j in zip(triples, js))
+                    for js in itertools.product(range(3), repeat=len(slots))
+                )
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 1), st.integers(1, 6))
+def test_one_level_path_is_the_side_table_sum(rng, above, length):
+    """A path whose edges share one level L at or above the data level
+    integrates to the signed sum of its edges' ``side_integral_table``
+    entries at L."""
+    form = _random_form(rng, products=False)
+    L = fm._form_data_level(form) + above
+    path = _random_path(rng, L, length)
+    D, rows = fm.side_integral_table(form, L)
+    want = F(sum(e.sign * rows[int(e.cell or "0", 3)][e.side] for e in path), D)
+    assert fm.integrate_path(form, path).value == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.integers(0, 2), st.integers(1, 4), st.integers(0, 4))
+def test_mixed_level_path_matches_the_edge_oracle(rng, products, level, length, refinements):
+    """Paths through edges of mixed levels, coarser and finer than the data
+    level, against the per-edge Fraction oracle; reversing the path negates
+    the value exactly, and cutting it in two splits the value."""
+    form = _random_form(rng, products)
+    path = _refined(rng, _random_path(rng, level, length), refinements)
+    value = fm.integrate_path(form, path).value
+    assert value == sum((_edge_oracle(form, e) for e in path), F(0))
+    assert fm.integrate_path(form, path.reversed()).value == -value
+    k = rng.randrange(len(path) + 1)
+    if 0 < k < len(path):
+        first, second = validate_path(path.edges[:k]), validate_path(path.edges[k:])
+        assert first + second == path
+        assert fm.integrate_path(form, first).value + fm.integrate_path(form, second).value == value
+
+
+def test_integrate_edge_is_the_one_edge_path():
+    rng = random.Random(3)
+    form = _random_form(rng, products=True)
+    for e in (OrientedEdge("", 1), OrientedEdge("0", 2, -1), OrientedEdge("1201", 0)):
+        path = validate_path([e])
+        for mode in ("exact", "certified"):
+            assert fm.integrate_edge(form, e, mode) == fm.integrate_path(form, path, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +726,7 @@ def test_q_certified_strict_raises_below_half_an_ulp():
 def _brute_edge_value(form, e):
     """omega(e) by endpoint evaluation: the left factors a·b at the target."""
     t, s = (e.side + 1) % 3, (e.side + 2) % 3
-    total = fm._integrate_fixed_parts(form, e)
+    total = fm._integral(fm.SmoothForm(harmonic=form.harmonic, exact=form.exact), (e,))
     for term in form.terms:
         gt = term.g.triple(e.cell)
         total += _at(term.left, e.cell, t) * _at(term.right, e.cell, t) * (gt[t] - gt[s])

@@ -264,3 +264,21 @@ def test_vertices_are_sorted_by_coordinates(n):
     assert pts == sorted(pts, key=lambda p: (p.x, p.y))
     assert len(pts) == (3 ** (n + 1) + 3) // 2
     assert set(pts) == {p for w in words(n) for p in corner_points(w)}
+
+
+@given(st.integers(0, 6), st.integers(0, 2**7), st.integers(0, 2**7))
+def test_equal_points_hash_equal(n, X, Y):
+    """A Point from ``point``, from ``parse_vertex_id`` and from int
+    coordinates (where they are integers) compare and hash equal."""
+    p = point((X, Y), n)
+    same = [parse_vertex_id(vertex_id(p)), Point(Fraction(p.x), Fraction(p.y))]
+    if p.x.denominator == p.y.denominator == 1:
+        same.append(Point(int(p.x), int(p.y)))
+    for q in same:
+        assert q == p and hash(q) == hash(p)
+    assert len({p, *same}) == 1
+    assert point((X + 1, Y), n) != p
+
+
+def test_int_and_fraction_corners_are_one_key():
+    assert {Point(0, 0): "p0"}[P0] == "p0" and {P2: "p2"}[Point(1, 0)] == "p2"

@@ -19,8 +19,8 @@
   time.
 * Every exact edge integral goes through one route: the Riemann limits are
   built (``_kernel_limit(riemann_kernel, …)``) only by
-  ``kernels._int_side_limits``, once, which ``_monomial_exact``, ``side_integral_table`` and
-  ``edge_kernel`` read, so no second per-edge kernel route comes back
+  ``kernels._int_side_limits``, once, which ``forms._integral``,
+  ``side_integral_table`` and ``edge_kernel`` read, so no second per-edge kernel route comes back
   unnoticed.
 * Corner values descend once, on integers: no Fraction twin of the walk
   (``descend``, ``triples``, ``graph_energy``) is defined again, and the
@@ -141,7 +141,7 @@ def _called_name(node: ast.AST) -> str | None:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_per_edge_integration_over_a_level(path):
-    per_edge = {"integrate_edge", "_monomial_exact"}
+    per_edge = {"integrate_edge", "integrate_path", "_integral"}
     stray = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.For):
