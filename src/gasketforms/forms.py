@@ -479,17 +479,44 @@ def riemann_sum(form: SmoothForm, e: OrientedEdge, n: int) -> Fraction:
     return sum((c * _monomial_riemann(left, g, right, e, n) for c, left, g, right in monos), F0)
 
 
+def _exact_count(U: VertexFunction, edges: Sequence[OrientedEdge], top: int) -> tuple[int, int]:
+    """(count, den): den times the integral of dU along the edges, the
+    signed corner differences of U on each edge over den = U.den·5^(L -
+    U.level), L the finer of top and U's level."""
+    level, count = max(top, U.level), 0
+    for e in edges:
+        # corner j of a coarse cell is corner j of its descendant j...j at U's level
+        pad = max(U.level - e.level, 0)
+        j, i = (e.side + 1) % 3, (e.side + 2) % 3  # target and source corners at sign +1
+        _, t = U.int_triple(e.cell + str(j) * pad)
+        s = U.int_triple(e.cell + str(i) * pad)[1] if pad else t
+        count += e.sign * (t[j] - s[i]) * 5 ** (level - e.level - pad)
+    return count, U.den * 5 ** (level - U.level)
+
+
+def _monomial_count(fs: tuple[VertexFunction, ...], edges: Sequence[OrientedEdge], top: int) -> tuple[int, int]:
+    """(count, den): den times the integral of L_1⋯L_p·dg, fs = (L_1, ..,
+    L_p, g), along the edges: the side limits ``_int_side_limits(p)``
+    contracted with the factors' integer corner triples on every sub-edge
+    at m_e = max(e.level, data level), scaled by 5^((L - m_e)·slots) onto
+    the denominator at L, the finer of top and the data level."""
+    m = max(f.level for f in fs)
+    level, count = max(top, m), 0
+    D, kernels = _int_side_limits(len(fs) - 1)
+    for e in edges:
+        m_e = max(e.level, m)
+        scale = 5 ** ((level - m_e) * len(fs))
+        for sub in subdivide(e, m_e):
+            count += sub.sign * scale * _contract(kernels[sub.side], fs, sub.cell)[0]
+    return count, D * math.prod(f.den * 5 ** (level - f.level) for f in fs)
+
+
 def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
     """Exact integral of the form along the edges, in integers: each part
-    sums one count over one denominator across the edges, and the parts are
-    divided once together.  A lacuna form dz_sigma counts the edges'
-    ``_dz_count``s over their ``_dz_den``; the exact part dU the signed
-    corner differences of U over U.den·5^(top - U.level); a monomial
-    c·L_1⋯L_p·dg of a term's a·b (``FormTerm.monomials``) contracts the side
-    limits ``_int_side_limits(p)`` with the factors' integer corner triples
-    on every sub-edge at m_e = max(e.level, data level), scaled by
-    5^((top - m_e)·slots).  Top is the finest level of the part's edges or
-    data.  Every monomial is checked against the slot budget before any
+    sums one count over one denominator across the edges (a lacuna form
+    ``_dz_path_count``, the exact part ``_exact_count``, each monomial of a
+    term's a·b ``_monomial_count``), and the parts are divided once
+    together.  Every monomial is checked against the slot budget before any
     kernel is built."""
     monos = [(c, (*left, t.g)) for t in form.terms for c, left in t.monomials()]
     slots = max([len(fs) for _, fs in monos], default=0)
@@ -502,27 +529,10 @@ def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
         for sigma, k in form.harmonic.items():
             if k:
                 parts.append((k, _dz_path_count(sigma, edges, den), den))
-    U = form.exact
-    if U is not None:
-        level, count = max(top, U.level), 0
-        for e in edges:
-            # corner j of a coarse cell is corner j of its descendant j...j at U's level
-            pad = max(U.level - e.level, 0)
-            j, i = (e.side + 1) % 3, (e.side + 2) % 3  # target and source corners at sign +1
-            _, t = U.int_triple(e.cell + str(j) * pad)
-            s = U.int_triple(e.cell + str(i) * pad)[1] if pad else t
-            count += e.sign * (t[j] - s[i]) * 5 ** (level - e.level - pad)
-        parts.append((F1, count, U.den * 5 ** (level - U.level)))
+    if form.exact is not None:
+        parts.append((F1, *_exact_count(form.exact, edges, top)))
     for c, fs in monos:
-        m = max(f.level for f in fs)
-        level, count = max(top, m), 0
-        D, kernels = _int_side_limits(len(fs) - 1)
-        for e in edges:
-            m_e = max(e.level, m)
-            scale = 5 ** ((level - m_e) * len(fs))  # onto the denominator at the top level
-            for sub in subdivide(e, m_e):
-                count += sub.sign * scale * _contract(kernels[sub.side], fs, sub.cell)[0]
-        parts.append((c, count, D * math.prod(f.den * 5 ** (level - f.level) for f in fs)))
+        parts.append((c, *_monomial_count(fs, edges, top)))
     total, den = 0, 1
     for c, n, d in parts:
         if n:
