@@ -7,7 +7,7 @@ inverse A has entries in [0, 1], one integer row 3^|sigma|·A per word
 (``a_row``) solving B's rule backward along the prefix chain.  The
 winding form of a word sigma is sum_{rho <= sigma} A_{sigma,rho} dz_rho; its
 closed-path integrals are integers that count turns around one lacuna only,
-read from the integer edge counts of the lacuna rule (``forms._dz_count``).
+read from the integer path counts of the lacuna rule (``forms._dz_path_count``).
 
 The Hodge decomposition is exact: k = A* c over every word, and a skeleton
 primitive U of the exact part anchored at the corner p_0.  Below the data
@@ -41,8 +41,8 @@ from .forms import (
     _check_budget,
     _check_depth,
     _coarsen,
-    _dz_count,
     _dz_den,
+    _dz_path_count,
     _form_data_level,
     _normalized_terms,
     dz_form,
@@ -153,14 +153,13 @@ def _winding(sigma: Word, counts: dict[Word, int], den: int) -> int:
 def winding_number(path: ElementaryPath, sigma: Word) -> int:
     """Integral of the winding form of sigma along a closed path: the
     ``a_row`` of sigma paired with the integer counts den·integral of
-    dz_rho (``_dz_count``) of the prefixes rho of sigma, den the path's
+    dz_rho (``_dz_path_count``) of the prefixes rho of sigma, den the path's
     ``_dz_den``."""
     check_word(sigma)
     if not path.closed:
         raise GasketError("winding numbers need a closed path")
     den = _dz_den(path)
-    prefixes = [sigma[:j] for j in range(len(sigma) + 1)]
-    counts = {w: sum(c * (den // d) for c, d in (_dz_count(w, e) for e in path)) for w in prefixes}
+    counts = {sigma[:j]: _dz_path_count(sigma[:j], path, den) for j in range(len(sigma) + 1)}
     return _winding(sigma, counts, den)
 
 

@@ -22,8 +22,9 @@ for every form within the kernel budget, products of functions included:
 they contract the exact one-cell kernels of ``kernels`` with the factors'
 integer corner triples.  A path integral (``_integral``; an edge is a
 one-edge path) sums integer counts over all its edges, one denominator per
-part (lacuna, exact, each monomial), and divides once; a monomial uses the
-(p, 0) Riemann limits (the right factors moved left).
+part (lacuna, exact, each monomial), and divides once; dU and c·dg take
+endpoint differences, any other monomial the (p, 0) Riemann limits (the
+right factors moved left).
 ``side_integral_table`` gives the whole form's integrals over the sides of
 every cell of one level from one walk per function, and ``q_level`` sums
 their squares.  Q splits each form into
@@ -514,12 +515,12 @@ def _monomial_count(fs: tuple[VertexFunction, ...], edges: Sequence[OrientedEdge
 def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
     """Exact integral of the form along the edges, in integers: each part
     sums one count over one denominator across the edges (a lacuna form
-    ``_dz_path_count``, the exact part ``_exact_count``, each monomial of a
-    term's a·b ``_monomial_count``), and the parts are divided once
-    together.  Every monomial is checked against the slot budget before any
+    ``_dz_path_count``, a one-slot piece dU or c·dg ``_exact_count``, every
+    other monomial of a term's a·b ``_monomial_count``), and the parts are
+    divided once together.  Every monomial is checked against the slot budget before any
     kernel is built."""
-    monos = [(c, (*left, t.g)) for t in form.terms for c, left in t.monomials()]
-    slots = max([len(fs) for _, fs in monos], default=0)
+    pieces = [(c, (*left, t.g)) for t in form.terms for c, left in t.monomials()]
+    slots = max([len(fs) for _, fs in pieces], default=0)
     if slots > _KERNEL_SLOTS_MAX:
         raise GasketError(f"a Riemann kernel of {slots} slots exceeds the budget of {_KERNEL_SLOTS_MAX}")
     top = max([e.level for e in edges])
@@ -530,9 +531,10 @@ def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
             if k:
                 parts.append((k, _dz_path_count(sigma, edges, den), den))
     if form.exact is not None:
-        parts.append((F1, *_exact_count(form.exact, edges, top)))
-    for c, fs in monos:
-        parts.append((c, *_monomial_count(fs, edges, top)))
+        pieces.append((F1, (form.exact,)))
+    for c, fs in pieces:
+        count = _exact_count(fs[0], edges, top) if len(fs) == 1 else _monomial_count(fs, edges, top)
+        parts.append((c, *count))
     total, den = 0, 1
     for c, n, d in parts:
         if n:

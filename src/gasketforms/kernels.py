@@ -5,8 +5,8 @@ dyadic Riemann kernels ``riemann_kernel`` of edge integrals and the Q level
 kernels ``q_level_kernel``, each level the previous one refined by the
 integer matrices 5·H_i on every slot.  ``_kernel_limit`` finds the short
 recurrence of the level sequence by one row echelon modulo a prime, solves
-for its coefficients exactly (``solve_unique``) and checks them in
-integers; the convergence test (Schur–Cohn, fraction-free) and the
+for its integer coefficients (``solve_unique``, fraction-free) and checks
+them in integers; the convergence test (Schur–Cohn, fraction-free) and the
 projection onto the limit run on integers too.  ``_int_side_limits`` and
 ``_exact_q_kernel`` keep the limits as integers over one denominator;
 ``edge_kernel`` and ``q_kernel`` are their rational views.
@@ -27,56 +27,34 @@ from .harmonic import H_MATRICES
 
 
 # ---------------------------------------------------------------------------
-# rational linear solve
+# integer linear solve
 # ---------------------------------------------------------------------------
 
-def _primitive(row: list[int]) -> list[int]:
-    """Divide an integer row by its content (the gcd of its entries)."""
-    g = math.gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
-
-
-def solve_unique(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction]:
-    """Solve an overdetermined consistent system with a unique solution.
-
-    Fraction-free elimination: each augmented row is scaled once to coprime
-    integers, rows below the pivot are replaced by p·row − f·pivot_row divided
-    by their content, and the pivot of each column is the candidate of least
-    magnitude, which keeps the integers short.  Fractions appear only in back
-    substitution, so the solution is the same rationals as exact Gauss–Jordan.
-    """
-    if not rows or len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
-        raise GasketError("linear system is empty or ragged")
-    n = len(rows[0])
-    aug = []
-    for coeffs, b in zip(rows, rhs):
-        row = list(coeffs) + [b]
-        den = math.lcm(*(x.denominator for x in row))
-        aug.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    r = 0
+def solve_unique(rows: list[list[int]], rhs: list[int]) -> list[int]:
+    """The integer solution x of the square integer system rows·x = rhs, by
+    Bareiss's fraction-free elimination: the rows below the pivot p become
+    (p·row - f·pivot_row) / p', p' the previous pivot, an exact division; a
+    zero pivot is swapped with a lower row.  GasketError when the system is
+    singular or back substitution leaves a remainder (x is not integral)."""
+    n = len(rows)
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
     for c in range(n):
-        live = [k for k in range(r, len(aug)) if aug[k][c]]
-        if not live:
-            continue
-        piv = min(live, key=lambda k: abs(aug[k][c]))
-        aug[r], aug[piv] = aug[piv], aug[r]
-        tail = aug[r][c:]
-        p = tail[0]
-        for k in range(r + 1, len(aug)):
+        piv = next((k for k in range(c, n) if aug[k][c]), None)
+        if piv is None:
+            raise GasketError("singular linear system")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        p, tail = aug[c][c], aug[c][c + 1 :]
+        for k in range(c + 1, n):
             f = aug[k][c]
-            if f:
-                # columns before c are zero in both rows
-                aug[k] = [0] * c + _primitive([p * x - f * y for x, y in zip(aug[k][c:], tail)])
-        r += 1
-    if any(aug[k][n] for k in range(r, len(aug))):
-        raise GasketError("inconsistent linear system")
-    if r < n:
-        raise GasketError("linear system does not pin a unique solution")
-    out = [Fraction(0)] * n
+            aug[k][c + 1 :] = [(p * x - f * y) // prev for x, y in zip(aug[k][c + 1 :], tail)]
+        prev = p
+    x = [0] * n
     for c in reversed(range(n)):
-        row = aug[c]
-        out[c] = (row[n] - sum(row[j] * out[j] for j in range(c + 1, n))) / Fraction(row[c])
-    return out
+        x[c], rest = divmod(aug[c][n] - sum(aug[c][j] * x[j] for j in range(c + 1, n)), aug[c][c])
+        if rest:
+            raise GasketError("linear system has no integer solution")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +153,9 @@ def _roots_inside_unit_disc(poly: Sequence[int]) -> bool:
         a0, an = poly[0], poly[-1]
         if abs(a0) >= abs(an):
             return False
-        poly = _primitive([an * x - a0 * y for x, y in zip(poly[1:], reversed(poly[:-1]))])
+        poly = [an * x - a0 * y for x, y in zip(poly[1:], reversed(poly[:-1]))]
+        g = math.gcd(*poly)  # >= 1: the leading coefficient an^2 - a0^2 is not 0
+        poly = [x // g for x in poly]
     return True
 
 
@@ -203,12 +183,12 @@ def _kernel_limit(
     d is found by one incremental row echelon of the integer level kernels
     u_j = w_j / rho^j modulo ``_PRIME``.  Its d pivot coordinates give a
     square system that is nonsingular mod p, so over the rationals too;
-    ``solve_unique`` solves it for u_d = sum_j c'_j·u_j, and the recurrence,
-    times the common denominator L of the c'_j, is then checked on every
-    coordinate in integers.  The rank mod p is at most the rank over the
-    rationals, so a bad prime can only make d too small; the integer check
+    ``solve_unique`` solves it for u_d = sum_j c'_j·u_j, integers by Gauss's
+    lemma, and the recurrence is then checked on every coordinate in
+    integers.  The rank mod p is at most the rank over the rationals, so a
+    bad prime can only make d too small; the solve or the integer check
     refuses that with GasketError, so the builder never returns a wrong
-    limit.  With rho = N/R, P scaled by L·R^d, P~ (by synthetic division)
+    limit.  With rho = N/R, P scaled by R^d, P~ (by synthetic division)
     and the projection are integers over one denominator.  The limit is
     cached here, so once the levels are read an lru-cached sequence's cache
     is cleared: a cold build keeps only its limit, and a later level sum
@@ -232,21 +212,19 @@ def _kernel_limit(
     d = len(basis)
     *u, ud = u
     pivots = [piv for piv, _ in basis]
-    c = solve_unique([[uj[i] for uj in u] for i in pivots], [ud[i] for i in pivots]) if d else []
-    L = math.lcm(*(x.denominator for x in c))
-    cl = [x.numerator * (L // x.denominator) for x in c]
-    if any(sum(map(operator.mul, cl, column)) != L * y for *column, y in zip(*u, ud)):
+    c = solve_unique([[uj[i] for uj in u] for i in pivots], [ud[i] for i in pivots])
+    if any(sum(map(operator.mul, c, column)) != y for *column, y in zip(*u, ud)):
         raise GasketError("kernel sequence fails its recurrence in integers: the modular degree is too small")
-    # L·R^d·P, lowest degree first: w_d = sum_j c'_j·rho^(d-j)·w_j
+    # R^d·P, lowest degree first: w_d = sum_j c'_j·rho^(d-j)·w_j
     N, R = rho.numerator, rho.denominator
-    poly = [-x * N ** (d - j) * R**j for j, x in enumerate(cl)] + [L * R**d]
-    quotient = [sum(poly[k + 1 :]) for k in range(d)]  # L·R^d·P~, P~ = P / (x - 1) when P(1) = 0
+    poly = [-x * N ** (d - j) * R**j for j, x in enumerate(c)] + [R**d]
+    quotient = [sum(poly[k + 1 :]) for k in range(d)]  # R^d·P~, P~ = P / (x - 1) when P(1) = 0
     if sum(poly) != 0 or sum(quotient) == 0:
         raise GasketError("kernel sequence does not converge: 1 is not a simple root of its recurrence")
     if not _roots_inside_unit_disc(quotient):
         raise GasketError("kernel sequence does not converge: its recurrence has a root other than 1 off the open unit disc")
     # K = sum_j q_j·rho^j·u_j / sum_j q_j, scaled by R^(d-1) to integers; the
-    # denominator is positive, as P~(1) is L·R^d times the product of 1 - r
+    # denominator is positive, as P~(1) is R^d times the product of 1 - r
     # over the other roots r, all inside the unit disc
     ints = [q * N**j * R ** (d - 1 - j) for j, q in enumerate(quotient)]
     K = [sum(map(operator.mul, ints, column)) for column in zip(*u)]

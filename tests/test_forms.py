@@ -630,6 +630,18 @@ def test_integrate_edge_is_the_one_edge_path():
             assert fm.integrate_edge(form, e, mode) == fm.integrate_path(form, path, mode)
 
 
+def test_a_one_slot_monomial_integrates_by_endpoint_differences(monkeypatch):
+    """c·dg integrates as c·(g(target) - g(source)), like the exact part: no
+    sub-edge at g's level is visited, and the value is the kernel route's."""
+    g = random_harmonic(3, random.Random(5))
+    form, e = fm.fdg(fm.Const(F(2)), g), OrientedEdge("", 0)
+    count, den = fm._monomial_count((g,), (e,), e.level)
+    visited = []
+    monkeypatch.setattr(fm, "subdivide", lambda *args: visited.append(args) or subdivide(*args))
+    assert fm.integrate_edge(form, e).value == 2 * F(count, den) == 2 * (g(e.target) - g(e.source))
+    assert visited == []
+
+
 # ---------------------------------------------------------------------------
 # the inner product
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""`kernels.solve_unique` against a Fraction Gauss–Jordan oracle; the limit
-builder `_kernel_limit`, which finds a kernel sequence's recurrence degree
-modulo a prime, asks `solve_unique` only for its coefficients and runs the
-rest in integers, against the linear solve it replaced; the fraction-free
-unit-disc test against the Fraction recursion; and the exact kernels,
-limits of the cached level kernels, pinned by their defining identities."""
+"""`kernels.solve_unique`, the square integer (Bareiss) solve, against a
+Fraction Gauss–Jordan oracle (`reference_solve`), with its refusals of a
+singular system and of a non-integral solution; the limit builder
+`_kernel_limit`, which finds a kernel sequence's recurrence degree modulo a
+prime, asks `solve_unique` only for its integer coefficients and runs the
+rest in integers, against the linear solve on every coordinate it replaced
+(on `reference_solve`); the fraction-free unit-disc test against the
+Fraction recursion; and the exact kernels, limits of the cached level
+kernels, pinned by their SHA-256 and by their defining identities."""
 
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ def reference_solve(rows, rhs):
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
+        inv = F(1) / aug[r][c]
         aug[r] = [x * inv for x in aug[r]]
         row_r = aug[r]
         for k in range(len(aug)):
@@ -60,68 +63,43 @@ def reference_solve(rows, rhs):
 # solve_unique
 # ---------------------------------------------------------------------------
 
-@st.composite
-def systems(draw, min_n: int = 1, drop_core_row: bool = False, min_extra: int = 0):
-    """A consistent system (rows, rhs, x, extra) in shuffled row order.
-
-    The core is L·U with L unit lower and U upper triangular with a nonzero
-    diagonal, so it is invertible; its entries are integers or rationals.
-    The extra rows (flagged in `extra`) are rational combinations of the core
-    rows, or zero rows.  With `drop_core_row` the last core row is left out
-    before the extra rows are formed, so the system has rank n - 1.
-    """
-    n = draw(st.integers(min_n, 4))
-    vals = st.fractions(min_value=-6, max_value=6, max_denominator=draw(st.sampled_from([1, 6])))
-    U = [[draw(vals.filter(bool)) if j == i else (draw(vals) if j > i else F(0))
-          for j in range(n)] for i in range(n)]
-    L = [[F(1) if j == i else (draw(vals) if j < i else F(0)) for j in range(n)] for i in range(n)]
-    core = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    if drop_core_row:
-        core = core[:-1]
-    x = draw(st.lists(vals, min_size=n, max_size=n))
-    eqs = [(row, sum(a * xi for a, xi in zip(row, x)), False) for row in core]
-    for _ in range(draw(st.integers(min_extra, 3))):
-        coeffs = draw(st.lists(vals, min_size=len(core), max_size=len(core)))
-        row = [sum(c * r[j] for c, r in zip(coeffs, core)) for j in range(n)]
-        eqs.append((row, sum(a * xi for a, xi in zip(row, x)), True))
-    eqs += [([F(0)] * n, F(0), True)] * draw(st.integers(0, 2))
-    eqs = draw(st.permutations(eqs))
-    return [e[0] for e in eqs], [e[1] for e in eqs], x, [e[2] for e in eqs]
+_entries = st.integers(-6, 6)
 
 
-@given(systems())
-def test_solve_matches_reference(system):
-    rows, rhs, x, _ = system
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=n, max_size=n),
+    st.lists(_entries, min_size=n, max_size=n),
+    st.permutations(range(n)),
+)))
+def test_solve_matches_reference_on_integer_systems(system):
+    """A nonsingular integer system L·U·x = b, L unit lower and U upper
+    triangular with a nonzero diagonal drawn from one matrix, rows shuffled
+    (so leading pivots can be 0), with an integer solution x."""
+    M, diag, x, order = system
+    n = len(M)
+    U = [[diag[i] if j == i else (M[i][j] if j > i else 0) for j in range(n)] for i in range(n)]
+    L = [[1 if j == i else (M[i][j] if j < i else 0) for j in range(n)] for i in range(n)]
+    rows = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in order]
+    rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
     assert kn.solve_unique(rows, rhs) == reference_solve(rows, rhs) == x
 
 
-@given(systems(min_extra=1), st.data())
-def test_perturbed_rhs_is_inconsistent(system, data):
-    rows, rhs, _, extra = system
-    k = data.draw(st.sampled_from([i for i, e in enumerate(extra) if e]))
-    rhs = list(rhs)
-    rhs[k] += data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
-    for solve in (kn.solve_unique, reference_solve):
-        with pytest.raises(GasketError, match="inconsistent"):
-            solve(rows, rhs)
+def test_solve_swaps_a_zero_leading_pivot():
+    rows, rhs = [[0, 2, 1], [1, 1, 0], [3, 0, 1]], [7, 3, 6]
+    assert kn.solve_unique(rows, rhs) == reference_solve(rows, rhs) == [1, 2, 3]
 
 
-@given(systems(min_n=2, drop_core_row=True))
-def test_rank_deficient_is_not_unique(system):
-    rows, rhs, _, _ = system
-    for solve in (kn.solve_unique, reference_solve):
-        with pytest.raises(GasketError, match="does not pin a unique solution"):
-            solve(rows, rhs)
-
-
-@pytest.mark.parametrize("rows, rhs", [
-    ([], []),
-    ([[F(1), F(2)], [F(3)]], [F(1), F(2)]),
-    ([[F(1)]], [F(1), F(2)]),
-])
-def test_empty_or_ragged_system_is_refused(rows, rhs):
-    with pytest.raises(GasketError, match="empty or ragged"):
+def test_a_non_integral_solution_is_refused():
+    rows, rhs = [[1, 1], [1, -1]], [1, 0]
+    assert reference_solve(rows, rhs) == [F(1, 2), F(1, 2)]
+    with pytest.raises(GasketError, match="no integer solution"):
         kn.solve_unique(rows, rhs)
+
+
+def test_a_singular_system_is_refused():
+    with pytest.raises(GasketError, match="singular"):
+        kn.solve_unique([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +203,13 @@ def test_kernel_limit_refuses_without_a_simple_root_at_one(sequence):
 
 def _linear_solve_limit(sequence, shape, rho):
     """The limit builder before the modular echelon (test oracle only): the
-    least d whose w_d solves exactly over w_0..w_(d-1) with ``solve_unique``
+    least d whose w_d solves exactly over w_0..w_(d-1) with ``reference_solve``
     on every coordinate, then the same convergence checks and projection."""
     w = []
     for d in range(len(sequence(*shape, 0)) + 1):
         w.append([x * rho**d for x in sequence(*shape, d)])
         try:
-            c = kn.solve_unique([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+            c = reference_solve([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
             break
         except GasketError:
             continue
@@ -254,6 +232,39 @@ _LIMITS = [
 @pytest.mark.parametrize("sequence, shape, rho", _LIMITS, ids=lambda x: getattr(x, "__name__", str(x)))
 def test_kernel_limit_equals_the_linear_solve(sequence, shape, rho):
     assert kn._kernel_limit(sequence, shape, rho) == _linear_solve_limit(sequence, shape, rho)
+
+
+# SHA-256 of repr((den, ints)) of each limit in ``_LIMITS``, in its order
+_LIMIT_SHA256 = [
+    '7b7a81b3ab93b49f738e2d59a4ca502f22b71320bc29e3c4efc60c421d4c6e84',
+    '9b3a13f690242e12a4e4310cd1b755a37254d762b5d7c1f02b7576dbf16fd88c',
+    '21674e4ec637df6a2e4983b05d5c3d1c3fb8c6f31ba3637670161b65765f35a1',
+    '0af5fbff0ecbb38dbb3a42fe3a4a80cad9ab2b38110ab3c17d4b7bfe2fdafbd3',
+    'df002e1ea6c5481553de55990ad8a95e56d8e3446ac77ac2ead753c8500b351c',
+    'a7e1c86f2d9076d2bfe0df4160550860ee8c6c874339f827a4a96371219f4166',
+    'bdb61d4cfff181049df07e7d99bce39ba814494dd942b36d8d55cb01dc3f827d',
+    'c951c80a45e882cd1ff5ba077cf6ec08f30b9e71744ce14ed2ce82d0cfe6d71f',
+    '94e7044696651ded2d5474600febca918ffc1f9d4f66f195bd196fe43f65861b',
+    'a1d6fa9b098616bf994a717217d507697e3843761445a89dc55e5cb7655ab1bd',
+    '845edb41f10d615a0f8e1bb73d78e6db85bbae245d05a777b0cc854f10b0c35e',
+    '47101c589a38300b0b3a29015c2cde52b05005efe1c1d512718c6e507fa746f7',
+    '2f53badf13e0e97d28b0d4cf993d7d623c53c1751041854b8ea7fbf9af150b24',
+    '937d160898d7906e34a87352e4c4691acd0754e2f5e3ee241380a2e6ef494b6c',
+    'aa3529d510686458f037522c997624c64bc162c7b28fba12ab98507d8c94da30',
+    'f058cff79e4fd935baf33f126413bf0513ad816fcde061f293f7931e15421e6b',
+    '3d6b6c54f7a32a2571e330ec885021b3f91de1645fbca52a2b4d5a7987a7a401',
+    '2949cf113f2e46619086b44b3e487070510b31d651d5bccc3f1329169d923e2e',
+    '1dab0f8f17c1ea2e3b40d74a6bf26078873e52f77e1268666315b8a52a561dd0',
+    '7b16e841c5fce29184e9b0fa841217eb4cc4e1f2fc8acb2fdf44bb7a5ec28a3f',
+    'aeb0e9a4b2bb8cce248da545b3782438817cd2d232b5cd97a5c8df49e1688c1c',
+]
+
+
+def test_kernel_limits_pinned():
+    """Every exact kernel in use stays byte for byte what it is: a change of
+    the limit builder that moves any kernel shows here."""
+    digests = [hashlib.sha256(repr(kn._kernel_limit(*limit)).encode()).hexdigest() for limit in _LIMITS]
+    assert digests == _LIMIT_SHA256
 
 
 @pytest.mark.parametrize("side", range(3))

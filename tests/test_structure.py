@@ -11,9 +11,9 @@
   builder ``kernels._kernel_limit`` is the only caller of ``solve_unique``,
   so no hand-built kernel system comes back unnoticed.
 * The kernel module runs on integers: no ``Fraction`` is built in
-  ``kernels.py`` outside ``solve_unique``'s back substitution, the rational
-  views ``edge_kernel`` and ``q_kernel``, and the constant ratio rho a
-  limit is keyed by.
+  ``kernels.py`` outside the rational views ``edge_kernel`` and
+  ``q_kernel`` and the constant ratio rho a limit is keyed by, so the
+  integer solve ``solve_unique`` and the limit builder stay integer.
 * Integrals over a whole level come from one side-integral table: no loop
   or comprehension over ``edges_at_level`` integrates its edges one at a
   time.
@@ -171,11 +171,11 @@ def test_riemann_limits_are_built_only_by_the_side_limits():
     assert sites == [("kernels.py", "_int_side_limits")]
 
 
-def test_kernels_build_fractions_only_in_the_solve_and_the_views():
+def test_kernels_build_fractions_only_in_the_views_and_rho():
     tree = ast.parse((SRC / "kernels.py").read_text())
-    names = {"solve_unique", "edge_kernel", "q_kernel"}
+    names = {"edge_kernel", "q_kernel"}
     views = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
-    assert len(views) == 3
+    assert len(views) == 2
     allowed = {id(n) for v in views for n in ast.walk(v)}
     # the ratio rho of a limit is its cache key, handed over as a Fraction
     allowed |= {id(n.args[2]) for n in ast.walk(tree) if _called_name(n) == "_kernel_limit" and len(n.args) == 3}
