@@ -517,8 +517,8 @@ def _integral(form: SmoothForm, edges: Sequence[OrientedEdge]) -> Fraction:
     sums one count over one denominator across the edges (a lacuna form
     ``_dz_path_count``, a one-slot piece dU or c·dg ``_exact_count``, every
     other monomial of a term's a·b ``_monomial_count``), and the parts are
-    divided once together.  Every monomial is checked against the slot budget before any
-    kernel is built."""
+    divided once together.  Every monomial is checked against the slot
+    budget before any kernel is built."""
     pieces = [(c, (*left, t.g)) for t in form.terms for c, left in t.monomials()]
     slots = max([len(fs) for _, fs in pieces], default=0)
     if slots > _KERNEL_SLOTS_MAX:
