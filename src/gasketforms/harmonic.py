@@ -11,7 +11,7 @@ preserved, and all entries are nonnegative, so the maximum principle holds
 exactly on rational data.  Scaled by 5 the matrices have integer entries, so
 descent runs on the integer triples and converts back once, as values over
 D·5^k after k letters.  One level-by-level walk (``VertexFunction._levels``)
-drives extension, sums, energies and the per-cell triple tables: it expands
+drives extension, sums and the per-cell triple tables: it expands
 the integer triples of one level into those of the next in word order; a
 single cell's triple (``VertexFunction.int_triple``) is its prefix's stored
 triple descended letter by letter on integers.  Point-keyed values exist
@@ -20,11 +20,15 @@ only at the boundary: ``VertexFunction.from_values`` reads them and the
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
+Energies walk no level past the finer stored one: each level's energy
+contracts the stored cells' second moments with one integer form G_d, built
+from ``_step5`` by the Gram recursion (``_GRAM_STEP``, ``_energies``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +83,15 @@ def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
     if letter == "1":
         return s + a + b, 5 * b, s + b + c
     return s + a + c, s + b + c, 5 * c
+
+
+# Symmetric forms G on corner triples as their entries on _PAIRS; L is the
+# cell's edge form.  Row (a, b) of _GRAM_STEP gives entry (a, b) of
+# sum_i M_i^T·G·M_i, column j of M_i = 5·H_i being ``_step5`` of e_j.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_EDGE_FORM = (2, 2, 2, -1, -1, -1)
+_M5 = [list(zip(*(_step5(letter, *(int(k == j) for k in range(3))) for j in range(3)))) for letter in "012"]
+_GRAM_STEP = [[sum(M[r][a] * M[s][b] + (r != s) * M[s][a] * M[r][b] for M in _M5) for r, s in _PAIRS] for a, b in _PAIRS]
 
 
 @dataclass(frozen=True)
@@ -193,14 +206,8 @@ class VertexFunction:
         return self.energy_with_at_level(self, n)
 
     def energy_with_at_level(self, other: "VertexFunction", n: int) -> Fraction:
-        """(5/3)^n sum over E_n of du·dv from one integer level-n walk per function, divided once."""
-        if n < max(self.level, other.level):
-            raise GasketError("level too coarse for both functions")
-        Du, tu = self.int_triples(n)
-        Dv, tv = (Du, tu) if other is self else other.int_triples(n)
-        pairs = zip(tu, tv)
-        total = sum((a - b) * (x - y) + (b - c) * (y - z) + (a - c) * (x - z) for (a, b, c), (x, y, z) in pairs)
-        return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
+        """(5/3)^n sum over E_n of du·dv."""
+        return self._energies(other, n)[-1]
 
     def energy(self) -> Fraction:
         return self._energy
@@ -210,12 +217,25 @@ class VertexFunction:
         return self.energy_at_level(self.level)
 
     def energy_levels(self, n_max: int) -> list[Fraction]:
-        """[E_m, ..., E_{n_max}], each level summed as the walk builds it."""
-        return [
-            Fraction(5, 3) ** (self.level + d)
-            * Fraction(sum((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2 for a, b, c in rows), (self.den * 5**d) ** 2)
-            for d, rows in enumerate(self._levels(n_max))
-        ]
+        """[E_m, ..., E_{n_max}]."""
+        return self._energies(self, n_max)
+
+    def _energies(self, other: "VertexFunction", n: int) -> list[Fraction]:
+        """(5/3)^j sum over E_j of du·dv for j = k..n, k the finer stored level:
+        the level-(k+d) cell sum of t^T·L·s is the level-k cell sum of t^T·G_d·s,
+        G_0 = L and G_(d+1) = sum_i M_i^T·G_d·M_i, so the level-k moments
+        sum_cells t_a·s_b (+ t_b·s_a, a != b) are contracted with each G_d."""
+        k = max(self.level, other.level)
+        if n < k:
+            raise GasketError("target level below stored level")
+        Du, tu = self.int_triples(k)
+        Dv, tv = (Du, tu) if other is self else other.int_triples(k)
+        mom = [sum(t[a] * s[b] + (a != b) * t[b] * s[a] for t, s in zip(tu, tv)) for a, b in _PAIRS]
+        g, out = _EDGE_FORM, []
+        for d in range(n - k + 1):
+            out.append(Fraction(5, 3) ** (k + d) * Fraction(sum(map(operator.mul, g, mom)), Du * Dv * 25**d))
+            g = [sum(map(operator.mul, row, g)) for row in _GRAM_STEP]
+        return out
 
     # -- pointwise bounds ----------------------------------------------------
     def oscillation(self, word: Word) -> Fraction:

@@ -55,6 +55,27 @@ def test_build_record_lists_regressions_past_the_bound():
     assert "regressions" in record["what"] and "bound_used" in record["what"]
 
 
+@pytest.mark.parametrize("parent, change, met", [
+    # nine wins and a tie in ten pairs, medians 10 apart against a parent IQR of 4.5
+    ([100 + i for i in range(10)], [110 + i for i in range(9)] + [109], True),
+    # eight wins and two ties: ties count for neither side
+    ([100 + i for i in range(10)], [110 + i for i in range(8)] + [108, 109], False),
+    # every pair won, but the medians are 1 apart, inside the parent IQR of 4.5
+    ([100 + i for i in range(10)], [101 + i for i in range(10)], False),
+    # nine of nine pairs won by a wide margin: fewer than ten pairs
+    ([100 + i for i in range(9)], [200 + i for i in range(9)], False),
+])
+def test_claim_is_met_by_nine_tenths_of_ten_pairs_past_the_parent_iqr(parent, change, met):
+    seeds = list(range(len(parent)))
+    runs = []
+    for seed, p, c in zip(seeds, parent, change):
+        runs += _runs("a", [seed], {"ops_per_s": p}, {"ops_per_s": c})
+    bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][:1]}
+    args = argparse.Namespace(label="t", claim="a:ops_per_s", pairs=[("a", seeds)], trace=[])
+    claim = ab_record.build_record(args, bench, {}, runs)["claim"]
+    assert claim["met"] is met
+
+
 def test_bound_used_is_the_change_as_a_fraction_of_the_bound(capsys):
     """Worse by 30% of a 25% bound uses 1.2 of it, 9.5% of a 10% bound 0.95,
     2.5% of a 10% bound 0.25; 50% better reads -2.  Only the entries above

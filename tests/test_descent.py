@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gasketforms import forms as fm
@@ -66,6 +66,32 @@ def test_energy_levels_equal_energy(u, above):
     levels = u.energy_levels(u.level + above)
     assert len(levels) == above + 1
     assert all(e == u.energy() for e in levels)
+
+
+def walk_energy(u, v, n):
+    """(5/3)^n sum over E_n of du·dv, summed edge by edge over every level-n
+    cell of the integer walk and divided once (test oracle only)."""
+    (Du, tu), (Dv, tv) = u.int_triples(n), v.int_triples(n)
+    total = sum((a - b) * (x - y) + (b - c) * (y - z) + (a - c) * (x - z) for (a, b, c), (x, y, z) in zip(tu, tv))
+    return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
+
+
+@given(vertex_functions(), vertex_functions(), st.integers(0, 4))
+def test_energies_equal_the_level_walk(u, v, above):
+    """The Gram recursion gives each level's sum exactly as the cell walk does."""
+    assume(u.level != v.level)
+    assert u.energy_levels(u.level + above) == [walk_energy(u, u, n) for n in range(u.level, u.level + above + 1)]
+    n = max(u.level, v.level) + above
+    assert u.energy_with_at_level(v, n) == walk_energy(u, v, n)
+
+
+@settings(max_examples=20)
+@given(vertex_functions())
+def test_energy_levels_far_past_any_walk(u):
+    """Sixty levels past the data, where a level walk would visit 3^60 times
+    the data's cells: every level energy is still energy()."""
+    levels = u.energy_levels(u.level + 60)
+    assert len(levels) == 61 and all(e == u.energy() for e in levels)
 
 
 @given(vertex_functions(), st.integers(0, 5), st.sampled_from([1, -1]), st.data())

@@ -74,6 +74,11 @@ def test_energy_invariance_exact():
         u = random_harmonic(m, rng)
         levels = u.energy_levels(m + 4)
         assert all(e == levels[0] for e in levels)
+    # a level below the stored one is refused
+    u = random_harmonic(2, rng)
+    for energies in (u.energy_levels, u.energy_at_level, lambda n: VertexFunction.basis(0).energy_with_at_level(u, n)):
+        with pytest.raises(GasketError):
+            energies(1)
 
 
 def test_maximum_principle():
@@ -169,9 +174,11 @@ def test_malformed_cell_tables_are_refused():
 
 
 def test_energy_at_level_walks_once(monkeypatch):
-    """energy_at_level(n) pairs one level-n walk with itself."""
-    u = random_harmonic(3, random.Random(31))
-    energy = u.energy()
+    """energy_at_level(n) walks once, and no level past the stored one; a
+    pairing walks each function no further than the finer stored level."""
+    rng = random.Random(31)
+    u, v = random_harmonic(3, rng), random_harmonic(1, rng)
+    energy, cross = u.energy(), u.energy_with_at_level(v, 3)
     walks = []
     levels = VertexFunction._levels
 
@@ -181,7 +188,9 @@ def test_energy_at_level_walks_once(monkeypatch):
 
     monkeypatch.setattr(VertexFunction, "_levels", counted)
     assert u.energy_at_level(6) == energy
-    assert walks == [6]
+    assert walks == [3]
+    assert v.energy_with_at_level(u, 7) == cross
+    assert walks == [3, 3, 3]
 
 
 def test_triples_read_the_seed_without_cell_corners(monkeypatch):

@@ -203,16 +203,22 @@ def test_kernel_limit_refuses_without_a_simple_root_at_one(sequence):
 
 def _linear_solve_limit(sequence, shape, rho):
     """The limit builder before the modular echelon (test oracle only): the
-    least d whose w_d solves exactly over w_0..w_(d-1) with ``reference_solve``
-    on every coordinate, then the same convergence checks and projection."""
-    w = []
+    least d whose u_d solves exactly over u_0..u_(d-1) with ``reference_solve``
+    on every coordinate, where w_j = u_j·rho^j, then the same convergence
+    checks and projection.  u_d = sum_j c'_j·u_j is w_d = sum_j c_j·w_j with
+    c_j = c'_j·rho^(d-j).  Coordinates with equal (u_0..u_d) entries give one
+    equation, so each distinct equation goes into the solve once."""
+    u = []
     for d in range(len(sequence(*shape, 0)) + 1):
-        w.append([x * rho**d for x in sequence(*shape, d)])
+        u.append(sequence(*shape, d))
+        equations = dict.fromkeys(zip(*u))
         try:
-            c = reference_solve([[wj[i] for wj in w[:d]] for i in range(len(w[0]))], w[d])
+            c = reference_solve([e[:-1] for e in equations], [e[-1] for e in equations])
             break
         except GasketError:
             continue
+    c = [x * rho ** (d - j) for j, x in enumerate(c)]
+    w = [[x * rho**j for x in uj] for j, uj in enumerate(u)]
     poly = [-x for x in c] + [F(1)]
     quotient = [sum(poly[k + 1 :]) for k in range(d)]
     assert sum(poly) == 0 and sum(quotient) != 0 and kn._roots_inside_unit_disc(_integers(quotient))

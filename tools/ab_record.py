@@ -15,7 +15,10 @@ side always runs on a warmer or a quieter machine.  Each ``--trace`` seed runs
 one traced pair for the per-layer metrics.  The record keeps every run line,
 per-side medians and quartiles of every end-to-end metric, the digests and
 failure counts of every pair, and, with ``--claim``, how many pairs the change
-won on the claimed metric.  Per workload, ``regressions`` lists every
+won on the claimed metric and whether the claim is met: at least ten pairs,
+the change winning at least nine tenths of them (a tie counts for neither
+side), and the change median better than the parent median by more than the
+parent's interquartile range.  Per workload, ``regressions`` lists every
 end-to-end metric whose change median is worse than the parent's by more than
 its ``BENCHMARK.json`` bound (a fraction of the parent median), and
 ``bound_used`` gives, per metric, how much worse the change median is as a
@@ -179,12 +182,18 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
     }
     claimed = summary.get(claim_workload, {}).get(claim_metric, {})
     if claim_metric and len(claimed) == 2:
+        pairs = summary[claim_workload]["pairs"]
+        wins = sum(p["change_wins"] for p in pairs)
+        iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]
+        gain = claimed["change"]["median"] - claimed["parent"]["median"]
         record["claim"] = {
             "metric": claim_metric,
             "workload": claim_workload,
             "pairs_won_by_change": summary[claim_workload][f"{claim_metric}_change_wins"],
             **claimed,
-            "parent_iqr": claimed["parent"]["q3"] - claimed["parent"]["q1"],
+            "parent_iqr": iqr,
+            "met": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                   and (gain if better[claim_metric] == "higher" else -gain) > iqr,
         }
     record["summary"] = summary
     record["runs"] = runs
