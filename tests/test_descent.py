@@ -76,6 +76,7 @@ def walk_energy(u, v, n):
     return Fraction(5, 3) ** n * Fraction(total, Du * Dv)
 
 
+@settings(max_examples=50)
 @given(vertex_functions(), vertex_functions(), st.integers(0, 4))
 def test_energies_equal_the_level_walk(u, v, above):
     """The Gram recursion gives each level's sum exactly as the cell walk does."""
