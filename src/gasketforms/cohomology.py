@@ -37,6 +37,7 @@ from .errors import (
     NotComparableError,
 )
 from .forms import (
+    _DZ,
     SmoothForm,
     _check_budget,
     _check_depth,
@@ -65,6 +66,7 @@ from .geometry import (
     words,
 )
 from .harmonic import IntTriple, VertexFunction
+from .kernels import _children5
 
 F0 = Fraction(0)
 
@@ -376,17 +378,16 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
     tscale, sscale = cscale * 6 * 5**depth, 2 * 5**depth
     T0, S0 = tables[0][0], sums[0][0]
     cells = [((0, 0, 0), (0, T0[2] * -tscale - sscale * S0[2], T0[1] * tscale + sscale * S0[1]))]
+    zetas = [dz.seed[0] for dz in _DZ]  # zeta_b over 6, the potential of one dz form on its child b
     for n in range(depth):
         step, k5 = 5 ** (depth - n - 1), 5 ** (n + 1)
         T, S, kn = tables[n + 1], sums[n + 1], kints[n]
         children = []
-        for u, ((a0, a1, a2), U) in enumerate(cells):
-            # Phi on child b is 5·H_b applied to Phi plus k_tau·zeta_b, which
-            # over 6·5^(n+1)·K is kz at corner b + 1 and -kz at corner b + 2
+        for u, (phi, U) in enumerate(cells):
+            # Phi on child b is child b of Phi (``_children5``) plus k_tau·zeta_b,
+            # which is kz·zeta_b over 6·5^(n+1)·K
             kz = kn[u] * k5
-            s = a0 + a1 + a2
-            x01, x02, x12 = s + a0 + a1, s + a0 + a2, s + a1 + a2
-            phis = ((5 * a0, x01 + kz, x02 - kz), (x01 - kz, 5 * a1, x12 + kz), (x02 + kz, x12 - kz, 5 * a2))
+            phis = [(x + kz * p, y + kz * q, z + kz * r) for (x, y, z), (p, q, r) in zip(_children5(*phi), zetas)]
             rows = zip(((0, 1, 2), (1, 2, 0), (2, 0, 1)), phis, T[3 * u : 3 * u + 3], S[3 * u : 3 * u + 3])
             for (b, i, j), f, t, sv in rows:
                 # side i runs from corner b to corner j, side j from corner i to corner b

@@ -164,8 +164,9 @@ class OrientedEdge:
 
     @staticmethod
     def parse(text: str) -> "OrientedEdge":
+        """The edge ``cell/side/sign`` (side 0, 1 or 2, sign + or -); else GasketError."""
         parts = text.split("/") if isinstance(text, str) else []
-        if len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[1] not in ("0", "1", "2") or parts[2] not in ("+", "-"):
             raise GasketError(f"cannot parse edge {text!r}")
         return OrientedEdge(check_word(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)
 

@@ -8,9 +8,11 @@ computed cell by cell with the 3x3 matrices H_i that map the corner values
 of a cell to the corner values of its sub-cell i.  The matrices encode the
 classical (2a+2b+c)/5 midpoint rule; rows sum to one, so constants are
 preserved, and all entries are nonnegative, so the maximum principle holds
-exactly on rational data.  Scaled by 5 the matrices have integer entries, so
-descent runs on the integer triples and converts back once, as values over
-D·5^k after k letters.  One level-by-level walk (``VertexFunction._levels``)
+exactly on rational data.  Scaled by 5 the rule has integer entries, and it
+is written once, as ``kernels._children5`` (the three children's triples of
+one integer triple), which this module and the kernels both read: descent
+runs on the integer triples and converts back once, as values over D·5^k
+after k letters.  One level-by-level walk (``VertexFunction._levels``)
 drives extension, sums and the per-cell triple tables: it expands
 the integer triples of one level into those of the next in word order; a
 single cell's triple (``VertexFunction.int_triple``) is its prefix's stored
@@ -20,9 +22,10 @@ only at the boundary: ``VertexFunction.from_values`` reads them and the
 
 The renormalized graph energies (5/3)^n sum_{E_n} |du|^2 agree for every
 n >= m, which is what makes every quantity in this module an exact rational.
-Energies walk no level past the finer stored one: each level's energy
-contracts the stored cells' second moments with one integer form G_d, built
-from ``_step5`` by the Gram recursion (``_GRAM_STEP``, ``_energies``).
+Energies walk no level past the finer stored one: E_n(u, v) is the Q level
+sum Q~_n(du, dv), so each level's energy contracts the stored cells' moments
+with the (0, 0) Q level kernel ``kernels.q_level_kernel(0, 0, d)``
+(``_energies``).
 """
 
 from __future__ import annotations
@@ -47,51 +50,9 @@ from .geometry import (
     vertex_table,
     vertices_at_level,
 )
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-_FIFTH = Fraction(1, 5)
-_TWO_FIFTH = Fraction(2, 5)
-
-# H_i maps corner values of a cell to corner values of sub-cell i; row j is
-# the value at w_i(p_j).
-_MID = {
-    (0, 1): (_TWO_FIFTH, _TWO_FIFTH, _FIFTH),
-    (0, 2): (_TWO_FIFTH, _FIFTH, _TWO_FIFTH),
-    (1, 2): (_FIFTH, _TWO_FIFTH, _TWO_FIFTH),
-}
-
-
-def _h_row(i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    if i == j:
-        return tuple(F1 if k == i else F0 for k in range(3))  # type: ignore[return-value]
-    return _MID[(min(i, j), max(i, j))]
-
-
-H_MATRICES = tuple(tuple(_h_row(i, j) for j in range(3)) for i in range(3))
+from .kernels import IntTriple, _children5, q_level_kernel
 
 Triple = tuple[Fraction, Fraction, Fraction]
-IntTriple = tuple[int, int, int]
-
-
-def _step5(letter: str, a: int, b: int, c: int) -> tuple[int, int, int]:
-    """5·H_i on an integer triple: row i is 5 t_i, row j != i is
-    2 t_i + 2 t_j + t_k = s + t_i + t_j with s = a + b + c."""
-    s = a + b + c
-    if letter == "0":
-        return 5 * a, s + a + b, s + a + c
-    if letter == "1":
-        return s + a + b, 5 * b, s + b + c
-    return s + a + c, s + b + c, 5 * c
-
-
-# Symmetric forms G on corner triples as their entries on _PAIRS; L is the
-# cell's edge form.  Row (a, b) of _GRAM_STEP gives entry (a, b) of
-# sum_i M_i^T·G·M_i, column j of M_i = 5·H_i being ``_step5`` of e_j.
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_EDGE_FORM = (2, 2, 2, -1, -1, -1)
-_M5 = [list(zip(*(_step5(letter, *(int(k == j) for k in range(3))) for j in range(3)))) for letter in "012"]
-_GRAM_STEP = [[sum(M[r][a] * M[s][b] + (r != s) * M[s][a] * M[r][b] for M in _M5) for r, s in _PAIRS] for a, b in _PAIRS]
 
 
 @dataclass(frozen=True)
@@ -146,15 +107,15 @@ class VertexFunction:
     def int_triple(self, word: Word) -> tuple[int, IntTriple]:
         """(den, integer corner values on C_word), the values being those
         integers over den = D·5^(|word| - level): the level-m seed triple of
-        the word's prefix, descended by ``_step5`` letter by letter.
-        Requires |word| >= level."""
+        the word's prefix, descended letter by letter, each letter's child
+        of ``_children5``.  Requires |word| >= level."""
         if len(word) < self.level:
             raise GasketError("cell is coarser than the stored level")
-        a, b, c = self.seed[int(word[: self.level] or "0", 3)]
+        t = self.seed[int(word[: self.level] or "0", 3)]
         rest = word[self.level :]
         for letter in rest:
-            a, b, c = _step5(letter, a, b, c)
-        return self.den * 5 ** len(rest), (a, b, c)
+            t = _children5(*t)[int(letter)]
+        return self.den * 5 ** len(rest), t
 
     def triple(self, word: Word) -> Triple:
         """Corner values on C_word, ``int_triple`` divided once per value;
@@ -172,8 +133,8 @@ class VertexFunction:
         max(m, |root|)..n, one list per level in word order; level k is over
         D·5^(k - m).  The first level is the root's own triple
         (``int_triple``) or, for a root coarser than m, its slice of the
-        seed; each later level holds the three children of every cell of
-        the one before, in letter order."""
+        seed; each later level holds the three children (``_children5``) of
+        every cell of the one before, in letter order."""
         start = max(self.level, len(root))
         if n < start:
             raise GasketError("target level below stored level")
@@ -183,10 +144,8 @@ class VertexFunction:
         yield rows
         for _ in range(n - start):
             children: list[IntTriple] = []
-            for a, b, c in rows:
-                s = a + b + c
-                x, y, z = s + a + b, s + a + c, s + b + c
-                children += ((5 * a, x, y), (x, 5 * b, z), (y, z, 5 * c))
+            for t in rows:
+                children += _children5(*t)
             rows = children
             yield rows
 
@@ -222,20 +181,17 @@ class VertexFunction:
 
     def _energies(self, other: "VertexFunction", n: int) -> list[Fraction]:
         """(5/3)^j sum over E_j of du·dv for j = k..n, k the finer stored level:
-        the level-(k+d) cell sum of t^T·L·s is the level-k cell sum of t^T·G_d·s,
-        G_0 = L and G_(d+1) = sum_i M_i^T·G_d·M_i, so the level-k moments
-        sum_cells t_a·s_b (+ t_b·s_a, a != b) are contracted with each G_d."""
+        the Q level sums of du and dv, the level-k moments sum_cells t_a·s_b
+        contracted with K_d = ``q_level_kernel(0, 0, d)`` (over 25^d), read in
+        increasing d, since a cold kernel recurses once per level it lacks."""
         k = max(self.level, other.level)
         if n < k:
             raise GasketError("target level below stored level")
         Du, tu = self.int_triples(k)
         Dv, tv = (Du, tu) if other is self else other.int_triples(k)
-        mom = [sum(t[a] * s[b] + (a != b) * t[b] * s[a] for t, s in zip(tu, tv)) for a, b in _PAIRS]
-        g, out = _EDGE_FORM, []
-        for d in range(n - k + 1):
-            out.append(Fraction(5, 3) ** (k + d) * Fraction(sum(map(operator.mul, g, mom)), Du * Dv * 25**d))
-            g = [sum(map(operator.mul, row, g)) for row in _GRAM_STEP]
-        return out
+        mom = [sum(map(operator.mul, x, y)) for x in zip(*tu) for y in zip(*tv)]
+        return [Fraction(5, 3) ** (k + d) * Fraction(sum(map(operator.mul, q_level_kernel(0, 0, d), mom)), Du * Dv * 25**d)
+                for d in range(n - k + 1)]
 
     # -- pointwise bounds ----------------------------------------------------
     def oscillation(self, word: Word) -> Fraction:

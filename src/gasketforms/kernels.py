@@ -3,13 +3,16 @@
 Every exact kernel is the limit of a cached integer level kernel: the
 dyadic Riemann kernels ``riemann_kernel`` of edge integrals and the Q level
 kernels ``q_level_kernel``, each level the previous one refined by the
-integer matrices 5·H_i on every slot.  ``_kernel_limit`` finds the short
-recurrence of the level sequence by one row echelon modulo a prime, solves
-for its integer coefficients (``solve_unique``, fraction-free) and checks
-them in integers; the convergence test (Schur–Cohn, fraction-free) and the
-projection onto the limit run on integers too.  ``_int_side_limits`` and
-``_exact_q_kernel`` keep the limits as integers over one denominator;
-``edge_kernel`` and ``q_kernel`` are their rational views.
+integer matrices 5·H_i (``_H5``) on every slot.  They are built from
+``_children5``, the one writing of the harmonic extension rule, which every
+descent reads; the harmonic energies contract moments with the (0, 0) Q
+level kernel.  ``_kernel_limit`` finds the short recurrence of the level
+sequence by one row echelon modulo a prime, solves for its integer
+coefficients (``solve_unique``, fraction-free) and checks them in integers;
+the convergence test (Schur–Cohn, fraction-free) and the projection onto
+the limit run on integers too.  ``_int_side_limits`` and ``_exact_q_kernel``
+keep the limits as integers over one denominator; ``edge_kernel`` and
+``q_kernel`` are their rational views.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Callable, Sequence
 
 from .errors import GasketError
 from .geometry import words
-from .harmonic import H_MATRICES
+
+IntTriple = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +65,17 @@ def solve_unique(rows: list[list[int]], rhs: list[int]) -> list[int]:
 # the level kernels
 # ---------------------------------------------------------------------------
 
-# 5·H_i: the refinement matrices scaled to integers
-_H5 = tuple(tuple(tuple(int(5 * x) for x in row) for row in H) for H in H_MATRICES)
+def _children5(a: int, b: int, c: int) -> tuple[IntTriple, IntTriple, IntTriple]:
+    """The harmonic extension rule 5·H_i: children 0, 1, 2 of a cell with corners
+    (a, b, c), times 5.  Child i keeps 5 t_i at corner i; its corner j != i
+    gets 2 t_i + 2 t_j + t_k = s + t_i + t_j, with s = a + b + c."""
+    s = a + b + c
+    x, y, z = s + a + b, s + a + c, s + b + c
+    return (5 * a, x, y), (x, 5 * b, z), (y, z, 5 * c)
+
+
+# 5·H_i as integer matrices: column k of 5·H_i is child i of the unit triple e_k
+_H5 = tuple(tuple(zip(*(_children5(*(int(j == k) for j in range(3)))[i] for k in range(3)))) for i in range(3))
 
 
 def _refine_modes(T: Sequence[int], A: Sequence[Sequence[int]], k: int) -> list[int]:

@@ -97,6 +97,31 @@ def test_bound_used_is_the_change_as_a_fraction_of_the_bound(capsys):
     assert err[2:] == ["b regressions: none", "b bound used above 0.5: none"]
 
 
+@pytest.mark.parametrize("change, listed", [
+    # parent IQR 13.75-26.25 is wider than 0.25 of the median 20; the change runs overlap the parent's
+    ([18, 19, 21, 22], True),
+    # the same spread, but every change run is faster than every parent run
+    ([5, 6, 7, 8], False),
+])
+def test_unresolved_lists_a_parent_spread_wider_than_the_bound(change, listed, capsys):
+    """A metric whose parent IQR exceeds bound x parent median is unresolved,
+    unless every change run beats every parent run; a narrow spread never is."""
+    parent = [10, 15, 25, 30]
+    seeds = list(range(len(parent)))
+    runs = []
+    for seed, p, c in zip(seeds, parent, change):
+        runs += _runs("a", [seed], {"op_p90_ms": p, "ops_per_s": 100}, {"op_p90_ms": c, "ops_per_s": 100 + seed})
+    bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][:2]}
+    args = argparse.Namespace(label="t", claim=None, pairs=[("a", seeds)], trace=[])
+    record = ab_record.build_record(args, bench, {}, runs)
+    got = record["summary"]["a"]["unresolved"]
+    assert [u["metric"] for u in got] == (["op_p90_ms"] if listed else [])
+    if listed:
+        assert got[0] == {"metric": "op_p90_ms", "parent_iqr": pytest.approx(12.5), "parent": 20, "bound": 0.25}
+    ab_record.report(record)
+    assert ("a unresolved: ['op_p90_ms']" in capsys.readouterr().err.splitlines()) is listed
+
+
 def test_bound_used_is_none_on_a_parent_median_of_0():
     runs = _runs("a", [1], {"ops_per_s": 0}, {"ops_per_s": 0})
     bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][:1]}

@@ -248,6 +248,15 @@ def test_bad_input_exit_code(capsys):
         assert "invalid word" in err and out == ""
 
 
+@pytest.mark.parametrize("edge", ["0/0/", "0/0/+-", "0/x/+"])
+def test_integrate_refuses_an_edge_without_a_sign_or_side_with_exit_code_1(edge, capsys):
+    """A missing or doubled sign is refused, not read as the reversed edge."""
+    form = json.dumps(fm.fdg(f0, f1).to_json())
+    assert cli.main(["integrate", "--form", form, "--path", json.dumps([edge])]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot parse edge" in err
+
+
 @pytest.mark.parametrize("level", [40, 10**6, -1])
 def test_vertex_count_mismatch_exits_1_before_enumerating(level, monkeypatch, capsys):
     """A function JSON whose value count cannot fill V_level is refused, by

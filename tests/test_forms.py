@@ -27,7 +27,8 @@ from gasketforms.geometry import (
     validate_path,
     words,
 )
-from gasketforms.harmonic import H_MATRICES, VertexFunction, harmonic_basis, random_harmonic
+from gasketforms.harmonic import VertexFunction, harmonic_basis, random_harmonic
+from test_harmonic import H_MATRICES
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()

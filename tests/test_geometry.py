@@ -177,6 +177,16 @@ def test_serialization_roundtrips():
         assert parse_vertex_id(vertex_id(q)) == q
 
 
+@pytest.mark.parametrize("text", ["0/1/", "0/1/+-", "0/1/++", "0/1/ +", "0/x/+", "0//+", "0/3/+", "0/01/+", "0/-1/+",
+                                  "0/ 1/+", "0/1", "0/1/+/", "3/1/+", 7])
+def test_edge_parse_refuses_a_malformed_side_or_sign(text):
+    """Only a side of exactly 0, 1 or 2 and a sign of exactly + or - parse;
+    anything else, a missing sign included, is a GasketError, never a
+    reversed edge."""
+    with pytest.raises(GasketError, match="cannot parse edge|invalid word"):
+        OrientedEdge.parse(text)
+
+
 def test_locate_vertex():
     for n in range(4):
         for p in vertices_at_level(n):

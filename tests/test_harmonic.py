@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasketforms import geometry, harmonic
+from gasketforms import geometry, harmonic, kernels
 from gasketforms.errors import GasketError
 from gasketforms.geometry import P0, P1, P2, Point, vertices_at_level
 from gasketforms.harmonic import (
@@ -18,18 +18,27 @@ from gasketforms.harmonic import (
 
 F = Fraction
 
+# The harmonic extension matrices, written here from the (2a+2b+c)/5 rule and
+# not read from the library, so the tests check its integer rule against a
+# second writing: H_i maps a cell's corner values to those of its sub-cell i,
+# row j being the value at w_i(p_j), the midpoint of corners i and j for j != i.
+_1, _2 = F(1, 5), F(2, 5)
+H_MATRICES = (
+    ((F(1), F(0), F(0)), (_2, _2, _1), (_2, _1, _2)),
+    ((_2, _2, _1), (F(0), F(1), F(0)), (_1, _2, _2)),
+    ((_2, _1, _2), (_1, _2, _2), (F(0), F(0), F(1))),
+)
+
 
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
 def test_extension_matrix_entries():
-    from gasketforms.harmonic import H_MATRICES
-
-    for H in H_MATRICES:
-        for row in H:
-            assert sum(row) == 1
-            assert set(row) <= {F(1), F(2, 5), F(1, 5), F(0)}
+    """The library's integer rule is five times the reference matrices, and
+    each row of 5·H_i sums to 5, so constants are kept."""
+    assert kernels._H5 == tuple(tuple(tuple(5 * x for x in row) for row in H) for H in H_MATRICES)
+    assert all(sum(row) == 5 for H5 in kernels._H5 for row in H5)
 
 
 def test_extension_of_first_basis_function():

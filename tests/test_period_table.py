@@ -18,7 +18,8 @@ from gasketforms.errors import DepthTooSmallError, ExactnessUnavailableError, Ga
 from gasketforms.geometry import (
     P0, OrientedEdge, edges_at_level, is_prefix, lacuna_path, validate_path, vertex_id, words,
 )
-from gasketforms.harmonic import H_MATRICES, harmonic_basis, random_harmonic
+from gasketforms.harmonic import harmonic_basis, random_harmonic
+from test_harmonic import H_MATRICES
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from gasketforms import kernels as kn
 from gasketforms.errors import GasketError
-from gasketforms.harmonic import H_MATRICES
+from test_harmonic import H_MATRICES
 
 F = Fraction
 Q_KERNEL_SHA256 = "f71fb451928625ad48873b831f278e429b8d02f41b291c7d6256df531d3bcdaa"

@@ -29,6 +29,11 @@
 * The lacuna rule lives in ``forms.py``: no other module names its prefix
   counts (``_prefix_dz``) or avoiding tails (``_avoiding``), and the dz
   potential is written once, as ``forms._DZ``.
+* The harmonic extension rule is written once, as the integer function
+  ``kernels._children5``, from which ``kernels._H5`` (5·H_i) is built: no
+  Fraction copy of H_i, no second integer step and no Gram recursion of the
+  energies is defined again, and no module but ``kernels.py`` writes a
+  ``5 * <name>`` product, the mark of an inline copy of the rule.
 * Every library function the benchmark traces still exists under its
   traced name, so a traced run does not stop at its first patch, and every
   function whose cache it reports still has ``cache_info``.
@@ -225,6 +230,44 @@ def test_the_lacuna_rule_lives_in_forms():
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id in gone:
                 defined.append(f"{path.name}:{n.lineno}")
     assert refs == [] and defined == []
+
+
+def _defined_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every function, class and assigned name in a module."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.append((n.name, n.lineno))
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.append((n.id, n.lineno))
+    return out
+
+
+def test_the_refinement_rule_is_written_once():
+    """The removed copies of the rule stay gone (``F0``/``F1`` only from
+    ``harmonic.py``, whose Fraction table they served), only ``kernels.py``
+    defines ``_children5`` and ``_H5``, and no other module multiplies 5 by
+    a bare name."""
+    gone = {"H_MATRICES", "_MID", "_h_row", "_FIFTH", "_TWO_FIFTH", "_step5", "_PAIRS", "_EDGE_FORM", "_M5",
+            "_GRAM_STEP"}
+    rule = {"_children5", "_H5"}
+    stray, owners, products = [], set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        removed = gone | {"F0", "F1"} if path.name == "harmonic.py" else gone
+        for name, line in _defined_names(tree):
+            stray += [f"{path.name}:{line} {name}"] if name in removed else []
+            owners |= {(path.name, name)} if name in rule else set()
+        if path.name != "kernels.py":
+            products += [
+                f"{path.name}:{n.lineno}"
+                for n in ast.walk(tree)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                and any(isinstance(a, ast.Constant) and a.value == 5 and isinstance(b, ast.Name)
+                        for a, b in ((n.left, n.right), (n.right, n.left)))
+            ]
+    assert stray == [] and products == []
+    assert owners == {("kernels.py", "_children5"), ("kernels.py", "_H5")}
 
 
 def _bench_worker():

@@ -23,8 +23,11 @@ end-to-end metric whose change median is worse than the parent's by more than
 its ``BENCHMARK.json`` bound (a fraction of the parent median), and
 ``bound_used`` gives, per metric, how much worse the change median is as a
 fraction of that bound (1 at the bound, negative when the change is better).
-At the end, the regressions and every metric that uses more than half of its
-bound are printed to stderr.
+``unresolved`` lists the end-to-end metrics whose parent runs spread too
+widely to hold the change to the bound: the parent's interquartile range is
+wider than the bound times the parent median, and not every change run beats
+every parent run.  At the end, the regressions, the unresolved metrics and
+every metric that uses more than half of its bound are printed to stderr.
 """
 
 from __future__ import annotations
@@ -119,11 +122,32 @@ def bound_used(entry: dict, end_to_end: list) -> dict:
             for m, parent, change, worse in _medians(entry, end_to_end)}
 
 
+def unresolved(entry: dict, end_to_end: list, timed: list) -> list:
+    """The end-to-end metrics of one workload summary whose parent
+    interquartile range is wider than the metric's relative bound times the
+    parent median, unless every change run beats every parent run: a median
+    inside that spread cannot show a change of the bound's size either way."""
+    out = []
+    for m, parent, _, _ in _medians(entry, end_to_end):
+        spread = entry[m["name"]]["parent"]["q3"] - entry[m["name"]]["parent"]["q1"]
+        if spread <= m["bound"] * abs(parent):
+            continue
+        side = {s: [r["metrics"][m["name"]] for r in timed if r["side"] == s] for s in ("parent", "change")}
+        beaten = (min(side["change"]) > max(side["parent"]) if m["better"] == "higher"
+                  else max(side["change"]) < min(side["parent"]))
+        if not beaten:
+            out.append({"metric": m["name"], "parent_iqr": spread, "parent": parent, "bound": m["bound"]})
+    return out
+
+
 def report(record: dict) -> None:
-    """Print to stderr, per workload, the regressions and every metric that
-    uses more than half of its bound."""
+    """Print to stderr, per workload, the regressions, the unresolved metrics
+    (only when there are any) and every metric that uses more than half of
+    its bound."""
     for workload, entry in record["summary"].items():
         print(f"{workload} regressions: {entry['regressions'] or 'none'}", file=sys.stderr)
+        if entry.get("unresolved"):
+            print(f"{workload} unresolved: {[u['metric'] for u in entry['unresolved']]}", file=sys.stderr)
         used = {k: round(v, 3) for k, v in entry["bound_used"].items() if v is not None and v > 0.5}
         print(f"{workload} bound used above 0.5: {used or 'none'}", file=sys.stderr)
 
@@ -160,6 +184,7 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
             entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
         entry["regressions"] = regressions(entry, bench["end_to_end"])
         entry["bound_used"] = bound_used(entry, bench["end_to_end"])
+        entry["unresolved"] = unresolved(entry, bench["end_to_end"], timed)
     claim = (f"the claim is {claim_metric} on {claim_workload}, every other end-to-end metric"
              if claim_metric else "no claim: every end-to-end metric")
     record = {
@@ -167,7 +192,9 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
         "what": f"interleaved parent/change runs; {claim} is compared with its BENCHMARK.json bound "
                 "(per workload, 'regressions' lists the metrics whose change median is worse than the "
                 "parent median by more than the bound, and 'bound_used' gives, per metric, how much worse "
-                "the change median is as a fraction of the bound: negative when the change is better)",
+                "the change median is as a fraction of the bound: negative when the change is better; 'unresolved' "
+                "lists the metrics whose parent IQR is wider than the bound times the parent median, unless "
+                "every change run beats every parent run)",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {bench['run_seconds']:g} "
                    "--trace <0|1>, run from the root of each checkout",
         # without cached bytecode every run compiles the library from source, which moves peak_rss_mib
