@@ -13,7 +13,7 @@ The Hodge decomposition is exact: k = A* c over every word, and a skeleton
 primitive U of the exact part anchored at the corner p_0.  Below the data
 level the lacuna periods are geometric in each cell (det H_i = 3/25), so k
 closes in one recursion up from the table's level and U in one descent in
-word order (``hodge_decompose``), on integers over one denominator.
+word order (``hodge_decompose``), on integers over one denominator, stored as is.
 
 Both read one whole-form integer side-integral table per call, coarsened
 level by level (``_period_tables``): the periods at the data level m, and
@@ -59,10 +59,7 @@ from .geometry import (
     check_word,
     is_prefix,
     lacuna_path,
-    level_corners,
     perimeter_path,
-    vertex_id,
-    vertex_table,
     words,
 )
 from .harmonic import IntTriple, VertexFunction
@@ -264,21 +261,32 @@ def periods_up_to(form: SmoothForm, depth: int) -> PeriodVector:
 @dataclass(frozen=True)
 class HodgeDecomposition:
     """Harmonic coefficients k_sigma for |sigma| <= depth and the skeleton
-    primitive U on V_depth, both exact.  ``potential_radius``,
-    ``residual_bound`` and every radius are 0; the fields are kept for the
-    JSON and the benchmark, and ``potential_difference`` refuses a k entry
-    with a radius.
+    primitive U on V_depth, both exact, as integers: ``kints[n]`` is K·k of
+    the level-n words in word order, and ``U`` a ``VertexFunction`` at level
+    depth.  ``k`` and ``potential`` are views, new dicts of CertifiedValues
+    on every read; ``potential_radius`` and ``residual_bound`` are the
+    constant 0, kept for the JSON and the benchmark.
     ``beyond`` = (den, tables) carries what a path pairing adds past the
     depth: tables[n][u][i] is den times the integral, over side i of the u-th
     level-n cell, of the lacuna forms deeper than the depth, the sum over
     |sigma| > depth of k_sigma dz_sigma."""
 
     depth: int
-    k: dict[Word, CertifiedValue]
-    potential: dict[Point, CertifiedValue]  # skeleton values on V_depth
-    potential_radius: Fraction
-    residual_bound: Fraction
+    K: int
+    kints: tuple[list[int], ...]
+    U: VertexFunction
     beyond: tuple[int, tuple[list[IntTriple], ...]] = (1, ())
+
+    potential_radius = F0  # class constants, not fields
+    residual_bound = F0
+
+    @property
+    def k(self) -> dict[Word, CertifiedValue]:
+        return {w: CertifiedValue(Fraction(v, self.K)) for n, r in enumerate(self.kints) for w, v in zip(words(n), r)}
+
+    @property
+    def potential(self) -> dict[Point, CertifiedValue]:
+        return {p: CertifiedValue(v) for p, v in self.U.values.items()}
 
     def harmonic_form(self) -> SmoothForm:
         """The harmonic representative truncated at the depth, the sum over
@@ -288,18 +296,8 @@ class HodgeDecomposition:
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "entries": [
-                [w, cv.to_json()["value"], float(cv.radius)]
-                for w, cv in sorted(self.k.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ],
-            "U_E": {
-                "level": self.depth,
-                "values": [
-                    [vertex_id(p), cv.to_json()["value"]]
-                    for p, cv in sorted(self.potential.items(), key=lambda kv: vertex_id(kv[0]))
-                ],
-                "radius": float(self.potential_radius),
-            },
+            "entries": [[w, cv.to_json()["value"], float(cv.radius)] for w, cv in self.k.items()],  # level, then word
+            "U_E": {"level": self.depth, "values": self.U.to_json()["values"], "radius": float(self.potential_radius)},
             "residual": float(self.residual_bound),
         }
 
@@ -344,7 +342,7 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
     by their k, so every residual is exact and U descends in word order from
     U(p_0) = 0: a child's corners are its parent's corner plus the residuals
     of the two child sides through it.  All are integers over K (k),
-    6·5^n·K (Phi on level n) and 6·5^depth·K (U), divided once per value.
+    6·5^n·K (Phi on level n) and 6·5^depth·K (U), stored undivided.
 
     A negative depth (DepthTooSmallError) is refused first.  The budget
     charges 3^(depth + 1)·(depth + 1) before any work; products of two
@@ -397,15 +395,11 @@ def hodge_decompose(form: SmoothForm, depth: int) -> HodgeDecomposition:
                 corners[b], corners[i], corners[j] = U[b], U[b] - rj, U[b] + ri
                 children.append((f, corners))
         cells = children
-    uden = 6 * 5**depth * K
-    # cells that share a vertex give it the same U, since every residual is exact
-    ints = {q: x for c, (_, U) in zip(level_corners(depth), cells) for q, x in zip(c, U)}
-    potential = {p: CertifiedValue(Fraction(ints[q], uden)) for q, p in vertex_table(depth).items()}
-
-    k = {w: CertifiedValue(Fraction(v, K)) for n in range(depth + 1) for w, v in zip(words(n), kints[n])}
     # past the depth: side i of rho carries -(1/3)(S(rho, i) - k_rho), over 3K
     beyond = _levels_up([(kv - s0, kv - s1, kv - s2) for kv, (s0, s1, s2) in zip(kints[depth], sums[depth])])
-    return HodgeDecomposition(depth, k, potential, F0, F0, (3 * K, tuple(beyond)))
+    # cells that share a vertex give it the same U, since every residual is exact
+    U = VertexFunction(depth, 6 * 5**depth * K, [tuple(corners) for _, corners in cells])
+    return HodgeDecomposition(depth, K, tuple(kints[: depth + 1]), U, (3 * K, tuple(beyond)))
 
 
 def harmonic_coefficient(form: SmoothForm, sigma: Word) -> CertifiedValue:

@@ -13,10 +13,10 @@ one denominator by the lacuna rule of ``forms`` (``forms._dz_counts``;
 ``dz_path_integrals`` divides them);
 effective lengths (its N' norm), homology classes (A applied to it) and
 potential differences (its pairing with the harmonic coefficients) all read
-that table and divide once per result.  Potential differences are exact:
-the skeleton primitive's variation, the pairing with the exact k up to the
-depth, and the lacuna forms past the depth, which the Hodge decomposition
-carries per cell and side.
+that table and divide once per result.  Potential differences are exact,
+read from the Hodge decomposition's integer tables: the skeleton primitive
+U at the path's two ends, the pairing with k up to the depth, and the
+lacuna forms past the depth, which it carries per cell and side.
 
 Points of the covering are never materialized: homology classes are integer
 coordinate vectors over lacuna generators (winding numbers), the deck-group
@@ -226,11 +226,11 @@ def potential_difference(
     decomposition: Optional[HodgeDecomposition] = None,
 ) -> CertifiedValue:
     """Integral of the form along the path through its covering potential,
-    exactly: the skeleton primitive's variation, plus sum over |sigma| <=
-    depth of k_sigma times the path's integer dz count, plus the lacuna
-    forms past the depth, one ``beyond`` entry per edge.  A k entry the
-    path meets must be exact (``HodgeDecomposition``): one with a radius is
-    refused with ``GasketError``."""
+    exactly: the skeleton primitive's variation, read from the
+    decomposition's U table at the path's two ends, plus sum over |sigma| <=
+    depth of k_sigma times the path's integer dz count, one rational per
+    word, plus the lacuna forms past the depth, one ``beyond`` entry per
+    edge."""
     if max(e.level for e in path) > depth:
         raise DepthTooSmallError("path uses edges finer than the depth")
     if decomposition is not None and decomposition.depth != depth:
@@ -242,12 +242,14 @@ def potential_difference(
     dec = decomposition if decomposition is not None else hodge_decompose(form, depth)
     value = F0
     for sigma, c in counts.items():
-        kcv = dec.k.get(sigma)
-        if c and kcv is not None:
-            if kcv.radius:
-                raise GasketError(f"k[{sigma!r}] has a nonzero radius; a decomposition's k must be exact")
-            value += kcv.value * c
+        if c:
+            value += Fraction(dec.kints[len(sigma)][int(sigma or "0", 3)] * c, dec.K)
     bden, tables = dec.beyond
     past = sum(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side] for e in edges) if tables else 0
-    total = dec.potential[path.target] - dec.potential[path.source]
-    return total + CertifiedValue(value / den + Fraction(past, bden))
+    # U(target) - U(source) over U.den: an edge runs from corner side + 2 to corner side + 1
+    # of its cell (backward for sign -1); U's table holds corner j of a cell at its descendant j...j
+    rise = 0
+    for e, sign, at in ((edges[0], -1, 2), (edges[-1], 1, 1)):  # at: the corner offset for sign +1
+        j = (e.side + (at if e.sign == 1 else 3 - at)) % 3
+        rise += sign * dec.U.int_triple(e.cell + str(j) * (depth - e.level))[1][j]
+    return CertifiedValue(Fraction(rise, dec.U.den) + value / den + Fraction(past, bden))

@@ -121,7 +121,8 @@ def riemann_kernel(side: int, p: int, q: int, n: int) -> tuple[int, ...]:
         R[int(f"{t}" * (p + 1) + f"{s}" * q, 3)] = 1
         R[int(f"{t}" * p + f"{s}" * (q + 1), 3)] = -1
         return tuple(R)
-    prev = riemann_kernel(side, p, q, n - 1)
+    for level in range(n):  # in increasing order: a cold level recurses one frame, not n
+        prev = riemann_kernel(side, p, q, level)
     return tuple(x + y for x, y in zip(_refine_modes(prev, _H5[s], k), _refine_modes(prev, _H5[t], k)))
 
 
@@ -144,7 +145,8 @@ def q_level_kernel(p: int, r: int, j: int) -> tuple[int, ...]:
             for a, b in itertools.product((t, s), repeat=2):
                 K[int(f"{t}" * p + f"{a}" + f"{t}" * r + f"{b}", 3)] += sign[a] * sign[b]
         return tuple(K)
-    prev = q_level_kernel(p, r, j - 1)
+    for level in range(j):  # in increasing order: a cold level recurses one frame, not j
+        prev = q_level_kernel(p, r, level)
     return tuple(map(sum, zip(*(_refine_modes(prev, H, d) for H in _H5))))
 
 

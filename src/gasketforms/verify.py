@@ -173,12 +173,12 @@ def check_orthogonality() -> list[dict]:
 def check_hodge_consistency(depth: int) -> list[dict]:
     f = harmonic_basis()
     w = fm.fdg(f[0], f[1])
-    hd = coh.hodge_decompose(w, depth)
+    k = coh.hodge_decompose(w, depth).k
     ok_agree = True
     ok_nonzero = True
     for s in (w for n in range(depth + 1) for w in words(n)):
         proj = coh.harmonic_coefficient(w, s)
-        if hd.k[s] != proj:
+        if k[s] != proj:
             ok_agree = False
         if proj.value == 0:
             ok_nonzero = False

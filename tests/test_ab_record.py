@@ -1,4 +1,5 @@
-"""The A/B recorder's summary on synthetic runs: claim wins and regressions."""
+"""The A/B recorder's summary on synthetic runs: claim wins, regressions and
+the executed-operation counts beside a memory rise."""
 
 from __future__ import annotations
 
@@ -24,12 +25,12 @@ BENCH = {
 }
 
 
-def _runs(workload: str, seeds, parent: dict, change: dict) -> list:
+def _runs(workload: str, seeds, parent: dict, change: dict, attempted=(1000, 1000)) -> list:
     out = []
     for seed in seeds:
-        for side, metrics in (("parent", parent), ("change", change)):
+        for side, metrics, count in (("parent", parent, attempted[0]), ("change", change, attempted[1])):
             out.append({"order": len(out), "side": side, "workload": workload, "seed": seed, "trace": 0,
-                        "digest": "d", "failed": 0, "metrics": dict(metrics)})
+                        "digest": "d", "attempted": count, "failed": 0, "metrics": dict(metrics)})
     return out
 
 
@@ -94,7 +95,27 @@ def test_bound_used_is_the_change_as_a_fraction_of_the_bound(capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("a regressions: [{'metric': 'op_p90_ms'")
     assert err[1] == "a bound used above 0.5: {'op_p90_ms': 1.2, 'peak_rss_mib': 0.95}"
-    assert err[2:] == ["b regressions: none", "b bound used above 0.5: none"]
+    assert err[2] == "a attempted per run beside peak_rss_mib (median): parent 1000, change 1000"
+    assert err[3:] == ["b regressions: none", "b bound used above 0.5: none"]
+
+
+@pytest.mark.parametrize("rss, shown", [(21.9, True), (20.5, False)])
+def test_attempted_counts_are_kept_and_shown_beside_a_memory_rise(rss, shown, capsys):
+    """Each run keeps its executed-operation count and each side its median;
+    the medians are printed beside peak_rss_mib only when that metric uses
+    more than half its bound (9.5% of a 10% bound, not 2.5%), so a memory
+    rise that tracks more executions shows as such."""
+    seeds = [1, 2, 3]
+    runs = _runs("a", seeds[:2], {"peak_rss_mib": 20}, {"peak_rss_mib": rss}, attempted=(1000, 1300))
+    runs += _runs("a", seeds[2:], {"peak_rss_mib": 20}, {"peak_rss_mib": rss}, attempted=(1100, 1201))
+    bench = {"run_seconds": 10, "end_to_end": BENCH["end_to_end"][2:]}
+    args = argparse.Namespace(label="t", claim=None, pairs=[("a", seeds)], trace=[])
+    record = ab_record.build_record(args, bench, {}, runs)
+    assert [r["attempted"] for r in record["runs"]] == [1000, 1300, 1000, 1300, 1100, 1201]
+    assert record["summary"]["a"]["attempted"] == {"parent": 1000, "change": 1300}
+    ab_record.report(record)
+    line = "a attempted per run beside peak_rss_mib (median): parent 1000, change 1300"
+    assert (line in capsys.readouterr().err.splitlines()) is shown
 
 
 @pytest.mark.parametrize("change, listed", [

@@ -231,12 +231,13 @@ def test_hodge_skeleton_primitive_consistency():
     hd = coh.hodge_decompose(w, depth)
     omega_h = hd.harmonic_form()
     assert len(omega_h.harmonic) == 13  # every k is nonzero
+    potential, k = hd.potential, hd.k  # views: one dict per read
     for letters in itertools.product("012", repeat=depth):
         word = "".join(letters)
         for side in range(3):
             e = OrientedEdge(word, side)
-            lhs = hd.potential[e.target] - hd.potential[e.source]
-            past = -F(2, 19) * hd.k[word].value
+            lhs = potential[e.target] - potential[e.source]
+            past = -F(2, 19) * k[word].value
             rhs = fm.integrate_edge(w, e).value - fm.integrate_edge(omega_h, e).value - past
             assert lhs.exact and lhs.value == rhs
 

@@ -25,9 +25,10 @@ from gasketforms.geometry import (
     subdivide,
     validate_path,
     vertex_id,
+    vertices_at_level,
     words,
 )
-from gasketforms.harmonic import harmonic_basis, random_harmonic
+from gasketforms.harmonic import VertexFunction, harmonic_basis, random_harmonic
 
 F = Fraction
 f0, f1, f2 = harmonic_basis()
@@ -308,9 +309,10 @@ def test_potential_difference_affine_on_closed_paths():
     path = perimeter_path("") + perimeter_path("")
     pd = cov.potential_difference(w, path, depth, decomposition=hd)
     g = cov.homology_class(path, depth + 1)
-    pairing = sum((kcv.value * cov.phi_hom(s, g) for s, kcv in hd.k.items()), F(0))
+    k = hd.k  # a view: one dict per read
+    pairing = sum((kcv.value * cov.phi_hom(s, g) for s, kcv in k.items()), F(0))
     past = sum(
-        (-e.sign * F(2, 19) * hd.k[sub.cell].value for e in path for sub in subdivide(e, depth)),
+        (-e.sign * F(2, 19) * k[sub.cell].value for e in path for sub in subdivide(e, depth)),
         F(0),
     )
     assert pd.exact and pd.value == pairing + past == fm.integrate_path(w, path).value
@@ -463,6 +465,28 @@ def test_deck_homomorphisms_are_path_integrals(path):
 
 
 @settings(max_examples=60)
+@given(walks(closed=True, max_level=3), st.randoms(use_true_random=False))
+def test_integration_factors_through_homology(path, rng):
+    """De Rham duality on closed walks, the pairing of a class with a form:
+    with g the homology class to depth L + 1, L the walk's finest edge
+    level, and c the lacuna periods, the integral along the walk is
+    sum over |w| < L of g_w·c_w minus sum over |v| = L of g_v times the
+    integral around the perimeter of C_v, exactly, on forms with universal,
+    lacuna and exact parts of data level up to 2."""
+    form = (
+        fm.fdg(random_harmonic(rng.randint(0, 2), rng), random_harmonic(rng.randint(0, 2), rng))
+        + fm.SmoothForm(harmonic={"".join(rng.choice("012") for _ in range(rng.randint(0, 1))): F(rng.randint(-5, 5), 3)})
+        + fm.d(random_harmonic(rng.randint(0, 2), rng))
+    )
+    L = max(e.level for e in path)
+    g = cov.homology_class(path, L + 1)
+    c = coh.periods_up_to(form, max(L, fm._form_data_level(form))).entries
+    pairing = sum((n * c[w].value for w, n in g.coords.items() if len(w) < L), F(0))
+    cells = sum((n * fm.integrate_path(form, perimeter_path(v)).value for v, n in g.coords.items() if len(v) == L), F(0))
+    assert fm.integrate_path(form, path).value == pairing - cells
+
+
+@settings(max_examples=60)
 @given(walks(closed=True), st.text(alphabet="012", max_size=5))
 def test_winding_number_matches_the_fraction_prefix_sum(path, sigma):
     """The integer prefix counts give the sum over the prefixes rho of
@@ -494,49 +518,35 @@ def test_invalid_lacuna_words_are_refused():
 
 
 @settings(max_examples=25)
-@given(walks(), st.integers(0, 8), st.booleans(), st.randoms(use_true_random=False))
-def test_potential_difference_matches_per_word_sum(path, depth, exact, rng):
+@given(walks(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_potential_difference_matches_per_word_sum(path, depth, rng):
     # the value is U(t) - U(s) + sum k_sigma int dz_sigma + the lacuna forms
-    # past the depth, read per edge from the decomposition's tables; the
-    # radius is the potentials' radii, since every k radius is 0
-    # (``HodgeDecomposition``), and there is no tail
+    # past the depth, read per edge from the decomposition's tables, all
+    # exact: U is read here by point, k as one rational per word
     depth = max(depth, max(e.level for e in path))
-    radius = (lambda: F(0)) if exact else (lambda: F(rng.randint(1, 9), rng.randint(1, 99)))
-    k = {w: CertifiedValue(F(rng.randint(-9, 9), rng.randint(1, 9))) for w in _words_to(depth)}
-    potential = {p: CertifiedValue(F(rng.randint(-9, 9)), radius()) for p in (path.source, path.target)}
+    K = rng.randint(1, 99)
+    kints = tuple([rng.randint(-9, 9) for _ in range(3**n)] for n in range(depth + 1))
+    U = random_harmonic(min(depth, 2), rng).extend(depth)
     den = rng.randint(1, 99)
     tables = tuple(
         [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3**n)] if n <= 4 else [(0, 0, 0)] * 3**n
         for n in range(depth + 1)
     )
-    dec = coh.HodgeDecomposition(depth, k, potential, F(0), F(0), (den, tables))
+    dec = coh.HodgeDecomposition(depth, K, kints, U, (den, tables))
     pd = cov.potential_difference(fm.fdg(f0, f1), path, depth, decomposition=dec)
-    dz = {w: fm.dz_integral_path(w, path) for w in k}
+    k = {w: F(v, K) for n, row in enumerate(kints) for w, v in zip(words(n), row)}
     past = sum((F(e.sign * tables[e.level][int(e.cell or "0", 3)][e.side], den) for e in path), F(0))
-    expected = potential[path.target].value - potential[path.source].value + sum(
-        (kcv.value * dz[w] for w, kcv in k.items()), F(0)
-    )
-    assert pd.value == expected + past
-    assert pd.radius == potential[path.target].radius + potential[path.source].radius
-    assert pd.exact == exact
-
-
-def test_potential_difference_refuses_a_k_radius():
-    # a radius on a k entry the path meets would be dropped from the result
-    path = validate_path([OrientedEdge("", 0)])
-    potential = {path.source: CertifiedValue.from_exact(0), path.target: CertifiedValue.from_exact(0)}
-    k = {w: CertifiedValue.from_exact(F(1)) for w in _words_to(1)}
-    assert cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0))).exact
-    k[""] = CertifiedValue(F(1), F(1, 3))
-    with pytest.raises(GasketError, match="nonzero radius"):
-        cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0)))
+    expected = U(path.target) - U(path.source) + sum((v * fm.dz_integral_path(w, path) for w, v in k.items()), F(0))
+    assert pd.exact and pd.value == expected + past
 
 
 def test_potential_difference_is_exact_when_no_k_meets_the_path():
     path = validate_path([OrientedEdge("0", 1)])  # dz_2 vanishes on C_0
-    potential = {path.source: CertifiedValue.from_exact(1), path.target: CertifiedValue.from_exact(3)}
-    for k in ({}, {"2": CertifiedValue.from_exact(F(1, 2))}):
-        pd = cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, k, potential, F(0), F(0)))
+    values = dict.fromkeys(vertices_at_level(1), F(0))
+    values[path.source], values[path.target] = F(1), F(3)
+    U = VertexFunction.from_values(1, values)
+    for kints in (([0], [0, 0, 0]), ([0], [0, 0, 1])):  # over K = 2: k = 0, then k_2 = 1/2
+        pd = cov.potential_difference(fm.d(f1), path, 1, decomposition=coh.HodgeDecomposition(1, 2, kints, U))
         assert pd.exact and type(pd.value) is F and pd.value == 2
 
 

@@ -813,6 +813,26 @@ def test_q_budget_refuses_before_building():
     assert len(fm.q_level_kernel(3, 1, 1)) == 3**6
 
 
+def test_a_cold_deep_level_kernel_is_built_in_a_loop():
+    """A level past the interpreter's recursion limit, asked for cold, gives
+    the same sum as the levels read in increasing order: each cached level
+    kernel reads its lower levels from the cache bottom up, not by one
+    recursive frame per missing level.  Both on the (0, 0) shape."""
+    e = OrientedEdge("", 0)
+    calls = (
+        (kn.q_level_kernel, (0, 0), fm.q_level_sums(fm.d(f1), fm.d(f1), 0)),
+        (kn.riemann_kernel, (0, 0, 0), lambda n: fm.riemann_sum(fm.fdg(fm.ONE, f1), e, n)),
+    )
+    for kernel, shape, level_sum in calls:
+        kernel.cache_clear()
+        cold = level_sum(1200)
+        kernel.cache_clear()
+        for j in range(1201):
+            kernel(*shape, j)
+        assert level_sum(1200) == cold
+        kernel.cache_clear()
+
+
 def test_q_rescaling_identity():
     for w in ["0", "2", "01"]:
         lhs = fm.q_inner_exact(fm.dz_form(w), fm.fdg(f0, f1))

@@ -43,7 +43,10 @@
 * A piecewise-harmonic function is one frozen integer table:
   ``VertexFunction``'s fields are ``level``, ``den`` and ``seed``, and no
   library module reads its Point-keyed ``values`` view except
-  ``VertexFunction.to_json``.
+  ``VertexFunction.to_json`` and the ``HodgeDecomposition.potential`` view.
+  The Hodge decomposition stores integers too: its fields are ``depth``,
+  ``K``, ``kints``, ``U`` and ``beyond``, and ``cohomology.py`` imports
+  neither ``vertex_table`` nor ``level_corners``.
 * Every exported name has a caller: a name ``__init__.py`` imports is
   referenced in ``src/`` outside its own definition and ``__init__.py``, or
   under ``bench/``, or is kept on ``_EXPORTS_WITHOUT_CALLERS`` for a reason,
@@ -64,6 +67,7 @@ from pathlib import Path
 import pytest
 
 import gasketforms
+from gasketforms.cohomology import HodgeDecomposition
 from gasketforms.harmonic import VertexFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gasketforms"
@@ -319,17 +323,21 @@ def test_points_are_built_only_at_the_api_boundary():
 def test_vertex_function_is_one_frozen_integer_table():
     """Fields (level, den, seed), frozen; a function's ``values`` view (an
     attribute read, not a dict's ``values()`` call) is read in ``src/`` only
-    by ``VertexFunction.to_json``."""
+    by ``VertexFunction.to_json`` and ``HodgeDecomposition.potential``, and
+    the decomposition is frozen on integer fields, with no vertex table."""
     assert [f.name for f in dataclasses.fields(VertexFunction)] == ["level", "den", "seed"]
     assert VertexFunction.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(HodgeDecomposition)] == ["depth", "K", "kints", "U", "beyond"]
+    assert HodgeDecomposition.__dataclass_params__.frozen
+    views = {("VertexFunction", "to_json"), ("HodgeDecomposition", "potential")}
     reads = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
         called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         allowed = {
             id(n)
-            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "VertexFunction"
-            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "to_json"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and (cls.name, fn.name) in views
             for n in ast.walk(fn)
         }
         reads += [
@@ -337,7 +345,14 @@ def test_vertex_function_is_one_frozen_integer_table():
             for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and n.attr == "values" and id(n) not in called
         ]
-    assert reads == [("harmonic.py", True)]
+    assert sorted(reads) == [("cohomology.py", True), ("harmonic.py", True)]
+    imported = {
+        a.name
+        for n in ast.walk(ast.parse((SRC / "cohomology.py").read_text()))
+        if isinstance(n, ast.ImportFrom)
+        for a in n.names
+    }
+    assert imported.isdisjoint({"vertex_table", "level_corners"})
 
 
 # exported names that neither the library nor the benchmark calls, kept for

@@ -14,20 +14,25 @@ alternates (parent first on even-numbered pairs of each workload), so neither
 side always runs on a warmer or a quieter machine.  Each ``--trace`` seed runs
 one traced pair for the per-layer metrics.  The record keeps every run line,
 per-side medians and quartiles of every end-to-end metric, the digests and
-failure counts of every pair, and, with ``--claim``, how many pairs the change
-won on the claimed metric and whether the claim is met: at least ten pairs,
-the change winning at least nine tenths of them (a tie counts for neither
-side), and the change median better than the parent median by more than the
-parent's interquartile range.  Per workload, ``regressions`` lists every
-end-to-end metric whose change median is worse than the parent's by more than
-its ``BENCHMARK.json`` bound (a fraction of the parent median), and
-``bound_used`` gives, per metric, how much worse the change median is as a
-fraction of that bound (1 at the bound, negative when the change is better).
+failure counts of every pair, each run's count of executed operations
+(``attempted``) and its per-side median, and, with ``--claim``, how many
+pairs the change won on the claimed metric and whether the claim is met: at
+least ten pairs, the change winning at least nine tenths of them (a tie
+counts for neither side), and the change median better than the parent
+median by more than the parent's interquartile range.  Per workload,
+``regressions`` lists every end-to-end metric whose change median is worse
+than the parent's by more than its ``BENCHMARK.json`` bound (a fraction of
+the parent median), and ``bound_used`` gives, per metric, how much worse the
+change median is as a fraction of that bound (1 at the bound, negative when
+the change is better).
 ``unresolved`` lists the end-to-end metrics whose parent runs spread too
 widely to hold the change to the bound: the parent's interquartile range is
 wider than the bound times the parent median, and not every change run beats
 every parent run.  At the end, the regressions, the unresolved metrics and
-every metric that uses more than half of its bound are printed to stderr.
+every metric that uses more than half of its bound are printed to stderr,
+with the median ``attempted`` counts beside ``peak_rss_mib`` when it is one
+of them: the benchmark keeps a record per execution, so a side that runs more
+operations in the same time also holds more memory.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict
         "digest": tagged["digest"],
         "failed_ratio": tagged["failed_ratio"],
         "correct": result["correct"],
+        "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
@@ -143,13 +149,18 @@ def unresolved(entry: dict, end_to_end: list, timed: list) -> list:
 def report(record: dict) -> None:
     """Print to stderr, per workload, the regressions, the unresolved metrics
     (only when there are any) and every metric that uses more than half of
-    its bound."""
+    its bound; when ``peak_rss_mib`` is one of them, the median executions
+    per run of each side beside it, since the benchmark keeps a record per
+    execution and its resident set grows with their count."""
     for workload, entry in record["summary"].items():
         print(f"{workload} regressions: {entry['regressions'] or 'none'}", file=sys.stderr)
         if entry.get("unresolved"):
             print(f"{workload} unresolved: {[u['metric'] for u in entry['unresolved']]}", file=sys.stderr)
         used = {k: round(v, 3) for k, v in entry["bound_used"].items() if v is not None and v > 0.5}
         print(f"{workload} bound used above 0.5: {used or 'none'}", file=sys.stderr)
+        if "peak_rss_mib" in used:
+            counts = ", ".join(f"{side} {n:g}" for side, n in entry["attempted"].items())
+            print(f"{workload} attempted per run beside peak_rss_mib (median): {counts}", file=sys.stderr)
 
 
 def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
@@ -182,6 +193,11 @@ def build_record(args, bench: dict, revisions: dict, runs: list) -> dict:
         if claim_metric:
             wins = sum(p["change_wins"] for p in entry["pairs"])
             entry[f"{claim_metric}_change_wins"] = f"{wins}/{len(entry['pairs'])}"
+        entry["attempted"] = {
+            side: statistics.median(r["attempted"] for r in timed if r["side"] == side)
+            for side in ("parent", "change")
+            if any(r["side"] == side for r in timed)
+        }
         entry["regressions"] = regressions(entry, bench["end_to_end"])
         entry["bound_used"] = bound_used(entry, bench["end_to_end"])
         entry["unresolved"] = unresolved(entry, bench["end_to_end"], timed)
